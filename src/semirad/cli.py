@@ -29,7 +29,6 @@ import numpy as np
 
 from .arange import (
     DEFAULT_THETA_GRID,
-    RangeEstimate,
     a_crawford,
     a_numerical_radius,
     estimate_range,
@@ -251,9 +250,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
         ):
             raise ValidationError('"d" must be an array of numbers')
         weights = [float(v) for v in data["d"]]
-    rep = zero_bound_report(
-        p, d=weights, restarts=cfg.restarts, seed=cfg.seed
-    )
+    rep = zero_bound_report(p, d=weights)
     return {
         "command": "zeros",
         "degree": p.degree,
@@ -269,7 +266,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
     }
 
 
-def _run_range(cfg: JobConfig, data: dict) -> dict | RangeEstimate:
+def _run_range(cfg: JobConfig, data: dict) -> dict:
     _check_keys(data, {"A", "identity_dim", "T"})
     if "T" not in data:
         raise ValidationError('missing required key "T"')
@@ -434,7 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta-grid", type=int, default=DEFAULT_THETA_GRID)
     parser.add_argument("--phi-grid", type=int, default=DEFAULT_PHI_GRID)
     parser.add_argument("--mc-samples", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=8)
+    parser.add_argument(
+        "--restarts",
+        type=int,
+        default=8,
+        help=(
+            "ignored: zeros computes the optimal (Perron) weights directly; "
+            "kept for compatibility and echoed in the zeros JSON"
+        ),
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--output", default=None, help="output file (default: stdout)"

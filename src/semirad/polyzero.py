@@ -3,10 +3,10 @@
 A monic polynomial is represented by its low-order coefficients; its
 zeros are the eigenvalues of the Frobenius companion matrix.  Three
 classical bounds (Cauchy, Carmichael-Mason, Fujii-Kubo) come as closed
-forms.  The weighted bound takes a strictly positive weight vector d,
-forms the per-row quantities alpha_1..alpha_n, and certifies
-max |zero| <= max_k alpha_k; the weights are free, so a derivative-free
-optimizer searches log-space for the smallest certificate.
+forms.  The weighted bound certifies max |zero| <= max_k alpha_k, with
+alpha = (M d) / d for any weights d > 0 and one nonnegative matrix M
+built from |a_i|.  By Collatz-Wielandt its best value is the Perron root
+rho(M), reached at the Perron vector; both are computed directly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .arange import general_eig
 from .errors import DegreeZero, InvalidMatrix, NonPositiveWeight, WeightDimensionMismatch
@@ -96,25 +95,25 @@ def bound_fujii_kubo(p: PolynomialSpec) -> float:
     )
 
 
-def alphas(p: PolynomialSpec, d) -> np.ndarray:
-    """Per-row certificate values alpha_1..alpha_n for weights d.
-
-    Row 1 collects all coefficient magnitudes; middle rows see one
-    coefficient plus the two adjacent weights; the last row sees a_0.
-    Each alpha is homogeneous of degree 0 in d.  For degree 1 the single
-    alpha is |a_0| (the absent trailing weight term is dropped).
-    """
-    w = validate_weights(d, p.degree)
+def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
+    """The nonnegative certificate matrix M behind the alphas, every entry
+    halved: row 1 collects all coefficient magnitudes (|a_{n-1}| twice) on
+    weight 1 plus weight 2; row k >= 2 puts |a_{n-k}| on weight 1 plus
+    weights k and k+1, so the last row sees a_0.  Degree 1: [[|a_0|]]."""
     mags = np.abs(p.coefficients)
-    n = p.degree
-    out = np.empty(n, dtype=np.float64)
-    head = mags[n - 1] + float(np.sum(mags))
-    out[0] = (0.5 * w[0] * head + (0.5 * w[1] if n >= 2 else 0.0)) / w[0]
-    for k in range(2, n):
-        out[k - 1] = (0.5 * w[0] * mags[n - k] + 0.5 * w[k - 1] + 0.5 * w[k]) / w[k - 1]
-    if n >= 2:
-        out[n - 1] = (0.5 * w[0] * mags[0] + 0.5 * w[n - 1]) / w[n - 1]
-    return out
+    k = np.arange(1, p.degree)
+    m = np.zeros((p.degree, p.degree), dtype=np.float64)
+    m[:, 0] = 0.5 * mags[::-1]
+    m[0, 0] += 0.5 * float(np.sum(mags))
+    m[k, k] = m[k - 1, k] = 0.5
+    return m
+
+
+def alphas(p: PolynomialSpec, d) -> np.ndarray:
+    """Per-row certificate values alpha_1..alpha_n = (M d) / d for weights d,
+    with M = ``certificate_matrix(p)``; homogeneous of degree 0 in d."""
+    w = validate_weights(d, p.degree)
+    return certificate_matrix(p) @ w / w
 
 
 def bound_prk(p: PolynomialSpec, d) -> float:
@@ -127,55 +126,56 @@ def max_root_modulus(p: PolynomialSpec) -> float:
     return float(np.max(np.abs(general_eig(companion(p)))))
 
 
+def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
+    """Weights d with d_1 = 1 and rows 2..n of M d equal to rho d, for
+    tail = |a_{n-2}| .. |a_0|: row k forces d_k = (|a_{n-k}| + d_{k+1}) /
+    (2 rho - 1), summed backwards from d_{n+1} = 0 over nonnegative terms
+    only.  Zeros left by vanishing trailing coefficients are lifted to
+    d_{k+1} = step * d_k, which raises no alpha by more than step / 2; the
+    step grows past 1e-12 only where the floor would otherwise underflow.
+    """
+    n, x = len(tail) + 1, 2.0 * rho - 1.0
+    d, nxt = [1.0] * n, 0.0
+    for k in range(n - 1, 0, -1):
+        nxt = d[k] = (tail[k - 1] + nxt) / x if x > 0.0 else 0.0
+    step = max(1e-12, 1e-300 ** (1.0 / max(n - 1, 1)))
+    for k in range(1, n):
+        d[k] = max(d[k], step * d[k - 1])
+    return np.asarray(d)
+
+
 def optimize_weights(
     p: PolynomialSpec,
     restarts: int = 8,
     iters: int = 2000,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """Search for weights minimizing the certificate max_k alpha_k.
+    """Weights minimizing the certificate max_k alpha_k; returns (d, value).
 
-    The alphas are scale-invariant in d, so the search runs in log-space
-    with the first coordinate pinned at 0.  Each restart is a
-    Nelder-Mead descent from a seeded random start (the first start is
-    the all-ones point).  The all-ones certificate itself is always a
-    candidate, so the result never exceeds the unweighted baseline.
-    Deterministic for a fixed seed.  Returns (d_star, value).
+    By Collatz-Wielandt the minimum over d > 0 is the Perron root rho(M)
+    of ``certificate_matrix(p)``, at its Perron vector.  For a trial rho
+    ``_chain_weights`` solves rows 2..n exactly; row 1, M_11 + d_2 / 2,
+    then falls as rho grows, and bisection finds where it meets rho.  No
+    eigensolver is involved, so reducible M (a_0 = 0) and a near-zero a_0
+    (an ill-conditioned Perron root) come out as accurately as the rest.
+    The all-ones weights stay a candidate.  ``restarts``, ``iters`` and
+    ``seed`` are ignored; they remain for compatibility.
     """
+    m = certificate_matrix(p)
+    tail = np.abs(p.coefficients[-2::-1]).tolist()
+    # rho(M) of a nonnegative M lies between its largest diagonal entry
+    # and its largest row sum
+    lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if m[0] @ _chain_weights(tail, mid) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    d_star = _chain_weights(tail, hi)
+    val = bound_prk(p, d_star)
     ones = np.ones(p.degree, dtype=np.float64)
-    best_d = ones
-    best_val = bound_prk(p, ones)
-    if p.degree == 1:
-        # A single alpha equal to |a_0| regardless of the weight.
-        return best_d, best_val
-
-    def objective(u: np.ndarray) -> float:
-        d = np.exp(np.concatenate(([0.0], u)))
-        return float(np.max(alphas(p, d)))
-
-    rng = np.random.default_rng(seed)
-    m = p.degree - 1
-    starts = [np.zeros(m)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.normal(0.0, 1.5, size=m))
-    for u0 in starts:
-        res = minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": iters,
-                "maxfev": iters,
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-            },
-        )
-        d_cand = np.exp(np.concatenate(([0.0], res.x)))
-        val = bound_prk(p, d_cand)
-        if val < best_val:
-            best_val = val
-            best_d = d_cand
-    return best_d, best_val
+    base = bound_prk(p, ones)
+    return (d_star, val) if val < base else (ones, base)
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,9 @@ def zero_bound_report(
     iters: int = 2000,
     seed: int = 0,
 ) -> ZeroBoundReport:
-    """Evaluate every bound; optimize the weights unless d is supplied."""
-    if d is None:
-        d_star, _ = optimize_weights(p, restarts=restarts, iters=iters, seed=seed)
-    else:
-        d_star = validate_weights(d, p.degree)
+    """Evaluate every bound, with the Perron weights unless d is supplied
+    (``restarts``, ``iters`` and ``seed`` are ignored)."""
+    d_star = optimize_weights(p)[0] if d is None else validate_weights(d, p.degree)
     alpha_vals = alphas(p, d_star)
     return ZeroBoundReport(
         r_c=bound_cauchy(p),

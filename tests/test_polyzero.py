@@ -151,7 +151,34 @@ class TestSoundness:
             assert w <= sr.bound_prk(p, d) + 1e-6
 
 
+def reference_matrix(coeffs) -> np.ndarray:
+    """The certificate matrix written out row by row from the alpha
+    formulas, independently of the library: alpha = (M d) / d."""
+    mags = np.abs(np.asarray(coeffs, dtype=np.complex128))
+    n = mags.size
+    m = np.zeros((n, n))
+    m[0, 0] = 0.5 * (mags[n - 1] + mags.sum())
+    for k in range(1, n):
+        m[k - 1, k] = 0.5
+        m[k, 0] = 0.5 * mags[n - 1 - k]
+        m[k, k] = 0.5
+    return m
+
+
+def perron_root(coeffs) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(reference_matrix(coeffs)))))
+
+
 class TestOptimizeWeights:
+    def test_certificate_matrix_reproduces_alphas(self, rng):
+        for n in (1, 2, 5, 13):
+            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            p = sr.make_polynomial(coeffs)
+            m = reference_matrix(coeffs)
+            assert np.allclose(sr.certificate_matrix(p), m, rtol=1e-15, atol=0)
+            d = rng.uniform(0.2, 3.0, size=n)
+            assert np.allclose(sr.alphas(p, d), m @ d / d, rtol=1e-14, atol=0)
+
     def test_never_worse_than_all_ones(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 6))
@@ -161,11 +188,14 @@ class TestOptimizeWeights:
             assert val == pytest.approx(sr.bound_prk(p, d_star), abs=1e-9)
 
     def test_deterministic(self):
+        # the Perron weights are unique, so the ignored search arguments
+        # cannot change the answer
         p = sr.make_polynomial(EXAMPLE)
-        d1, v1 = sr.optimize_weights(p, restarts=4, iters=300, seed=5)
-        d2, v2 = sr.optimize_weights(p, restarts=4, iters=300, seed=5)
+        d1, v1 = sr.optimize_weights(p)
+        d2, v2 = sr.optimize_weights(p, restarts=1, iters=3, seed=5)
         assert np.array_equal(d1, d2)
         assert v1 == v2
+        assert v1 == pytest.approx(perron_root(EXAMPLE), rel=1e-12)
 
     def test_running_example_beats_hand_weights(self):
         p = sr.make_polynomial(EXAMPLE)
@@ -173,11 +203,75 @@ class TestOptimizeWeights:
         assert val <= 2.0834
         assert val >= sr.max_root_modulus(p) - 1e-8
 
+    def test_running_example_value(self):
+        p = sr.make_polynomial(EXAMPLE)
+        d_star, val = sr.optimize_weights(p)
+        assert val == pytest.approx(1.78393, abs=1e-5)
+        assert d_star[0] == 1.0
+        # every row of the certificate is active at the Perron vector
+        assert sr.alphas(p, d_star) == pytest.approx(np.full(5, val), rel=1e-12)
+
     def test_degree_one_shortcut(self):
+        # no special case left: M = [[|a_0|]], so the single alpha ignores d
         p = sr.make_polynomial([3.0 + 4.0j])
-        d, val = sr.optimize_weights(p, restarts=2, iters=50, seed=0)
+        assert np.array_equal(sr.certificate_matrix(p), [[5.0]])
+        d, val = sr.optimize_weights(p)
         assert np.array_equal(d, np.ones(1))
         assert val == pytest.approx(5.0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=2 * np.pi),
+            ),
+            min_size=2,
+            max_size=24,
+        ),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_value_is_perron_root(self, terms, seed):
+        # magnitudes span 4 decades, phases are arbitrary
+        coeffs = [10.0**e * np.exp(1j * t) for e, t in terms]
+        p = sr.make_polynomial(coeffs)
+        d_star, val = sr.optimize_weights(p)
+        assert np.all(np.isfinite(d_star)) and np.all(d_star > 0)
+        assert val == sr.bound_prk(p, d_star)
+        assert val == pytest.approx(perron_root(coeffs), rel=1e-12)
+        d = np.random.default_rng(seed).uniform(0.05, 20.0, size=p.degree)
+        assert val <= sr.bound_prk(p, d) + 1e-12 * max(1.0, val)
+        assert val >= sr.max_root_modulus(p) - 1e-8
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0.0, 1.0, 2.0, 3.0],  # a_0 = 0
+            [0.0, 0.0, 1e-3, 0.0, 5.0, 0.0, 0.0],  # a_0 = 0, interior zeros
+            [1.0, 0.0, 0.0, 2.0, 0.0, 1.0],  # interior zeros only
+            [0.0, 0.0, 0.0, 0.9],  # only a_{n-1}: rho(M) = 0.9
+            [0.0, 0.0],  # all zero
+            [0.0] * 5,
+            [0.0] * 24,
+        ],
+    )
+    def test_reducible_cases(self, coeffs):
+        p = sr.make_polynomial(coeffs)
+        d_star, val = sr.optimize_weights(p)
+        assert np.all(np.isfinite(d_star)) and np.all(d_star > 0)
+        assert val == pytest.approx(perron_root(coeffs), rel=1e-9)
+        assert val >= sr.max_root_modulus(p) - 1e-8
+
+    def test_near_zero_constant_term(self):
+        # a_0 = 1e-20 is invisible to a dense eigensolve of M, which returns
+        # rho = 0.5; the true Perron root (50-digit arithmetic) is larger,
+        # and the Perron weights level every alpha at it
+        coeffs = [1e-20] + [0.0] * 14 + [0.1]
+        p = sr.make_polynomial(coeffs)
+        d_star, val = sr.optimize_weights(p)
+        assert np.all(np.isfinite(d_star)) and np.all(d_star > 0)
+        assert val == pytest.approx(0.523466414621636, rel=1e-12)
+        assert sr.alphas(p, d_star) == pytest.approx(np.full(16, val), rel=1e-12)
 
     def test_small_cubics_usually_beat_classical(self):
         wins = 0
