@@ -2,7 +2,10 @@
 
 Everything runs on the compressed matrix C (the reduced operator in an
 orthonormal basis of range(A)), whose classical numerical range equals
-the weighted range of T.  The workhorse is the support function
+the weighted range of T.  One kernel, :func:`_rotated`, builds the
+rotated Hermitian parts Re(exp(-i*theta) C), one matrix or a whole grid
+of them, and every range quantity is read off their spectra.  The
+workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
 
@@ -11,7 +14,9 @@ evaluated on a theta grid with golden-section refinement:
   * radius   w = max_theta h(theta),
   * crawford m = max(0, -min_theta h(theta))   (support duality),
   * boundary points p_theta = <C x_theta, x_theta> with x_theta the top
-    eigenvector, tracing the extreme points of the range.
+    eigenvector, tracing the extreme points of the range,
+  * inclusion: z lies in the range iff Re(exp(-i*theta) z) <= h(theta)
+    for every theta.
 
 Two independent cross-checks live here as well: the rotation identity
 path through the weighted real part (:func:`w_theta_identity_check`) and
@@ -26,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStrictlyPositive, NumericalFailure
-from .hull import convex_hull, distance_to_hull
 from .linalg import require_square, spectral_norm
-from .scan import golden_section_max, golden_section_min
+from .scan import _refine_best
 from .semihilbert import (
     SemiOperator,
     a_operator_seminorm,
@@ -42,26 +46,32 @@ DEFAULT_THETA_GRID = 720
 THETA_REFINE_TOL = 1e-10
 
 
-def _support_objective(c: np.ndarray):
-    """h(theta) = lambda_max(Re(exp(-i*theta) C)) as a scalar callable."""
-    ch = c.conj().T
+def _rotated(c: np.ndarray, theta) -> np.ndarray:
+    """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
 
-    def h(theta: float) -> float:
-        herm = 0.5 * (np.exp(-1j * theta) * c + np.exp(1j * theta) * ch)
-        return float(np.linalg.eigvalsh(herm)[-1])
+    A scalar theta gives one Hermitian matrix, an array of angles the
+    stack of them; callers take ``eigvalsh`` or ``eigh`` of the result.
+    """
+    phases = np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
+    return 0.5 * (phases.conj() * c + phases * c.conj().T)
 
-    return h
 
-
-def _support_grid(c: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
+def _profile(c: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Support function h on a uniform grid over [0, 2*pi)."""
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    phases = np.exp(1j * thetas)
-    stack = 0.5 * (
-        phases.conj()[:, None, None] * c + phases[:, None, None] * c.conj().T
-    )
-    lam = np.linalg.eigvalsh(stack)
-    return thetas, lam[:, -1]
+    return thetas, np.linalg.eigvalsh(_rotated(c, thetas))[:, -1]
+
+
+def _refined_support(
+    c: np.ndarray, thetas: np.ndarray, lam: np.ndarray, maximize: bool
+) -> float:
+    """max (or min) of h, from its grid values *lam* at *thetas*."""
+
+    def h(theta: float) -> float:
+        return float(np.linalg.eigvalsh(_rotated(c, theta))[-1])
+
+    step = 2.0 * np.pi / len(thetas)
+    return _refine_best(h, thetas, lam, step, maximize, tol=THETA_REFINE_TOL)[1]
 
 
 def _degenerate_warning() -> None:
@@ -83,14 +93,7 @@ def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -
     if c.shape[0] == 0:
         _degenerate_warning()
         return 0.0
-    thetas, lam = _support_grid(c, theta_grid)
-    k = int(np.argmax(lam))
-    step = 2.0 * np.pi / theta_grid
-    h = _support_objective(c)
-    _, refined = golden_section_max(
-        h, thetas[k] - step, thetas[k] + step, tol=THETA_REFINE_TOL
-    )
-    return max(float(lam[k]), refined)
+    return _refined_support(c, *_profile(c, theta_grid), maximize=True)
 
 
 def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -105,14 +108,7 @@ def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
     if c.shape[0] == 0:
         _degenerate_warning()
         return 0.0
-    thetas, lam = _support_grid(c, theta_grid)
-    k = int(np.argmin(lam))
-    step = 2.0 * np.pi / theta_grid
-    h = _support_objective(c)
-    _, refined = golden_section_min(
-        h, thetas[k] - step, thetas[k] + step, tol=THETA_REFINE_TOL
-    )
-    return max(0.0, -min(float(lam[k]), refined))
+    return max(0.0, -_refined_support(c, *_profile(c, theta_grid), maximize=False))
 
 
 @dataclass(frozen=True)
@@ -151,34 +147,20 @@ def estimate_range(
             degenerate=True,
         )
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
-    phases = np.exp(1j * thetas)
-    stack = 0.5 * (
-        phases.conj()[:, None, None] * c + phases[:, None, None] * c.conj().T
-    )
-    lam, vec = np.linalg.eigh(stack)
+    lam, vec = np.linalg.eigh(_rotated(c, thetas))
     lam_top = lam[:, -1]
     top = vec[:, :, -1]
     cx = top @ c.T  # row b holds (C x_b) transposed
     boundary = np.einsum("bi,bi->b", top.conj(), cx)
 
-    radius = float(np.max(lam_top))
-    crawford_raw = -float(np.min(lam_top))
     if refine:
-        step = 2.0 * np.pi / theta_grid
-        h = _support_objective(c)
-        k_max = int(np.argmax(lam_top))
-        _, up = golden_section_max(
-            h, thetas[k_max] - step, thetas[k_max] + step, tol=THETA_REFINE_TOL
-        )
-        radius = max(radius, up)
-        k_min = int(np.argmin(lam_top))
-        _, down = golden_section_min(
-            h, thetas[k_min] - step, thetas[k_min] + step, tol=THETA_REFINE_TOL
-        )
-        crawford_raw = max(crawford_raw, -down)
+        radius = _refined_support(c, thetas, lam_top, maximize=True)
+        lowest = _refined_support(c, thetas, lam_top, maximize=False)
+    else:
+        radius, lowest = float(np.max(lam_top)), float(np.min(lam_top))
     return RangeEstimate(
         radius=radius,
-        crawford=max(0.0, crawford_raw),
+        crawford=max(0.0, -lowest),
         boundary=boundary,
         theta_grid=theta_grid,
         refined=refine,
@@ -202,12 +184,8 @@ def w_theta_identity_check(
 
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     values = [g(t) for t in thetas]
-    k = int(np.argmax(values))
     step = 2.0 * np.pi / grid
-    _, refined = golden_section_max(
-        g, thetas[k] - step, thetas[k] + step, tol=THETA_REFINE_TOL
-    )
-    return max(values[k], refined)
+    return _refine_best(g, thetas, values, step, True, tol=THETA_REFINE_TOL)[1]
 
 
 def general_eig(m) -> np.ndarray:
@@ -245,30 +223,33 @@ class InclusionReport:
 def spectral_inclusion_check(
     op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID
 ) -> InclusionReport:
-    """Check that every eigenvalue of T lies in the computed range hull.
+    """Check that every eigenvalue of T lies in the computed range.
 
-    Only meaningful when the weight is strictly positive (A >= mI with
-    m > 0); a singular weight can shrink the range until it misses part
-    of the spectrum, so that case is rejected outright.
+    The support-line test: z lies in the range iff Re(exp(-i*theta) z)
+    <= h(theta) for every theta, so an eigenvalue's violation is its
+    largest excess over the support lines at the grid angles (0 inside),
+    a distance never larger than the one to the polygon of boundary
+    points.  Only meaningful when the weight is strictly positive
+    (A >= mI with m > 0); a singular weight can shrink the range until it
+    misses part of the spectrum, so that case is rejected outright.
     """
     if not op.context.strictly_positive:
         raise NotStrictlyPositive(
             "spectral inclusion requires a strictly positive weight "
             f"(rank {op.context.rank} < dimension {op.context.dim})"
         )
-    est = estimate_range(op, theta_grid=theta_grid)
-    pts = np.column_stack((est.boundary.real, est.boundary.imag))
-    hull = convex_hull(pts)
+    c = op.compressed
+    thetas, lam = _profile(c, theta_grid)
     eigenvalues = general_eig(op.matrix)
-    worst = 0.0
-    for z in eigenvalues:
-        worst = max(worst, distance_to_hull((z.real, z.imag), hull))
-    tol = 1e-6 * (1.0 + est.radius)
+    excess = (np.exp(-1j * thetas)[None, :] * eigenvalues[:, None]).real - lam
+    worst = max(0.0, float(np.max(excess)))
+    radius = _refined_support(c, thetas, lam, maximize=True)
+    tol = 1e-6 * (1.0 + radius)
     return InclusionReport(
         eigenvalues=eigenvalues,
         max_violation=worst,
         tolerance=tol,
-        radius=est.radius,
+        radius=radius,
         passed=worst <= tol,
     )
 

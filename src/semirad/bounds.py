@@ -2,10 +2,12 @@
 
 Lower bounds combine the seminorm of one rotation component with the
 Crawford number of the other; the upper bound minimizes the two-term
-rotation functional over the quarter period.  For 2x2 operator matrices
-under the doubled weight diag(A, A), four closed-form upper bounds are
-provided, two of them carrying a free parameter t in [0, 1] that is
-optimized by golden section.
+rotation functional over the quarter period.  Both are read off spectra
+of the compressed matrix C: the weighted real and imaginary parts
+compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C).
+For 2x2 operator matrices under the doubled weight diag(A, A), four
+closed-form upper bounds are provided, two of them carrying a free
+parameter t in [0, 1] that is optimized by golden section.
 
 Report builders package the bounds together with the reference radius of
 the same operator so every bracket is checkable in isolation.
@@ -18,36 +20,53 @@ from math import sqrt
 
 import numpy as np
 
-from .arange import DEFAULT_THETA_GRID, a_crawford, a_numerical_radius
+from .arange import DEFAULT_THETA_GRID, _rotated, a_numerical_radius
 from .errors import TOutOfRange
-from .scan import golden_section_min
+from .scan import _refine_best, golden_section_min
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
     a_operator_seminorm,
-    im_a,
     make_context,
     make_operator,
-    re_a,
-    scale_operator,
 )
 
 DEFAULT_PHI_GRID = 64
 
 
-def lower_bound_21(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
+def _norm_and_crawford(c: np.ndarray, theta: float) -> tuple[float, float]:
+    """Norm and Crawford number of the Hermitian H = Re(exp(-i*theta) C).
+
+    ||H|| = max(lambda_max, -lambda_min); the range of H is the segment
+    [lambda_min, lambda_max], so its distance to 0 is
+    max(0, lambda_min, -lambda_max).
+    """
+    if c.shape[0] == 0:
+        return 0.0, 0.0
+    lam = np.linalg.eigvalsh(_rotated(c, theta))
+    lo, hi = float(lam[0]), float(lam[-1])
+    return max(hi, -lo), max(0.0, lo, -hi)
+
+
+def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
+    """(lower_bound_21, lower_bound_22) from one eigvalsh each of Re C, Im C."""
+    norm_re, craw_re = _norm_and_crawford(op.compressed, 0.0)
+    norm_im, craw_im = _norm_and_crawford(op.compressed, 0.5 * np.pi)
+    return (
+        sqrt(norm_re * norm_re + craw_im * craw_im),
+        sqrt(norm_im * norm_im + craw_re * craw_re),
+    )
+
+
+def lower_bound_21(op: SemiOperator) -> float:
     """sqrt(||real part||^2 + crawford(imag part)^2), a lower bound on the
     radius that refines the plain ||real part|| bound."""
-    norm_re = a_operator_seminorm(re_a(op))
-    craw_im = a_crawford(im_a(op), theta_grid=theta_grid)
-    return sqrt(norm_re * norm_re + craw_im * craw_im)
+    return _lower_bounds(op)[0]
 
 
-def lower_bound_22(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
+def lower_bound_22(op: SemiOperator) -> float:
     """Mirror image of lower_bound_21 with the two parts swapped."""
-    norm_im = a_operator_seminorm(im_a(op))
-    craw_re = a_crawford(re_a(op), theta_grid=theta_grid)
-    return sqrt(norm_im * norm_im + craw_re * craw_re)
+    return _lower_bounds(op)[1]
 
 
 def upper_bound_hphi(
@@ -55,60 +74,95 @@ def upper_bound_hphi(
 ) -> tuple[float, float]:
     """Upper bound min over phi of sqrt(||H_phi||^2 + ||H_{phi+pi/2}||^2).
 
-    H_phi is the weighted real part of exp(i*phi) T.  H_{phi+pi} = -H_phi
-    and the two terms swap under phi -> phi+pi/2, so the objective has
-    period pi/2 and the scan runs over [0, pi/2).  Returns (value, phi).
+    H_phi is the weighted real part of exp(i*phi) T, whose seminorm is
+    the spectral radius of Re(exp(i*phi) C).  H_{phi+pi} = -H_phi and the
+    two terms swap under phi -> phi+pi/2, so the objective has period
+    pi/2 and the scan runs over [0, pi/2), all 2 * phi_grid Hermitian
+    parts in one batch.  Returns (value, phi).
     """
+    c = op.compressed
+    if c.shape[0] == 0:
+        return 0.0, 0.0
+    period = 0.5 * np.pi
+
+    def norm_sq(lam: np.ndarray):
+        return np.maximum(lam[..., -1], -lam[..., 0]) ** 2
 
     def f(phi: float) -> float:
-        h1 = a_operator_seminorm(re_a(scale_operator(op, np.exp(1j * phi))))
-        h2 = a_operator_seminorm(
-            re_a(scale_operator(op, np.exp(1j * (phi + 0.5 * np.pi))))
+        return float(
+            norm_sq(np.linalg.eigvalsh(_rotated(c, -phi)))
+            + norm_sq(np.linalg.eigvalsh(_rotated(c, -phi - period)))
         )
-        return h1 * h1 + h2 * h2
 
-    period = 0.5 * np.pi
     phis = np.linspace(0.0, period, phi_grid, endpoint=False)
-    values = [f(p) for p in phis]
-    k = int(np.argmin(values))
-    step = period / phi_grid
-    phi_ref, refined = golden_section_min(
-        f, phis[k] - step, phis[k] + step, tol=1e-10
-    )
-    if refined <= values[k]:
-        best, phi_star = refined, phi_ref
-    else:
-        best, phi_star = values[k], float(phis[k])
+    thetas = np.concatenate((-phis, -phis - period))
+    parts = norm_sq(np.linalg.eigvalsh(_rotated(c, thetas)))
+    values = parts[:phi_grid] + parts[phi_grid:]
+    phi_star, best = _refine_best(f, phis, values, period / phi_grid, False)
     return sqrt(best), phi_star % period
 
 
-def _require_shared_context(*ops: SemiOperator) -> None:
-    first = ops[0]
-    for other in ops[1:]:
-        _require_same_context(first, other)
+def _block_scalars(
+    t11: SemiOperator, t12: SemiOperator, t21: SemiOperator, t22: SemiOperator
+) -> tuple[float, float, float, float]:
+    """(w(T11), w(T22), ||T12||, ||T21||), the inputs of every block bound."""
+    _require_same_context(t11, t12, t21, t22)
+    return (
+        a_numerical_radius(t11),
+        a_numerical_radius(t22),
+        a_operator_seminorm(t12),
+        a_operator_seminorm(t21),
+    )
+
+
+def _lemma24_value(w11: float, n12: float) -> float:
+    return 0.5 * (w11 + sqrt(w11 * w11 + n12 * n12))
+
+
+def _th25_value(w11: float, w22: float, n12: float, n21: float) -> float:
+    return 0.5 * (
+        w11 + w22 + sqrt(w11 * w11 + n12 * n12) + sqrt(w22 * w22 + n21 * n21)
+    )
+
+
+def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
+    """Bound 27 or 28: the leading radius split t : (1-t) between radicals."""
+    w11, w22, n12, n21 = scalars
+    lead, other, up, down = (
+        (w11, w22, n12, n21) if which == 27 else (w22, w11, n21, n12)
+    )
+    return (
+        0.5 * lead
+        + other
+        + 0.5 * sqrt(t * t * lead * lead + up * up)
+        + 0.5 * sqrt((1.0 - t) * (1.0 - t) * lead * lead + down * down)
+    )
+
+
+def _optimize_split(which: int, scalars: tuple[float, ...]) -> tuple[float, float]:
+    def f(t: float) -> float:
+        return _split_value(which, scalars, t)
+
+    t_best, v_best = golden_section_min(f, 0.0, 1.0, tol=1e-10)
+    for t_cand in (0.0, 0.5, 1.0):
+        v_cand = f(t_cand)
+        if v_cand < v_best:
+            t_best, v_best = t_cand, v_cand
+    return t_best, v_best
 
 
 def block_bound_lemma24(t11: SemiOperator, t12: SemiOperator) -> float:
     """Closed-form radius bound for the block matrix [[T11, T12], [0, 0]]
     under the doubled weight."""
-    _require_shared_context(t11, t12)
-    w11 = a_numerical_radius(t11)
-    n12 = a_operator_seminorm(t12)
-    return 0.5 * (w11 + sqrt(w11 * w11 + n12 * n12))
+    _require_same_context(t11, t12)
+    return _lemma24_value(a_numerical_radius(t11), a_operator_seminorm(t12))
 
 
 def block_bound_th25(
     t11: SemiOperator, t12: SemiOperator, t21: SemiOperator, t22: SemiOperator
 ) -> float:
     """Closed-form radius bound for a full 2x2 block matrix."""
-    _require_shared_context(t11, t12, t21, t22)
-    w11 = a_numerical_radius(t11)
-    w22 = a_numerical_radius(t22)
-    n12 = a_operator_seminorm(t12)
-    n21 = a_operator_seminorm(t21)
-    return 0.5 * (
-        w11 + w22 + sqrt(w11 * w11 + n12 * n12) + sqrt(w22 * w22 + n21 * n21)
-    )
+    return _th25_value(*_block_scalars(t11, t12, t21, t22))
 
 
 def _check_t(t: float) -> float:
@@ -116,28 +170,6 @@ def _check_t(t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise TOutOfRange(f"parameter t must lie in [0, 1], got {t}")
     return t
-
-
-def _split_value(w_lead: float, w_other: float, n_up: float, n_down: float, t: float) -> float:
-    # Leading radius split t : (1-t) between the two radicals.
-    return (
-        0.5 * w_lead
-        + w_other
-        + 0.5 * sqrt(t * t * w_lead * w_lead + n_up * n_up)
-        + 0.5 * sqrt((1.0 - t) * (1.0 - t) * w_lead * w_lead + n_down * n_down)
-    )
-
-
-def _block_scalars(
-    t11: SemiOperator, t12: SemiOperator, t21: SemiOperator, t22: SemiOperator
-) -> tuple[float, float, float, float]:
-    _require_shared_context(t11, t12, t21, t22)
-    return (
-        a_numerical_radius(t11),
-        a_numerical_radius(t22),
-        a_operator_seminorm(t12),
-        a_operator_seminorm(t21),
-    )
 
 
 def block_bound_th27(
@@ -149,8 +181,7 @@ def block_bound_th27(
 ) -> float:
     """Parametric block bound splitting the (1,1) radius across radicals."""
     t = _check_t(t)
-    w11, w22, n12, n21 = _block_scalars(t11, t12, t21, t22)
-    return _split_value(w11, w22, n12, n21, t)
+    return _split_value(27, _block_scalars(t11, t12, t21, t22), t)
 
 
 def block_bound_th28(
@@ -162,8 +193,7 @@ def block_bound_th28(
 ) -> float:
     """Parametric block bound splitting the (2,2) radius across radicals."""
     t = _check_t(t)
-    w11, w22, n12, n21 = _block_scalars(t11, t12, t21, t22)
-    return _split_value(w22, w11, n21, n12, t)
+    return _split_value(28, _block_scalars(t11, t12, t21, t22), t)
 
 
 def optimize_t(
@@ -181,21 +211,7 @@ def optimize_t(
     """
     if which not in (27, 28):
         raise ValueError(f"which must be 27 or 28, got {which}")
-    w11, w22, n12, n21 = _block_scalars(t11, t12, t21, t22)
-    if which == 27:
-        args = (w11, w22, n12, n21)
-    else:
-        args = (w22, w11, n21, n12)
-
-    def f(t: float) -> float:
-        return _split_value(*args, t)
-
-    t_best, v_best = golden_section_min(f, 0.0, 1.0, tol=1e-10)
-    for t_cand in (0.0, 0.5, 1.0):
-        v_cand = f(t_cand)
-        if v_cand < v_best:
-            t_best, v_best = t_cand, v_cand
-    return t_best, v_best
+    return _optimize_split(which, _block_scalars(t11, t12, t21, t22))
 
 
 def assemble_blocks(
@@ -207,7 +223,7 @@ def assemble_blocks(
     ordinary context constructor and the block matrix through the
     ordinary operator constructor.
     """
-    _require_shared_context(t11, t12, t21, t22)
+    _require_same_context(t11, t12, t21, t22)
     ctx = t11.context
     zero = np.zeros_like(ctx.matrix)
     doubled = make_context(
@@ -241,10 +257,11 @@ def bound_report(
 ) -> BoundReport:
     norm = a_operator_seminorm(op)
     upper, phi_star = upper_bound_hphi(op, phi_grid=phi_grid)
+    lower_21, lower_22 = _lower_bounds(op)
     return BoundReport(
         w_exact=a_numerical_radius(op, theta_grid=theta_grid),
-        lower_21=lower_bound_21(op, theta_grid=theta_grid),
-        lower_22=lower_bound_22(op, theta_grid=theta_grid),
+        lower_21=lower_21,
+        lower_22=lower_22,
         upper_hphi=upper,
         phi_star=phi_star,
         sandwich_lower=0.5 * norm,
@@ -277,16 +294,17 @@ def matrix_bound_report(
     theta_grid: int = DEFAULT_THETA_GRID,
 ) -> MatrixBoundReport:
     assembled = assemble_blocks(t11, t12, t21, t22)
-    t_star_27, v27 = optimize_t(27, t11, t12, t21, t22)
-    t_star_28, v28 = optimize_t(28, t11, t12, t21, t22)
+    scalars = _block_scalars(t11, t12, t21, t22)
+    t_star_27, v27 = _optimize_split(27, scalars)
+    t_star_28, v28 = _optimize_split(28, scalars)
     bottom_row_zero = (
         np.count_nonzero(t21.matrix) == 0 and np.count_nonzero(t22.matrix) == 0
     )
-    lemma = block_bound_lemma24(t11, t12) if bottom_row_zero else None
+    w11, _, n12, _ = scalars
     return MatrixBoundReport(
         w_b_exact=a_numerical_radius(assembled, theta_grid=theta_grid),
-        lemma24=lemma,
-        th25=block_bound_th25(t11, t12, t21, t22),
+        lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
+        th25=_th25_value(*scalars),
         th27=v27,
         th28=v28,
         t_star_27=t_star_27,

@@ -44,8 +44,8 @@ from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL
 from .polyzero import make_polynomial, zero_bound_report
 from .semihilbert import (
     PositiveOperator,
+    SemiOperator,
     a_operator_seminorm,
-    identity_context,
     make_context,
     make_operator,
 )
@@ -151,26 +151,22 @@ def _context_from(data: dict, cfg: JobConfig) -> PositiveOperator:
         n = data["identity_dim"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError('"identity_dim" must be a positive integer')
-        if cfg.herm_tol == DEFAULT_HERM_TOL and cfg.rank_tol == DEFAULT_RANK_TOL:
-            return identity_context(n)
-        return make_context(
-            np.eye(n, dtype=np.complex128),
-            herm_tol=cfg.herm_tol,
-            rank_tol=cfg.rank_tol,
-        )
-    return make_context(
-        _parse_matrix(data["A"], '"A"'),
-        herm_tol=cfg.herm_tol,
-        rank_tol=cfg.rank_tol,
-    )
+        a = np.eye(n, dtype=np.complex128)
+    else:
+        a = _parse_matrix(data["A"], '"A"')
+    return make_context(a, herm_tol=cfg.herm_tol, rank_tol=cfg.rank_tol)
 
 
-def _run_radius(cfg: JobConfig, data: dict) -> dict:
+def _operator_from(data: dict, cfg: JobConfig) -> SemiOperator:
+    """The weight and the operator "T" of a radius, bounds or range job."""
     _check_keys(data, {"A", "identity_dim", "T"})
     if "T" not in data:
         raise ValidationError('missing required key "T"')
-    ctx = _context_from(data, cfg)
-    op = make_operator(ctx, _parse_matrix(data["T"], '"T"'))
+    return make_operator(_context_from(data, cfg), _parse_matrix(data["T"], '"T"'))
+
+
+def _run_radius(cfg: JobConfig, data: dict) -> dict:
+    op = _operator_from(data, cfg)
     payload = {
         "command": "radius",
         "radius": a_numerical_radius(op, theta_grid=cfg.theta_grid),
@@ -188,11 +184,7 @@ def _run_radius(cfg: JobConfig, data: dict) -> dict:
 
 
 def _run_bounds(cfg: JobConfig, data: dict) -> dict:
-    _check_keys(data, {"A", "identity_dim", "T"})
-    if "T" not in data:
-        raise ValidationError('missing required key "T"')
-    ctx = _context_from(data, cfg)
-    op = make_operator(ctx, _parse_matrix(data["T"], '"T"'))
+    op = _operator_from(data, cfg)
     rep = bound_report(op, theta_grid=cfg.theta_grid, phi_grid=cfg.phi_grid)
     return {
         "command": "bounds",
@@ -267,11 +259,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
 
 
 def _run_range(cfg: JobConfig, data: dict) -> dict:
-    _check_keys(data, {"A", "identity_dim", "T"})
-    if "T" not in data:
-        raise ValidationError('missing required key "T"')
-    ctx = _context_from(data, cfg)
-    op = make_operator(ctx, _parse_matrix(data["T"], '"T"'))
+    op = _operator_from(data, cfg)
     est = estimate_range(op, theta_grid=cfg.theta_grid)
     return {
         "command": "range",

@@ -71,7 +71,7 @@ class EigenDecomposition:
 def hermitian_eig(m, herm_tol: float = DEFAULT_HERM_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is gated on ``||M - M*|| <= herm_tol * (1 + ||M||)`` and then
+    The input is gated on ``||M - M*|| <= herm_tol * ||M||`` and then
     explicitly symmetrized as (M + M*)/2 before the LAPACK call, so results
     are reproducible for inputs that are Hermitian only up to round-off.
 
@@ -82,7 +82,7 @@ def hermitian_eig(m, herm_tol: float = DEFAULT_HERM_TOL) -> EigenDecomposition:
     """
     m = require_square(m)
     defect = hermitian_defect(m)
-    scale = 1.0 + spectral_norm(m)
+    scale = spectral_norm(m)
     if defect > herm_tol * scale:
         raise NotHermitian(
             f"asymmetry {defect:.3e} exceeds tolerance {herm_tol * scale:.3e}"
@@ -125,8 +125,8 @@ def _psd_factors_from_eig(
     """Build PSD factors from an eigendecomposition.
 
     Returns the factors together with the retained-eigenvector block (the
-    orthonormal basis of the numerical range space).  Eigenvalues below
-    ``rank_tol * max(lambda_max, 1)`` are treated as zero; an eigenvalue
+    orthonormal basis of the numerical range space).  Eigenvalues at or
+    below ``rank_tol * lambda_max`` are treated as zero; an eigenvalue
     below ``-rank_tol * ||M||`` disqualifies the matrix as PSD.
     """
     lam = eig.eigenvalues
@@ -138,7 +138,7 @@ def _psd_factors_from_eig(
             f"most negative eigenvalue {float(lam[0]):.3e} is below "
             f"-rank_tol*||M|| = {-rank_tol * norm:.3e}"
         )
-    cutoff = rank_tol * max(lam_max, 1.0)
+    cutoff = rank_tol * lam_max
     keep = lam > cutoff
     lam_kept = lam[keep]
     v_kept = v[:, keep]
@@ -167,10 +167,10 @@ def psd_sqrt_and_pinv(
     """Square root, Moore-Penrose pseudoinverse, and rank data of a PSD matrix.
 
     All outputs are assembled from one Hermitian eigendecomposition with the
-    relative cutoff ``rank_tol * max(lambda_max, 1)``, which makes the rank
-    decision invariant under rescaling of well-scaled input.  The Penrose
-    identities and ``sqrt @ sqrt ~= M`` hold by construction up to round-off
-    amplified by the condition number of the retained spectrum.
+    relative cutoff ``rank_tol * lambda_max``, which makes the rank decision
+    invariant under rescaling.  The Penrose identities and ``sqrt @ sqrt ~= M``
+    hold by construction up to round-off amplified by the condition number of
+    the retained spectrum.
 
     Raises:
         NotPSD: an eigenvalue lies below ``-rank_tol * ||M||``.
@@ -182,10 +182,10 @@ def psd_sqrt_and_pinv(
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rank_tol * max(sigma_max, 1)``."""
+    """Number of singular values above ``rank_tol * sigma_max``."""
     arr = as_complex_matrix(m)
     sigma = np.linalg.svd(arr, compute_uv=False)
     if sigma.size == 0:
         return 0
-    thresh = rank_tol * max(float(sigma[0]), 1.0)
+    thresh = rank_tol * float(sigma[0])
     return int(np.count_nonzero(sigma > thresh))

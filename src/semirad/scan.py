@@ -1,13 +1,16 @@
 """Scalar line search used to refine grid scans.
 
 Golden-section search over a bracket.  The callers scan a coarse grid
-first, pick the best cell, and refine inside the two neighbouring cells,
-so unimodality only has to hold locally.
+first and hand it to :func:`_refine_best`, which refines inside the two
+cells next to the best grid point, so unimodality only has to hold
+locally.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
 INV_PHI2 = 0.38196601125010515  # (3 - sqrt(5)) / 2
@@ -64,3 +67,26 @@ def golden_section_max(
     """Maximize *f* on [a, b]; returns (x_max, f(x_max))."""
     x, neg = golden_section_min(lambda t: -f(t), a, b, tol=tol, max_iter=max_iter)
     return x, -neg
+
+
+def _refine_best(
+    f: Callable[[float], float],
+    xs,
+    values,
+    step: float,
+    maximize: bool,
+    tol: float = 1e-10,
+) -> tuple[float, float]:
+    """Best point of a grid scan, refined; returns (x, f(x)).
+
+    *values* holds f at the grid points *xs*, which lie *step* apart.
+    Golden section runs over the two cells next to the best grid point;
+    the grid point is kept only if it is strictly better.
+    """
+    k = int(np.argmax(values) if maximize else np.argmin(values))
+    search = golden_section_max if maximize else golden_section_min
+    x, fx = search(f, xs[k] - step, xs[k] + step, tol=tol)
+    grid = float(values[k])
+    if (grid > fx) if maximize else (grid < fx):
+        return float(xs[k]), grid
+    return x, fx

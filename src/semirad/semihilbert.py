@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ContextMismatch,
     DimensionMismatch,
     InvalidMatrix,
     NotAAdjointable,
@@ -244,13 +245,12 @@ def im_a(op: SemiOperator) -> SemiOperator:
     return _attach_operator(op.context, (op.matrix - op.adjoint) / 2j)
 
 
-def _require_same_context(op1: SemiOperator, op2: SemiOperator) -> None:
-    from .errors import ContextMismatch
-
-    if op1.context is op2.context:
-        return
-    if not np.array_equal(op1.context.matrix, op2.context.matrix):
-        raise ContextMismatch("operators were built against different weights")
+def _require_same_context(first: SemiOperator, *others: SemiOperator) -> None:
+    for other in others:
+        if other.context is not first.context and not np.array_equal(
+            first.context.matrix, other.context.matrix
+        ):
+            raise ContextMismatch("operators were built against different weights")
 
 
 def is_a_selfadjoint(op: SemiOperator, tol: float = DEFAULT_HERM_TOL) -> bool:

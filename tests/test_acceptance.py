@@ -5,6 +5,7 @@ channel so the verdicts survive pytest's output capturing, then asserts.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -251,8 +252,12 @@ def test_criterion_9_cli_determinism(report, tmp_path):
         "--command", "zeros", "--input", str(job),
         "--format", "json", "--restarts", "4", "--seed", "11",
     ]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
+    # the child runs the semirad under test, whether installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sr.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(args, capture_output=True, env=env)
+    second = subprocess.run(args, capture_output=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
+from semirad import arange
 from conftest import random_operator, random_strict_context, singular_pair
 
 
@@ -180,6 +181,19 @@ def test_spectral_inclusion_random(rng):
         op = random_operator(rng, ctx)
         rep = sr.spectral_inclusion_check(op)
         assert rep.passed, (rep.max_violation, rep.tolerance)
+
+
+def test_spectral_inclusion_measures_excess_over_support_lines(monkeypatch):
+    # W(diag(1, 2)) is the segment [1, 2]; a point planted as the spectrum
+    # is flagged by its excess over the support lines at the grid angles,
+    # here its distance to the segment
+    op = sr.make_operator(sr.identity_context(2), np.diag([1.0, 2.0]))
+    planted = {3.0: 1.0, 0.5: 0.5, 1.5 + 1j: 1.0, 3.0 + 1j: np.sqrt(2), 1.5: 0.0}
+    for z, excess in planted.items():
+        monkeypatch.setattr(arange, "general_eig", lambda m, z=z: np.array([z]))
+        rep = sr.spectral_inclusion_check(op, theta_grid=8)
+        assert rep.max_violation == pytest.approx(excess, abs=1e-12)
+        assert rep.passed == (excess == 0.0)
 
 
 def test_spectral_inclusion_rejects_singular_weight():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from conftest import random_operator, random_strict_context
+from conftest import random_operator, random_strict_context, singular_pair
+from semirad import semihilbert
 
 
 def two_by_two(mat, ctx=None):
@@ -73,6 +74,94 @@ class TestUpperBound:
             im_norm = sr.a_operator_seminorm(sr.im_a(op))
             val, _ = sr.upper_bound_hphi(op)
             assert val <= np.sqrt(re_norm**2 + im_norm**2) + 1e-8
+
+
+class TestSpectralParts:
+    """The closed-form parts and the compressed H_phi against the
+    full-space path through re_a / im_a and the operator seminorm."""
+
+    @staticmethod
+    def operators(rng):
+        for n in (3, 5, 6):
+            ctx = random_strict_context(rng, n)
+            yield random_operator(rng, ctx)
+        for n, kernel in ((3, 1), (5, 2), (6, 3)):
+            ctx, t = singular_pair(rng, n, n - kernel)
+            yield sr.make_operator(ctx, t)
+
+    def cases(self, rng):
+        # a shift by 2 ||T|| (1 + i) I makes both parts definite, so the
+        # Crawford numbers are nonzero too
+        for op in self.operators(rng):
+            yield op
+            shift = 2.0 * sr.a_operator_seminorm(op) * (1 + 1j)
+            eye = sr.make_operator(op.context, np.eye(op.dim))
+            yield sr.add_operators(op, sr.scale_operator(eye, shift))
+
+    def test_lower_bounds_match_full_space_parts(self, rng):
+        crawfords = []
+        for op in self.cases(rng):
+            rep = sr.bound_report(op)
+            re_part, im_part = sr.re_a(op), sr.im_a(op)
+            l21 = np.sqrt(
+                sr.a_operator_seminorm(re_part) ** 2 + sr.a_crawford(im_part) ** 2
+            )
+            l22 = np.sqrt(
+                sr.a_operator_seminorm(im_part) ** 2 + sr.a_crawford(re_part) ** 2
+            )
+            assert rep.lower_21 == pytest.approx(l21, rel=1e-12)
+            assert rep.lower_22 == pytest.approx(l22, rel=1e-12)
+            crawfords.append(sr.a_crawford(im_part))
+        assert sum(c > 0.0 for c in crawfords) >= 6
+
+    def test_hphi_matches_full_space_objective_at_phi_star(self, rng):
+        for op in self.cases(rng):
+            rep = sr.bound_report(op)
+
+            def h_norm(phi):
+                rotated = sr.scale_operator(op, np.exp(1j * phi))
+                return sr.a_operator_seminorm(sr.re_a(rotated))
+
+            phi = rep.phi_star
+            full = np.sqrt(h_norm(phi) ** 2 + h_norm(phi + 0.5 * np.pi) ** 2)
+            assert rep.upper_hphi == pytest.approx(full, rel=1e-12)
+
+    def test_bound_report_runs_one_scan_each_and_one_svd(self, rng, monkeypatch):
+        op = random_operator(rng, random_strict_context(rng, 4))
+        calls = []
+        for name in ("eigvalsh", "eigh", "svd"):
+
+            def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+                calls.append((_name, np.ndim(m)))
+                return _fn(m, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        built = []
+        monkeypatch.setattr(
+            semihilbert, "SemiOperator", lambda *a, **kw: built.append(a)
+        )
+        sr.bound_report(op, theta_grid=360, phi_grid=32)
+        assert [c for c in calls if c[1] > 2] == [("eigvalsh", 3), ("eigvalsh", 3)]
+        assert [c for c in calls if c[0] != "eigvalsh"] == [("svd", 2)]
+        assert built == []
+
+
+@pytest.mark.parametrize("c", [1e-15, 1e-11, 1.0, 1e6])
+@pytest.mark.parametrize("kernel", [0, 1])
+def test_bound_report_invariant_under_weight_scaling(c, kernel):
+    # A -> cA leaves every weighted quantity unchanged; phi_star is left
+    # out because it is only as stable as the argmin of a flat objective
+    a = np.diag([2.0, 1.0, 0.5 * (1 - kernel)])
+    t = np.array(
+        [[1 + 2j, -0.5, 0.0], [0.7 - 1j, 2.0, 0.0], [0.3j, -1.1, -0.4 + 0.9j]]
+    )
+    ref = sr.bound_report(sr.make_operator(sr.make_context(a), t))
+    rep = sr.bound_report(sr.make_operator(sr.make_context(c * a), t))
+    for field in (
+        "w_exact", "lower_21", "lower_22", "upper_hphi",
+        "sandwich_lower", "sandwich_upper",
+    ):
+        assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-10)
 
 
 class TestBracket:

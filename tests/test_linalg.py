@@ -52,8 +52,11 @@ def test_hermitian_eig_reconstructs_random_8x8():
 
 
 def test_hermitian_eig_rejects_asymmetric():
-    with pytest.raises(sr.NotHermitian):
-        sr.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the gate is relative: a tiny asymmetric matrix is still rejected
+    for scale in (1.0, 1e6, 1e-11, 1e-15):
+        with pytest.raises(sr.NotHermitian):
+            sr.hermitian_eig(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        sr.hermitian_eig(scale * np.array([[2.0, 1j], [-1j, 1.0]]))
 
 
 def test_spectral_norm_basics():
@@ -123,7 +126,7 @@ def test_sqrt_is_hermitian_psd():
 def test_rank_cutoff_is_relative():
     # scaling the matrix must not change the rank decision
     m = np.diag([1.0, 1e-14])
-    for scale in (1.0, 1e6, 1e-6):
+    for scale in (1.0, 1e6, 1e-6, 1e-11, 1e-15):
         assert sr.psd_sqrt_and_pinv(scale * m).rank == 1
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirad.hull import convex_hull, distance_to_hull, point_in_hull
-from semirad.scan import golden_section_max, golden_section_min
+from semirad.scan import _refine_best, golden_section_max, golden_section_min
 
 
 @settings(max_examples=30, deadline=None)
@@ -29,46 +28,23 @@ def test_golden_section_handles_reversed_and_tiny_brackets():
     assert val == pytest.approx(0.5)
 
 
-def test_convex_hull_square_with_interior():
-    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.2, 0.8]])
-    hull = convex_hull(pts)
-    assert len(hull) == 4
-    assert {tuple(p) for p in hull} == {(0, 0), (1, 0), (1, 1), (0, 1)}
+def test_refine_best_beats_grid_between_points():
+    # the true maximum of cos(x - 0.34) sits between grid points
+    xs = np.linspace(0.0, 1.0, 11)
+    values = np.cos(xs - 0.34)
+    x, val = _refine_best(lambda t: np.cos(t - 0.34), xs, values, 0.1, True)
+    assert abs(x - 0.34) <= 1e-7
+    assert val == pytest.approx(1.0, abs=1e-15)
+    assert val > values.max()
+    x, val = _refine_best(lambda t: (t - 0.77) ** 2, xs, (xs - 0.77) ** 2, 0.1, False)
+    assert abs(x - 0.77) <= 1e-8
 
 
-def test_convex_hull_degenerate():
-    assert convex_hull(np.array([[2.0, 3.0]])).shape == (1, 2)
-    seg = convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-    assert seg.shape == (2, 2)
-    assert {tuple(p) for p in seg} == {(0.0, 0.0), (2.0, 2.0)}
-    dup = convex_hull(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert dup.shape == (1, 2)
-
-
-def test_distance_to_hull_cases():
-    hull = convex_hull(np.array([[0, 0], [2, 0], [2, 2], [0, 2]]))
-    assert distance_to_hull((1, 1), hull) == 0.0
-    assert distance_to_hull((3, 1), hull) == pytest.approx(1.0)
-    assert distance_to_hull((3, 3), hull) == pytest.approx(np.sqrt(2))
-    assert point_in_hull((2, 1), hull)
-    assert not point_in_hull((2.1, 1), hull)
-    assert point_in_hull((2.1, 1), hull, tol=0.2)
-
-
-def test_distance_to_degenerate_hulls():
-    point = convex_hull(np.array([[1.0, 0.0]]))
-    assert distance_to_hull((0, 0), point) == pytest.approx(1.0)
-    seg = convex_hull(np.array([[0.0, 1.0], [2.0, 1.0]]))
-    assert distance_to_hull((1.0, 0.0), seg) == pytest.approx(1.0)
-    assert distance_to_hull((-1.0, 1.0), seg) == pytest.approx(1.0)
-    assert distance_to_hull((0, 0), np.zeros((0, 2))) == np.inf
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=10**6))
-def test_hull_contains_all_points(npts, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(npts, 2))
-    hull = convex_hull(pts)
-    for p in pts:
-        assert distance_to_hull(p, hull) <= 1e-9
+def test_refine_best_keeps_a_strictly_better_grid_point():
+    # a spike on the grid that golden section over its cells cannot see
+    xs = np.arange(5.0)
+    values = np.array([0.0, 1.0, 5.0, 1.0, 0.0])
+    x, val = _refine_best(lambda t: 1.0, xs, values, 1.0, True)
+    assert (x, val) == (2.0, 5.0)
+    x, val = _refine_best(lambda t: 1.0, xs, -values, 1.0, False)
+    assert (x, val) == (2.0, -5.0)
