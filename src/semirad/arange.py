@@ -1,10 +1,10 @@
 """Weighted numerical range, radius, and Crawford number.
 
-Everything runs on the compressed matrix C (the reduced operator in an
-orthonormal basis of range(A)), whose classical numerical range equals
-the weighted range of T.  One kernel, :func:`_rotated`, builds the
-rotated Hermitian parts Re(exp(-i*theta) C), one matrix or a whole grid
-of them, and every range quantity is read off their spectra.  The
+Everything runs on the compressed matrix C = L^(1/2) Q* T Q L^(-1/2)
+built from the kept eigenpairs (L, Q) of A, whose classical numerical
+range equals the weighted range of T.  One kernel, :func:`_rotated`,
+builds the rotated Hermitian parts Re(exp(-i*theta) C), one matrix or a
+whole grid of them, and every range quantity is read off their spectra.  The
 workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
@@ -74,13 +74,21 @@ def _refined_support(
     return _refine_best(h, thetas, lam, step, maximize, tol=THETA_REFINE_TOL)[1]
 
 
-def _degenerate_warning() -> None:
+def _degenerate_warning(stacklevel: int = 3) -> None:
     warnings.warn(
         "weight matrix has rank 0; the effective space is empty and all "
         "range quantities are reported as 0",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
+
+
+def _extreme_support(c: np.ndarray, theta_grid: int, maximize: bool) -> float:
+    """max (or min) of h over a fresh scan; 0 with a warning if C is empty."""
+    if c.shape[0] == 0:
+        _degenerate_warning(stacklevel=4)
+        return 0.0
+    return _refined_support(c, *_profile(c, theta_grid), maximize=maximize)
 
 
 def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -89,11 +97,7 @@ def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -
     Max of the support function over a theta grid, then golden-section
     refinement inside the winning cell to 1e-10 in theta.
     """
-    c = op.compressed
-    if c.shape[0] == 0:
-        _degenerate_warning()
-        return 0.0
-    return _refined_support(c, *_profile(c, theta_grid), maximize=True)
+    return _extreme_support(op.compressed, theta_grid, maximize=True)
 
 
 def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -104,11 +108,7 @@ def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
     yields this minimum, refined by golden section.  A value of 0 means
     the origin lies in the range.
     """
-    c = op.compressed
-    if c.shape[0] == 0:
-        _degenerate_warning()
-        return 0.0
-    return max(0.0, -_refined_support(c, *_profile(c, theta_grid), maximize=False))
+    return max(0.0, -_extreme_support(op.compressed, theta_grid, maximize=False))
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ class RangeEstimate:
 
     ``boundary`` holds the support points (extreme points of the range)
     collected over the theta grid; ``radius`` and ``crawford`` are the
-    refined extremal moduli.  ``degenerate`` flags a rank-0 weight, where
-    the range is empty and every quantity is reported as 0.
+    refined extremal moduli, so ``refined`` is always true except on a
+    degenerate range.  ``degenerate`` flags a rank-0 weight, where the
+    range is empty and every quantity is reported as 0.
     """
 
     radius: float
@@ -130,9 +131,7 @@ class RangeEstimate:
 
 
 def estimate_range(
-    op: SemiOperator,
-    theta_grid: int = DEFAULT_THETA_GRID,
-    refine: bool = True,
+    op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID
 ) -> RangeEstimate:
     """Radius, Crawford number, and boundary polygon in one scan."""
     c = op.compressed
@@ -152,18 +151,12 @@ def estimate_range(
     top = vec[:, :, -1]
     cx = top @ c.T  # row b holds (C x_b) transposed
     boundary = np.einsum("bi,bi->b", top.conj(), cx)
-
-    if refine:
-        radius = _refined_support(c, thetas, lam_top, maximize=True)
-        lowest = _refined_support(c, thetas, lam_top, maximize=False)
-    else:
-        radius, lowest = float(np.max(lam_top)), float(np.min(lam_top))
     return RangeEstimate(
-        radius=radius,
-        crawford=max(0.0, -lowest),
+        radius=_refined_support(c, thetas, lam_top, maximize=True),
+        crawford=max(0.0, -_refined_support(c, thetas, lam_top, maximize=False)),
         boundary=boundary,
         theta_grid=theta_grid,
-        refined=refine,
+        refined=True,
     )
 
 
@@ -173,8 +166,8 @@ def w_theta_identity_check(
     """Radius through the rotation identity, as an independent path.
 
     Evaluates the seminorm of the weighted real part of exp(i*theta) T
-    over the grid (full-space matrices, no compressed shortcut), then
-    refines around the best theta.  Agrees with
+    over the grid (the real part formed in full space from the weighted
+    adjoint, not from C), then refines around the best theta.  Agrees with
     :func:`a_numerical_radius` to ~1e-8 at the default grid.
     """
 
@@ -309,7 +302,7 @@ def monte_carlo_radius(
     weighted-unit vectors.
 
     Vectors are drawn in orthonormal coordinates on range(A); each sample
-    c corresponds to the weighted-unit vector x = sqrt_pinv(A) Q c, whose
+    c corresponds to the weighted-unit vector x = Q L^(-1/2) c, whose
     quadratic form equals c* C c with the compressed matrix C.  Lower
     bound in exact arithmetic; approaches the radius from below.
     """
@@ -325,8 +318,9 @@ def monte_carlo_seminorm(
     op: SemiOperator, samples: int = 100_000, seed: int = 0
 ) -> float:
     """Sampling oracle for the operator seminorm: sup ||T x||_A over
-    random weighted-unit vectors (same coordinates as the radius oracle)."""
-    m = op.reduced @ op.context.range_basis
+    random weighted-unit vectors (same coordinates as the radius oracle,
+    where ||T x||_A = ||C c||)."""
+    m = op.compressed
 
     def values(c: np.ndarray) -> np.ndarray:
         return np.linalg.norm(c @ m.T, axis=1)

@@ -7,7 +7,9 @@ of the compressed matrix C: the weighted real and imaginary parts
 compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C).
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
-parameter t in [0, 1] that is optimized by golden section.
+parameter t in [0, 1] whose optimum is closed-form as well.  The doubled
+weight compresses blockwise, so the block matrix's own radius is read
+off the block matrix of the four compressed blocks.
 
 Report builders package the bounds together with the reference radius of
 the same operator so every bracket is checkable in isolation.
@@ -16,13 +18,18 @@ the same operator so every bracket is checkable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import hypot, sqrt
 
 import numpy as np
 
-from .arange import DEFAULT_THETA_GRID, _rotated, a_numerical_radius
+from .arange import (
+    DEFAULT_THETA_GRID,
+    _extreme_support,
+    _rotated,
+    a_numerical_radius,
+)
 from .errors import TOutOfRange
-from .scan import _refine_best, golden_section_min
+from .scan import _refine_best
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
@@ -125,12 +132,16 @@ def _th25_value(w11: float, w22: float, n12: float, n21: float) -> float:
     )
 
 
+def _split_terms(which: int, scalars: tuple[float, ...]) -> tuple[float, ...]:
+    """(lead, other, up, down): the radius that bound 27 or 28 splits, the
+    other radius, and the seminorms under the first and second radical."""
+    w11, w22, n12, n21 = scalars
+    return (w11, w22, n12, n21) if which == 27 else (w22, w11, n21, n12)
+
+
 def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
     """Bound 27 or 28: the leading radius split t : (1-t) between radicals."""
-    w11, w22, n12, n21 = scalars
-    lead, other, up, down = (
-        (w11, w22, n12, n21) if which == 27 else (w22, w11, n21, n12)
-    )
+    lead, other, up, down = _split_terms(which, scalars)
     return (
         0.5 * lead
         + other
@@ -140,15 +151,12 @@ def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
 
 
 def _optimize_split(which: int, scalars: tuple[float, ...]) -> tuple[float, float]:
-    def f(t: float) -> float:
-        return _split_value(which, scalars, t)
-
-    t_best, v_best = golden_section_min(f, 0.0, 1.0, tol=1e-10)
-    for t_cand in (0.0, 0.5, 1.0):
-        v_cand = f(t_cand)
-        if v_cand < v_best:
-            t_best, v_best = t_cand, v_cand
-    return t_best, v_best
+    """The two radicals are the legs of a path from (0, up) to (lead, -down)
+    through (t * lead, 0); the straight path is shortest, so it crosses at
+    t = up / (up + down) and has length hypot(lead, up + down)."""
+    lead, other, up, down = _split_terms(which, scalars)
+    t = up / (up + down) if up + down > 0 else 0.5
+    return t, 0.5 * lead + other + 0.5 * hypot(lead, up + down)
 
 
 def block_bound_lemma24(t11: SemiOperator, t12: SemiOperator) -> float:
@@ -203,10 +211,8 @@ def optimize_t(
     t21: SemiOperator,
     t22: SemiOperator,
 ) -> tuple[float, float]:
-    """Best t in [0, 1] for the parametric bound 27 or 28.
-
-    The objective is a sum of convex functions of t, so golden section
-    suffices; the endpoints and midpoint are compared as well.  Returns
+    """Best t in [0, 1] for the parametric bound 27 or 28, in closed form
+    (t = 0.5 when the objective does not depend on t).  Returns
     (t_star, value).
     """
     if which not in (27, 28):
@@ -221,7 +227,8 @@ def assemble_blocks(
 
     No special-cased block algebra: the doubled weight goes through the
     ordinary context constructor and the block matrix through the
-    ordinary operator constructor.
+    ordinary operator constructor.  This is the full-space reference;
+    :func:`matrix_bound_report` needs only the compressed blocks.
     """
     _require_same_context(t11, t12, t21, t22)
     ctx = t11.context
@@ -293,7 +300,6 @@ def matrix_bound_report(
     t22: SemiOperator,
     theta_grid: int = DEFAULT_THETA_GRID,
 ) -> MatrixBoundReport:
-    assembled = assemble_blocks(t11, t12, t21, t22)
     scalars = _block_scalars(t11, t12, t21, t22)
     t_star_27, v27 = _optimize_split(27, scalars)
     t_star_28, v28 = _optimize_split(28, scalars)
@@ -301,8 +307,13 @@ def matrix_bound_report(
         np.count_nonzero(t21.matrix) == 0 and np.count_nonzero(t22.matrix) == 0
     )
     w11, _, n12, _ = scalars
+    # diag(A, A) has the kept eigenpairs (diag(L, L), diag(Q, Q)), so the
+    # block matrix compresses to the block matrix of compressed blocks
+    compressed = np.block(
+        [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
+    )
     return MatrixBoundReport(
-        w_b_exact=a_numerical_radius(assembled, theta_grid=theta_grid),
+        w_b_exact=_extreme_support(compressed, theta_grid, maximize=True),
         lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

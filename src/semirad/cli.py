@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -188,13 +188,7 @@ def _run_bounds(cfg: JobConfig, data: dict) -> dict:
     rep = bound_report(op, theta_grid=cfg.theta_grid, phi_grid=cfg.phi_grid)
     return {
         "command": "bounds",
-        "w_exact": rep.w_exact,
-        "lower_21": rep.lower_21,
-        "lower_22": rep.lower_22,
-        "upper_hphi": rep.upper_hphi,
-        "phi_star": rep.phi_star,
-        "sandwich_lower": rep.sandwich_lower,
-        "sandwich_upper": rep.sandwich_upper,
+        **asdict(rep),
         "theta_grid": cfg.theta_grid,
         "phi_grid": cfg.phi_grid,
         "seed": cfg.seed,
@@ -214,13 +208,7 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     rep = matrix_bound_report(*ops, theta_grid=cfg.theta_grid)
     return {
         "command": "blockbounds",
-        "w_b_exact": rep.w_b_exact,
-        "lemma24": rep.lemma24,
-        "th25": rep.th25,
-        "th27": rep.th27,
-        "th28": rep.th28,
-        "t_star_27": rep.t_star_27,
-        "t_star_28": rep.t_star_28,
+        **asdict(rep),
         "theta_grid": cfg.theta_grid,
         "seed": cfg.seed,
     }
@@ -246,13 +234,9 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
     return {
         "command": "zeros",
         "degree": p.degree,
-        "r_c": rep.r_c,
-        "r_cm": rep.r_cm,
-        "r_fk": rep.r_fk,
-        "r_prk": rep.r_prk,
+        **asdict(rep),
         "d_star": [float(v) for v in rep.d_star],
         "alphas": [float(v) for v in rep.alphas],
-        "max_root_modulus": rep.max_root_modulus,
         "restarts": cfg.restarts,
         "seed": cfg.seed,
     }
@@ -263,12 +247,8 @@ def _run_range(cfg: JobConfig, data: dict) -> dict:
     est = estimate_range(op, theta_grid=cfg.theta_grid)
     return {
         "command": "range",
-        "radius": est.radius,
-        "crawford": est.crawford,
+        **asdict(est),
         "boundary": [[float(z.real), float(z.imag)] for z in est.boundary],
-        "theta_grid": est.theta_grid,
-        "refined": est.refined,
-        "degenerate": est.degenerate,
         "seed": cfg.seed,
     }
 

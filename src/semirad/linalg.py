@@ -49,6 +49,11 @@ def hermitian_defect(m: np.ndarray) -> float:
     return spectral_norm(m - m.conj().T)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2, Hermitian to the last bit."""
+    return 0.5 * (m + m.conj().T)
+
+
 def require_square(m: np.ndarray) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -87,9 +92,8 @@ def hermitian_eig(m, herm_tol: float = DEFAULT_HERM_TOL) -> EigenDecomposition:
         raise NotHermitian(
             f"asymmetry {defect:.3e} exceeds tolerance {herm_tol * scale:.3e}"
         )
-    sym = 0.5 * (m + m.conj().T)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(sym)
+        eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(m))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Hermitian eigendecomposition failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -119,44 +123,25 @@ class PsdFactors(NamedTuple):
     min_pos_eig: float
 
 
-def _psd_factors_from_eig(
+def _kept_eigenpairs(
     eig: EigenDecomposition, rank_tol: float
-) -> tuple[PsdFactors, np.ndarray]:
-    """Build PSD factors from an eigendecomposition.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a PSD matrix that survive the rank cutoff.
 
-    Returns the factors together with the retained-eigenvector block (the
-    orthonormal basis of the numerical range space).  Eigenvalues at or
-    below ``rank_tol * lambda_max`` are treated as zero; an eigenvalue
-    below ``-rank_tol * ||M||`` disqualifies the matrix as PSD.
+    Returns (L, Q): the kept eigenvalues, ascending, and their eigenvectors
+    as columns, an orthonormal basis of the numerical range space.
+    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero;
+    an eigenvalue below ``-rank_tol * ||M||`` disqualifies the matrix as PSD.
     """
     lam = eig.eigenvalues
-    v = eig.eigenvectors
-    lam_max = float(lam[-1]) if lam.size else 0.0
     norm = float(np.max(np.abs(lam))) if lam.size else 0.0
     if lam.size and float(lam[0]) < -rank_tol * norm:
         raise NotPSD(
             f"most negative eigenvalue {float(lam[0]):.3e} is below "
             f"-rank_tol*||M|| = {-rank_tol * norm:.3e}"
         )
-    cutoff = rank_tol * lam_max
-    keep = lam > cutoff
-    lam_kept = lam[keep]
-    v_kept = v[:, keep]
-    rank = int(lam_kept.size)
-    min_pos = float(lam_kept[0]) if rank else 0.0
-
-    sqrt_lam = np.sqrt(lam_kept)
-    sqrt = (v_kept * sqrt_lam) @ v_kept.conj().T
-    pinv = (v_kept / lam_kept) @ v_kept.conj().T
-    sqrt_pinv = (v_kept / sqrt_lam) @ v_kept.conj().T
-    # Exact Hermitian symmetry keeps downstream symmetry gates trivially green.
-    sqrt = 0.5 * (sqrt + sqrt.conj().T)
-    pinv = 0.5 * (pinv + pinv.conj().T)
-    sqrt_pinv = 0.5 * (sqrt_pinv + sqrt_pinv.conj().T)
-    factors = PsdFactors(
-        sqrt=sqrt, pinv=pinv, sqrt_pinv=sqrt_pinv, rank=rank, min_pos_eig=min_pos
-    )
-    return factors, v_kept
+    keep = lam > rank_tol * (float(lam[-1]) if lam.size else 0.0)
+    return lam[keep], eig.eigenvectors[:, keep]
 
 
 def psd_sqrt_and_pinv(
@@ -176,9 +161,16 @@ def psd_sqrt_and_pinv(
         NotPSD: an eigenvalue lies below ``-rank_tol * ||M||``.
         NotHermitian / NotSquare: propagated from the eigendecomposition.
     """
-    eig = hermitian_eig(m, herm_tol=herm_tol)
-    factors, _ = _psd_factors_from_eig(eig, rank_tol)
-    return factors
+    lam, q = _kept_eigenpairs(hermitian_eig(m, herm_tol=herm_tol), rank_tol)
+    root = np.sqrt(lam)
+    qh = q.conj().T
+    return PsdFactors(
+        sqrt=_hermitian_part((q * root) @ qh),
+        pinv=_hermitian_part((q / lam) @ qh),
+        sqrt_pinv=_hermitian_part((q / root) @ qh),
+        rank=int(lam.size),
+        min_pos_eig=float(lam[0]) if lam.size else 0.0,
+    )
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:

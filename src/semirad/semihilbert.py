@@ -8,13 +8,16 @@ weighted inner product and vector seminorm, the operator seminorm, the
 distinguished weighted adjoint ``A_pinv @ T* @ A``, and the weighted
 real/imaginary parts.
 
-The computational backbone is the reduced matrix
+The computational backbone is the compressed matrix
 
-    reduced(T) = sqrt(A) @ T @ pinv(sqrt(A))
+    C = L^(1/2) Q* T Q L^(-1/2),
 
-whose classical 2-norm equals the weighted operator seminorm of T, and
-whose compression onto range(A) carries the whole weighted numerical
-range.  Everything downstream works on ``reduced`` or ``compressed``.
+built from the kept eigenpairs (L, Q) of A.  An A-adjointable T maps
+N(A) into N(A), so C is T restricted to range(A) in coordinates where
+the weighted inner product is the classical one: its 2-norm is the
+weighted operator seminorm, its numerical range the weighted numerical
+range, and A T is Hermitian (PSD) exactly when C is.  Everything
+downstream works on ``compressed``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_HERM_TOL,
     DEFAULT_RANK_TOL,
-    _psd_factors_from_eig,
-    as_complex_matrix,
+    _hermitian_part,
+    _kept_eigenpairs,
     hermitian_defect,
     hermitian_eig,
     numerical_rank,
@@ -46,28 +49,36 @@ from .linalg import (
 class PositiveOperator:
     """A validated Hermitian PSD weight matrix with its cached factors.
 
-    ``pinv`` is the Moore-Penrose pseudoinverse, ``sqrt`` the PSD square
-    root, ``sqrt_pinv`` the pseudoinverse of the square root.  ``range_basis``
-    holds an orthonormal basis of range(A) as columns; ``projector`` is the
-    orthogonal projection onto it.  ``min_pos_eig`` is the smallest retained
-    eigenvalue (0 for the zero matrix).
+    ``range_basis`` holds the kept eigenvectors Q of A as columns, an
+    orthonormal basis of range(A), and ``range_eigenvalues`` their
+    eigenvalues L, ascending.  ``pinv`` is the Moore-Penrose pseudoinverse
+    and ``projector`` the orthogonal projection onto range(A).
+    ``min_pos_eig`` is the smallest kept eigenvalue (0 for the zero matrix).
     """
 
     matrix: np.ndarray
     pinv: np.ndarray
-    sqrt: np.ndarray
-    sqrt_pinv: np.ndarray
     projector: np.ndarray
     range_basis: np.ndarray
-    rank: int
-    min_pos_eig: float
-    strictly_positive: bool
+    range_eigenvalues: np.ndarray
     herm_tol: float
     rank_tol: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return int(self.range_eigenvalues.size)
+
+    @property
+    def min_pos_eig(self) -> float:
+        return float(self.range_eigenvalues[0]) if self.rank else 0.0
+
+    @property
+    def strictly_positive(self) -> bool:
+        return self.rank == self.dim
 
 
 def make_context(
@@ -80,20 +91,14 @@ def make_context(
     Raises NotSquare / NotHermitian / NotPSD on invalid input.
     """
     mat = require_square(a)
-    eig = hermitian_eig(mat, herm_tol=herm_tol)
-    factors, basis = _psd_factors_from_eig(eig, rank_tol)
-    projector = basis @ basis.conj().T
-    projector = 0.5 * (projector + projector.conj().T)
+    lam, q = _kept_eigenpairs(hermitian_eig(mat, herm_tol=herm_tol), rank_tol)
+    qh = q.conj().T
     return PositiveOperator(
         matrix=mat,
-        pinv=factors.pinv,
-        sqrt=factors.sqrt,
-        sqrt_pinv=factors.sqrt_pinv,
-        projector=projector,
-        range_basis=basis,
-        rank=factors.rank,
-        min_pos_eig=factors.min_pos_eig,
-        strictly_positive=factors.rank == mat.shape[0],
+        pinv=_hermitian_part((q / lam) @ qh),
+        projector=_hermitian_part(q @ qh),
+        range_basis=q,
+        range_eigenvalues=lam,
         herm_tol=herm_tol,
         rank_tol=rank_tol,
     )
@@ -134,15 +139,13 @@ class SemiOperator:
     """An operator T validated as compatible with a weight context.
 
     ``adjoint`` is the distinguished weighted adjoint ``A_pinv @ T* @ A``.
-    ``reduced`` is ``sqrt(A) @ T @ pinv(sqrt(A))``; ``compressed`` is the
-    reduced matrix expressed in the orthonormal basis of range(A), a
-    rank(A) x rank(A) block that carries the weighted numerical range.
+    ``compressed`` is C = L^(1/2) Q* T Q L^(-1/2), the rank(A) x rank(A)
+    matrix that carries every weighted quantity of T.
     """
 
     matrix: np.ndarray
     context: PositiveOperator
     adjoint: np.ndarray
-    reduced: np.ndarray
     compressed: np.ndarray
 
     @property
@@ -152,12 +155,13 @@ class SemiOperator:
 
 def _attach_operator(ctx: PositiveOperator, mat: np.ndarray) -> SemiOperator:
     """Cache the derived matrices; assumes compatibility is already settled."""
-    adjoint = ctx.pinv @ mat.conj().T @ ctx.matrix
-    reduced = ctx.sqrt @ mat @ ctx.sqrt_pinv
-    basis = ctx.range_basis
-    compressed = basis.conj().T @ reduced @ basis
+    q = ctx.range_basis
+    root = np.sqrt(ctx.range_eigenvalues)
     return SemiOperator(
-        matrix=mat, context=ctx, adjoint=adjoint, reduced=reduced, compressed=compressed
+        matrix=mat,
+        context=ctx,
+        adjoint=ctx.pinv @ mat.conj().T @ ctx.matrix,
+        compressed=root[:, None] * (q.conj().T @ mat @ q) / root,
     )
 
 
@@ -198,22 +202,20 @@ def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
 
 
 def a_operator_seminorm(op: SemiOperator) -> float:
-    """Weighted operator seminorm, the 2-norm of the reduced matrix."""
-    return spectral_norm(op.reduced)
+    """Weighted operator seminorm, the 2-norm of the compressed matrix."""
+    return spectral_norm(op.compressed)
 
 
 def scale_operator(op: SemiOperator, c: complex) -> SemiOperator:
     """c * T with cached fields transformed in place of a rebuild.
 
-    The adjoint scales by conj(c); the reduced and compressed matrices
-    scale by c.
+    The adjoint scales by conj(c); the compressed matrix scales by c.
     """
     c = complex(c)
     return SemiOperator(
         matrix=c * op.matrix,
         context=op.context,
         adjoint=np.conj(c) * op.adjoint,
-        reduced=c * op.reduced,
         compressed=c * op.compressed,
     )
 
@@ -225,7 +227,6 @@ def add_operators(op1: SemiOperator, op2: SemiOperator) -> SemiOperator:
         matrix=op1.matrix + op2.matrix,
         context=op1.context,
         adjoint=op1.adjoint + op2.adjoint,
-        reduced=op1.reduced + op2.reduced,
         compressed=op1.compressed + op2.compressed,
     )
 
@@ -254,20 +255,22 @@ def _require_same_context(first: SemiOperator, *others: SemiOperator) -> None:
 
 
 def is_a_selfadjoint(op: SemiOperator, tol: float = DEFAULT_HERM_TOL) -> bool:
-    """Whether A @ T is Hermitian (the weighted self-adjointness test)."""
-    at = op.context.matrix @ op.matrix
-    return hermitian_defect(at) <= tol * (1.0 + spectral_norm(at))
+    """Whether A @ T is Hermitian (the weighted self-adjointness test).
+
+    A T = Q L (Q* T Q) Q* is Hermitian exactly when its congruent C is,
+    so the gate is relative to ||C|| and A -> cA cannot change it.
+    """
+    c = op.compressed
+    return hermitian_defect(c) <= tol * spectral_norm(c)
 
 
 def is_a_positive(op: SemiOperator, tol: float = DEFAULT_HERM_TOL) -> bool:
-    """Whether A @ T is Hermitian PSD."""
-    at = op.context.matrix @ op.matrix
-    scale = 1.0 + spectral_norm(at)
-    if hermitian_defect(at) > tol * scale:
+    """Whether A @ T is Hermitian PSD, read off C like the test above."""
+    if not is_a_selfadjoint(op, tol):
         return False
-    sym = 0.5 * (at + at.conj().T)
-    eigenvalues = np.linalg.eigvalsh(sym)
-    return bool(eigenvalues[0] >= -tol * scale)
+    lam = np.linalg.eigvalsh(_hermitian_part(op.compressed))
+    # the least eigenvalue may fall short of 0 by tol times the largest
+    return bool(lam.size == 0 or lam[0] >= -tol * lam[-1])
 
 
 def is_a_unitary(op: SemiOperator, tol: float = 1e-8) -> bool:

@@ -3,7 +3,7 @@ import pytest
 
 import semirad as sr
 from conftest import random_operator, random_strict_context, singular_pair
-from semirad import semihilbert
+from semirad import bounds, semihilbert
 
 
 def two_by_two(mat, ctx=None):
@@ -296,6 +296,27 @@ class TestOptimizeT:
                 fn = sr.block_bound_th27 if which == 27 else sr.block_bound_th28
                 for t in (0.0, 0.5, 1.0):
                     assert val <= fn(*ops, t=t) + 1e-10
+                # closed form: the legs' seminorms set t*, and no t on a
+                # dense grid does better
+                w11, w22 = (sr.a_numerical_radius(ops[k]) for k in (0, 3))
+                n12, n21 = (sr.a_operator_seminorm(ops[k]) for k in (1, 2))
+                lead, other, up, down = (
+                    (w11, w22, n12, n21) if which == 27 else (w22, w11, n21, n12)
+                )
+                assert t_star == pytest.approx(up / (up + down), rel=1e-12)
+                assert val == pytest.approx(
+                    0.5 * lead + other + 0.5 * np.hypot(lead, up + down), rel=1e-12
+                )
+                assert val == pytest.approx(fn(*ops, t=t_star), rel=1e-12)
+                ts = np.linspace(0.0, 1.0, 2001)
+                grid = np.min(
+                    0.5 * lead
+                    + other
+                    + 0.5 * np.sqrt((ts * lead) ** 2 + up**2)
+                    + 0.5 * np.sqrt(((1 - ts) * lead) ** 2 + down**2)
+                )
+                assert val <= grid * (1 + 1e-12)
+                assert grid - val <= 1e-6 * val
 
     def test_invalid_selector(self, rng):
         ctx = random_strict_context(rng, 2)
@@ -325,6 +346,39 @@ class TestReports:
         )
         full = sr.matrix_bound_report(t11, t12, t12, t11)
         assert full.lemma24 is None
+
+    @pytest.mark.parametrize("kernel", [0, 1, 2])
+    def test_matrix_report_block_radius_matches_assembled(self, rng, kernel):
+        for _ in range(4):
+            if kernel:
+                # t + P X P maps the kernel into itself, as t does
+                ctx, t = singular_pair(rng, 4, 4 - kernel)
+                p = ctx.projector
+                draws = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+                ops = tuple(sr.make_operator(ctx, t + p @ x @ p) for x in draws)
+            else:
+                ctx = random_strict_context(rng, 4)
+                ops = tuple(random_operator(rng, ctx) for _ in range(4))
+            rep = sr.matrix_bound_report(*ops)
+            wb = sr.a_numerical_radius(sr.assemble_blocks(*ops))
+            assert rep.w_b_exact == pytest.approx(wb, rel=1e-10)
+
+    def test_matrix_report_builds_no_context_or_operator(self, rng, monkeypatch):
+        ctx = random_strict_context(rng, 3)
+        ops = tuple(random_operator(rng, ctx) for _ in range(4))
+        built = []
+        for module in (semihilbert, bounds):
+            for name in ("make_context", "make_operator"):
+                monkeypatch.setattr(
+                    module, name, lambda *a, _n=name, **kw: built.append(_n)
+                )
+        for name in ("PositiveOperator", "SemiOperator"):
+            monkeypatch.setattr(
+                semihilbert, name, lambda *a, _n=name, **kw: built.append(_n)
+            )
+        rep = sr.matrix_bound_report(*ops)
+        assert built == []
+        assert rep.w_b_exact > 0.0
 
     def test_matrix_report_optimized_entries(self, rng):
         ctx = random_strict_context(rng, 2)

@@ -84,7 +84,8 @@ def test_make_operator_identity_weight_gives_conjugate_transpose(rng):
     t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     op = sr.make_operator(ctx, t)
     assert np.allclose(op.adjoint, t.conj().T)
-    assert np.allclose(op.reduced, t)
+    q = ctx.range_basis
+    assert np.allclose(op.compressed, q.conj().T @ t @ q)
 
 
 def test_make_operator_dimension_mismatch():
@@ -245,12 +246,37 @@ def test_is_a_positive(rng):
     assert not sr.is_a_positive(sr.make_operator(ctx, -gram.matrix))
 
 
+@pytest.mark.parametrize("c", [1e-15, 1e-9, 1.0, 1e6])
+def test_selfadjoint_and_positive_gates_ignore_weight_scale(c):
+    # A -> cA, and T -> sT for s > 0, cannot change whether A T is
+    # Hermitian or PSD
+    ctx = sr.make_context(c * np.diag([2.0, 1.0, 0.5]))
+    e12 = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    t = sr.make_operator(ctx, [[1, 2j, 0], [0.5, -1, 3], [1j, 0, 2]])
+    for s in (1e-12, 1.0):
+        shift = sr.make_operator(ctx, s * e12)
+        assert not sr.is_a_selfadjoint(shift)
+        assert not sr.is_a_positive(shift)
+        gram = sr.make_operator(ctx, s * t.adjoint @ t.matrix)
+        assert sr.is_a_selfadjoint(gram)
+        assert sr.is_a_positive(gram)
+        assert not sr.is_a_positive(sr.scale_operator(gram, -1.0))
+
+
 def test_is_a_unitary_rotation():
     ctx = sr.identity_context(2)
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     assert sr.is_a_unitary(sr.make_operator(ctx, rot))
     assert not sr.is_a_unitary(sr.make_operator(ctx, 2 * rot))
+
+
+def test_is_a_unitary_is_a_full_space_test():
+    # C = [1] is unitary, but T T# P = [[1, 0], [1, 0]] is not P
+    ctx = sr.make_context(np.diag([1.0, 0.0]))
+    op = sr.make_operator(ctx, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert np.allclose(op.compressed, [[1.0]])
+    assert not sr.is_a_unitary(op)
 
 
 def test_swap_is_unitary_for_doubled_weight(rng):
@@ -269,7 +295,6 @@ def test_scale_operator_consistency(rng):
     scaled = sr.scale_operator(op, c)
     rebuilt = sr.make_operator(ctx, c * op.matrix)
     assert np.allclose(scaled.adjoint, rebuilt.adjoint)
-    assert np.allclose(scaled.reduced, rebuilt.reduced)
     assert np.allclose(scaled.compressed, rebuilt.compressed)
 
 
