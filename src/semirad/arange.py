@@ -83,12 +83,14 @@ def _degenerate_warning(stacklevel: int = 3) -> None:
     )
 
 
-def _extreme_support(c: np.ndarray, theta_grid: int, maximize: bool) -> float:
-    """max (or min) of h over a fresh scan; 0 with a warning if C is empty."""
+def _extreme_support(c: np.ndarray, theta_grid: int, *maximize: bool) -> list[float]:
+    """max (True) or min (False) of h for each flag, all off one fresh
+    scan; zeros with a warning if C is empty."""
     if c.shape[0] == 0:
         _degenerate_warning(stacklevel=4)
-        return 0.0
-    return _refined_support(c, *_profile(c, theta_grid), maximize=maximize)
+        return [0.0] * len(maximize)
+    profile = _profile(c, theta_grid)
+    return [_refined_support(c, *profile, maximize=m) for m in maximize]
 
 
 def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -97,7 +99,7 @@ def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -
     Max of the support function over a theta grid, then golden-section
     refinement inside the winning cell to 1e-10 in theta.
     """
-    return _extreme_support(op.compressed, theta_grid, maximize=True)
+    return _extreme_support(op.compressed, theta_grid, True)[0]
 
 
 def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -108,7 +110,7 @@ def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
     yields this minimum, refined by golden section.  A value of 0 means
     the origin lies in the range.
     """
-    return max(0.0, -_extreme_support(op.compressed, theta_grid, maximize=False))
+    return max(0.0, -_extreme_support(op.compressed, theta_grid, False)[0])
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ def matrix_bound_report(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_extreme_support(compressed, theta_grid, maximize=True),
+        w_b_exact=_extreme_support(compressed, theta_grid, True)[0],
         lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

@@ -29,8 +29,7 @@ import numpy as np
 
 from .arange import (
     DEFAULT_THETA_GRID,
-    a_crawford,
-    a_numerical_radius,
+    _extreme_support,
     estimate_range,
     monte_carlo_radius,
 )
@@ -67,7 +66,6 @@ class JobConfig:
     theta_grid: int = DEFAULT_THETA_GRID
     phi_grid: int = DEFAULT_PHI_GRID
     mc_samples: int = 0
-    restarts: int = 8
     seed: int = 0
     herm_tol: float = DEFAULT_HERM_TOL
     rank_tol: float = DEFAULT_RANK_TOL
@@ -81,8 +79,8 @@ def _validate_config(cfg: JobConfig) -> None:
         raise ValidationError(f"unknown format {cfg.output_format!r}")
     if cfg.theta_grid < 8 or cfg.phi_grid < 8:
         raise ValidationError("grids must have at least 8 points")
-    if cfg.mc_samples < 0 or cfg.restarts < 0:
-        raise ValidationError("mc_samples and restarts must be nonnegative")
+    if cfg.mc_samples < 0:
+        raise ValidationError("mc_samples must be nonnegative")
     if cfg.output_format == "svg" and cfg.command != "range":
         raise ValidationError("svg output is only available for the range command")
     if not (0 < cfg.herm_tol < 1) or not (0 < cfg.rank_tol < 1):
@@ -167,10 +165,12 @@ def _operator_from(data: dict, cfg: JobConfig) -> SemiOperator:
 
 def _run_radius(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data, cfg)
+    # a_numerical_radius and a_crawford, off one scan
+    top, bottom = _extreme_support(op.compressed, cfg.theta_grid, True, False)
     payload = {
         "command": "radius",
-        "radius": a_numerical_radius(op, theta_grid=cfg.theta_grid),
-        "crawford": a_crawford(op, theta_grid=cfg.theta_grid),
+        "radius": top,
+        "crawford": max(0.0, -bottom),
         "seminorm": a_operator_seminorm(op),
         "theta_grid": cfg.theta_grid,
         "seed": cfg.seed,
@@ -237,7 +237,6 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
         **asdict(rep),
         "d_star": [float(v) for v in rep.d_star],
         "alphas": [float(v) for v in rep.alphas],
-        "restarts": cfg.restarts,
         "seed": cfg.seed,
     }
 
@@ -399,15 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta-grid", type=int, default=DEFAULT_THETA_GRID)
     parser.add_argument("--phi-grid", type=int, default=DEFAULT_PHI_GRID)
     parser.add_argument("--mc-samples", type=int, default=0)
-    parser.add_argument(
-        "--restarts",
-        type=int,
-        default=8,
-        help=(
-            "ignored: zeros computes the optimal (Perron) weights directly; "
-            "kept for compatibility and echoed in the zeros JSON"
-        ),
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--output", default=None, help="output file (default: stdout)"
@@ -425,7 +415,6 @@ def main(argv=None) -> int:
             theta_grid=args.theta_grid,
             phi_grid=args.phi_grid,
             mc_samples=args.mc_samples,
-            restarts=args.restarts,
             seed=args.seed,
             herm_tol=_env_float(HERM_TOL_ENV, DEFAULT_HERM_TOL),
             rank_tol=_env_float(RANK_TOL_ENV, DEFAULT_RANK_TOL),

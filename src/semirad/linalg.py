@@ -125,11 +125,12 @@ class PsdFactors(NamedTuple):
 
 def _kept_eigenpairs(
     eig: EigenDecomposition, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenpairs of a PSD matrix that survive the rank cutoff.
 
-    Returns (L, Q): the kept eigenvalues, ascending, and their eigenvectors
-    as columns, an orthonormal basis of the numerical range space.
+    Returns (L, Q, Q0): the kept eigenvalues, ascending, their eigenvectors
+    as columns, an orthonormal basis of the numerical range space, and the
+    dropped eigenvectors, an orthonormal basis of the numerical kernel.
     Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero;
     an eigenvalue below ``-rank_tol * ||M||`` disqualifies the matrix as PSD.
     """
@@ -141,7 +142,8 @@ def _kept_eigenpairs(
             f"-rank_tol*||M|| = {-rank_tol * norm:.3e}"
         )
     keep = lam > rank_tol * (float(lam[-1]) if lam.size else 0.0)
-    return lam[keep], eig.eigenvectors[:, keep]
+    vecs = eig.eigenvectors
+    return lam[keep], vecs[:, keep], vecs[:, ~keep]
 
 
 def psd_sqrt_and_pinv(
@@ -161,7 +163,7 @@ def psd_sqrt_and_pinv(
         NotPSD: an eigenvalue lies below ``-rank_tol * ||M||``.
         NotHermitian / NotSquare: propagated from the eigendecomposition.
     """
-    lam, q = _kept_eigenpairs(hermitian_eig(m, herm_tol=herm_tol), rank_tol)
+    lam, q, _ = _kept_eigenpairs(hermitian_eig(m, herm_tol=herm_tol), rank_tol)
     root = np.sqrt(lam)
     qh = q.conj().T
     return PsdFactors(
@@ -172,12 +174,3 @@ def psd_sqrt_and_pinv(
         min_pos_eig=float(lam[0]) if lam.size else 0.0,
     )
 
-
-def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rank_tol * sigma_max``."""
-    arr = as_complex_matrix(m)
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    thresh = rank_tol * float(sigma[0])
-    return int(np.count_nonzero(sigma > thresh))

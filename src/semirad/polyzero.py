@@ -144,12 +144,7 @@ def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
     return np.asarray(d)
 
 
-def optimize_weights(
-    p: PolynomialSpec,
-    restarts: int = 8,
-    iters: int = 2000,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
+def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     """Weights minimizing the certificate max_k alpha_k; returns (d, value).
 
     By Collatz-Wielandt the minimum over d > 0 is the Perron root rho(M)
@@ -158,8 +153,7 @@ def optimize_weights(
     then falls as rho grows, and bisection finds where it meets rho.  No
     eigensolver is involved, so reducible M (a_0 = 0) and a near-zero a_0
     (an ill-conditioned Perron root) come out as accurately as the rest.
-    The all-ones weights stay a candidate.  ``restarts``, ``iters`` and
-    ``seed`` are ignored; they remain for compatibility.
+    The all-ones weights stay a candidate.
     """
     m = certificate_matrix(p)
     tail = np.abs(p.coefficients[-2::-1]).tolist()
@@ -192,15 +186,8 @@ class ZeroBoundReport:
     max_root_modulus: float
 
 
-def zero_bound_report(
-    p: PolynomialSpec,
-    d=None,
-    restarts: int = 8,
-    iters: int = 2000,
-    seed: int = 0,
-) -> ZeroBoundReport:
-    """Evaluate every bound, with the Perron weights unless d is supplied
-    (``restarts``, ``iters`` and ``seed`` are ignored)."""
+def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
+    """Evaluate every bound, with the Perron weights unless d is supplied."""
     d_star = optimize_weights(p)[0] if d is None else validate_weights(d, p.degree)
     alpha_vals = alphas(p, d_star)
     return ZeroBoundReport(

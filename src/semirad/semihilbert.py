@@ -2,27 +2,31 @@
 
 A Hermitian PSD matrix A turns C^n into a semi-Hilbertian space via
 ``<x, y>_A = <Ax, y>``.  This module validates the weight (:func:`make_context`),
-decides which operators T are compatible with it (:func:`make_operator`,
-the range test R(T*A) within R(A)), and exposes the induced quantities:
-weighted inner product and vector seminorm, the operator seminorm, the
-distinguished weighted adjoint ``A_pinv @ T* @ A``, and the weighted
-real/imaginary parts.
+decides which operators T are compatible with it (:func:`make_operator`:
+R(T*A) lies in R(A) exactly when T maps N(A) into N(A)), and exposes the
+induced quantities: weighted inner product and vector seminorm, the
+operator seminorm, the distinguished weighted adjoint ``A_pinv @ T* @ A``
+(formed in full space on first access), and the weighted real/imaginary
+parts.
 
 The computational backbone is the compressed matrix
 
     C = L^(1/2) Q* T Q L^(-1/2),
 
-built from the kept eigenpairs (L, Q) of A.  An A-adjointable T maps
-N(A) into N(A), so C is T restricted to range(A) in coordinates where
-the weighted inner product is the classical one: its 2-norm is the
-weighted operator seminorm, its numerical range the weighted numerical
-range, and A T is Hermitian (PSD) exactly when C is.  Everything
-downstream works on ``compressed``.
+built from the kept eigenpairs (L, Q) of A.  The same eigendecomposition
+settles every rank question: its dropped eigenvectors Q0 span N(A), and
+T is A-adjointable when Q* T Q0 = 0.  Such a T maps N(A) into N(A), so C
+is T restricted to range(A) in coordinates where the weighted inner
+product is the classical one: its 2-norm is the weighted operator
+seminorm, its numerical range the weighted numerical range, and A T is
+Hermitian (PSD) exactly when C is.  Everything downstream works on
+``compressed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from .linalg import (
     _kept_eigenpairs,
     hermitian_defect,
     hermitian_eig,
-    numerical_rank,
     require_square,
     spectral_norm,
 )
@@ -47,22 +50,34 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class PositiveOperator:
-    """A validated Hermitian PSD weight matrix with its cached factors.
+    """A validated Hermitian PSD weight matrix with its eigenbasis.
 
     ``range_basis`` holds the kept eigenvectors Q of A as columns, an
     orthonormal basis of range(A), and ``range_eigenvalues`` their
-    eigenvalues L, ascending.  ``pinv`` is the Moore-Penrose pseudoinverse
-    and ``projector`` the orthogonal projection onto range(A).
-    ``min_pos_eig`` is the smallest kept eigenvalue (0 for the zero matrix).
+    eigenvalues L, ascending; ``kernel_basis`` holds the dropped
+    eigenvectors Q0, an orthonormal basis of N(A).  ``pinv``, the
+    Moore-Penrose pseudoinverse, and ``projector``, the orthogonal
+    projection onto range(A), are full-space n x n matrices formed on
+    first access.  ``min_pos_eig`` is the smallest kept eigenvalue (0 for
+    the zero matrix).
     """
 
     matrix: np.ndarray
-    pinv: np.ndarray
-    projector: np.ndarray
     range_basis: np.ndarray
     range_eigenvalues: np.ndarray
+    kernel_basis: np.ndarray
     herm_tol: float
     rank_tol: float
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        q = self.range_basis
+        return _hermitian_part((q / self.range_eigenvalues) @ q.conj().T)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        q = self.range_basis
+        return _hermitian_part(q @ q.conj().T)
 
     @property
     def dim(self) -> int:
@@ -86,19 +101,17 @@ def make_context(
     herm_tol: float = DEFAULT_HERM_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> PositiveOperator:
-    """Validate *a* as a Hermitian PSD weight and cache its factors.
+    """Validate *a* as a Hermitian PSD weight and split its eigenbasis.
 
     Raises NotSquare / NotHermitian / NotPSD on invalid input.
     """
     mat = require_square(a)
-    lam, q = _kept_eigenpairs(hermitian_eig(mat, herm_tol=herm_tol), rank_tol)
-    qh = q.conj().T
+    lam, q, q0 = _kept_eigenpairs(hermitian_eig(mat, herm_tol=herm_tol), rank_tol)
     return PositiveOperator(
         matrix=mat,
-        pinv=_hermitian_part((q / lam) @ qh),
-        projector=_hermitian_part(q @ qh),
         range_basis=q,
         range_eigenvalues=lam,
+        kernel_basis=q0,
         herm_tol=herm_tol,
         rank_tol=rank_tol,
     )
@@ -138,39 +151,52 @@ def a_norm_vec(ctx: PositiveOperator, x) -> float:
 class SemiOperator:
     """An operator T validated as compatible with a weight context.
 
-    ``adjoint`` is the distinguished weighted adjoint ``A_pinv @ T* @ A``.
     ``compressed`` is C = L^(1/2) Q* T Q L^(-1/2), the rank(A) x rank(A)
-    matrix that carries every weighted quantity of T.
+    matrix that carries every weighted quantity of T.  ``adjoint`` is the
+    distinguished weighted adjoint ``A_pinv @ T* @ A``, a full-space
+    n x n matrix formed on first access.
     """
 
     matrix: np.ndarray
     context: PositiveOperator
-    adjoint: np.ndarray
     compressed: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        ctx = self.context
+        return ctx.pinv @ self.matrix.conj().T @ ctx.matrix
 
-def _attach_operator(ctx: PositiveOperator, mat: np.ndarray) -> SemiOperator:
-    """Cache the derived matrices; assumes compatibility is already settled."""
+
+def _attach_operator(
+    ctx: PositiveOperator, mat: np.ndarray, qt: np.ndarray | None = None
+) -> SemiOperator:
+    """Build C from Q* T (*qt*, formed here if not given); assumes
+    compatibility is already settled."""
     q = ctx.range_basis
+    if qt is None:
+        qt = q.conj().T @ mat
     root = np.sqrt(ctx.range_eigenvalues)
     return SemiOperator(
         matrix=mat,
         context=ctx,
-        adjoint=ctx.pinv @ mat.conj().T @ ctx.matrix,
-        compressed=root[:, None] * (q.conj().T @ mat @ q) / root,
+        compressed=root[:, None] * (qt @ q) / root,
     )
 
 
 def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
-    """Validate T against the context and cache its derived matrices.
+    """Validate T against the context and build its compressed matrix.
 
-    Compatibility (existence of a weighted adjoint) is decided by the rank
-    test rank([A | T*A]) = rank(A).  For strictly positive A it always
-    holds and the test is skipped.
+    A weighted adjoint exists when R(T*A) lies in R(A), that is when T
+    maps N(A) into N(A), that is when Q* T Q0 = 0 for A's kept and
+    dropped eigenvectors Q and Q0.  T*A = T* Q L Q*, so the part of T*A
+    outside R(A) is (L Q* T Q0)*, and T is rejected when
+    ||L Q* T Q0|| > rank_tol * ||L Q* T||.  Both sides scale alike under
+    A -> cA and T -> cT.  A strictly positive A has no Q0 and passes
+    without a norm being taken.
 
     Raises:
         DimensionMismatch: T and A differ in size.
@@ -183,22 +209,16 @@ def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
             f"operator is {mat.shape[0]}x{mat.shape[0]}, context is "
             f"{ctx.dim}x{ctx.dim}"
         )
-    if not ctx.strictly_positive:
-        # Columns of the augmented matrix span R(A) + R(T*A); the spans are
-        # scale-invariant, so each block is normalized before the rank test.
-        a = ctx.matrix
-        ta = mat.conj().T @ a
-        a_scale = spectral_norm(a)
-        ta_scale = spectral_norm(ta)
-        blocks = [a / a_scale if a_scale > 0 else a]
-        if ta_scale > 0:
-            blocks.append(ta / ta_scale)
-        augmented = np.hstack(blocks)
-        if numerical_rank(augmented, rank_tol=ctx.rank_tol) != ctx.rank:
+    qt = ctx.range_basis.conj().T @ mat
+    if ctx.kernel_basis.shape[1]:
+        lqt = ctx.range_eigenvalues[:, None] * qt
+        leak, scale = spectral_norm(lqt @ ctx.kernel_basis), spectral_norm(lqt)
+        if leak > ctx.rank_tol * scale:
             raise NotAAdjointable(
-                "operator is not A-adjointable (R(T*A) ⊄ R(A))"
+                "operator is not A-adjointable (R(T*A) ⊄ R(A)): "
+                f"{leak / scale:.1e} of ||T*A|| lies outside R(A)"
             )
-    return _attach_operator(ctx, mat)
+    return _attach_operator(ctx, mat, qt)
 
 
 def a_operator_seminorm(op: SemiOperator) -> float:
@@ -207,26 +227,21 @@ def a_operator_seminorm(op: SemiOperator) -> float:
 
 
 def scale_operator(op: SemiOperator, c: complex) -> SemiOperator:
-    """c * T with cached fields transformed in place of a rebuild.
-
-    The adjoint scales by conj(c); the compressed matrix scales by c.
-    """
+    """c * T with the compressed matrix scaled in place of a rebuild."""
     c = complex(c)
     return SemiOperator(
         matrix=c * op.matrix,
         context=op.context,
-        adjoint=np.conj(c) * op.adjoint,
         compressed=c * op.compressed,
     )
 
 
 def add_operators(op1: SemiOperator, op2: SemiOperator) -> SemiOperator:
-    """T + S under a shared context; cached fields add componentwise."""
+    """T + S under a shared context; compressed matrices add."""
     _require_same_context(op1, op2)
     return SemiOperator(
         matrix=op1.matrix + op2.matrix,
         context=op1.context,
-        adjoint=op1.adjoint + op2.adjoint,
         compressed=op1.compressed + op2.compressed,
     )
 

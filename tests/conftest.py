@@ -23,13 +23,14 @@ def random_operator(rng, ctx):
     return sr.make_operator(ctx, t)
 
 
-def singular_pair(rng, n, r):
+def singular_pair(rng, n, r, leak=0.0):
     """A rank-r weight together with an operator compatible with it.
 
     The weight's kernel is spanned by the trailing eigenvectors of a
     random unitary; the operator maps that kernel into itself (block
     upper-right zero in the eigenbasis), which is exactly the condition
-    for the adjointability range test to pass.
+    for the adjointability range test to pass.  A nonzero *leak* fills
+    that block with *leak* times the norm of the rest instead.
     """
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     lam = np.concatenate([rng.uniform(0.2, 2.0, size=r), np.zeros(n - r)])
@@ -38,6 +39,9 @@ def singular_pair(rng, n, r):
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     blk = x.copy()
     blk[:r, r:] = 0.0
+    if leak:
+        y = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+        blk[:r, r:] = leak * np.linalg.norm(blk, 2) * y / np.linalg.norm(y, 2)
     t = q @ blk @ q.conj().T
     return sr.make_context(a), t
 

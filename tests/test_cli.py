@@ -37,6 +37,40 @@ def test_radius_nilpotent(tmp_path, capsys):
     assert "mc_radius" not in payload
 
 
+RADIUS_JOB = {
+    "A": cmat([[2.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    "T": cmat([[4 + 1j, 1.0, 0.0], [0.5j, 3.0, 0.0], [3.0, 1j, 2.0]]),
+}
+
+
+def test_radius_runs_one_batched_scan(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, RADIUS_JOB)
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kw):
+        if np.ndim(m) > 2:
+            stacks.append(np.shape(m))
+        return eigvalsh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["--command", "radius", "--input", path, "--format", "json"]) == 0
+    assert stacks == [(720, 2, 2)]
+
+
+def test_radius_matches_library_to_the_bit(tmp_path, capsys):
+    path = write_json(tmp_path, RADIUS_JOB)
+    assert main(["--command", "radius", "--input", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    op = sr.make_operator(
+        sr.make_context([[2.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+        [[4 + 1j, 1.0, 0.0], [0.5j, 3.0, 0.0], [3.0, 1j, 2.0]],
+    )
+    assert payload["radius"] == sr.a_numerical_radius(op)
+    assert payload["crawford"] == sr.a_crawford(op)
+    assert payload["crawford"] > 0.0
+
+
 def test_radius_monte_carlo_flag(tmp_path, capsys):
     path = write_json(
         tmp_path, {"identity_dim": 2, "T": cmat([[0, 1], [0, 0]])}
@@ -100,9 +134,7 @@ def test_blockbounds_payload(tmp_path, capsys):
 
 def test_zeros_running_example(tmp_path, capsys):
     path = write_json(tmp_path, QUINTIC)
-    code = main(
-        ["--command", "zeros", "--input", path, "--format", "json", "--restarts", "4"]
-    )
+    code = main(["--command", "zeros", "--input", path, "--format", "json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["r_c"] == 4.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
-from semirad.linalg import as_complex_matrix, numerical_rank, require_square
+from semirad.linalg import as_complex_matrix, require_square
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
@@ -136,8 +136,3 @@ def test_spectral_norm_homogeneous(c, n):
     rng = np.random.default_rng(n)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     assert sr.spectral_norm(c * m) == pytest.approx(c * sr.spectral_norm(m), rel=1e-12)
-
-
-def test_numerical_rank():
-    assert numerical_rank(np.diag([1.0, 0.0, 2.0])) == 2
-    assert numerical_rank(np.zeros((3, 3))) == 0

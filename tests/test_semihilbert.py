@@ -79,6 +79,82 @@ def test_make_operator_rejects_swap_on_rank_one_weight():
     assert "not A-adjointable" in str(err.value)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+def test_make_operator_rejects_leak_behind_small_eigenvalue(c):
+    # T*A = [[1, 0, 0], [0, 1, 0], [0, 1e-7, 0]] has 1e-7 of its norm
+    # outside R(A); A's small eigenvalue must not hide it
+    ctx = sr.make_context(c * np.diag([1.0, 1e-3, 0.0]))
+    t = np.array([[1.0, 0.0, 0.0], [0.0, 1e3, 1e-4], [0.0, 0.0, 0.0]])
+    with pytest.raises(sr.NotAAdjointable):
+        sr.make_operator(ctx, t)
+
+
+def test_make_operator_accepts_anything_on_zero_weight(rng):
+    ctx = sr.make_context(np.zeros((3, 3)))
+    assert ctx.rank == 0 and ctx.kernel_basis.shape == (3, 3)
+    op = sr.make_operator(ctx, rng.normal(size=(3, 3)))
+    assert op.compressed.shape == (0, 0)
+
+
+def _adjointable(a, t):
+    try:
+        sr.make_operator(sr.make_context(a), t)
+    except sr.NotAAdjointable:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "kernel, leak", [(1, 0.0), (2, 0.0), (3, 0.0), (1, 1e-6), (2, 1e-6), (3, 1e-6)]
+)
+def test_adjointability_verdict_is_scale_and_basis_free(rng, kernel, leak):
+    for _ in range(3):
+        ctx, t = singular_pair(rng, 6, 6 - kernel, leak)
+        a = ctx.matrix
+        assert _adjointable(a, t) == (leak == 0.0)
+        for c in (1e-15, 1e-9, 1.0, 1e6):
+            assert _adjointable(c * a, t) == (leak == 0.0)
+            assert _adjointable(a, c * t) == (leak == 0.0)
+            assert _adjointable(c * a, c * t) == (leak == 0.0)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        uh = u.conj().T
+        assert _adjointable(u @ a @ uh, u @ t @ uh) == (leak == 0.0)
+
+
+@pytest.mark.parametrize("kernel", [0, 2])
+def test_full_space_matrices_are_built_only_when_read(rng, kernel):
+    if kernel:
+        ctx, t = singular_pair(rng, 4, 4 - kernel)
+        p = ctx.projector
+        ctx = sr.make_context(ctx.matrix)
+        draws = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        ops = [sr.make_operator(ctx, m) for m in (t, *(t + p @ x @ p for x in draws))]
+    else:
+        ctx = random_strict_context(rng, 4)
+        ops = [random_operator(rng, ctx) for _ in range(4)]
+    sr.bound_report(ops[0])
+    sr.estimate_range(ops[1])
+    sr.matrix_bound_report(*ops)
+    for op in ops:
+        assert "adjoint" not in vars(op)
+    assert "pinv" not in vars(ctx) and "projector" not in vars(ctx)
+
+    def close(x, y):
+        return np.linalg.norm(x - y, 2) <= 1e-12 * np.linalg.norm(y, 2)
+
+    factors = sr.psd_sqrt_and_pinv(ctx.matrix)
+    q = ctx.range_basis
+    assert close(ctx.pinv, factors.pinv)
+    assert close(ctx.projector, q @ q.conj().T)
+    a = ctx.matrix
+    for op in ops:
+        assert close(op.adjoint, factors.pinv @ op.matrix.conj().T @ a)
+    c = 0.3 - 1.7j
+    assert close(sr.scale_operator(ops[0], c).adjoint, np.conj(c) * ops[0].adjoint)
+    both = sr.add_operators(ops[0], ops[1])
+    assert close(both.adjoint, ops[0].adjoint + ops[1].adjoint)
+
+
 def test_make_operator_identity_weight_gives_conjugate_transpose(rng):
     ctx = sr.identity_context(4)
     t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
