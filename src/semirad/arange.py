@@ -9,7 +9,8 @@ workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
 
-evaluated on a theta grid with golden-section refinement:
+evaluated on a fixed grid of THETA_GRID angles with golden-section
+refinement:
 
   * radius   w = max_theta h(theta),
   * crawford m = max(0, -min_theta h(theta))   (support duality),
@@ -33,14 +34,13 @@ import numpy as np
 from .errors import NotStrictlyPositive, NumericalFailure
 from .linalg import require_square, spectral_norm
 from .scan import _refine_best
-from .semihilbert import (
-    SemiOperator,
-    a_operator_seminorm,
-    re_a,
-    scale_operator,
-)
+from .semihilbert import SemiOperator, im_a, re_a
 
-DEFAULT_THETA_GRID = 720
+#: Number of angles in the theta scan over [0, 2*pi).
+THETA_GRID = 720
+
+_THETAS = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
+_THETA_STEP = 2.0 * np.pi / THETA_GRID
 
 #: Refinement tolerance on theta for the golden-section stage.
 THETA_REFINE_TOL = 1e-10
@@ -56,22 +56,20 @@ def _rotated(c: np.ndarray, theta) -> np.ndarray:
     return 0.5 * (phases.conj() * c + phases * c.conj().T)
 
 
-def _profile(c: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support function h on a uniform grid over [0, 2*pi)."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    return thetas, np.linalg.eigvalsh(_rotated(c, thetas))[:, -1]
+def _profile(c: np.ndarray) -> np.ndarray:
+    """Support function h on the theta grid."""
+    return np.linalg.eigvalsh(_rotated(c, _THETAS))[:, -1]
 
 
-def _refined_support(
-    c: np.ndarray, thetas: np.ndarray, lam: np.ndarray, maximize: bool
-) -> float:
-    """max (or min) of h, from its grid values *lam* at *thetas*."""
+def _refined_support(c: np.ndarray, lam: np.ndarray, maximize: bool) -> float:
+    """max (or min) of h, from its values *lam* on the theta grid."""
 
     def h(theta: float) -> float:
         return float(np.linalg.eigvalsh(_rotated(c, theta))[-1])
 
-    step = 2.0 * np.pi / len(thetas)
-    return _refine_best(h, thetas, lam, step, maximize, tol=THETA_REFINE_TOL)[1]
+    return _refine_best(
+        h, _THETAS, lam, _THETA_STEP, maximize, tol=THETA_REFINE_TOL
+    )[1]
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -83,26 +81,26 @@ def _degenerate_warning(stacklevel: int = 3) -> None:
     )
 
 
-def _extreme_support(c: np.ndarray, theta_grid: int, *maximize: bool) -> list[float]:
+def _extreme_support(c: np.ndarray, *maximize: bool) -> list[float]:
     """max (True) or min (False) of h for each flag, all off one fresh
     scan; zeros with a warning if C is empty."""
     if c.shape[0] == 0:
         _degenerate_warning(stacklevel=4)
         return [0.0] * len(maximize)
-    profile = _profile(c, theta_grid)
-    return [_refined_support(c, *profile, maximize=m) for m in maximize]
+    lam = _profile(c)
+    return [_refined_support(c, lam, maximize=m) for m in maximize]
 
 
-def a_numerical_radius(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
+def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius via the rotated-eigenvalue scan.
 
-    Max of the support function over a theta grid, then golden-section
+    Max of the support function over the theta grid, then golden-section
     refinement inside the winning cell to 1e-10 in theta.
     """
-    return _extreme_support(op.compressed, theta_grid, True)[0]
+    return _extreme_support(op.compressed, True)[0]
 
 
-def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
+def a_crawford(op: SemiOperator) -> float:
     """Weighted Crawford number (least modulus over the range).
 
     By support duality the distance from the origin to the convex range
@@ -110,31 +108,26 @@ def a_crawford(op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID) -> float:
     yields this minimum, refined by golden section.  A value of 0 means
     the origin lies in the range.
     """
-    return max(0.0, -_extreme_support(op.compressed, theta_grid, False)[0])
+    return max(0.0, -_extreme_support(op.compressed, False)[0])
 
 
 @dataclass(frozen=True)
 class RangeEstimate:
     """Polygonal picture of the weighted numerical range.
 
-    ``boundary`` holds the support points (extreme points of the range)
-    collected over the theta grid; ``radius`` and ``crawford`` are the
-    refined extremal moduli, so ``refined`` is always true except on a
-    degenerate range.  ``degenerate`` flags a rank-0 weight, where the
-    range is empty and every quantity is reported as 0.
+    ``boundary`` holds the THETA_GRID support points (extreme points of
+    the range), one per grid angle; ``radius`` and ``crawford`` are the
+    refined extremal moduli.  ``degenerate`` flags a rank-0 weight, where
+    the range is empty and every quantity is reported as 0.
     """
 
     radius: float
     crawford: float
     boundary: np.ndarray
-    theta_grid: int
-    refined: bool
     degenerate: bool = False
 
 
-def estimate_range(
-    op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID
-) -> RangeEstimate:
+def estimate_range(op: SemiOperator) -> RangeEstimate:
     """Radius, Crawford number, and boundary polygon in one scan."""
     c = op.compressed
     if c.shape[0] == 0:
@@ -143,44 +136,43 @@ def estimate_range(
             radius=0.0,
             crawford=0.0,
             boundary=np.zeros(0, dtype=np.complex128),
-            theta_grid=theta_grid,
-            refined=False,
             degenerate=True,
         )
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
-    lam, vec = np.linalg.eigh(_rotated(c, thetas))
+    lam, vec = np.linalg.eigh(_rotated(c, _THETAS))
     lam_top = lam[:, -1]
     top = vec[:, :, -1]
     cx = top @ c.T  # row b holds (C x_b) transposed
     boundary = np.einsum("bi,bi->b", top.conj(), cx)
     return RangeEstimate(
-        radius=_refined_support(c, thetas, lam_top, maximize=True),
-        crawford=max(0.0, -_refined_support(c, thetas, lam_top, maximize=False)),
+        radius=_refined_support(c, lam_top, maximize=True),
+        crawford=max(0.0, -_refined_support(c, lam_top, maximize=False)),
         boundary=boundary,
-        theta_grid=theta_grid,
-        refined=True,
     )
 
 
-def w_theta_identity_check(
-    op: SemiOperator, grid: int = DEFAULT_THETA_GRID
-) -> float:
+def w_theta_identity_check(op: SemiOperator) -> float:
     """Radius through the rotation identity, as an independent path.
 
-    Evaluates the seminorm of the weighted real part of exp(i*theta) T
-    over the grid (the real part formed in full space from the weighted
-    adjoint, not from C), then refines around the best theta.  Agrees with
-    :func:`a_numerical_radius` to ~1e-8 at the default grid.
+    w(T) = max_theta ||Re_A(exp(i*theta) T)||_A, and the weighted real part
+    is cos(theta) Re_A(T) - sin(theta) Im_A(T).  Both parts are formed once
+    in full space from the weighted adjoint (not from C's rotation kernel);
+    the seminorm over the theta grid is one batched SVD of their compressed
+    combinations, refined around the best theta.  Agrees with
+    :func:`a_numerical_radius` to ~1e-8.
     """
+    c_re, c_im = re_a(op).compressed, im_a(op).compressed
+    if c_re.shape[0] == 0:
+        return 0.0
 
-    def g(theta: float) -> float:
-        rotated = scale_operator(op, np.exp(1j * theta))
-        return a_operator_seminorm(re_a(rotated))
+    def part(theta):
+        theta = np.asarray(theta)[..., None, None]
+        return np.cos(theta) * c_re - np.sin(theta) * c_im
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    values = [g(t) for t in thetas]
-    step = 2.0 * np.pi / grid
-    return _refine_best(g, thetas, values, step, True, tol=THETA_REFINE_TOL)[1]
+    values = np.linalg.svd(part(_THETAS), compute_uv=False)[:, 0]
+    return _refine_best(
+        lambda t: spectral_norm(part(t)),
+        _THETAS, values, _THETA_STEP, True, tol=THETA_REFINE_TOL,
+    )[1]
 
 
 def general_eig(m) -> np.ndarray:
@@ -215,18 +207,18 @@ class InclusionReport:
     passed: bool
 
 
-def spectral_inclusion_check(
-    op: SemiOperator, theta_grid: int = DEFAULT_THETA_GRID
-) -> InclusionReport:
+def spectral_inclusion_check(op: SemiOperator) -> InclusionReport:
     """Check that every eigenvalue of T lies in the computed range.
 
     The support-line test: z lies in the range iff Re(exp(-i*theta) z)
     <= h(theta) for every theta, so an eigenvalue's violation is its
     largest excess over the support lines at the grid angles (0 inside),
     a distance never larger than the one to the polygon of boundary
-    points.  Only meaningful when the weight is strictly positive
-    (A >= mI with m > 0); a singular weight can shrink the range until it
-    misses part of the spectrum, so that case is rejected outright.
+    points.  The check passes when every violation is at most 1e-6 times
+    the radius, a gate that scales with T.  Only meaningful when the
+    weight is strictly positive (A >= mI with m > 0); a singular weight
+    can shrink the range until it misses part of the spectrum, so that
+    case is rejected outright.
     """
     if not op.context.strictly_positive:
         raise NotStrictlyPositive(
@@ -234,12 +226,12 @@ def spectral_inclusion_check(
             f"(rank {op.context.rank} < dimension {op.context.dim})"
         )
     c = op.compressed
-    thetas, lam = _profile(c, theta_grid)
+    lam = _profile(c)
     eigenvalues = general_eig(op.matrix)
-    excess = (np.exp(-1j * thetas)[None, :] * eigenvalues[:, None]).real - lam
+    excess = (np.exp(-1j * _THETAS)[None, :] * eigenvalues[:, None]).real - lam
     worst = max(0.0, float(np.max(excess)))
-    radius = _refined_support(c, thetas, lam, maximize=True)
-    tol = 1e-6 * (1.0 + radius)
+    radius = _refined_support(c, lam, maximize=True)
+    tol = 1e-6 * radius
     return InclusionReport(
         eigenvalues=eigenvalues,
         max_violation=worst,

@@ -2,9 +2,10 @@
 
 Lower bounds combine the seminorm of one rotation component with the
 Crawford number of the other; the upper bound minimizes the two-term
-rotation functional over the quarter period.  Both are read off spectra
-of the compressed matrix C: the weighted real and imaginary parts
-compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C).
+rotation functional over a fixed grid of PHI_GRID angles in the quarter
+period.  Both are read off spectra of the compressed matrix C: the
+weighted real and imaginary parts compress to the Hermitian Re C and
+Im C, and H_phi to Re(exp(i*phi) C).
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  The doubled
@@ -12,22 +13,20 @@ weight compresses blockwise, so the block matrix's own radius is read
 off the block matrix of the four compressed blocks.
 
 Report builders package the bounds together with the reference radius of
-the same operator so every bracket is checkable in isolation.
+the same operator so every bracket is checkable in isolation.  Every
+sum of squares goes through ``hypot``, so each bound scales with T and
+neither underflows to 0 nor overflows to inf where T's own quantities do
+not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, sqrt
+from math import hypot
 
 import numpy as np
 
-from .arange import (
-    DEFAULT_THETA_GRID,
-    _extreme_support,
-    _rotated,
-    a_numerical_radius,
-)
+from .arange import _extreme_support, _rotated, a_numerical_radius
 from .errors import TOutOfRange
 from .scan import _refine_best
 from .semihilbert import (
@@ -38,7 +37,13 @@ from .semihilbert import (
     make_operator,
 )
 
-DEFAULT_PHI_GRID = 64
+#: Number of angles in the phi scan over [0, pi/2).
+PHI_GRID = 64
+
+_PERIOD = 0.5 * np.pi
+_PHIS = np.linspace(0.0, _PERIOD, PHI_GRID, endpoint=False)
+# H_phi and H_{phi+pi/2} for every phi, as rotation angles of C
+_PHI_THETAS = np.concatenate((-_PHIS, -_PHIS - _PERIOD))
 
 
 def _norm_and_crawford(c: np.ndarray, theta: float) -> tuple[float, float]:
@@ -59,10 +64,7 @@ def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
     """(lower_bound_21, lower_bound_22) from one eigvalsh each of Re C, Im C."""
     norm_re, craw_re = _norm_and_crawford(op.compressed, 0.0)
     norm_im, craw_im = _norm_and_crawford(op.compressed, 0.5 * np.pi)
-    return (
-        sqrt(norm_re * norm_re + craw_im * craw_im),
-        sqrt(norm_im * norm_im + craw_re * craw_re),
-    )
+    return hypot(norm_re, craw_im), hypot(norm_im, craw_re)
 
 
 def lower_bound_21(op: SemiOperator) -> float:
@@ -76,37 +78,32 @@ def lower_bound_22(op: SemiOperator) -> float:
     return _lower_bounds(op)[1]
 
 
-def upper_bound_hphi(
-    op: SemiOperator, phi_grid: int = DEFAULT_PHI_GRID
-) -> tuple[float, float]:
-    """Upper bound min over phi of sqrt(||H_phi||^2 + ||H_{phi+pi/2}||^2).
+def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
+    """Upper bound min over phi of hypot(||H_phi||, ||H_{phi+pi/2}||).
 
     H_phi is the weighted real part of exp(i*phi) T, whose seminorm is
     the spectral radius of Re(exp(i*phi) C).  H_{phi+pi} = -H_phi and the
     two terms swap under phi -> phi+pi/2, so the objective has period
-    pi/2 and the scan runs over [0, pi/2), all 2 * phi_grid Hermitian
+    pi/2 and the scan runs over [0, pi/2), all 2 * PHI_GRID Hermitian
     parts in one batch.  Returns (value, phi).
     """
     c = op.compressed
     if c.shape[0] == 0:
         return 0.0, 0.0
-    period = 0.5 * np.pi
 
-    def norm_sq(lam: np.ndarray):
-        return np.maximum(lam[..., -1], -lam[..., 0]) ** 2
+    def norm(lam: np.ndarray):
+        return np.maximum(lam[..., -1], -lam[..., 0])
 
     def f(phi: float) -> float:
-        return float(
-            norm_sq(np.linalg.eigvalsh(_rotated(c, -phi)))
-            + norm_sq(np.linalg.eigvalsh(_rotated(c, -phi - period)))
+        return hypot(
+            norm(np.linalg.eigvalsh(_rotated(c, -phi))),
+            norm(np.linalg.eigvalsh(_rotated(c, -phi - _PERIOD))),
         )
 
-    phis = np.linspace(0.0, period, phi_grid, endpoint=False)
-    thetas = np.concatenate((-phis, -phis - period))
-    parts = norm_sq(np.linalg.eigvalsh(_rotated(c, thetas)))
-    values = parts[:phi_grid] + parts[phi_grid:]
-    phi_star, best = _refine_best(f, phis, values, period / phi_grid, False)
-    return sqrt(best), phi_star % period
+    parts = norm(np.linalg.eigvalsh(_rotated(c, _PHI_THETAS)))
+    values = np.hypot(parts[:PHI_GRID], parts[PHI_GRID:])
+    phi_star, best = _refine_best(f, _PHIS, values, _PERIOD / PHI_GRID, False)
+    return best, phi_star % _PERIOD
 
 
 def _block_scalars(
@@ -123,13 +120,11 @@ def _block_scalars(
 
 
 def _lemma24_value(w11: float, n12: float) -> float:
-    return 0.5 * (w11 + sqrt(w11 * w11 + n12 * n12))
+    return 0.5 * (w11 + hypot(w11, n12))
 
 
 def _th25_value(w11: float, w22: float, n12: float, n21: float) -> float:
-    return 0.5 * (
-        w11 + w22 + sqrt(w11 * w11 + n12 * n12) + sqrt(w22 * w22 + n21 * n21)
-    )
+    return 0.5 * (w11 + w22 + hypot(w11, n12) + hypot(w22, n21))
 
 
 def _split_terms(which: int, scalars: tuple[float, ...]) -> tuple[float, ...]:
@@ -145,8 +140,8 @@ def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
     return (
         0.5 * lead
         + other
-        + 0.5 * sqrt(t * t * lead * lead + up * up)
-        + 0.5 * sqrt((1.0 - t) * (1.0 - t) * lead * lead + down * down)
+        + 0.5 * hypot(t * lead, up)
+        + 0.5 * hypot((1.0 - t) * lead, down)
     )
 
 
@@ -257,16 +252,12 @@ class BoundReport:
     sandwich_upper: float
 
 
-def bound_report(
-    op: SemiOperator,
-    theta_grid: int = DEFAULT_THETA_GRID,
-    phi_grid: int = DEFAULT_PHI_GRID,
-) -> BoundReport:
+def bound_report(op: SemiOperator) -> BoundReport:
     norm = a_operator_seminorm(op)
-    upper, phi_star = upper_bound_hphi(op, phi_grid=phi_grid)
+    upper, phi_star = upper_bound_hphi(op)
     lower_21, lower_22 = _lower_bounds(op)
     return BoundReport(
-        w_exact=a_numerical_radius(op, theta_grid=theta_grid),
+        w_exact=a_numerical_radius(op),
         lower_21=lower_21,
         lower_22=lower_22,
         upper_hphi=upper,
@@ -298,7 +289,6 @@ def matrix_bound_report(
     t12: SemiOperator,
     t21: SemiOperator,
     t22: SemiOperator,
-    theta_grid: int = DEFAULT_THETA_GRID,
 ) -> MatrixBoundReport:
     scalars = _block_scalars(t11, t12, t21, t22)
     t_star_27, v27 = _optimize_split(27, scalars)
@@ -313,7 +303,7 @@ def matrix_bound_report(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_extreme_support(compressed, theta_grid, True)[0],
+        w_b_exact=_extreme_support(compressed, True)[0],
         lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

@@ -12,8 +12,11 @@ are row-major nested arrays of them):
 
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 2 validation error (including malformed JSON, reported with line and
-column).  Output for a fixed config and seed is byte-identical across
-runs; files are written atomically (temp file + rename).
+column).  The scan grids are fixed (``arange.THETA_GRID``,
+``bounds.PHI_GRID``); the output carries results only, plus ``seed``
+where the Monte-Carlo check of a radius job used it.  Output for a fixed
+config and seed is byte-identical across runs; files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -27,17 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arange import (
-    DEFAULT_THETA_GRID,
-    _extreme_support,
-    estimate_range,
-    monte_carlo_radius,
-)
-from .bounds import (
-    DEFAULT_PHI_GRID,
-    bound_report,
-    matrix_bound_report,
-)
+from .arange import _extreme_support, estimate_range, monte_carlo_radius
+from .bounds import bound_report, matrix_bound_report
 from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL
 from .polyzero import make_polynomial, zero_bound_report
@@ -63,8 +57,6 @@ class JobConfig:
     command: str
     input_path: str
     output_format: str = "table"
-    theta_grid: int = DEFAULT_THETA_GRID
-    phi_grid: int = DEFAULT_PHI_GRID
     mc_samples: int = 0
     seed: int = 0
     herm_tol: float = DEFAULT_HERM_TOL
@@ -77,8 +69,6 @@ def _validate_config(cfg: JobConfig) -> None:
         raise ValidationError(f"unknown command {cfg.command!r}")
     if cfg.output_format not in FORMATS:
         raise ValidationError(f"unknown format {cfg.output_format!r}")
-    if cfg.theta_grid < 8 or cfg.phi_grid < 8:
-        raise ValidationError("grids must have at least 8 points")
     if cfg.mc_samples < 0:
         raise ValidationError("mc_samples must be nonnegative")
     if cfg.output_format == "svg" and cfg.command != "range":
@@ -166,16 +156,15 @@ def _operator_from(data: dict, cfg: JobConfig) -> SemiOperator:
 def _run_radius(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data, cfg)
     # a_numerical_radius and a_crawford, off one scan
-    top, bottom = _extreme_support(op.compressed, cfg.theta_grid, True, False)
+    top, bottom = _extreme_support(op.compressed, True, False)
     payload = {
         "command": "radius",
         "radius": top,
         "crawford": max(0.0, -bottom),
         "seminorm": a_operator_seminorm(op),
-        "theta_grid": cfg.theta_grid,
-        "seed": cfg.seed,
     }
     if cfg.mc_samples > 0:
+        payload["seed"] = cfg.seed
         payload["mc_radius"] = monte_carlo_radius(
             op, samples=cfg.mc_samples, seed=cfg.seed
         )
@@ -185,14 +174,7 @@ def _run_radius(cfg: JobConfig, data: dict) -> dict:
 
 def _run_bounds(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data, cfg)
-    rep = bound_report(op, theta_grid=cfg.theta_grid, phi_grid=cfg.phi_grid)
-    return {
-        "command": "bounds",
-        **asdict(rep),
-        "theta_grid": cfg.theta_grid,
-        "phi_grid": cfg.phi_grid,
-        "seed": cfg.seed,
-    }
+    return {"command": "bounds", **asdict(bound_report(op))}
 
 
 def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
@@ -205,13 +187,7 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     ops = [
         make_operator(ctx, _parse_matrix(data[k], f'"{k}"')) for k in block_keys
     ]
-    rep = matrix_bound_report(*ops, theta_grid=cfg.theta_grid)
-    return {
-        "command": "blockbounds",
-        **asdict(rep),
-        "theta_grid": cfg.theta_grid,
-        "seed": cfg.seed,
-    }
+    return {"command": "blockbounds", **asdict(matrix_bound_report(*ops))}
 
 
 def _run_zeros(cfg: JobConfig, data: dict) -> dict:
@@ -237,18 +213,16 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
         **asdict(rep),
         "d_star": [float(v) for v in rep.d_star],
         "alphas": [float(v) for v in rep.alphas],
-        "seed": cfg.seed,
     }
 
 
 def _run_range(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data, cfg)
-    est = estimate_range(op, theta_grid=cfg.theta_grid)
+    est = estimate_range(op)
     return {
         "command": "range",
         **asdict(est),
         "boundary": [[float(z.real), float(z.imag)] for z in est.boundary],
-        "seed": cfg.seed,
     }
 
 
@@ -395,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--input", required=True, help="path to the JSON problem file")
     parser.add_argument("--format", default="table", choices=FORMATS)
-    parser.add_argument("--theta-grid", type=int, default=DEFAULT_THETA_GRID)
-    parser.add_argument("--phi-grid", type=int, default=DEFAULT_PHI_GRID)
     parser.add_argument("--mc-samples", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -412,8 +384,6 @@ def main(argv=None) -> int:
             command=args.command,
             input_path=args.input,
             output_format=args.format,
-            theta_grid=args.theta_grid,
-            phi_grid=args.phi_grid,
             mc_samples=args.mc_samples,
             seed=args.seed,
             herm_tol=_env_float(HERM_TOL_ENV, DEFAULT_HERM_TOL),

@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     InvalidMatrix,
     NotAAdjointable,
+    NumericalFailure,
 )
 from .linalg import (
     DEFAULT_HERM_TOL,
@@ -175,16 +176,23 @@ def _attach_operator(
     ctx: PositiveOperator, mat: np.ndarray, qt: np.ndarray | None = None
 ) -> SemiOperator:
     """Build C from Q* T (*qt*, formed here if not given); assumes
-    compatibility is already settled."""
+    compatibility is already settled.
+
+    Raises NumericalFailure when C overflows: finite A and T can still
+    give a C past the float range once L^(1/2) and L^(-1/2) are applied.
+    """
     q = ctx.range_basis
     if qt is None:
         qt = q.conj().T @ mat
     root = np.sqrt(ctx.range_eigenvalues)
-    return SemiOperator(
-        matrix=mat,
-        context=ctx,
-        compressed=root[:, None] * (qt @ q) / root,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        compressed = root[:, None] * (qt @ q) / root
+    if not np.all(np.isfinite(compressed)):
+        raise NumericalFailure(
+            "compressed matrix L^(1/2) Q* T Q L^(-1/2) is not finite "
+            "(overflow); rescale T or the weight"
+        )
+    return SemiOperator(matrix=mat, context=ctx, compressed=compressed)
 
 
 def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
@@ -202,6 +210,7 @@ def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
         DimensionMismatch: T and A differ in size.
         NotAAdjointable: the range condition fails (the weighted radius
             of such T is +inf and nothing downstream is defined).
+        NumericalFailure: the compressed matrix overflows.
     """
     mat = require_square(t)
     if mat.shape[0] != ctx.dim:

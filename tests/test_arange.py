@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange
+from semirad import arange, semihilbert
 from conftest import random_operator, random_strict_context, singular_pair
 
 
@@ -111,13 +111,11 @@ def test_crawford_below_radius(rng):
 def test_estimate_range_fields(rng):
     ctx = random_strict_context(rng, 4)
     op = random_operator(rng, ctx)
-    est = sr.estimate_range(op, theta_grid=360)
-    assert est.theta_grid == 360
-    assert est.refined
+    est = sr.estimate_range(op)
     assert not est.degenerate
     assert est.radius >= est.crawford >= 0
     assert np.all(np.abs(est.boundary) <= est.radius + 1e-8)
-    assert est.radius == pytest.approx(sr.a_numerical_radius(op, theta_grid=360), abs=1e-12)
+    assert est.radius == pytest.approx(sr.a_numerical_radius(op), abs=1e-12)
 
 
 def test_estimate_range_degenerate_rank_zero():
@@ -159,6 +157,36 @@ def test_theta_identity_agrees_with_radius(rng):
         )
 
 
+def test_theta_identity_is_one_batched_svd(rng, monkeypatch):
+    # Re_A(exp(i*theta) T) = cos(theta) Re_A(T) - sin(theta) Im_A(T): two
+    # operators are built and the whole grid is one stacked SVD, with no
+    # operator rescaled per angle
+    ctx, t = singular_pair(rng, 4, 3)
+    op = sr.make_operator(ctx, t)
+    stacks = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kw):
+        if np.ndim(m) > 2:
+            stacks.append(np.shape(m))
+        return svd(m, *args, **kw)
+
+    built = []
+    real = semihilbert.SemiOperator
+
+    def building(*args, **kw):
+        built.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(semihilbert, "SemiOperator", building)
+    assert sr.w_theta_identity_check(op) == pytest.approx(
+        sr.a_numerical_radius(op), rel=1e-8
+    )
+    assert stacks == [(720, 3, 3)]
+    assert len(built) == 2
+
+
 def test_general_eig_residual_contract(rng):
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     lam = sr.general_eig(m)
@@ -192,9 +220,20 @@ def test_spectral_inclusion_measures_excess_over_support_lines(monkeypatch):
     planted = {3.0: 1.0, 0.5: 0.5, 1.5 + 1j: 1.0, 3.0 + 1j: np.sqrt(2), 1.5: 0.0}
     for z, excess in planted.items():
         monkeypatch.setattr(arange, "general_eig", lambda m, z=z: np.array([z]))
-        rep = sr.spectral_inclusion_check(op, theta_grid=8)
+        rep = sr.spectral_inclusion_check(op)
         assert rep.max_violation == pytest.approx(excess, abs=1e-12)
         assert rep.passed == (excess == 0.0)
+
+
+def test_spectral_inclusion_tolerance_scales_with_t():
+    g = np.random.default_rng(172).normal(size=(2, 3, 3))
+    t = g[0] + 1j * g[1]
+    ctx = sr.identity_context(3)
+    ref = sr.spectral_inclusion_check(sr.make_operator(ctx, t))
+    for c in (1e-170, 1e-160, 1.0, 1e150, 1e160):
+        rep = sr.spectral_inclusion_check(sr.make_operator(ctx, c * t))
+        assert rep.tolerance == pytest.approx(c * ref.tolerance, rel=1e-12, abs=0), c
+        assert rep.passed, c
 
 
 def test_spectral_inclusion_rejects_singular_weight():

@@ -140,7 +140,7 @@ class TestSpectralParts:
         monkeypatch.setattr(
             semihilbert, "SemiOperator", lambda *a, **kw: built.append(a)
         )
-        sr.bound_report(op, theta_grid=360, phi_grid=32)
+        sr.bound_report(op)
         assert [c for c in calls if c[1] > 2] == [("eigvalsh", 3), ("eigvalsh", 3)]
         assert [c for c in calls if c[0] != "eigvalsh"] == [("svd", 2)]
         assert built == []
@@ -162,6 +162,50 @@ def test_bound_report_invariant_under_weight_scaling(c, kernel):
         "sandwich_lower", "sandwich_upper",
     ):
         assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-10)
+
+
+SCALES = (1e-170, 1e-160, 1.0, 1e150, 1e160)
+
+
+def _assert_scaled(rep, ref, c, skip=()):
+    for field, value in vars(ref).items():
+        if field in skip or value is None:
+            continue
+        expected = pytest.approx(c * value, rel=1e-12, abs=0)
+        assert getattr(rep, field) == expected, (c, field)
+
+
+def test_bound_report_holds_at_every_scale():
+    # T -> cT scales every bound by |c|: no square underflows to 0 or
+    # overflows to inf, so each bracket still holds
+    g = np.random.default_rng(170).normal(size=(2, 3, 3))
+    t = g[0] + 1j * g[1]
+    ctx = sr.identity_context(3)
+    ref = sr.bound_report(sr.make_operator(ctx, t))
+    for c in SCALES:
+        rep = sr.bound_report(sr.make_operator(ctx, c * t))
+        _assert_scaled(rep, ref, c, skip=("phi_star",))
+        w = rep.w_exact * (1 + 1e-12)
+        assert max(rep.lower_21, rep.lower_22, rep.sandwich_lower) <= w, c
+        assert rep.w_exact <= min(rep.upper_hphi, rep.sandwich_upper) * (1 + 1e-12), c
+
+
+@pytest.mark.parametrize("bottom_row_zero", [False, True])
+def test_matrix_bound_report_holds_at_every_scale(bottom_row_zero):
+    g = np.random.default_rng(171).normal(size=(2, 4, 2, 2))
+    blocks = g[0] + 1j * g[1]
+    if bottom_row_zero:
+        blocks[2:] = 0.0
+    ctx = sr.identity_context(2)
+    ref = sr.matrix_bound_report(*(sr.make_operator(ctx, b) for b in blocks))
+    for c in SCALES:
+        rep = sr.matrix_bound_report(*(sr.make_operator(ctx, c * b) for b in blocks))
+        _assert_scaled(rep, ref, c, skip=("t_star_27", "t_star_28"))
+        assert rep.t_star_27 == pytest.approx(ref.t_star_27, rel=1e-12, abs=0)
+        assert rep.t_star_28 == pytest.approx(ref.t_star_28, rel=1e-12, abs=0)
+        assert (rep.lemma24 is None) != bottom_row_zero
+        uppers = (rep.lemma24, rep.th25, rep.th27, rep.th28)
+        assert rep.w_b_exact <= min(v for v in uppers if v is not None) * (1 + 1e-12)
 
 
 class TestBracket:

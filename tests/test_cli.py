@@ -160,14 +160,12 @@ def test_range_json_and_svg(tmp_path, capsys):
     path = write_json(
         tmp_path, {"identity_dim": 2, "T": cmat(np.diag([1 + 1j, 2 + 1j]))}
     )
-    code = main(
-        ["--command", "range", "--input", path, "--format", "json", "--theta-grid", "64"]
-    )
+    code = main(["--command", "range", "--input", path, "--format", "json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["radius"] == pytest.approx(np.sqrt(5), abs=1e-4)
-    assert len(payload["boundary"]) == 64
-    assert payload["refined"] is True
+    assert len(payload["boundary"]) == 720
+    assert "refined" not in payload
     assert payload["degenerate"] is False
 
     code = main(["--command", "range", "--input", path, "--format", "svg"])
@@ -177,6 +175,46 @@ def test_range_json_and_svg(tmp_path, capsys):
     assert "<polygon" in svg
     assert svg.count("<circle") == 2
     assert "</svg>" in svg
+
+
+OUTPUT_KEYS = {
+    "radius": {"command", "radius", "crawford", "seminorm"},
+    "bounds": {
+        "command", "w_exact", "lower_21", "lower_22", "upper_hphi", "phi_star",
+        "sandwich_lower", "sandwich_upper",
+    },
+    "blockbounds": {
+        "command", "w_b_exact", "lemma24", "th25", "th27", "th28",
+        "t_star_27", "t_star_28",
+    },
+    "zeros": {
+        "command", "degree", "r_c", "r_cm", "r_fk", "r_prk", "d_star", "alphas",
+        "max_root_modulus",
+    },
+    "range": {"command", "radius", "crawford", "boundary", "degenerate"},
+}
+
+
+def test_json_output_keys(tmp_path, capsys):
+    # results only: no grid sizes, and a seed only where --seed was used
+    blocks = {k: cmat(np.eye(2)) for k in ("T11", "T12", "T21", "T22")}
+    operator_job = write_json(
+        tmp_path, {"identity_dim": 2, "T": cmat([[0, 1], [0, 0]])}
+    )
+    jobs = {
+        "blockbounds": write_json(tmp_path, {"identity_dim": 2, **blocks}, "b.json"),
+        "zeros": write_json(tmp_path, QUINTIC, "z.json"),
+    }
+    for command, keys in OUTPUT_KEYS.items():
+        path = jobs.get(command, operator_job)
+        argv = ["--command", command, "--input", path, "--format", "json"]
+        assert main(argv + ["--seed", "5"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys, command
+    assert main(["--command", "radius", "--input", operator_job, "--format", "json",
+                 "--mc-samples", "100", "--seed", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == OUTPUT_KEYS["radius"] | {"mc_radius", "mc_samples", "seed"}
+    assert payload["seed"] == 5
 
 
 def test_table_format(tmp_path, capsys):
@@ -239,9 +277,26 @@ class TestValidation:
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
         assert main(["--command", "radius", "--input", path, "--format", "svg"]) == 2
 
-    def test_grid_floor(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--theta-grid", "--phi-grid"])
+    def test_grid_flags_rejected(self, tmp_path, capsys, flag):
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
-        assert main(["--command", "radius", "--input", path, "--theta-grid", "4"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "bounds", "--input", path, flag, "64"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_overflowing_compressed_matrix(self, tmp_path, capsys):
+        # A and T are finite, but C = L^(1/2) Q* T Q L^(-1/2) is not
+        path = write_json(
+            tmp_path,
+            {"A": cmat(np.diag([1.0, 1e-9])), "T": cmat([[0.0, 1e307], [0.0, 0.0]])},
+        )
+        for command in ("radius", "bounds", "range"):
+            argv = ["--command", command, "--input", path, "--format", "json"]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "numerical failure:" in captured.err
 
     def test_unadjointable_operator(self, tmp_path, capsys):
         path = write_json(

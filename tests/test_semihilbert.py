@@ -89,6 +89,14 @@ def test_make_operator_rejects_leak_behind_small_eigenvalue(c):
         sr.make_operator(ctx, t)
 
 
+def test_make_operator_rejects_overflowing_compressed_matrix():
+    # A and T are finite, but L^(-1/2) lifts T's one entry past the float
+    # range; a C of inf and nan would report NaN radii and a 0 Crawford
+    ctx = sr.make_context(np.diag([1.0, 1e-9]))
+    with pytest.raises(sr.NumericalFailure, match="not finite"):
+        sr.make_operator(ctx, np.array([[0.0, 1e307], [0.0, 0.0]]))
+
+
 def test_make_operator_accepts_anything_on_zero_weight(rng):
     ctx = sr.make_context(np.zeros((3, 3)))
     assert ctx.rank == 0 and ctx.kernel_basis.shape == (3, 3)
