@@ -9,13 +9,16 @@ workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
 
-evaluated on a fixed grid of THETA_GRID angles with golden-section
-refinement:
+on a fixed grid of THETA_GRID angles with golden-section refinement.
+The part at theta + pi is minus the part at theta, so one scan factors
+the parts of the half turn [0, pi) and reads all THETA_GRID support
+values off them, h(theta + pi) being -lambda_min at theta:
 
   * radius   w = max_theta h(theta),
   * crawford m = max(0, -min_theta h(theta))   (support duality),
   * boundary points p_theta = <C x_theta, x_theta> with x_theta the top
-    eigenvector, tracing the extreme points of the range,
+    eigenvector (the bottom one at theta - pi), tracing the extreme
+    points of the range,
   * inclusion: z lies in the range iff Re(exp(-i*theta) z) <= h(theta)
     for every theta.
 
@@ -40,6 +43,7 @@ from .semihilbert import SemiOperator, im_a, re_a
 THETA_GRID = 720
 
 _THETAS = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
+_HALF_TURN = _THETAS[: THETA_GRID // 2]  # [0, pi)
 _THETA_STEP = 2.0 * np.pi / THETA_GRID
 
 #: Refinement tolerance on theta for the golden-section stage.
@@ -56,20 +60,28 @@ def _rotated(c: np.ndarray, theta) -> np.ndarray:
     return 0.5 * (phases.conj() * c + phases * c.conj().T)
 
 
-def _profile(c: np.ndarray) -> np.ndarray:
-    """Support function h on the theta grid."""
-    return np.linalg.eigvalsh(_rotated(c, _THETAS))[:, -1]
+def _half_turn(c: np.ndarray) -> np.ndarray:
+    """The one scan: ascending spectra of Re(exp(-i*theta) C) on [0, pi)."""
+    return np.linalg.eigvalsh(_rotated(c, _HALF_TURN))
+
+
+def _support(lam: np.ndarray) -> np.ndarray:
+    """h on the whole theta grid from the half-turn spectra *lam*."""
+    return np.concatenate((lam[:, -1], -lam[:, 0]))
+
+
+def _refine(f, values, maximize: bool) -> tuple[float, float]:
+    """(theta, f(theta)) at the best of *values* on the grid, refined."""
+    return _refine_best(f, _THETAS, values, _THETA_STEP, maximize, THETA_REFINE_TOL)
 
 
 def _refined_support(c: np.ndarray, lam: np.ndarray, maximize: bool) -> float:
-    """max (or min) of h, from its values *lam* on the theta grid."""
+    """max (or min) of h, from the half-turn spectra *lam*."""
 
     def h(theta: float) -> float:
         return float(np.linalg.eigvalsh(_rotated(c, theta))[-1])
 
-    return _refine_best(
-        h, _THETAS, lam, _THETA_STEP, maximize, tol=THETA_REFINE_TOL
-    )[1]
+    return _refine(h, _support(lam), maximize)[1]
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -87,7 +99,7 @@ def _extreme_support(c: np.ndarray, *maximize: bool) -> list[float]:
     if c.shape[0] == 0:
         _degenerate_warning(stacklevel=4)
         return [0.0] * len(maximize)
-    lam = _profile(c)
+    lam = _half_turn(c)
     return [_refined_support(c, lam, maximize=m) for m in maximize]
 
 
@@ -138,14 +150,13 @@ def estimate_range(op: SemiOperator) -> RangeEstimate:
             boundary=np.zeros(0, dtype=np.complex128),
             degenerate=True,
         )
-    lam, vec = np.linalg.eigh(_rotated(c, _THETAS))
-    lam_top = lam[:, -1]
-    top = vec[:, :, -1]
+    lam, vec = np.linalg.eigh(_rotated(c, _HALF_TURN))
+    top = np.concatenate((vec[:, :, -1], vec[:, :, 0]))
     cx = top @ c.T  # row b holds (C x_b) transposed
     boundary = np.einsum("bi,bi->b", top.conj(), cx)
     return RangeEstimate(
-        radius=_refined_support(c, lam_top, maximize=True),
-        crawford=max(0.0, -_refined_support(c, lam_top, maximize=False)),
+        radius=_refined_support(c, lam, maximize=True),
+        crawford=max(0.0, -_refined_support(c, lam, maximize=False)),
         boundary=boundary,
     )
 
@@ -169,29 +180,28 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         return np.cos(theta) * c_re - np.sin(theta) * c_im
 
     values = np.linalg.svd(part(_THETAS), compute_uv=False)[:, 0]
-    return _refine_best(
-        lambda t: spectral_norm(part(t)),
-        _THETAS, values, _THETA_STEP, True, tol=THETA_REFINE_TOL,
-    )[1]
+    return _refine(lambda t: spectral_norm(part(t)), values, True)[1]
 
 
 def general_eig(m) -> np.ndarray:
     """Eigenvalues of a general (non-Hermitian) square matrix.
 
     Each returned pair is accepted only if the residual ||Mv - lambda v||
-    stays below 1e-8 * (1 + ||M||); otherwise NumericalFailure.
+    stays below 1e-8 * ||M|| (0 for a zero M); otherwise NumericalFailure.
     """
     mat = require_square(m)
     try:
         lam, vec = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-    residual = mat @ vec - vec * lam[None, :]
+    scale = spectral_norm(mat)
+    # in units of ||M||, so that squares of tiny residuals cannot underflow
+    residual = (mat @ vec - vec * lam[None, :]) / (scale or 1.0)
     worst = float(np.max(np.linalg.norm(residual, axis=0))) if lam.size else 0.0
-    tol = 1e-8 * (1.0 + spectral_norm(mat))
+    tol = 1e-8 if scale else 0.0
     if worst > tol:
         raise NumericalFailure(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {tol:.3e}"
+            f"eigenpair residual {worst:.3e} ||M|| exceeds tolerance {tol:.0e} ||M||"
         )
     return lam
 
@@ -226,9 +236,9 @@ def spectral_inclusion_check(op: SemiOperator) -> InclusionReport:
             f"(rank {op.context.rank} < dimension {op.context.dim})"
         )
     c = op.compressed
-    lam = _profile(c)
+    lam = _half_turn(c)
     eigenvalues = general_eig(op.matrix)
-    excess = (np.exp(-1j * _THETAS)[None, :] * eigenvalues[:, None]).real - lam
+    excess = (np.exp(-1j * _THETAS) * eigenvalues[:, None]).real - _support(lam)
     worst = max(0.0, float(np.max(excess)))
     radius = _refined_support(c, lam, maximize=True)
     tol = 1e-6 * radius

@@ -2,10 +2,10 @@
 
 Lower bounds combine the seminorm of one rotation component with the
 Crawford number of the other; the upper bound minimizes the two-term
-rotation functional over a fixed grid of PHI_GRID angles in the quarter
-period.  Both are read off spectra of the compressed matrix C: the
-weighted real and imaginary parts compress to the Hermitian Re C and
-Im C, and H_phi to Re(exp(i*phi) C).
+rotation functional over phi.  The weighted real and imaginary parts
+compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
+so the radius and every bound of one operator are read off the
+half-turn spectra of the radius scan (:func:`arange._half_turn`).
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  The doubled
@@ -26,9 +26,16 @@ from math import hypot
 
 import numpy as np
 
-from .arange import _extreme_support, _rotated, a_numerical_radius
+from .arange import (
+    _degenerate_warning,
+    _extreme_support,
+    _half_turn,
+    _refine,
+    _refined_support,
+    _rotated,
+    a_numerical_radius,
+)
 from .errors import TOutOfRange
-from .scan import _refine_best
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
@@ -37,34 +44,30 @@ from .semihilbert import (
     make_operator,
 )
 
-#: Number of angles in the phi scan over [0, pi/2).
-PHI_GRID = 64
-
-_PERIOD = 0.5 * np.pi
-_PHIS = np.linspace(0.0, _PERIOD, PHI_GRID, endpoint=False)
-# H_phi and H_{phi+pi/2} for every phi, as rotation angles of C
-_PHI_THETAS = np.concatenate((-_PHIS, -_PHIS - _PERIOD))
-
-
-def _norm_and_crawford(c: np.ndarray, theta: float) -> tuple[float, float]:
-    """Norm and Crawford number of the Hermitian H = Re(exp(-i*theta) C).
+def _norm_crawford(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and Crawford numbers of Hermitian H from ascending spectra *lam*.
 
     ||H|| = max(lambda_max, -lambda_min); the range of H is the segment
     [lambda_min, lambda_max], so its distance to 0 is
     max(0, lambda_min, -lambda_max).
     """
-    if c.shape[0] == 0:
-        return 0.0, 0.0
-    lam = np.linalg.eigvalsh(_rotated(c, theta))
-    lo, hi = float(lam[0]), float(lam[-1])
-    return max(hi, -lo), max(0.0, lo, -hi)
+    lo, hi = lam[..., 0], lam[..., -1]
+    return np.maximum(hi, -lo), np.maximum(0.0, np.maximum(lo, -hi))
+
+
+def _lower_pair(lam: np.ndarray) -> tuple[float, float]:
+    """Both lower bounds from the spectra *lam* of parts at angles spaced
+    evenly over the half turn: Re C is the first, Im C (theta = pi/2) the
+    middle one."""
+    norm, craw = _norm_crawford(lam[[0, len(lam) // 2]])
+    return hypot(norm[0], craw[1]), hypot(norm[1], craw[0])
 
 
 def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
-    """(lower_bound_21, lower_bound_22) from one eigvalsh each of Re C, Im C."""
-    norm_re, craw_re = _norm_and_crawford(op.compressed, 0.0)
-    norm_im, craw_im = _norm_and_crawford(op.compressed, 0.5 * np.pi)
-    return hypot(norm_re, craw_im), hypot(norm_im, craw_re)
+    """(lower_bound_21, lower_bound_22) from one eigvalsh of Re C and Im C."""
+    if op.compressed.shape[0] == 0:
+        return 0.0, 0.0
+    return _lower_pair(np.linalg.eigvalsh(_rotated(op.compressed, [0.0, 0.5 * np.pi])))
 
 
 def lower_bound_21(op: SemiOperator) -> float:
@@ -82,28 +85,27 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     """Upper bound min over phi of hypot(||H_phi||, ||H_{phi+pi/2}||).
 
     H_phi is the weighted real part of exp(i*phi) T, whose seminorm is
-    the spectral radius of Re(exp(i*phi) C).  H_{phi+pi} = -H_phi and the
-    two terms swap under phi -> phi+pi/2, so the objective has period
-    pi/2 and the scan runs over [0, pi/2), all 2 * PHI_GRID Hermitian
-    parts in one batch.  Returns (value, phi).
+    the spectral radius of Re(exp(i*phi) C), the part at theta = -phi.
+    A part's norm has period pi in theta, so the objective at phi = -theta
+    pairs the first quarter of the half-turn scan with the second.
+    Returns (value, phi) with phi in [0, pi/2).
     """
     c = op.compressed
     if c.shape[0] == 0:
         return 0.0, 0.0
+    return _hphi(c, _half_turn(c))
 
-    def norm(lam: np.ndarray):
-        return np.maximum(lam[..., -1], -lam[..., 0])
 
-    def f(phi: float) -> float:
-        return hypot(
-            norm(np.linalg.eigvalsh(_rotated(c, -phi))),
-            norm(np.linalg.eigvalsh(_rotated(c, -phi - _PERIOD))),
-        )
+def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
+    """upper_bound_hphi from the half-turn spectra *lam*."""
 
-    parts = norm(np.linalg.eigvalsh(_rotated(c, _PHI_THETAS)))
-    values = np.hypot(parts[:PHI_GRID], parts[PHI_GRID:])
-    phi_star, best = _refine_best(f, _PHIS, values, _PERIOD / PHI_GRID, False)
-    return best, phi_star % _PERIOD
+    def f(theta: float) -> float:
+        parts = _rotated(c, theta), _rotated(c, theta + 0.5 * np.pi)
+        return hypot(*(_norm_crawford(np.linalg.eigvalsh(p))[0] for p in parts))
+
+    norm, q = _norm_crawford(lam)[0], len(lam) // 2
+    theta, best = _refine(f, np.hypot(norm[:q], norm[q:]), False)
+    return best, -theta % (0.5 * np.pi)
 
 
 def _block_scalars(
@@ -253,11 +255,16 @@ class BoundReport:
 
 
 def bound_report(op: SemiOperator) -> BoundReport:
+    c = op.compressed
+    if c.shape[0] == 0:
+        _degenerate_warning()
+        return BoundReport(*[0.0] * 7)
     norm = a_operator_seminorm(op)
-    upper, phi_star = upper_bound_hphi(op)
-    lower_21, lower_22 = _lower_bounds(op)
+    lam = _half_turn(c)
+    lower_21, lower_22 = _lower_pair(lam)
+    upper, phi_star = _hphi(c, lam)
     return BoundReport(
-        w_exact=a_numerical_radius(op),
+        w_exact=_refined_support(c, lam, maximize=True),
         lower_21=lower_21,
         lower_22=lower_22,
         upper_hphi=upper,

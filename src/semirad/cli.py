@@ -12,9 +12,9 @@ are row-major nested arrays of them):
 
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 2 validation error (including malformed JSON, reported with line and
-column).  The scan grids are fixed (``arange.THETA_GRID``,
-``bounds.PHI_GRID``); the output carries results only, plus ``seed``
-where the Monte-Carlo check of a radius job used it.  Output for a fixed
+column).  The scan grid is fixed (``arange.THETA_GRID``); the output
+carries results only, plus ``seed`` where the Monte-Carlo check of a
+radius job used it.  Output for a fixed
 config and seed is byte-identical across runs; files are written
 atomically (temp file + rename).
 """

@@ -172,27 +172,36 @@ class SemiOperator:
         return ctx.pinv @ self.matrix.conj().T @ ctx.matrix
 
 
+def _finite_operator(
+    mat: np.ndarray, ctx: PositiveOperator, compressed: np.ndarray
+) -> SemiOperator:
+    """The operator T = *mat* with compressed matrix *compressed*, the one
+    finiteness check of every constructor.
+
+    Raises NumericalFailure when T or C overflowed: finite A and T can
+    still give a C past the float range once L^(1/2) and L^(-1/2) are
+    applied, and finite operators a multiple or sum past it.
+    """
+    if not (np.all(np.isfinite(compressed)) and np.all(np.isfinite(mat))):
+        raise NumericalFailure(
+            "operator or its compressed matrix L^(1/2) Q* T Q L^(-1/2) is not "
+            "finite (overflow); rescale T or the weight"
+        )
+    return SemiOperator(matrix=mat, context=ctx, compressed=compressed)
+
+
 def _attach_operator(
     ctx: PositiveOperator, mat: np.ndarray, qt: np.ndarray | None = None
 ) -> SemiOperator:
     """Build C from Q* T (*qt*, formed here if not given); assumes
-    compatibility is already settled.
-
-    Raises NumericalFailure when C overflows: finite A and T can still
-    give a C past the float range once L^(1/2) and L^(-1/2) are applied.
-    """
+    compatibility is already settled."""
     q = ctx.range_basis
     if qt is None:
         qt = q.conj().T @ mat
     root = np.sqrt(ctx.range_eigenvalues)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         compressed = root[:, None] * (qt @ q) / root
-    if not np.all(np.isfinite(compressed)):
-        raise NumericalFailure(
-            "compressed matrix L^(1/2) Q* T Q L^(-1/2) is not finite "
-            "(overflow); rescale T or the weight"
-        )
-    return SemiOperator(matrix=mat, context=ctx, compressed=compressed)
+    return _finite_operator(mat, ctx, compressed)
 
 
 def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
@@ -236,23 +245,21 @@ def a_operator_seminorm(op: SemiOperator) -> float:
 
 
 def scale_operator(op: SemiOperator, c: complex) -> SemiOperator:
-    """c * T with the compressed matrix scaled in place of a rebuild."""
+    """c * T with the compressed matrix scaled in place of a rebuild;
+    NumericalFailure if it overflows."""
     c = complex(c)
-    return SemiOperator(
-        matrix=c * op.matrix,
-        context=op.context,
-        compressed=c * op.compressed,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        return _finite_operator(c * op.matrix, op.context, c * op.compressed)
 
 
 def add_operators(op1: SemiOperator, op2: SemiOperator) -> SemiOperator:
-    """T + S under a shared context; compressed matrices add."""
+    """T + S under a shared context; compressed matrices add.
+    NumericalFailure if the sum overflows."""
     _require_same_context(op1, op2)
-    return SemiOperator(
-        matrix=op1.matrix + op2.matrix,
-        context=op1.context,
-        compressed=op1.compressed + op2.compressed,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        return _finite_operator(
+            op1.matrix + op2.matrix, op1.context, op1.compressed + op2.compressed
+        )
 
 
 def adjoint_operator(op: SemiOperator) -> SemiOperator:

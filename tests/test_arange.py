@@ -108,6 +108,63 @@ def test_crawford_below_radius(rng):
         assert sr.a_crawford(op) <= sr.a_numerical_radius(op) + 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_half_turn_spectra_give_the_whole_support_function(n):
+    # Re(exp(-i(theta+pi)) C) = -Re(exp(-i theta) C): the bottom of the
+    # spectrum at theta is minus the top at theta + pi
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    half = arange._HALF_TURN
+    lam = arange._half_turn(c)
+    direct = np.linalg.eigvalsh(arange._rotated(c, half + np.pi))[:, -1]
+    # relative to the scale of h: h itself crosses 0
+    tol = 1e-13 * np.max(np.abs(direct))
+    np.testing.assert_allclose(-lam[:, 0], direct, rtol=0, atol=tol)
+    full = np.linalg.eigvalsh(arange._rotated(c, arange._THETAS))[:, -1]
+    np.testing.assert_allclose(arange._support(lam), full, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize(
+    "quantity", [sr.a_numerical_radius, sr.a_crawford, sr.spectral_inclusion_check]
+)
+def test_range_quantities_run_one_half_turn_scan(rng, monkeypatch, quantity):
+    op = random_operator(rng, random_strict_context(rng, 3))
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kw):
+        if np.ndim(m) > 2:
+            stacks.append(np.shape(m))
+        return eigvalsh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    quantity(op)
+    assert stacks == [(360, 3, 3)]
+
+
+def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
+    # 720 boundary points, the bottom eigenvectors giving the second half
+    op = random_operator(rng, random_strict_context(rng, 3))
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    est = sr.estimate_range(op)
+    assert [c for c in calls if len(c[1]) > 2] == [("eigh", (360, 3, 3))]
+    assert est.boundary.shape == (720,)
+    c = op.compressed
+    for theta, point in zip(arange._THETAS, est.boundary):
+        top = np.linalg.eigvalsh(arange._rotated(c, theta))[-1]
+        # each point is on the support line of its angle
+        assert (np.exp(-1j * theta) * point).real == pytest.approx(
+            top, abs=1e-12 * est.radius
+        )
+
+
 def test_estimate_range_fields(rng):
     ctx = random_strict_context(rng, 4)
     op = random_operator(rng, ctx)
@@ -193,6 +250,28 @@ def test_general_eig_residual_contract(rng):
     assert sorted(np.round(lam.real, 6).tolist()) == sorted(
         np.round(np.linalg.eigvals(m).real, 6).tolist()
     )
+
+
+def test_general_eig_rejects_bad_pair_at_any_scale(monkeypatch):
+    # an absolute floor in the residual gate let every pair of a tiny
+    # matrix through; the gate is relative to ||M||
+    m = 1e-170 * np.array([[1.0, 2.0], [0.0, 3.0]])
+    eig = np.linalg.eig
+
+    def corrupted(mat):
+        lam, vec = eig(mat)
+        return lam * np.array([1.01, 1.0]), vec
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    with pytest.raises(sr.NumericalFailure, match="residual"):
+        sr.general_eig(m)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-170, 1.0, 1e160])
+def test_general_eig_scales_with_m(c):
+    m = np.array([[1.0, 2.0], [0.0, 3.0]])
+    lam = np.sort_complex(sr.general_eig(c * m))
+    np.testing.assert_allclose(lam, c * np.sort_complex(np.linalg.eigvals(m)), rtol=1e-13)
 
 
 def test_spectral_inclusion_normal_matrix():

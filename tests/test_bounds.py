@@ -126,13 +126,15 @@ class TestSpectralParts:
             full = np.sqrt(h_norm(phi) ** 2 + h_norm(phi + 0.5 * np.pi) ** 2)
             assert rep.upper_hphi == pytest.approx(full, rel=1e-12)
 
-    def test_bound_report_runs_one_scan_each_and_one_svd(self, rng, monkeypatch):
+    def test_bound_report_runs_one_scan_and_one_svd(self, rng, monkeypatch):
+        # the radius, both lower bounds and the H_phi bound all read the
+        # spectra of the half-turn parts
         op = random_operator(rng, random_strict_context(rng, 4))
         calls = []
         for name in ("eigvalsh", "eigh", "svd"):
 
             def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
-                calls.append((_name, np.ndim(m)))
+                calls.append((_name, np.shape(m)))
                 return _fn(m, *args, **kw)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -141,8 +143,8 @@ class TestSpectralParts:
             semihilbert, "SemiOperator", lambda *a, **kw: built.append(a)
         )
         sr.bound_report(op)
-        assert [c for c in calls if c[1] > 2] == [("eigvalsh", 3), ("eigvalsh", 3)]
-        assert [c for c in calls if c[0] != "eigvalsh"] == [("svd", 2)]
+        assert [c for c in calls if len(c[1]) > 2] == [("eigvalsh", (360, 4, 4))]
+        assert [c for c in calls if c[0] != "eigvalsh"] == [("svd", (4, 4))]
         assert built == []
 
 

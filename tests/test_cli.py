@@ -55,7 +55,7 @@ def test_radius_runs_one_batched_scan(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main(["--command", "radius", "--input", path, "--format", "json"]) == 0
-    assert stacks == [(720, 2, 2)]
+    assert stacks == [(360, 2, 2)]
 
 
 def test_radius_matches_library_to_the_bit(tmp_path, capsys):

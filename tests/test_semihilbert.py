@@ -97,6 +97,24 @@ def test_make_operator_rejects_overflowing_compressed_matrix():
         sr.make_operator(ctx, np.array([[0.0, 1e307], [0.0, 0.0]]))
 
 
+def test_scale_operator_rejects_overflow():
+    # finite T and a finite factor, but c T is past the float range; the
+    # radius of such an operator read NaN
+    op = sr.make_operator(sr.identity_context(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(sr.NumericalFailure, match="not finite"):
+        sr.scale_operator(op, 1e308)
+    assert sr.a_numerical_radius(sr.scale_operator(op, 1e307)) > 1e307
+
+
+def test_add_operators_rejects_overflow():
+    op = sr.make_operator(
+        sr.identity_context(2), np.array([[1e308, 0.0], [0.0, -1e308]])
+    )
+    with pytest.raises(sr.NumericalFailure, match="not finite"):
+        sr.add_operators(op, op)
+    assert np.all(sr.add_operators(op, sr.scale_operator(op, -1.0)).compressed == 0)
+
+
 def test_make_operator_accepts_anything_on_zero_weight(rng):
     ctx = sr.make_context(np.zeros((3, 3)))
     assert ctx.rank == 0 and ctx.kernel_basis.shape == (3, 3)
