@@ -12,7 +12,10 @@ workhorse is the support function
 on a fixed grid of THETA_GRID angles with golden-section refinement.
 The part at theta + pi is minus the part at theta, so one scan factors
 the parts of the half turn [0, pi) and reads all THETA_GRID support
-values off them, h(theta + pi) being -lambda_min at theta:
+values off them, h(theta + pi) being -lambda_min at theta.  The scan
+and the refined max and min of h are taken once per operator, on first
+read, and kept on it (like its ``adjoint``); every quantity below and
+every report of :mod:`semirad.bounds` reads them there:
 
   * radius   w = max_theta h(theta),
   * crawford m = max(0, -min_theta h(theta))   (support duality),
@@ -93,14 +96,38 @@ def _degenerate_warning(stacklevel: int = 3) -> None:
     )
 
 
-def _extreme_support(c: np.ndarray, *maximize: bool) -> list[float]:
-    """max (True) or min (False) of h for each flag, all off one fresh
-    scan; zeros with a warning if C is empty."""
+def _memo(op: SemiOperator, key: str, compute):
+    """*op*'s value under *key*, computed on first read and kept in the
+    instance ``__dict__``, where ``cached_property`` keeps ``adjoint``."""
+    memo = vars(op)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _spectra(op: SemiOperator) -> np.ndarray:
+    """The half-turn spectra of *op*, scanned once per operator."""
+    return _memo(op, "_half_turn", lambda: _half_turn(op.compressed))
+
+
+def _extreme(op: SemiOperator, maximize: bool) -> float:
+    """Refined max (or min) of h, once per operator; 0 with a warning,
+    on every call, if C is empty."""
+    c = op.compressed
     if c.shape[0] == 0:
         _degenerate_warning(stacklevel=4)
-        return [0.0] * len(maximize)
-    lam = _half_turn(c)
-    return [_refined_support(c, lam, maximize=m) for m in maximize]
+        return 0.0
+    key = "_h_max" if maximize else "_h_min"
+    return _memo(op, key, lambda: _refined_support(c, _spectra(op), maximize))
+
+
+def _extreme_support(c: np.ndarray) -> float:
+    """Refined max of h for a bare C off a fresh scan; 0 with a warning
+    if C is empty."""
+    if c.shape[0] == 0:
+        _degenerate_warning(stacklevel=4)
+        return 0.0
+    return _refined_support(c, _half_turn(c), maximize=True)
 
 
 def a_numerical_radius(op: SemiOperator) -> float:
@@ -109,7 +136,7 @@ def a_numerical_radius(op: SemiOperator) -> float:
     Max of the support function over the theta grid, then golden-section
     refinement inside the winning cell to 1e-10 in theta.
     """
-    return _extreme_support(op.compressed, True)[0]
+    return _extreme(op, True)
 
 
 def a_crawford(op: SemiOperator) -> float:
@@ -120,7 +147,7 @@ def a_crawford(op: SemiOperator) -> float:
     yields this minimum, refined by golden section.  A value of 0 means
     the origin lies in the range.
     """
-    return max(0.0, -_extreme_support(op.compressed, False)[0])
+    return max(0.0, -_extreme(op, False))
 
 
 @dataclass(frozen=True)
@@ -151,13 +178,13 @@ def estimate_range(op: SemiOperator) -> RangeEstimate:
             degenerate=True,
         )
     lam, vec = np.linalg.eigh(_rotated(c, _HALF_TURN))
+    # the spectra fill an empty scan; the eigenvectors are not kept
+    _memo(op, "_half_turn", lambda: lam)
     top = np.concatenate((vec[:, :, -1], vec[:, :, 0]))
     cx = top @ c.T  # row b holds (C x_b) transposed
     boundary = np.einsum("bi,bi->b", top.conj(), cx)
     return RangeEstimate(
-        radius=_refined_support(c, lam, maximize=True),
-        crawford=max(0.0, -_refined_support(c, lam, maximize=False)),
-        boundary=boundary,
+        radius=a_numerical_radius(op), crawford=a_crawford(op), boundary=boundary
     )
 
 
@@ -168,7 +195,8 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     is cos(theta) Re_A(T) - sin(theta) Im_A(T).  Both parts are formed once
     in full space from the weighted adjoint (not from C's rotation kernel);
     the seminorm over the theta grid is one batched SVD of their compressed
-    combinations, refined around the best theta.  Agrees with
+    combinations over the half turn (the norm has period pi), refined
+    around the best theta.  Agrees with
     :func:`a_numerical_radius` to ~1e-8.
     """
     c_re, c_im = re_a(op).compressed, im_a(op).compressed
@@ -179,8 +207,9 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         theta = np.asarray(theta)[..., None, None]
         return np.cos(theta) * c_re - np.sin(theta) * c_im
 
-    values = np.linalg.svd(part(_THETAS), compute_uv=False)[:, 0]
-    return _refine(lambda t: spectral_norm(part(t)), values, True)[1]
+    # the part at theta + pi is minus the part at theta: same norm
+    half = np.linalg.svd(part(_HALF_TURN), compute_uv=False)[:, 0]
+    return _refine(lambda t: spectral_norm(part(t)), np.tile(half, 2), True)[1]
 
 
 def general_eig(m) -> np.ndarray:
@@ -235,12 +264,11 @@ def spectral_inclusion_check(op: SemiOperator) -> InclusionReport:
             "spectral inclusion requires a strictly positive weight "
             f"(rank {op.context.rank} < dimension {op.context.dim})"
         )
-    c = op.compressed
-    lam = _half_turn(c)
     eigenvalues = general_eig(op.matrix)
-    excess = (np.exp(-1j * _THETAS) * eigenvalues[:, None]).real - _support(lam)
+    support = _support(_spectra(op))
+    excess = (np.exp(-1j * _THETAS) * eigenvalues[:, None]).real - support
     worst = max(0.0, float(np.max(excess)))
-    radius = _refined_support(c, lam, maximize=True)
+    radius = a_numerical_radius(op)
     tol = 1e-6 * radius
     return InclusionReport(
         eigenvalues=eigenvalues,

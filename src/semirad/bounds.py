@@ -5,7 +5,9 @@ Crawford number of the other; the upper bound minimizes the two-term
 rotation functional over phi.  The weighted real and imaginary parts
 compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
 so the radius and every bound of one operator are read off the
-half-turn spectra of the radius scan (:func:`arange._half_turn`).
+half-turn spectra of the radius scan, taken once per operator and kept
+on it (:func:`arange._spectra`); the block bounds read w(T11) and
+w(T22) from the same per-operator cache.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  The doubled
@@ -29,10 +31,9 @@ import numpy as np
 from .arange import (
     _degenerate_warning,
     _extreme_support,
-    _half_turn,
     _refine,
-    _refined_support,
     _rotated,
+    _spectra,
     a_numerical_radius,
 )
 from .errors import TOutOfRange
@@ -93,7 +94,7 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     c = op.compressed
     if c.shape[0] == 0:
         return 0.0, 0.0
-    return _hphi(c, _half_turn(c))
+    return _hphi(c, _spectra(op))
 
 
 def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
@@ -260,11 +261,11 @@ def bound_report(op: SemiOperator) -> BoundReport:
         _degenerate_warning()
         return BoundReport(*[0.0] * 7)
     norm = a_operator_seminorm(op)
-    lam = _half_turn(c)
+    lam = _spectra(op)
     lower_21, lower_22 = _lower_pair(lam)
     upper, phi_star = _hphi(c, lam)
     return BoundReport(
-        w_exact=_refined_support(c, lam, maximize=True),
+        w_exact=a_numerical_radius(op),
         lower_21=lower_21,
         lower_22=lower_22,
         upper_hphi=upper,
@@ -310,7 +311,7 @@ def matrix_bound_report(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_extreme_support(compressed, True)[0],
+        w_b_exact=_extreme_support(compressed),
         lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

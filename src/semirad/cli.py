@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arange import _extreme_support, estimate_range, monte_carlo_radius
+from .arange import a_crawford, a_numerical_radius, estimate_range, monte_carlo_radius
 from .bounds import bound_report, matrix_bound_report
 from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL
@@ -155,12 +155,10 @@ def _operator_from(data: dict, cfg: JobConfig) -> SemiOperator:
 
 def _run_radius(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data, cfg)
-    # a_numerical_radius and a_crawford, off one scan
-    top, bottom = _extreme_support(op.compressed, True, False)
     payload = {
         "command": "radius",
-        "radius": top,
-        "crawford": max(0.0, -bottom),
+        "radius": a_numerical_radius(op),
+        "crawford": a_crawford(op),
         "seminorm": a_operator_seminorm(op),
     }
     if cfg.mc_samples > 0:

@@ -155,7 +155,12 @@ class SemiOperator:
     ``compressed`` is C = L^(1/2) Q* T Q L^(-1/2), the rank(A) x rank(A)
     matrix that carries every weighted quantity of T.  ``adjoint`` is the
     distinguished weighted adjoint ``A_pinv @ T* @ A``, a full-space
-    n x n matrix formed on first access.
+    n x n matrix formed on first access.  The range scan of C and its
+    refined extremes (radius and Crawford number, see
+    :mod:`semirad.arange`) are likewise computed once per operator, on
+    first read, and kept on it.  Mutating ``compressed`` (or ``matrix``)
+    in place after such a read is unsupported: the kept values would go
+    stale.
     """
 
     matrix: np.ndarray
@@ -200,7 +205,8 @@ def _attach_operator(
         qt = q.conj().T @ mat
     root = np.sqrt(ctx.range_eigenvalues)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        compressed = root[:, None] * (qt @ q) / root
+        # by the ratio: scaling rows first can overflow a finite C
+        compressed = (qt @ q) * (root[:, None] / root)
     return _finite_operator(mat, ctx, compressed)
 
 

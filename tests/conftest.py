@@ -1,7 +1,7 @@
-"""Shared random-instance generators.
+"""Shared random-instance generators and a recorder of batched eigensolves.
 
 Every test seeds its own np.random.default_rng, so the suite is fully
-deterministic; these helpers only shape the draws.
+deterministic; the generators only shape the draws.
 """
 
 import numpy as np
@@ -44,6 +44,20 @@ def singular_pair(rng, n, r, leak=0.0):
         blk[:r, r:] = leak * np.linalg.norm(blk, 2) * y / np.linalg.norm(y, 2)
     t = q @ blk @ q.conj().T
     return sr.make_context(a), t
+
+
+def record_batched_solves(monkeypatch):
+    """(kind, shape) of every stacked eigvalsh/eigh call from now on."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            if np.ndim(m) > 2:
+                calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -3,7 +3,12 @@ import pytest
 
 import semirad as sr
 from semirad import arange, semihilbert
-from conftest import random_operator, random_strict_context, singular_pair
+from conftest import (
+    random_operator,
+    random_strict_context,
+    record_batched_solves,
+    singular_pair,
+)
 
 
 def test_radius_diagonal_example():
@@ -165,6 +170,99 @@ def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
         )
 
 
+def range_round(op, order):
+    """Every range quantity of *op*, asked in *order*."""
+    ask = {
+        "radius": lambda: sr.a_numerical_radius(op),
+        "crawford": lambda: sr.a_crawford(op),
+        "bounds": lambda: sr.bound_report(op),
+        "inclusion": lambda: sr.spectral_inclusion_check(op),
+        "range": lambda: sr.estimate_range(op),
+    }
+    return {name: ask[name]() for name in order}
+
+
+ROUND = ("radius", "crawford", "bounds", "inclusion", "range")
+
+
+def test_one_operator_is_scanned_once(rng, monkeypatch):
+    op = random_operator(rng, random_strict_context(rng, 5))
+    calls = record_batched_solves(monkeypatch)
+    range_round(op, ROUND)
+    assert calls == [("eigvalsh", (360, 5, 5)), ("eigh", (360, 5, 5))]
+    calls.clear()
+    range_round(op, ROUND[:-1])
+    assert calls == []
+    # the boundary still needs the eigenvectors, which are not kept
+    range_round(op, ["range"])
+    assert calls == [("eigh", (360, 5, 5))]
+
+
+def test_estimate_range_first_fills_the_scan(rng, monkeypatch):
+    op = random_operator(rng, random_strict_context(rng, 5))
+    calls = record_batched_solves(monkeypatch)
+    range_round(op, ROUND[::-1])
+    assert calls == [("eigh", (360, 5, 5))]
+
+
+def test_kept_values_do_not_depend_on_the_order(rng):
+    ctx = random_strict_context(rng, 6)
+    t = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    first = range_round(sr.make_operator(ctx, t), ROUND)
+    second = range_round(sr.make_operator(ctx, t), ROUND[::-1])
+    for name in ("radius", "crawford"):
+        assert first[name] == second[name]
+    for name in ("inclusion", "range"):
+        a, b = first[name], second[name]
+        for field in vars(a):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    a, b = first["bounds"], second["bounds"]
+    for field in vars(a):
+        if field in ("lower_21", "lower_22"):
+            # read straight off the kept spectra, which come from eigvalsh
+            # in one order and from eigh in the other: LAPACK's
+            # eigenvalue-only and eigenvector paths round differently
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-14)
+        else:
+            assert getattr(a, field) == getattr(b, field), field
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda op: sr.scale_operator(op, 2.0 - 1.0j),
+        lambda op: sr.add_operators(op, sr.scale_operator(op, 1j)),
+        sr.re_a,
+    ],
+    ids=["scale", "add", "re_a"],
+)
+def test_derived_operator_has_its_own_scan(rng, monkeypatch, derive):
+    op = random_operator(rng, random_strict_context(rng, 4))
+    range_round(op, ROUND)
+    derived = derive(op)
+    fresh = semihilbert.SemiOperator(
+        matrix=derived.matrix, context=derived.context, compressed=derived.compressed
+    )
+    calls = record_batched_solves(monkeypatch)
+    values = range_round(derived, ROUND)
+    assert calls == [("eigvalsh", (360, 4, 4)), ("eigh", (360, 4, 4))]
+    assert values["radius"] != range_round(op, ["radius"])["radius"]
+    expected = range_round(fresh, ROUND)
+    for name in ("radius", "crawford"):
+        assert values[name] == expected[name]
+    assert values["bounds"] == expected["bounds"]
+
+
+@pytest.mark.parametrize("quantity", [sr.a_numerical_radius, sr.a_crawford])
+def test_rank_zero_weight_warns_on_every_call(monkeypatch, quantity):
+    op = sr.make_operator(sr.make_context(np.zeros((2, 2))), np.eye(2))
+    calls = record_batched_solves(monkeypatch)
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match="rank 0"):
+            assert quantity(op) == 0.0
+    assert calls == []
+
+
 def test_estimate_range_fields(rng):
     ctx = random_strict_context(rng, 4)
     op = random_operator(rng, ctx)
@@ -216,8 +314,9 @@ def test_theta_identity_agrees_with_radius(rng):
 
 def test_theta_identity_is_one_batched_svd(rng, monkeypatch):
     # Re_A(exp(i*theta) T) = cos(theta) Re_A(T) - sin(theta) Im_A(T): two
-    # operators are built and the whole grid is one stacked SVD, with no
-    # operator rescaled per angle
+    # operators are built and the whole grid is one stacked SVD of the
+    # half turn (the part at theta + pi is minus the part at theta), with
+    # no operator rescaled per angle
     ctx, t = singular_pair(rng, 4, 3)
     op = sr.make_operator(ctx, t)
     stacks = []
@@ -240,7 +339,7 @@ def test_theta_identity_is_one_batched_svd(rng, monkeypatch):
     assert sr.w_theta_identity_check(op) == pytest.approx(
         sr.a_numerical_radius(op), rel=1e-8
     )
-    assert stacks == [(720, 3, 3)]
+    assert stacks == [(360, 3, 3)]
     assert len(built) == 2
 
 

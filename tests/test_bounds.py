@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from conftest import random_operator, random_strict_context, singular_pair
+from conftest import (
+    random_operator,
+    random_strict_context,
+    record_batched_solves,
+    singular_pair,
+)
 from semirad import bounds, semihilbert
 
 
@@ -363,6 +368,18 @@ class TestOptimizeT:
                 )
                 assert val <= grid * (1 + 1e-12)
                 assert grid - val <= 1e-6 * val
+
+    def test_block_bounds_scan_each_diagonal_block_once(self, rng, monkeypatch):
+        ctx = random_strict_context(rng, 3)
+        ops = tuple(random_operator(rng, ctx) for _ in range(4))
+        calls = record_batched_solves(monkeypatch)
+        sr.block_bound_th25(*ops)
+        sr.block_bound_th27(*ops, t=0.3)
+        sr.block_bound_th28(*ops, t=0.7)
+        sr.optimize_t(27, *ops)
+        sr.optimize_t(28, *ops)
+        # one scan of T11 and one of T22, kept on those operators
+        assert calls == [("eigvalsh", (360, 3, 3))] * 2
 
     def test_invalid_selector(self, rng):
         ctx = random_strict_context(rng, 2)

@@ -97,6 +97,16 @@ def test_make_operator_rejects_overflowing_compressed_matrix():
         sr.make_operator(ctx, np.array([[0.0, 1e307], [0.0, 0.0]]))
 
 
+def test_make_operator_builds_a_finite_c_near_the_float_limit():
+    # A = diag(1, 4) gives L^(1/2) = diag(1, 2): scaling the second row by 2
+    # before dividing its column by 2 overflowed, though C = T is finite
+    ctx = sr.make_context(np.diag([1.0, 4.0]))
+    t = np.diag([1e308, -1e308])
+    op = sr.make_operator(ctx, t)
+    np.testing.assert_array_equal(np.abs(op.compressed), np.abs(t))
+    assert sr.a_operator_seminorm(op) == 1e308
+
+
 def test_scale_operator_rejects_overflow():
     # finite T and a finite factor, but c T is past the float range; the
     # radius of such an operator read NaN
