@@ -9,7 +9,8 @@ workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
 
-on a fixed grid of THETA_GRID angles with golden-section refinement.
+on a fixed grid of THETA_GRID angles with golden-section refinement to
+``scan.TOL`` in theta.
 The part at theta + pi is minus the part at theta, so one scan factors
 the parts of the half turn [0, pi) and reads all THETA_GRID support
 values off them, h(theta + pi) being -lambda_min at theta.  The scan
@@ -49,18 +50,17 @@ _THETAS = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
 _HALF_TURN = _THETAS[: THETA_GRID // 2]  # [0, pi)
 _THETA_STEP = 2.0 * np.pi / THETA_GRID
 
-#: Refinement tolerance on theta for the golden-section stage.
-THETA_REFINE_TOL = 1e-10
-
 
 def _rotated(c: np.ndarray, theta) -> np.ndarray:
     """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
 
     A scalar theta gives one Hermitian matrix, an array of angles the
     stack of them; callers take ``eigvalsh`` or ``eigh`` of the result.
+    The phase is halved before the sum, so entries near the float limit
+    do not overflow; halving is exact, so the result is the same.
     """
-    phases = np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
-    return 0.5 * (phases.conj() * c + phases * c.conj().T)
+    half = 0.5 * np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
+    return half.conj() * c + half * c.conj().T
 
 
 def _half_turn(c: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ def _support(lam: np.ndarray) -> np.ndarray:
 
 def _refine(f, values, maximize: bool) -> tuple[float, float]:
     """(theta, f(theta)) at the best of *values* on the grid, refined."""
-    return _refine_best(f, _THETAS, values, _THETA_STEP, maximize, THETA_REFINE_TOL)
+    return _refine_best(f, _THETAS, values, _THETA_STEP, maximize)
 
 
 def _refined_support(c: np.ndarray, lam: np.ndarray, maximize: bool) -> float:
@@ -134,7 +134,7 @@ def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius via the rotated-eigenvalue scan.
 
     Max of the support function over the theta grid, then golden-section
-    refinement inside the winning cell to 1e-10 in theta.
+    refinement inside the winning cell to ``scan.TOL`` in theta.
     """
     return _extreme(op, True)
 

@@ -231,14 +231,8 @@ def assemble_blocks(
     _require_same_context(t11, t12, t21, t22)
     ctx = t11.context
     zero = np.zeros_like(ctx.matrix)
-    doubled = make_context(
-        np.block([[ctx.matrix, zero], [zero, ctx.matrix]]),
-        herm_tol=ctx.herm_tol,
-        rank_tol=ctx.rank_tol,
-    )
-    block = np.block(
-        [[t11.matrix, t12.matrix], [t21.matrix, t22.matrix]]
-    )
+    doubled = make_context(np.block([[ctx.matrix, zero], [zero, ctx.matrix]]))
+    block = np.block([[t11.matrix, t12.matrix], [t21.matrix, t22.matrix]])
     return make_operator(doubled, block)
 
 

@@ -12,9 +12,10 @@ are row-major nested arrays of them):
 
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 2 validation error (including malformed JSON, reported with line and
-column).  The scan grid is fixed (``arange.THETA_GRID``); the output
-carries results only, plus ``seed`` where the Monte-Carlo check of a
-radius job used it.  Output for a fixed
+column).  The scan grid (``arange.THETA_GRID``) and every tolerance
+(``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
+output carries results only, plus ``seed`` where the Monte-Carlo check
+of a radius job used it.  Output for a fixed
 config and seed is byte-identical across runs; files are written
 atomically (temp file + rename).
 """
@@ -33,7 +34,6 @@ import numpy as np
 from .arange import a_crawford, a_numerical_radius, estimate_range, monte_carlo_radius
 from .bounds import bound_report, matrix_bound_report
 from .errors import NumericalFailure, ValidationError
-from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL
 from .polyzero import make_polynomial, zero_bound_report
 from .semihilbert import (
     PositiveOperator,
@@ -46,9 +46,6 @@ from .semihilbert import (
 COMMANDS = ("radius", "bounds", "blockbounds", "zeros", "range")
 FORMATS = ("table", "json", "svg")
 
-HERM_TOL_ENV = "SEMIRAD_HERM_TOL"
-RANK_TOL_ENV = "SEMIRAD_RANK_TOL"
-
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -59,8 +56,6 @@ class JobConfig:
     output_format: str = "table"
     mc_samples: int = 0
     seed: int = 0
-    herm_tol: float = DEFAULT_HERM_TOL
-    rank_tol: float = DEFAULT_RANK_TOL
     output_path: str | None = None
 
 
@@ -73,8 +68,6 @@ def _validate_config(cfg: JobConfig) -> None:
         raise ValidationError("mc_samples must be nonnegative")
     if cfg.output_format == "svg" and cfg.command != "range":
         raise ValidationError("svg output is only available for the range command")
-    if not (0 < cfg.herm_tol < 1) or not (0 < cfg.rank_tol < 1):
-        raise ValidationError("tolerances must lie strictly between 0 and 1")
 
 
 def _load_json(path: str) -> dict:
@@ -130,7 +123,7 @@ def _parse_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _context_from(data: dict, cfg: JobConfig) -> PositiveOperator:
+def _context_from(data: dict) -> PositiveOperator:
     has_a = "A" in data
     has_dim = "identity_dim" in data
     if has_a == has_dim:
@@ -142,19 +135,19 @@ def _context_from(data: dict, cfg: JobConfig) -> PositiveOperator:
         a = np.eye(n, dtype=np.complex128)
     else:
         a = _parse_matrix(data["A"], '"A"')
-    return make_context(a, herm_tol=cfg.herm_tol, rank_tol=cfg.rank_tol)
+    return make_context(a)
 
 
-def _operator_from(data: dict, cfg: JobConfig) -> SemiOperator:
+def _operator_from(data: dict) -> SemiOperator:
     """The weight and the operator "T" of a radius, bounds or range job."""
     _check_keys(data, {"A", "identity_dim", "T"})
     if "T" not in data:
         raise ValidationError('missing required key "T"')
-    return make_operator(_context_from(data, cfg), _parse_matrix(data["T"], '"T"'))
+    return make_operator(_context_from(data), _parse_matrix(data["T"], '"T"'))
 
 
 def _run_radius(cfg: JobConfig, data: dict) -> dict:
-    op = _operator_from(data, cfg)
+    op = _operator_from(data)
     payload = {
         "command": "radius",
         "radius": a_numerical_radius(op),
@@ -171,7 +164,7 @@ def _run_radius(cfg: JobConfig, data: dict) -> dict:
 
 
 def _run_bounds(cfg: JobConfig, data: dict) -> dict:
-    op = _operator_from(data, cfg)
+    op = _operator_from(data)
     return {"command": "bounds", **asdict(bound_report(op))}
 
 
@@ -181,7 +174,7 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     missing = [k for k in block_keys if k not in data]
     if missing:
         raise ValidationError(f"missing required key(s): {', '.join(missing)}")
-    ctx = _context_from(data, cfg)
+    ctx = _context_from(data)
     ops = [
         make_operator(ctx, _parse_matrix(data[k], f'"{k}"')) for k in block_keys
     ]
@@ -215,7 +208,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
 
 
 def _run_range(cfg: JobConfig, data: dict) -> dict:
-    op = _operator_from(data, cfg)
+    op = _operator_from(data)
     est = estimate_range(op)
     return {
         "command": "range",
@@ -346,16 +339,6 @@ def run(cfg: JobConfig) -> int:
         return 1
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be a number, got {raw!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semirad",
@@ -377,21 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = JobConfig(
+    return run(
+        JobConfig(
             command=args.command,
             input_path=args.input,
             output_format=args.format,
             mc_samples=args.mc_samples,
             seed=args.seed,
-            herm_tol=_env_float(HERM_TOL_ENV, DEFAULT_HERM_TOL),
-            rank_tol=_env_float(RANK_TOL_ENV, DEFAULT_RANK_TOL),
             output_path=args.output,
         )
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
+    )
 
 
 if __name__ == "__main__":

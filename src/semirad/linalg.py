@@ -3,9 +3,9 @@
 Plain ``numpy.ndarray`` (complex128, row-major) is the matrix carrier for
 the whole package; :func:`as_complex_matrix` is the validation gate that
 turns arbitrary input into one.  On top of it this module provides the
-Hermitian eigendecomposition, the spectral norm, and the eigenvalue-based
-square root / Moore-Penrose pseudoinverse of Hermitian PSD matrices with a
-relative rank cutoff.
+Hermitian eigendecomposition behind a relative symmetry gate, the spectral
+norm, and the split of a PSD spectrum into kept and dropped eigenpairs at a
+relative rank cutoff.  Both tolerances are fixed module constants.
 
 All functions are pure; nothing here mutates its arguments.  Target sizes
 are small dense matrices (n <= 512), so every factorization is a direct
@@ -15,17 +15,16 @@ LAPACK call via numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidMatrix, NotHermitian, NotPSD, NotSquare, NumericalFailure
 
 #: Relative tolerance for Hermitian symmetry checks.
-DEFAULT_HERM_TOL = 1e-8
+HERM_TOL = 1e-8
 
 #: Relative eigenvalue cutoff below which a PSD matrix is treated as singular.
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -73,10 +72,10 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, herm_tol: float = DEFAULT_HERM_TOL) -> EigenDecomposition:
+def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is gated on ``||M - M*|| <= herm_tol * ||M||`` and then
+    The input is gated on ``||M - M*|| <= HERM_TOL * ||M||`` and then
     explicitly symmetrized as (M + M*)/2 before the LAPACK call, so results
     are reproducible for inputs that are Hermitian only up to round-off.
 
@@ -88,9 +87,9 @@ def hermitian_eig(m, herm_tol: float = DEFAULT_HERM_TOL) -> EigenDecomposition:
     m = require_square(m)
     defect = hermitian_defect(m)
     scale = spectral_norm(m)
-    if defect > herm_tol * scale:
+    if defect > HERM_TOL * scale:
         raise NotHermitian(
-            f"asymmetry {defect:.3e} exceeds tolerance {herm_tol * scale:.3e}"
+            f"asymmetry {defect:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
         )
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(m))
@@ -113,64 +112,26 @@ def spectral_norm(m) -> float:
     return float(sigma[0])
 
 
-class PsdFactors(NamedTuple):
-    """Square root and pseudoinverse family of a Hermitian PSD matrix."""
-
-    sqrt: np.ndarray
-    pinv: np.ndarray
-    sqrt_pinv: np.ndarray
-    rank: int
-    min_pos_eig: float
-
-
 def _kept_eigenpairs(
-    eig: EigenDecomposition, rank_tol: float
+    eig: EigenDecomposition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenpairs of a PSD matrix that survive the rank cutoff.
 
     Returns (L, Q, Q0): the kept eigenvalues, ascending, their eigenvectors
     as columns, an orthonormal basis of the numerical range space, and the
     dropped eigenvectors, an orthonormal basis of the numerical kernel.
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero;
-    an eigenvalue below ``-rank_tol * ||M||`` disqualifies the matrix as PSD.
+    Eigenvalues at or below ``RANK_TOL * lambda_max`` are treated as zero,
+    which makes the rank decision invariant under rescaling; an eigenvalue
+    below ``-RANK_TOL * ||M||`` disqualifies the matrix as PSD.
     """
     lam = eig.eigenvalues
     norm = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and float(lam[0]) < -rank_tol * norm:
+    if lam.size and float(lam[0]) < -RANK_TOL * norm:
         raise NotPSD(
             f"most negative eigenvalue {float(lam[0]):.3e} is below "
-            f"-rank_tol*||M|| = {-rank_tol * norm:.3e}"
+            f"-RANK_TOL*||M|| = {-RANK_TOL * norm:.3e}"
         )
-    keep = lam > rank_tol * (float(lam[-1]) if lam.size else 0.0)
+    keep = lam > RANK_TOL * (float(lam[-1]) if lam.size else 0.0)
     vecs = eig.eigenvectors
     return lam[keep], vecs[:, keep], vecs[:, ~keep]
-
-
-def psd_sqrt_and_pinv(
-    m,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    herm_tol: float = DEFAULT_HERM_TOL,
-) -> PsdFactors:
-    """Square root, Moore-Penrose pseudoinverse, and rank data of a PSD matrix.
-
-    All outputs are assembled from one Hermitian eigendecomposition with the
-    relative cutoff ``rank_tol * lambda_max``, which makes the rank decision
-    invariant under rescaling.  The Penrose identities and ``sqrt @ sqrt ~= M``
-    hold by construction up to round-off amplified by the condition number of
-    the retained spectrum.
-
-    Raises:
-        NotPSD: an eigenvalue lies below ``-rank_tol * ||M||``.
-        NotHermitian / NotSquare: propagated from the eigendecomposition.
-    """
-    lam, q, _ = _kept_eigenpairs(hermitian_eig(m, herm_tol=herm_tol), rank_tol)
-    root = np.sqrt(lam)
-    qh = q.conj().T
-    return PsdFactors(
-        sqrt=_hermitian_part((q * root) @ qh),
-        pinv=_hermitian_part((q / lam) @ qh),
-        sqrt_pinv=_hermitian_part((q / root) @ qh),
-        rank=int(lam.size),
-        min_pos_eig=float(lam[0]) if lam.size else 0.0,
-    )
 

@@ -38,8 +38,8 @@ from .errors import (
     NumericalFailure,
 )
 from .linalg import (
-    DEFAULT_HERM_TOL,
-    DEFAULT_RANK_TOL,
+    HERM_TOL,
+    RANK_TOL,
     _hermitian_part,
     _kept_eigenpairs,
     hermitian_defect,
@@ -60,15 +60,14 @@ class PositiveOperator:
     Moore-Penrose pseudoinverse, and ``projector``, the orthogonal
     projection onto range(A), are full-space n x n matrices formed on
     first access.  ``min_pos_eig`` is the smallest kept eigenvalue (0 for
-    the zero matrix).
+    the zero matrix).  The rank cutoff is the fixed relative
+    ``linalg.RANK_TOL``.
     """
 
     matrix: np.ndarray
     range_basis: np.ndarray
     range_eigenvalues: np.ndarray
     kernel_basis: np.ndarray
-    herm_tol: float
-    rank_tol: float
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -97,24 +96,18 @@ class PositiveOperator:
         return self.rank == self.dim
 
 
-def make_context(
-    a,
-    herm_tol: float = DEFAULT_HERM_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> PositiveOperator:
+def make_context(a) -> PositiveOperator:
     """Validate *a* as a Hermitian PSD weight and split its eigenbasis.
+
+    The symmetry gate is ``linalg.HERM_TOL`` and the rank cutoff
+    ``linalg.RANK_TOL``, both relative to ||A||.
 
     Raises NotSquare / NotHermitian / NotPSD on invalid input.
     """
     mat = require_square(a)
-    lam, q, q0 = _kept_eigenpairs(hermitian_eig(mat, herm_tol=herm_tol), rank_tol)
+    lam, q, q0 = _kept_eigenpairs(hermitian_eig(mat))
     return PositiveOperator(
-        matrix=mat,
-        range_basis=q,
-        range_eigenvalues=lam,
-        kernel_basis=q0,
-        herm_tol=herm_tol,
-        rank_tol=rank_tol,
+        matrix=mat, range_basis=q, range_eigenvalues=lam, kernel_basis=q0
     )
 
 
@@ -217,7 +210,7 @@ def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
     maps N(A) into N(A), that is when Q* T Q0 = 0 for A's kept and
     dropped eigenvectors Q and Q0.  T*A = T* Q L Q*, so the part of T*A
     outside R(A) is (L Q* T Q0)*, and T is rejected when
-    ||L Q* T Q0|| > rank_tol * ||L Q* T||.  Both sides scale alike under
+    ||L Q* T Q0|| > RANK_TOL * ||L Q* T||.  Both sides scale alike under
     A -> cA and T -> cT.  A strictly positive A has no Q0 and passes
     without a norm being taken.
 
@@ -237,7 +230,7 @@ def make_operator(ctx: PositiveOperator, t) -> SemiOperator:
     if ctx.kernel_basis.shape[1]:
         lqt = ctx.range_eigenvalues[:, None] * qt
         leak, scale = spectral_norm(lqt @ ctx.kernel_basis), spectral_norm(lqt)
-        if leak > ctx.rank_tol * scale:
+        if leak > RANK_TOL * scale:
             raise NotAAdjointable(
                 "operator is not A-adjointable (R(T*A) ⊄ R(A)): "
                 f"{leak / scale:.1e} of ||T*A|| lies outside R(A)"
@@ -291,32 +284,34 @@ def _require_same_context(first: SemiOperator, *others: SemiOperator) -> None:
             raise ContextMismatch("operators were built against different weights")
 
 
-def is_a_selfadjoint(op: SemiOperator, tol: float = DEFAULT_HERM_TOL) -> bool:
+def is_a_selfadjoint(op: SemiOperator) -> bool:
     """Whether A @ T is Hermitian (the weighted self-adjointness test).
 
     A T = Q L (Q* T Q) Q* is Hermitian exactly when its congruent C is,
-    so the gate is relative to ||C|| and A -> cA cannot change it.
+    so the gate is ``HERM_TOL`` relative to ||C|| and A -> cA cannot
+    change it.
     """
     c = op.compressed
-    return hermitian_defect(c) <= tol * spectral_norm(c)
+    return hermitian_defect(c) <= HERM_TOL * spectral_norm(c)
 
 
-def is_a_positive(op: SemiOperator, tol: float = DEFAULT_HERM_TOL) -> bool:
+def is_a_positive(op: SemiOperator) -> bool:
     """Whether A @ T is Hermitian PSD, read off C like the test above."""
-    if not is_a_selfadjoint(op, tol):
+    if not is_a_selfadjoint(op):
         return False
     lam = np.linalg.eigvalsh(_hermitian_part(op.compressed))
-    # the least eigenvalue may fall short of 0 by tol times the largest
-    return bool(lam.size == 0 or lam[0] >= -tol * lam[-1])
+    # the least eigenvalue may fall short of 0 by HERM_TOL times the largest
+    return bool(lam.size == 0 or lam[0] >= -HERM_TOL * lam[-1])
 
 
-def is_a_unitary(op: SemiOperator, tol: float = 1e-8) -> bool:
+def is_a_unitary(op: SemiOperator) -> bool:
     """Whether T is a weighted isometry together with its adjoint.
 
     Tested as adjoint(T) @ T @ P = P and T @ adjoint(T) @ P = P on the
     range projection P, the finite-dimensional form of the two isometry
-    identities.
+    identities, each to 1e-8 relative to 1 + ||P||.
     """
+    tol = 1e-8
     p = op.context.projector
     scale = 1.0 + spectral_norm(p)
     left = spectral_norm(op.adjoint @ op.matrix @ p - p)

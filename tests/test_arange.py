@@ -77,8 +77,8 @@ def test_unitary_conjugation_invariance(rng):
         ctx = random_strict_context(rng, n)
         op = random_operator(rng, ctx)
         v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        roots = sr.psd_sqrt_and_pinv(ctx.matrix)
-        u = roots.sqrt_pinv @ v @ roots.sqrt
+        q, root = ctx.range_basis, np.sqrt(ctx.range_eigenvalues)
+        u = (q / root) @ q.conj().T @ v @ (q * root) @ q.conj().T
         uop = sr.make_operator(ctx, u)
         assert sr.is_a_unitary(uop)
         conj = sr.make_operator(ctx, uop.adjoint @ op.matrix @ u)

@@ -195,6 +195,12 @@ def test_bound_report_holds_at_every_scale():
         w = rep.w_exact * (1 + 1e-12)
         assert max(rep.lower_21, rep.lower_22, rep.sandwich_lower) <= w, c
         assert rep.w_exact <= min(rep.upper_hphi, rep.sandwich_upper) * (1 + 1e-12), c
+    # entries at the float limit: the rotated parts must not overflow
+    ctx = sr.make_context(np.diag([1.0, 4.0]))
+    op = sr.make_operator(ctx, np.diag([1e308, -1e308]))
+    rep = sr.bound_report(op)
+    assert all(np.isfinite(v) for v in vars(rep).values())
+    assert rep.w_exact == pytest.approx(1e308, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bottom_row_zero", [False, True])

@@ -80,24 +80,23 @@ def test_spectral_norm_matches_abs_eigenvalues_hermitian():
         assert abs(sr.spectral_norm(m) - np.max(np.abs(lam))) <= 1e-9
 
 
-def test_psd_sqrt_and_pinv_diagonal():
-    out = sr.psd_sqrt_and_pinv(np.diag([4.0, 0.0]))
-    assert np.allclose(out.sqrt, np.diag([2.0, 0.0]))
-    assert np.allclose(out.pinv, np.diag([0.25, 0.0]))
-    assert out.rank == 1
-    assert out.min_pos_eig == pytest.approx(4.0)
+def test_context_factors_diagonal():
+    ctx = sr.make_context(np.diag([4.0, 0.0]))
+    assert np.allclose(ctx.pinv, np.diag([0.25, 0.0]))
+    assert ctx.rank == 1
+    assert ctx.min_pos_eig == pytest.approx(4.0)
 
 
-def test_psd_sqrt_and_pinv_identity():
-    out = sr.psd_sqrt_and_pinv(np.eye(4))
-    for field in (out.sqrt, out.pinv, out.sqrt_pinv):
-        assert np.allclose(field, np.eye(4))
-    assert out.rank == 4
+def test_context_factors_identity():
+    ctx = sr.make_context(np.eye(4))
+    assert np.allclose(ctx.pinv, np.eye(4))
+    assert np.allclose(ctx.projector, np.eye(4))
+    assert ctx.rank == 4
 
 
 def test_psd_rejects_indefinite():
     with pytest.raises(sr.NotPSD):
-        sr.psd_sqrt_and_pinv(np.diag([1.0, -1.0]))
+        sr.make_context(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("n", [3, 5, 20, 50])
@@ -105,29 +104,19 @@ def test_penrose_identities_random(n):
     rng = np.random.default_rng(n)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     m = g @ g.conj().T
-    out = sr.psd_sqrt_and_pinv(m)
-    x = out.pinv
+    x = sr.make_context(m).pinv
     tol = 1e-8 * (1 + np.linalg.norm(m, 2))
     assert np.linalg.norm(m @ x @ m - m, 2) <= tol
     assert np.linalg.norm(x @ m @ x - x, 2) <= tol
     assert np.linalg.norm((m @ x) - (m @ x).conj().T, 2) <= tol
     assert np.linalg.norm((x @ m) - (x @ m).conj().T, 2) <= tol
-    assert np.linalg.norm(out.sqrt @ out.sqrt - m, 2) <= tol
-
-
-def test_sqrt_is_hermitian_psd():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-    out = sr.psd_sqrt_and_pinv(g @ g.conj().T)
-    assert np.linalg.norm(out.sqrt - out.sqrt.conj().T, 2) <= 1e-10
-    assert np.min(np.linalg.eigvalsh(out.sqrt)) >= -1e-10
 
 
 def test_rank_cutoff_is_relative():
     # scaling the matrix must not change the rank decision
     m = np.diag([1.0, 1e-14])
     for scale in (1.0, 1e6, 1e-6, 1e-11, 1e-15):
-        assert sr.psd_sqrt_and_pinv(scale * m).rank == 1
+        assert sr.make_context(scale * m).rank == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirad.scan import _refine_best, golden_section_max, golden_section_min
+from semirad.scan import _refine_best, golden_section_min
 
 
 @settings(max_examples=30, deadline=None)
@@ -15,10 +15,25 @@ def test_golden_section_min_quadratic(center):
 
 
 def test_golden_section_max():
-    x, val = golden_section_max(np.cos, -1.5, 1.5)
+    # maximizing is minimizing -f, as _refine_best does
+    x, val = golden_section_min(lambda t: -np.cos(t), -1.5, 1.5)
     # position resolves only to ~sqrt(eps) on a flat top; the value is exact
     assert abs(x) <= 1e-7
-    assert val == pytest.approx(1.0)
+    assert val == pytest.approx(-1.0)
+
+
+def test_golden_section_ends_where_float_spacing_exceeds_tol():
+    # near 1e10 adjacent floats lie ~2e-6 apart, so the bracket never gets
+    # narrower than TOL; the step cap ends the search
+    evals = []
+
+    def f(t):
+        evals.append(t)
+        return (t - 1e10) ** 2
+
+    x, _ = golden_section_min(f, 1e10 - 1.0, 1e10 + 1.0)
+    assert len(evals) == 202  # two to start, one per step
+    assert abs(x - 1e10) <= 1e-5
 
 
 def test_golden_section_handles_reversed_and_tiny_brackets():
