@@ -11,18 +11,21 @@ workhorse is the support function
 
 on a fixed grid of THETA_GRID angles with golden-section refinement to
 ``scan.TOL`` in theta.
-The part at theta + pi is minus the part at theta, so one scan factors
-the parts of the half turn [0, pi) and reads all THETA_GRID support
-values off them, h(theta + pi) being -lambda_min at theta.  The scan
-and the refined max and min of h are taken once per operator, on first
-read, and kept on it (like its ``adjoint``); every quantity below and
-every report of :mod:`semirad.bounds` reads them there:
+The part at theta + pi is minus the part at theta, so one scan takes the
+eigenvalues of the parts of the half turn [0, pi) and reads all
+THETA_GRID support values off them, h(theta + pi) being -lambda_min at
+theta.  Every batched solve over the half turn runs in chunks of at most
+CHUNK_ENTRIES matrix entries, so its memory does not grow with the grid.
+The scan and the refined max and min of h are taken once per operator,
+on first read, and kept on it (like its ``adjoint``); every quantity
+below and every report of :mod:`semirad.bounds` reads them there:
 
   * radius   w = max_theta h(theta),
   * crawford m = max(0, -min_theta h(theta))   (support duality),
   * boundary points p_theta = <C x_theta, x_theta> with x_theta the top
-    eigenvector (the bottom one at theta - pi), tracing the extreme
-    points of the range,
+    eigenvector (the bottom one at theta - pi), tracing the support
+    points of the range; x_theta comes from one shifted solve against
+    the kept eigenvalue, not from an eigenvector decomposition,
   * inclusion: z lies in the range iff Re(exp(-i*theta) z) <= h(theta)
     for every theta.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -50,12 +54,17 @@ _THETAS = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
 _HALF_TURN = _THETAS[: THETA_GRID // 2]  # [0, pi)
 _THETA_STEP = 2.0 * np.pi / THETA_GRID
 
+#: Complex entries in one stack of matrices handed to LAPACK (1 MiB): the
+#: half-turn scans run over chunks of angles this size.
+CHUNK_ENTRIES = 2**16
+
 
 def _rotated(c: np.ndarray, theta) -> np.ndarray:
     """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
 
     A scalar theta gives one Hermitian matrix, an array of angles the
-    stack of them; callers take ``eigvalsh`` or ``eigh`` of the result.
+    stack of them; callers take ``eigvalsh`` of the result or solve
+    shifted systems with it.
     The phase is halved before the sum, so entries near the float limit
     do not overflow; halving is exact, so the result is the same.
     """
@@ -63,9 +72,25 @@ def _rotated(c: np.ndarray, theta) -> np.ndarray:
     return half.conj() * c + half * c.conj().T
 
 
+def _chunks(k: int, per_angle: int = 1) -> list[slice]:
+    """Slices of the half turn whose stacks, *per_angle* k x k matrices for
+    each angle, hold at most CHUNK_ENTRIES entries (one angle at least)."""
+    m = _HALF_TURN.size
+    step = max(1, CHUNK_ENTRIES // (per_angle * k * k))
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+def _scan(batched, parts, k: int) -> np.ndarray:
+    """*batched* of the stacked k x k *parts* (a function of the angles)
+    over the half turn, chunk by chunk, joined along the angle axis.
+    LAPACK factors each matrix of a stack on its own, so the chunking does
+    not change a bit of the result."""
+    return np.concatenate([batched(parts(_HALF_TURN[s])) for s in _chunks(k)])
+
+
 def _half_turn(c: np.ndarray) -> np.ndarray:
     """The one scan: ascending spectra of Re(exp(-i*theta) C) on [0, pi)."""
-    return np.linalg.eigvalsh(_rotated(c, _HALF_TURN))
+    return _scan(np.linalg.eigvalsh, lambda t: _rotated(c, t), c.shape[0])
 
 
 def _support(lam: np.ndarray) -> np.ndarray:
@@ -154,8 +179,10 @@ def a_crawford(op: SemiOperator) -> float:
 class RangeEstimate:
     """Polygonal picture of the weighted numerical range.
 
-    ``boundary`` holds the THETA_GRID support points (extreme points of
-    the range), one per grid angle; ``radius`` and ``crawford`` are the
+    ``boundary`` holds the THETA_GRID support points of the range, one per
+    grid angle, each on the support line of its angle; where the range has
+    a flat edge normal to that angle, the point may be any point of the
+    edge.  ``radius`` and ``crawford`` are the
     refined extremal moduli.  ``degenerate`` flags a rank-0 weight, where
     the range is empty and every quantity is reported as 0.
     """
@@ -166,8 +193,49 @@ class RangeEstimate:
     degenerate: bool = False
 
 
+def _boundary(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The THETA_GRID support points of C from its half-turn spectra *lam*.
+
+    One step of inverse iteration (Ipsen, SIAM Review 39, 1997) shifted
+    just past the known eigenvalue: at theta the top eigenvector solves
+    ((lambda_max + pad) I - H) x = b and the bottom one, whose point is
+    the one at theta + pi, solves (H - (lambda_min - pad) I) x = b, with
+    H = Re(exp(-i*theta) C); both matrices are positive definite.  The
+    point is x* C x for the normalized x (Johnson, SIAM J. Numer. Anal.
+    15, 1978).  The work runs in units of s, a power of two at the scale
+    of the whole scan, so that neither C nor pad = 4 k eps depends on one
+    angle, and nothing overflows up to the float limit.  A zero C has the
+    origin as its whole boundary.
+    """
+    k, m = c.shape[0], _HALF_TURN.size
+    boundary = np.zeros(2 * m, dtype=np.complex128)
+    scale = float(np.max(np.abs(lam)))
+    if scale == 0.0:
+        return boundary
+    s = ldexp(1.0, frexp(scale)[1] - 1)  # s <= scale < 2 s; 2 s may overflow
+    c, lam = c / s, lam / s
+    pad = 4 * k * np.finfo(np.float64).eps
+    j = np.arange(k)
+    b = (np.cos(j) + 1j * np.sin(0.7 * j))[:, None]  # fixed, no zero entry
+    for sl in _chunks(k, per_angle=2):
+        h = _rotated(c, _HALF_TURN[sl])
+        n = len(h)
+        stack = np.concatenate((-h, h))
+        stack[:, j, j] += np.concatenate((lam[sl, -1] + pad, pad - lam[sl, 0]))[:, None]
+        try:
+            x = np.linalg.solve(stack, np.broadcast_to(b, (2 * n, k, 1)))[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(
+                f"shifted solve for the boundary failed: {exc}"
+            ) from exc
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        p = s * np.einsum("bi,bi->b", x.conj(), x @ c.T)  # row b: (C x_b)^T
+        boundary[sl], boundary[m:][sl] = p[:n], p[n:]
+    return boundary
+
+
 def estimate_range(op: SemiOperator) -> RangeEstimate:
-    """Radius, Crawford number, and boundary polygon in one scan."""
+    """Radius, Crawford number, and boundary polygon off the one scan."""
     c = op.compressed
     if c.shape[0] == 0:
         _degenerate_warning()
@@ -177,14 +245,10 @@ def estimate_range(op: SemiOperator) -> RangeEstimate:
             boundary=np.zeros(0, dtype=np.complex128),
             degenerate=True,
         )
-    lam, vec = np.linalg.eigh(_rotated(c, _HALF_TURN))
-    # the spectra fill an empty scan; the eigenvectors are not kept
-    _memo(op, "_half_turn", lambda: lam)
-    top = np.concatenate((vec[:, :, -1], vec[:, :, 0]))
-    cx = top @ c.T  # row b holds (C x_b) transposed
-    boundary = np.einsum("bi,bi->b", top.conj(), cx)
     return RangeEstimate(
-        radius=a_numerical_radius(op), crawford=a_crawford(op), boundary=boundary
+        radius=a_numerical_radius(op),
+        crawford=a_crawford(op),
+        boundary=_boundary(c, _spectra(op)),
     )
 
 
@@ -194,9 +258,9 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     w(T) = max_theta ||Re_A(exp(i*theta) T)||_A, and the weighted real part
     is cos(theta) Re_A(T) - sin(theta) Im_A(T).  Both parts are formed once
     in full space from the weighted adjoint (not from C's rotation kernel);
-    the seminorm over the theta grid is one batched SVD of their compressed
-    combinations over the half turn (the norm has period pi), refined
-    around the best theta.  Agrees with
+    the seminorm over the theta grid is the batched SVD of their
+    compressed combinations over the half turn (the norm has period pi),
+    chunked like the scan, refined around the best theta.  Agrees with
     :func:`a_numerical_radius` to ~1e-8.
     """
     c_re, c_im = re_a(op).compressed, im_a(op).compressed
@@ -207,8 +271,11 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         theta = np.asarray(theta)[..., None, None]
         return np.cos(theta) * c_re - np.sin(theta) * c_im
 
+    def norms(stack):
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
     # the part at theta + pi is minus the part at theta: same norm
-    half = np.linalg.svd(part(_HALF_TURN), compute_uv=False)[:, 0]
+    half = _scan(norms, part, c_re.shape[0])
     return _refine(lambda t: spectral_norm(part(t)), np.tile(half, 2), True)[1]
 
 

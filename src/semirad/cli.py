@@ -15,9 +15,9 @@ Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 column).  The scan grid (``arange.THETA_GRID``) and every tolerance
 (``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
 output carries results only, plus ``seed`` where the Monte-Carlo check
-of a radius job used it.  Output for a fixed
-config and seed is byte-identical across runs; files are written
-atomically (temp file + rename).
+of a radius job used it.  Output for a fixed config and seed is
+byte-identical across runs at a fixed BLAS thread count; files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared random-instance generators and a recorder of batched eigensolves.
+"""Shared random-instance generators and a recorder of batched solves.
 
 Every test seeds its own np.random.default_rng, so the suite is fully
 deterministic; the generators only shape the draws.
@@ -46,10 +46,21 @@ def singular_pair(rng, n, r, leak=0.0):
     return sr.make_context(a), t
 
 
+def separated(lam, w):
+    """Mask of the THETA_GRID angles whose support point is well posed:
+    from the half-turn spectra *lam*, the extreme eigenvalue that gives
+    the point lies at least 1e-3 * w clear of the next one."""
+    if lam.shape[1] == 1:
+        return np.ones(2 * len(lam), dtype=bool)
+    gap = np.concatenate((lam[:, -1] - lam[:, -2], lam[:, 1] - lam[:, 0]))
+    return gap >= 1e-3 * w
+
+
 def record_batched_solves(monkeypatch):
-    """(kind, shape) of every stacked eigvalsh/eigh call from now on."""
+    """(kind, shape) of every stacked eigvalsh/eigh/svd/solve call from now
+    on; the shape is that of the stack of matrices."""
     calls = []
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "svd", "solve"):
 
         def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
             if np.ndim(m) > 2:

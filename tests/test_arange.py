@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import (
     random_operator,
     random_strict_context,
     record_batched_solves,
+    separated,
     singular_pair,
 )
 
@@ -147,19 +150,14 @@ def test_range_quantities_run_one_half_turn_scan(rng, monkeypatch, quantity):
     assert stacks == [(360, 3, 3)]
 
 
-def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
-    # 720 boundary points, the bottom eigenvectors giving the second half
+def test_estimate_range_is_one_scan_and_one_shifted_solve(rng, monkeypatch):
+    # the kept eigvalsh scan gives the eigenvalues; one stacked solve of
+    # the shifted top and bottom systems gives the 720 boundary points,
+    # the bottom vectors the second half
     op = random_operator(rng, random_strict_context(rng, 3))
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-
-        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
-            calls.append((_name, np.shape(m)))
-            return _fn(m, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = record_batched_solves(monkeypatch)
     est = sr.estimate_range(op)
-    assert [c for c in calls if len(c[1]) > 2] == [("eigh", (360, 3, 3))]
+    assert calls == [("eigvalsh", (360, 3, 3)), ("solve", (720, 3, 3))]
     assert est.boundary.shape == (720,)
     c = op.compressed
     for theta, point in zip(arange._THETAS, est.boundary):
@@ -189,20 +187,21 @@ def test_one_operator_is_scanned_once(rng, monkeypatch):
     op = random_operator(rng, random_strict_context(rng, 5))
     calls = record_batched_solves(monkeypatch)
     range_round(op, ROUND)
-    assert calls == [("eigvalsh", (360, 5, 5)), ("eigh", (360, 5, 5))]
+    assert calls == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
     calls.clear()
     range_round(op, ROUND[:-1])
     assert calls == []
-    # the boundary still needs the eigenvectors, which are not kept
+    # the boundary needs the eigenvectors, which are not kept; the shifted
+    # solve gets them from the kept spectra, with no second eigensolve
     range_round(op, ["range"])
-    assert calls == [("eigh", (360, 5, 5))]
+    assert calls == [("solve", (720, 5, 5))]
 
 
 def test_estimate_range_first_fills_the_scan(rng, monkeypatch):
     op = random_operator(rng, random_strict_context(rng, 5))
     calls = record_batched_solves(monkeypatch)
     range_round(op, ROUND[::-1])
-    assert calls == [("eigh", (360, 5, 5))]
+    assert calls == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
 
 
 def test_kept_values_do_not_depend_on_the_order(rng):
@@ -216,15 +215,7 @@ def test_kept_values_do_not_depend_on_the_order(rng):
         a, b = first[name], second[name]
         for field in vars(a):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-    a, b = first["bounds"], second["bounds"]
-    for field in vars(a):
-        if field in ("lower_21", "lower_22"):
-            # read straight off the kept spectra, which come from eigvalsh
-            # in one order and from eigh in the other: LAPACK's
-            # eigenvalue-only and eigenvector paths round differently
-            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-14)
-        else:
-            assert getattr(a, field) == getattr(b, field), field
+    assert first["bounds"] == second["bounds"]
 
 
 @pytest.mark.parametrize(
@@ -245,7 +236,7 @@ def test_derived_operator_has_its_own_scan(rng, monkeypatch, derive):
     )
     calls = record_batched_solves(monkeypatch)
     values = range_round(derived, ROUND)
-    assert calls == [("eigvalsh", (360, 4, 4)), ("eigh", (360, 4, 4))]
+    assert calls == [("eigvalsh", (360, 4, 4)), ("solve", (720, 4, 4))]
     assert values["radius"] != range_round(op, ["radius"])["radius"]
     expected = range_round(fresh, ROUND)
     for name in ("radius", "crawford"):
@@ -271,6 +262,125 @@ def test_estimate_range_fields(rng):
     assert est.radius >= est.crawford >= 0
     assert np.all(np.abs(est.boundary) <= est.radius + 1e-8)
     assert est.radius == pytest.approx(sr.a_numerical_radius(op), abs=1e-12)
+
+
+def _with_kernel():
+    ctx, t = singular_pair(np.random.default_rng(11), 5, 3)
+    return ctx.matrix, t
+
+
+BOUNDARY_CASES = {
+    "zero": (np.eye(3), np.zeros((3, 3))),
+    "i_times_identity": (np.eye(3), 1j * np.eye(3)),
+    "flat_edges": (np.eye(2), np.diag([1.0, -1.0])),
+    "jordan_5": (np.eye(5), np.eye(5, k=1)),
+    "kernel": _with_kernel(),
+    "tiny": (np.eye(4), 1e-170 * (np.eye(4, k=1) + np.diag([1.0, 1j, -1.0, 0.5]))),
+    "float_limit": (np.diag([1.0, 4.0]), np.diag([1e308, -1e308])),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_boundary_points_are_support_points(case):
+    a, t = case
+    op = sr.make_operator(sr.make_context(a), t)
+    est = sr.estimate_range(op)
+    p, w = est.boundary, est.radius
+    h = arange._support(arange._spectra(op))
+    assert np.all(np.isfinite(p))
+    # on the support line of its angle, and inside the disk of radius w
+    on_line = (np.exp(-1j * arange._THETAS) * p).real
+    assert np.max(np.abs(on_line - h)) <= 1e-12 * w
+    assert np.all(np.abs(p) <= w * (1 + 1e-12))
+
+
+def test_boundary_of_the_zero_matrix_runs_no_solve(monkeypatch):
+    op = sr.make_operator(sr.identity_context(3), np.zeros((3, 3)))
+    calls = record_batched_solves(monkeypatch)
+    est = sr.estimate_range(op)
+    assert calls == [("eigvalsh", (360, 3, 3))]
+    assert not np.any(est.boundary)
+
+
+def test_boundary_points_match_eigenvectors(rng):
+    # where the extreme eigenvalue is clear of the next, the point is
+    # well posed and the shifted solve finds eigh's eigenvector
+    for k in range(30):
+        n = int(rng.integers(2, 13))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        if k % 2:
+            ctx, t = singular_pair(rng, n, int(rng.integers(1, n)))
+        else:
+            ctx = random_strict_context(rng, n)
+            t = random_operator(rng, ctx).matrix
+        op = sr.make_operator(ctx, scale * t)
+        est = sr.estimate_range(op)
+        c = op.compressed
+        lam, vec = np.linalg.eigh(arange._rotated(c, arange._HALF_TURN))
+        x = np.concatenate((vec[:, :, -1], vec[:, :, 0]))
+        ref = np.einsum("bi,bi->b", x.conj(), x @ c.T)
+        ok = separated(lam, est.radius)
+        assert np.max(np.abs(est.boundary - ref)[ok]) <= 1e-9 * est.radius
+
+
+def test_boundary_solve_failure_is_a_numerical_failure(rng, monkeypatch):
+    op = random_operator(rng, random_strict_context(rng, 3))
+
+    def singular(*args, **kw):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(sr.NumericalFailure, match="shifted solve"):
+        sr.estimate_range(op)
+
+
+def test_scans_run_in_bounded_chunks(rng, monkeypatch):
+    # k = 20: 163 angles (65,200 entries) per eigvalsh or SVD stack, 81
+    # angles, top and bottom, per solve stack and 40 per stack of the
+    # 2k x 2k block matrix; the results do not depend on the chunking,
+    # down to one angle per stack
+    k = 20
+    ctx = random_strict_context(rng, k)
+    blocks = [random_operator(rng, ctx).matrix for _ in range(4)]
+
+    def outputs():
+        ops = [sr.make_operator(ctx, b) for b in blocks]
+        est = sr.estimate_range(ops[0])
+        return (
+            arange._spectra(ops[0]),
+            est.boundary,
+            est.radius,
+            est.crawford,
+            sr.bound_report(ops[0]),
+            sr.w_theta_identity_check(ops[0]),
+            sr.matrix_bound_report(*ops),
+        )
+
+    calls = record_batched_solves(monkeypatch)
+    chunked = outputs()
+    scan = [(163, k, k), (163, k, k), (34, k, k)]
+    shapes = {kind: [s for name, s in calls if name == kind] for kind in dict(calls)}
+    # T11's scan, T22's (T11's is kept) and the 2k x 2k block matrix's
+    assert shapes["eigvalsh"] == scan * 2 + [(40, 2 * k, 2 * k)] * 9
+    assert shapes["solve"] == [(162, k, k)] * 4 + [(72, k, k)]
+    assert shapes["svd"] == scan
+    assert all(np.prod(shape) <= arange.CHUNK_ENTRIES for _, shape in calls)
+    for budget in (2**40, 1):
+        monkeypatch.setattr(arange, "CHUNK_ENTRIES", budget)
+        for got, want in zip(outputs(), chunked):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_estimate_range_memory_is_bounded(rng):
+    # one unchunked stack of the 360 parts alone is 23.6 MB at k = 64
+    op = random_operator(rng, random_strict_context(rng, 64))
+    tracemalloc.start()
+    try:
+        sr.estimate_range(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_estimate_range_degenerate_rank_zero():

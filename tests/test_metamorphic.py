@@ -1,5 +1,6 @@
 """Metamorphic properties: rotation of T, unitary similarity of the pair
-(T, A), and swapping the blocks of a 2x2 operator matrix."""
+(T, A), rescaling the weight A, and swapping the blocks of a 2x2
+operator matrix."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
-from conftest import random_operator, random_strict_context, singular_pair
+from conftest import random_operator, random_strict_context, separated, singular_pair
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=2, max_value=6)
@@ -70,6 +71,46 @@ def test_unitary_similarity_keeps_bound_report(seed, n, kernel):
         assert getattr(moved, field) == pytest.approx(
             getattr(rep, field), rel=1e-9, abs=1e-9 * scale
         ), field
+
+
+def weighted_quantities(a, t):
+    """Radius, Crawford number, BoundReport fields and boundary of T under A."""
+    op = sr.make_operator(sr.make_context(a), t)
+    est = sr.estimate_range(op)
+    out = {"radius": sr.a_numerical_radius(op), "crawford": sr.a_crawford(op)}
+    out.update(vars(sr.bound_report(op)))
+    out["boundary"] = est.boundary
+    return op, out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=sizes, kernel=kernels, j=st.integers(min_value=-20, max_value=20))
+def test_rescaling_the_weight_by_a_power_of_four_changes_no_bit(seed, n, kernel, j):
+    # A -> 4^j A scales L by 4^j and L^(1/2) by 2^j, both exactly, and
+    # leaves Q alone, so C and everything read off it keep every bit
+    rng = np.random.default_rng(seed)
+    a, t = weight_and_operator(rng, n, kernel)
+    _, base = weighted_quantities(a, t)
+    _, scaled = weighted_quantities(4.0**j * a, t)
+    for name, value in base.items():
+        np.testing.assert_array_equal(scaled[name], value, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=sizes, kernel=kernels, c=st.floats(1e-6, 1e6))
+def test_rescaling_the_weight_keeps_every_weighted_quantity(seed, n, kernel, c):
+    rng = np.random.default_rng(seed)
+    a, t = weight_and_operator(rng, n, kernel)
+    op, base = weighted_quantities(a, t)
+    _, scaled = weighted_quantities(c * a, t)
+    w = base["radius"]
+    # phi_star is an argmin, which a flat objective leaves undetermined
+    for name in base.keys() - {"phi_star", "boundary"}:
+        assert scaled[name] == pytest.approx(base[name], rel=1e-12, abs=1e-12 * w), name
+    # a support point is well posed where its eigenvalue is isolated
+    ok = separated(sr.arange._spectra(op), w)
+    moved = np.abs(scaled["boundary"] - base["boundary"])[ok]
+    assert np.all(moved <= 1e-12 * w)
 
 
 @settings(max_examples=25, deadline=None)
