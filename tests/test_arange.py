@@ -150,7 +150,7 @@ def test_range_quantities_run_one_half_turn_scan(rng, monkeypatch, quantity):
     assert stacks == [(360, 3, 3)]
 
 
-def test_estimate_range_is_one_scan_and_one_shifted_solve(rng, monkeypatch):
+def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
     # the kept eigvalsh scan gives the eigenvalues; one stacked solve of
     # the shifted top and bottom systems gives the 720 boundary points,
     # the bottom vectors the second half
