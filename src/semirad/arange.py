@@ -103,13 +103,18 @@ def _refine(f, values, maximize: bool) -> tuple[float, float]:
     return _refine_best(f, _THETAS, values, _THETA_STEP, maximize)
 
 
-def _refined_support(c: np.ndarray, lam: np.ndarray, maximize: bool) -> float:
-    """max (or min) of h, from the half-turn spectra *lam*."""
+def _refined_support(
+    c: np.ndarray, maximize: bool, lam: np.ndarray | None = None
+) -> float:
+    """max (or min) of h, from the half-turn spectra *lam* or, if None, a
+    fresh scan of C; 0 if C is empty."""
+    if c.shape[0] == 0:
+        return 0.0
 
     def h(theta: float) -> float:
         return float(np.linalg.eigvalsh(_rotated(c, theta))[-1])
 
-    return _refine(h, _support(lam), maximize)[1]
+    return _refine(h, _support(_half_turn(c) if lam is None else lam), maximize)[1]
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -143,16 +148,7 @@ def _extreme(op: SemiOperator, maximize: bool) -> float:
         _degenerate_warning(stacklevel=4)
         return 0.0
     key = "_h_max" if maximize else "_h_min"
-    return _memo(op, key, lambda: _refined_support(c, _spectra(op), maximize))
-
-
-def _extreme_support(c: np.ndarray) -> float:
-    """Refined max of h for a bare C off a fresh scan; 0 with a warning
-    if C is empty."""
-    if c.shape[0] == 0:
-        _degenerate_warning(stacklevel=4)
-        return 0.0
-    return _refined_support(c, _half_turn(c), maximize=True)
+    return _memo(op, key, lambda: _refined_support(c, maximize, _spectra(op)))
 
 
 def a_numerical_radius(op: SemiOperator) -> float:
@@ -357,8 +353,7 @@ def _sphere_sup(value_fn, dim: int, samples: int, seed: int) -> float:
         return 0.0
     rng = np.random.default_rng(seed)
     batch = 1000
-    best = -np.inf
-    best_vec = None
+    best, best_vec = -np.inf, None
 
     def draw(k: int) -> np.ndarray:
         return rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
@@ -368,29 +363,19 @@ def _sphere_sup(value_fn, dim: int, samples: int, seed: int) -> float:
         norms[norms < 1e-300] = 1.0
         return z / norms[:, None]
 
-    explore = max(1, samples // 2)
-    used = 0
-    while used < explore:
-        k = min(batch, explore - used)
-        c = normalize(draw(k))
-        v = value_fn(c)
-        i = int(np.argmax(v))
-        if v[i] > best:
-            best = float(v[i])
-            best_vec = c[i]
-        used += k
-
-    sigma = 0.5
+    explore, used, sigma = max(1, samples // 2), 0, 0.5
     while used < samples:
-        k = min(batch, samples - used)
-        c = normalize(best_vec[None, :] + sigma * draw(k))
+        # explore uniformly up to *explore*, then perturb the incumbent
+        z = draw(min(batch, (explore if used < explore else samples) - used))
+        if used >= explore:
+            z = best_vec[None, :] + sigma * z
+            sigma = max(sigma * 0.9, 1e-5)
+        c = normalize(z)
         v = value_fn(c)
         i = int(np.argmax(v))
         if v[i] > best:
-            best = float(v[i])
-            best_vec = c[i]
-        sigma = max(sigma * 0.9, 1e-5)
-        used += k
+            best, best_vec = float(v[i]), c[i]
+        used += len(z)
     return float(best)
 
 

@@ -6,13 +6,17 @@ rotation functional over phi.  The weighted real and imaginary parts
 compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
 so the radius and every bound of one operator are read off the
 half-turn spectra of the radius scan, taken once per operator and kept
-on it (:func:`arange._spectra`); the block bounds read w(T11) and
-w(T22) from the same per-operator cache.
+on it (:func:`arange._spectra`); :func:`bound_report` reads the H_phi
+bound through :func:`upper_bound_hphi`, and the block bounds read w(T11)
+and w(T22) from the same per-operator cache.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
-parameter t in [0, 1] whose optimum is closed-form as well.  The doubled
-weight compresses blockwise, so the block matrix's own radius is read
-off the block matrix of the four compressed blocks.
+parameter t in [0, 1] whose optimum is closed-form as well.  Lemma 2.4
+is bound 25 with a zero bottom row, and bound 28 is bound 27 of the
+swapped blocks (T22, T21, T12, T11), the swap [[0, I], [I, 0]] being
+unitary under diag(A, A).  A rank-0 weight makes every block bound 0,
+with one warning.  The doubled weight compresses blockwise, so the block
+matrix's own radius is read off the block matrix of its compressed blocks.
 
 Report builders package the bounds together with the reference radius of
 the same operator so every bracket is checkable in isolation.  Every
@@ -30,8 +34,8 @@ import numpy as np
 
 from .arange import (
     _degenerate_warning,
-    _extreme_support,
     _refine,
+    _refined_support,
     _rotated,
     _spectra,
     a_numerical_radius,
@@ -94,17 +98,13 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     c = op.compressed
     if c.shape[0] == 0:
         return 0.0, 0.0
-    return _hphi(c, _spectra(op))
-
-
-def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
-    """upper_bound_hphi from the half-turn spectra *lam*."""
 
     def f(theta: float) -> float:
         parts = _rotated(c, theta), _rotated(c, theta + 0.5 * np.pi)
         return hypot(*(_norm_crawford(np.linalg.eigvalsh(p))[0] for p in parts))
 
-    norm, q = _norm_crawford(lam)[0], len(lam) // 2
+    norm = _norm_crawford(_spectra(op))[0]
+    q = len(norm) // 2
     theta, best = _refine(f, np.hypot(norm[:q], norm[q:]), False)
     return best, -theta % (0.5 * np.pi)
 
@@ -112,8 +112,12 @@ def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
 def _block_scalars(
     t11: SemiOperator, t12: SemiOperator, t21: SemiOperator, t22: SemiOperator
 ) -> tuple[float, float, float, float]:
-    """(w(T11), w(T22), ||T12||, ||T21||), the inputs of every block bound."""
+    """(w(T11), w(T22), ||T12||, ||T21||), the inputs of every block bound;
+    all 0 under a rank-0 weight, with one warning at the caller's line."""
     _require_same_context(t11, t12, t21, t22)
+    if t11.context.rank == 0:
+        _degenerate_warning(stacklevel=4)
+        return 0.0, 0.0, 0.0, 0.0
     return (
         a_numerical_radius(t11),
         a_numerical_radius(t22),
@@ -122,24 +126,14 @@ def _block_scalars(
     )
 
 
-def _lemma24_value(w11: float, n12: float) -> float:
-    return 0.5 * (w11 + hypot(w11, n12))
-
-
 def _th25_value(w11: float, w22: float, n12: float, n21: float) -> float:
     return 0.5 * (w11 + w22 + hypot(w11, n12) + hypot(w22, n21))
 
 
-def _split_terms(which: int, scalars: tuple[float, ...]) -> tuple[float, ...]:
-    """(lead, other, up, down): the radius that bound 27 or 28 splits, the
-    other radius, and the seminorms under the first and second radical."""
-    w11, w22, n12, n21 = scalars
-    return (w11, w22, n12, n21) if which == 27 else (w22, w11, n21, n12)
-
-
-def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
-    """Bound 27 or 28: the leading radius split t : (1-t) between radicals."""
-    lead, other, up, down = _split_terms(which, scalars)
+def _split_value(scalars: tuple[float, ...], t: float) -> float:
+    """Bound 27: w(T11) split t : (1-t) between the radicals of ||T12||
+    and ||T21||."""
+    lead, other, up, down = scalars
     return (
         0.5 * lead
         + other
@@ -148,20 +142,23 @@ def _split_value(which: int, scalars: tuple[float, ...], t: float) -> float:
     )
 
 
-def _optimize_split(which: int, scalars: tuple[float, ...]) -> tuple[float, float]:
+def _optimize_split(scalars: tuple[float, ...]) -> tuple[float, float]:
     """The two radicals are the legs of a path from (0, up) to (lead, -down)
     through (t * lead, 0); the straight path is shortest, so it crosses at
     t = up / (up + down) and has length hypot(lead, up + down)."""
-    lead, other, up, down = _split_terms(which, scalars)
+    lead, other, up, down = scalars
     t = up / (up + down) if up + down > 0 else 0.5
     return t, 0.5 * lead + other + 0.5 * hypot(lead, up + down)
 
 
 def block_bound_lemma24(t11: SemiOperator, t12: SemiOperator) -> float:
     """Closed-form radius bound for the block matrix [[T11, T12], [0, 0]]
-    under the doubled weight."""
+    under the doubled weight: bound 25 with a zero bottom row."""
     _require_same_context(t11, t12)
-    return _lemma24_value(a_numerical_radius(t11), a_operator_seminorm(t12))
+    if t11.context.rank == 0:
+        _degenerate_warning()
+        return 0.0
+    return _th25_value(a_numerical_radius(t11), 0.0, a_operator_seminorm(t12), 0.0)
 
 
 def block_bound_th25(
@@ -187,7 +184,7 @@ def block_bound_th27(
 ) -> float:
     """Parametric block bound splitting the (1,1) radius across radicals."""
     t = _check_t(t)
-    return _split_value(27, _block_scalars(t11, t12, t21, t22), t)
+    return _split_value(_block_scalars(t11, t12, t21, t22), t)
 
 
 def block_bound_th28(
@@ -197,9 +194,11 @@ def block_bound_th28(
     t22: SemiOperator,
     t: float,
 ) -> float:
-    """Parametric block bound splitting the (2,2) radius across radicals."""
+    """Parametric block bound splitting the (2,2) radius across radicals:
+    bound 27 of the swapped blocks (t22, t21, t12, t11), since the swap
+    [[0, I], [I, 0]] is unitary under diag(A, A) and keeps the radius."""
     t = _check_t(t)
-    return _split_value(28, _block_scalars(t11, t12, t21, t22), t)
+    return _split_value(_block_scalars(t22, t21, t12, t11), t)
 
 
 def optimize_t(
@@ -215,7 +214,8 @@ def optimize_t(
     """
     if which not in (27, 28):
         raise ValueError(f"which must be 27 or 28, got {which}")
-    return _optimize_split(which, _block_scalars(t11, t12, t21, t22))
+    blocks = (t11, t12, t21, t22) if which == 27 else (t22, t21, t12, t11)
+    return _optimize_split(_block_scalars(*blocks))
 
 
 def assemble_blocks(
@@ -250,14 +250,12 @@ class BoundReport:
 
 
 def bound_report(op: SemiOperator) -> BoundReport:
-    c = op.compressed
-    if c.shape[0] == 0:
+    if op.compressed.shape[0] == 0:
         _degenerate_warning()
         return BoundReport(*[0.0] * 7)
     norm = a_operator_seminorm(op)
-    lam = _spectra(op)
-    lower_21, lower_22 = _lower_pair(lam)
-    upper, phi_star = _hphi(c, lam)
+    lower_21, lower_22 = _lower_pair(_spectra(op))
+    upper, phi_star = upper_bound_hphi(op)
     return BoundReport(
         w_exact=a_numerical_radius(op),
         lower_21=lower_21,
@@ -292,21 +290,20 @@ def matrix_bound_report(
     t21: SemiOperator,
     t22: SemiOperator,
 ) -> MatrixBoundReport:
-    scalars = _block_scalars(t11, t12, t21, t22)
-    t_star_27, v27 = _optimize_split(27, scalars)
-    t_star_28, v28 = _optimize_split(28, scalars)
+    scalars = w11, w22, n12, n21 = _block_scalars(t11, t12, t21, t22)
+    t_star_27, v27 = _optimize_split(scalars)
+    t_star_28, v28 = _optimize_split((w22, w11, n21, n12))
     bottom_row_zero = (
         np.count_nonzero(t21.matrix) == 0 and np.count_nonzero(t22.matrix) == 0
     )
-    w11, _, n12, _ = scalars
     # diag(A, A) has the kept eigenpairs (diag(L, L), diag(Q, Q)), so the
     # block matrix compresses to the block matrix of compressed blocks
     compressed = np.block(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_extreme_support(compressed),
-        lemma24=_lemma24_value(w11, n12) if bottom_row_zero else None,
+        w_b_exact=_refined_support(compressed, True),
+        lemma24=_th25_value(w11, 0.0, n12, 0.0) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,
         th28=v28,

@@ -11,13 +11,16 @@ are row-major nested arrays of them):
   zeros:                    {"coeffs": [a0 .. a_{n-1}]}, optional {"d": [positive reals]}
 
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
-2 validation error (including malformed JSON, reported with line and
-column).  The scan grid (``arange.THETA_GRID``) and every tolerance
-(``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
-output carries results only, plus ``seed`` where the Monte-Carlo check
-of a radius job used it.  Output for a fixed config and seed is
-byte-identical across runs at a fixed BLAS thread count; files are
-written atomically (temp file + rename).
+2 validation error: every malformed input, with one ``error:`` line
+(malformed JSON with line and column, a negative ``--seed``, a JSON
+integer too large for a float, an input file that is not UTF-8, an
+``--output`` path that cannot be written).  The scan grid
+(``arange.THETA_GRID``) and every tolerance (``linalg.HERM_TOL``,
+``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the output carries results
+only, plus ``seed`` where the Monte-Carlo check of a radius job used it.
+Output for a fixed config and seed is byte-identical across runs at a
+fixed BLAS thread count; files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def _validate_config(cfg: JobConfig) -> None:
         raise ValidationError(f"unknown format {cfg.output_format!r}")
     if cfg.mc_samples < 0:
         raise ValidationError("mc_samples must be nonnegative")
+    if cfg.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if cfg.output_format == "svg" and cfg.command != "range":
         raise ValidationError("svg output is only available for the range command")
 
@@ -74,7 +79,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
@@ -95,6 +100,13 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float(v, where: str) -> float:
+    try:
+        return float(v)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValidationError(f"{where}: number too large for a float") from exc
+
+
 def _parse_complex(entry, where: str) -> complex:
     if (
         not isinstance(entry, list)
@@ -104,7 +116,7 @@ def _parse_complex(entry, where: str) -> complex:
         raise ValidationError(
             f"{where}: complex entries must be two-element arrays [re, im]"
         )
-    return complex(entry[0], entry[1])
+    return complex(_float(entry[0], where), _float(entry[1], where))
 
 
 def _parse_matrix(value, where: str) -> np.ndarray:
@@ -196,7 +208,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
             _is_number(v) for v in data["d"]
         ):
             raise ValidationError('"d" must be an array of numbers')
-        weights = [float(v) for v in data["d"]]
+        weights = [_float(v, '"d"') for v in data["d"]]
     rep = zero_bound_report(p, d=weights)
     return {
         "command": "zeros",
@@ -301,17 +313,20 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semirad-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semirad-", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file: {exc}") from exc
 
 
 _RUNNERS = {

@@ -546,3 +546,21 @@ def test_monte_carlo_on_singular_weight(rng):
     mc = sr.monte_carlo_radius(op, samples=50_000, seed=2)
     assert mc <= w + 1e-8
     assert mc >= w - 1e-2 * (1 + w)
+
+
+@pytest.mark.parametrize(
+    "samples, batches",
+    [(1, [1]), (2, [1, 1]), (999, [499, 500]), (2500, [1000, 250, 1000, 250])],
+)
+def test_sampler_explores_half_the_budget_then_perturbs(samples, batches):
+    seen = []
+
+    def value_fn(c):
+        seen.append(c)
+        return np.abs(c[:, 0])
+
+    best = arange._sphere_sup(value_fn, 3, samples, seed=0)
+    assert [len(c) for c in seen] == batches
+    for c in seen:
+        assert np.allclose(np.linalg.norm(c, axis=1), 1.0)
+    assert best == max(float(np.max(np.abs(c[:, 0]))) for c in seen)

@@ -394,6 +394,28 @@ class TestOptimizeT:
             sr.optimize_t(26, *ops)
 
 
+RANK_ZERO_CALLS = {
+    "matrix_bound_report": lambda ops: sr.matrix_bound_report(*ops),
+    "block_bound_lemma24": lambda ops: sr.block_bound_lemma24(*ops[:2]),
+    "block_bound_th25": lambda ops: sr.block_bound_th25(*ops),
+    "block_bound_th27": lambda ops: sr.block_bound_th27(*ops, 0.5),
+    "block_bound_th28": lambda ops: sr.block_bound_th28(*ops, 0.5),
+    "optimize_t_27": lambda ops: sr.optimize_t(27, *ops),
+    "optimize_t_28": lambda ops: sr.optimize_t(28, *ops),
+    "bound_report": lambda ops: sr.bound_report(ops[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ZERO_CALLS))
+def test_rank_zero_weight_warns_once_at_the_caller(name):
+    ctx = sr.make_context(np.zeros((2, 2)))
+    ops = [sr.make_operator(ctx, k * np.eye(2)) for k in range(1, 5)]
+    with pytest.warns(RuntimeWarning, match="rank 0") as record:
+        RANK_ZERO_CALLS[name](ops)
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
 class TestReports:
     def test_bound_report_fields(self, rng):
         ctx = random_strict_context(rng, 4)
@@ -402,6 +424,9 @@ class TestReports:
         assert rep.w_exact == pytest.approx(sr.a_numerical_radius(op), abs=1e-12)
         assert rep.lower_21 == pytest.approx(sr.lower_bound_21(op), abs=1e-12)
         assert 0 <= rep.phi_star < np.pi / 2 + 1e-12
+        # the report reads the H_phi bound through upper_bound_hphi itself
+        fresh = sr.make_operator(ctx, op.matrix)
+        assert (rep.upper_hphi, rep.phi_star) == sr.upper_bound_hphi(fresh)
 
     def test_matrix_report_lemma_gate(self, rng):
         ctx = random_strict_context(rng, 2)

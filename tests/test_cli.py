@@ -326,6 +326,48 @@ class TestValidation:
         assert main(["--command", "radius", "--input", missing]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_error_line(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_negative_seed(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
+        argv = ["--command", "radius", "--input", path, "--mc-samples", "10"]
+        assert main(argv + ["--seed", "-1"]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"identity_dim": 1, "T": [[[1%s, 0]]]}',
+            '{"coeffs": [[1, 0], [0, 1%s]]}',
+            '{"coeffs": [[1, 0], [0, 1]], "d": [1, 1%s]}',
+        ],
+        ids=["matrix", "coeffs", "d"],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, capsys, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(doc % ("0" * 400))
+        command = "radius" if '"T"' in doc else "zeros"
+        assert main(["--command", command, "--input", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = '{"identity_dim": 1, "T": [[[1, 0]]], "\xe9": 1}'
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["--command", "radius", "--input", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["--command", "radius", "--input", path, "--output", out]) == 2
+        self.assert_one_error_line(capsys)
+
 
 class TestTolerances:
     def test_environment_cannot_loosen_the_hermitian_gate(
