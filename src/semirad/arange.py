@@ -9,8 +9,8 @@ workhorse is the support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)),
 
-on a fixed grid of THETA_GRID angles with golden-section refinement to
-``scan.TOL`` in theta.
+on a fixed grid of THETA_GRID angles, refined next to the best grid angle
+by second-order steps on its eigenvalue branches (:mod:`semirad.scan`).
 The part at theta + pi is minus the part at theta, so one scan takes the
 eigenvalues of the parts of the half turn [0, pi) and reads all
 THETA_GRID support values off them, h(theta + pi) being -lambda_min at
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NotStrictlyPositive, NumericalFailure
 from .linalg import require_square, spectral_norm
-from .scan import _refine_best
+from .scan import branches, refine_best
 from .semihilbert import SemiOperator, im_a, re_a
 
 #: Number of angles in the theta scan over [0, 2*pi).
@@ -98,23 +98,35 @@ def _support(lam: np.ndarray) -> np.ndarray:
     return np.concatenate((lam[:, -1], -lam[:, 0]))
 
 
-def _refine(f, values, maximize: bool) -> tuple[float, float]:
+def _refine(evaluate, values, maximize: bool) -> tuple[float, float]:
     """(theta, f(theta)) at the best of *values* on the grid, refined."""
-    return _refine_best(f, _THETAS, values, _THETA_STEP, maximize)
+    return refine_best(evaluate, _THETAS, values, _THETA_STEP, maximize)
 
 
 def _refined_support(
     c: np.ndarray, maximize: bool, lam: np.ndarray | None = None
 ) -> float:
     """max (or min) of h, from the half-turn spectra *lam* or, if None, a
-    fresh scan of C; 0 if C is empty."""
-    if c.shape[0] == 0:
+    fresh scan of C; 0 if C is empty.
+
+    The max of h sits where the top branch is smooth.  The min may sit
+    where the top branch crosses the next one, or, where the whole
+    spectrum meets (a segment's normal), the bottom one, so those three
+    are modelled.
+    """
+    k = c.shape[0]
+    if k == 0:
         return 0.0
+    idx = [k - 1] if maximize else sorted({0, max(k - 2, 0), k - 1})
+    sign = -1.0 if maximize else 1.0
+    lam = _half_turn(c) if lam is None else lam
+    scale = float(np.max(np.abs(lam)))
 
-    def h(theta: float) -> float:
-        return float(np.linalg.eigvalsh(_rotated(c, theta))[-1])
+    def h(theta: float):
+        lam_t, q = branches(lambda t: _rotated(c, t), theta, idx, scale)
+        return float(lam_t[0, -1]), sign * q
 
-    return _refine(h, _support(_half_turn(c) if lam is None else lam), maximize)[1]
+    return _refine(h, _support(lam), maximize)[1]
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -154,10 +166,24 @@ def _extreme(op: SemiOperator, maximize: bool) -> float:
 def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius via the rotated-eigenvalue scan.
 
-    Max of the support function over the theta grid, then golden-section
-    refinement inside the winning cell to ``scan.TOL`` in theta.
+    Max of the support function over the theta grid, then second-order
+    refinement of the top eigenvalue branch next to the winning grid
+    angle (:func:`scan.refine_best`).
     """
     return _extreme(op, True)
+
+
+def _origin_inside(h: np.ndarray) -> bool:
+    """True when the support values *h* on the grid prove that the origin
+    is interior to the range.
+
+    Within a cell of the grid angle a, the support point p_a gives
+    h(theta) >= h_a cos(step) - |p_a| sin(step), and |p_a| <= w < 2 max h
+    on the grid (the grid angle next to the radius's has h >= w cos(step
+    / 2)), so h stays positive when min h cos(step) > 2 max h sin(step).
+    """
+    lo, hi = float(np.min(h)), float(np.max(h))
+    return lo * np.cos(_THETA_STEP) > 2.0 * hi * np.sin(_THETA_STEP)
 
 
 def a_crawford(op: SemiOperator) -> float:
@@ -165,9 +191,12 @@ def a_crawford(op: SemiOperator) -> float:
 
     By support duality the distance from the origin to the convex range
     is max(0, -min_theta h(theta)); the same scan that yields the radius
-    yields this minimum, refined by golden section.  A value of 0 means
-    the origin lies in the range.
+    yields this minimum, refined on the eigenvalue branches that may cross
+    there.  A value of 0 means the origin lies in the range; when the grid
+    alone proves it interior, nothing is refined.
     """
+    if op.compressed.shape[0] and _origin_inside(_support(_spectra(op))):
+        return 0.0
     return max(0.0, -_extreme(op, False))
 
 
@@ -256,7 +285,9 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     in full space from the weighted adjoint (not from C's rotation kernel);
     the seminorm over the theta grid is the batched SVD of their
     compressed combinations over the half turn (the norm has period pi),
-    chunked like the scan, refined around the best theta.  Agrees with
+    chunked like the scan.  The combinations form a Hermitian family like
+    the rotated parts, so the best theta is refined on the larger of the
+    branches lambda_max and -lambda_min, like the radius.  Agrees with
     :func:`a_numerical_radius` to ~1e-8.
     """
     c_re, c_im = re_a(op).compressed, im_a(op).compressed
@@ -270,9 +301,21 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     def norms(stack):
         return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
+    k = c_re.shape[0]
+
     # the part at theta + pi is minus the part at theta: same norm
-    half = _scan(norms, part, c_re.shape[0])
-    return _refine(lambda t: spectral_norm(part(t)), np.tile(half, 2), True)[1]
+    half = _scan(norms, part, k)
+    scale = float(np.max(half))
+
+    def norm(theta: float):
+        # the norm is the larger of lambda_max and -lambda_min; refine that
+        # branch, whose max is smooth
+        lam, q = branches(part, theta, [0, k - 1], scale)
+        top = lam[0, -1] >= -lam[0, 0]
+        model = -q[:, :, 1:] if top else q[:, :, :1]
+        return float(max(lam[0, -1], -lam[0, 0])), model
+
+    return _refine(norm, np.tile(half, 2), True)[1]
 
 
 def general_eig(m) -> np.ndarray:

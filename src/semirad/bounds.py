@@ -7,16 +7,19 @@ compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
 so the radius and every bound of one operator are read off the
 half-turn spectra of the radius scan, taken once per operator and kept
 on it (:func:`arange._spectra`); :func:`bound_report` reads the H_phi
-bound through :func:`upper_bound_hphi`, and the block bounds read w(T11)
-and w(T22) from the same per-operator cache.
+bound through :func:`upper_bound_hphi`, whose best grid angle is refined
+by second-order steps on the eigenvalue branches of both parts
+(:func:`scan.refine_best`) and kept on the operator, and the block bounds
+read w(T11) and w(T22) from the same per-operator cache.  A rank-0
+weight makes every bound 0, with one warning at the caller's line.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  Lemma 2.4
 is bound 25 with a zero bottom row, and bound 28 is bound 27 of the
 swapped blocks (T22, T21, T12, T11), the swap [[0, I], [I, 0]] being
-unitary under diag(A, A).  A rank-0 weight makes every block bound 0,
-with one warning.  The doubled weight compresses blockwise, so the block
-matrix's own radius is read off the block matrix of its compressed blocks.
+unitary under diag(A, A).  The doubled weight compresses blockwise, so
+the block matrix's own radius is read off the block matrix of its
+compressed blocks.
 
 Report builders package the bounds together with the reference radius of
 the same operator so every bracket is checkable in isolation.  Every
@@ -34,6 +37,7 @@ import numpy as np
 
 from .arange import (
     _degenerate_warning,
+    _memo,
     _refine,
     _refined_support,
     _rotated,
@@ -41,6 +45,7 @@ from .arange import (
     a_numerical_radius,
 )
 from .errors import TOutOfRange
+from .scan import branches
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
@@ -69,8 +74,10 @@ def _lower_pair(lam: np.ndarray) -> tuple[float, float]:
 
 
 def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
-    """(lower_bound_21, lower_bound_22) from one eigvalsh of Re C and Im C."""
+    """(lower_bound_21, lower_bound_22) from one eigvalsh of Re C and Im C;
+    0 under a rank-0 weight, with one warning at the caller's line."""
     if op.compressed.shape[0] == 0:
+        _degenerate_warning(stacklevel=4)
         return 0.0, 0.0
     return _lower_pair(np.linalg.eigvalsh(_rotated(op.compressed, [0.0, 0.5 * np.pi])))
 
@@ -86,27 +93,48 @@ def lower_bound_22(op: SemiOperator) -> float:
     return _lower_bounds(op)[1]
 
 
+def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
+    """The H_phi bound of C from its half-turn spectra *lam*; see
+    :func:`upper_bound_hphi`."""
+    k = c.shape[0]
+    idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
+    norm = _norm_crawford(lam)[0]
+    scale = float(np.max(norm))
+
+    def f(theta: float):
+        lam_t, (v, g, cv) = branches(
+            lambda t: _rotated(c, t + np.array([0.0, 0.5 * np.pi])), theta, idx, scale
+        )
+        # the squares' model over twice the objective is the objective's
+        # model to first order, in the same units as the branches
+        squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
+        value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
+        return hypot(*_norm_crawford(lam_t)[0]), squares / (2.0 * value or 1.0)
+
+    q = len(norm) // 2
+    theta, best = _refine(f, np.hypot(norm[:q], norm[q:]), False)
+    return best, -theta % (0.5 * np.pi)
+
+
 def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     """Upper bound min over phi of hypot(||H_phi||, ||H_{phi+pi/2}||).
 
     H_phi is the weighted real part of exp(i*phi) T, whose seminorm is
     the spectral radius of Re(exp(i*phi) C), the part at theta = -phi.
     A part's norm has period pi in theta, so the objective at phi = -theta
-    pairs the first quarter of the half-turn scan with the second.
-    Returns (value, phi) with phi in [0, pi/2).
+    pairs the first quarter of the half-turn scan with the second.  Each
+    refinement step takes one eigh of the two parts and models the squares
+    of the top two and bottom two eigenvalues of each, whose largest is
+    the squared norm: the minimum often sits at a kink of a norm, where a
+    part has lambda_max = -lambda_min.  Returns (value, phi) with phi in
+    [0, pi/2), kept on the operator; 0 under a rank-0 weight, with a
+    warning.
     """
     c = op.compressed
     if c.shape[0] == 0:
+        _degenerate_warning()
         return 0.0, 0.0
-
-    def f(theta: float) -> float:
-        parts = _rotated(c, theta), _rotated(c, theta + 0.5 * np.pi)
-        return hypot(*(_norm_crawford(np.linalg.eigvalsh(p))[0] for p in parts))
-
-    norm = _norm_crawford(_spectra(op))[0]
-    q = len(norm) // 2
-    theta, best = _refine(f, np.hypot(norm[:q], norm[q:]), False)
-    return best, -theta % (0.5 * np.pi)
+    return _memo(op, "_hphi", lambda: _hphi(c, _spectra(op)))
 
 
 def _block_scalars(

@@ -13,8 +13,9 @@ are row-major nested arrays of them):
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 2 validation error: every malformed input, with one ``error:`` line
 (malformed JSON with line and column, a negative ``--seed``, a JSON
-integer too large for a float, an input file that is not UTF-8, an
-``--output`` path that cannot be written).  The scan grid
+integer too large for a float, an ``"identity_dim"`` other than the size
+of the operator, checked before the weight is built, an input file that
+is not UTF-8, an ``--output`` path that cannot be written).  The scan grid
 (``arange.THETA_GRID``) and every tolerance (``linalg.HERM_TOL``,
 ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the output carries results
 only, plus ``seed`` where the Monte-Carlo check of a radius job used it.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .arange import a_crawford, a_numerical_radius, estimate_range, monte_carlo_radius
 from .bounds import bound_report, matrix_bound_report
-from .errors import NumericalFailure, ValidationError
+from .errors import DimensionMismatch, NumericalFailure, ValidationError
 from .polyzero import make_polynomial, zero_bound_report
 from .semihilbert import (
     PositiveOperator,
@@ -135,7 +136,9 @@ def _parse_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _context_from(data: dict) -> PositiveOperator:
+def _context_from(data: dict, dim: int, where: str) -> PositiveOperator:
+    """The weight of a job whose operator *where* has *dim* rows; an
+    identity weight is checked against *dim* before it is built."""
     has_a = "A" in data
     has_dim = "identity_dim" in data
     if has_a == has_dim:
@@ -144,6 +147,10 @@ def _context_from(data: dict) -> PositiveOperator:
         n = data["identity_dim"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError('"identity_dim" must be a positive integer')
+        if n != dim:
+            raise DimensionMismatch(
+                f'"identity_dim" is {n}, but {where} has {dim} rows'
+            )
         a = np.eye(n, dtype=np.complex128)
     else:
         a = _parse_matrix(data["A"], '"A"')
@@ -155,7 +162,8 @@ def _operator_from(data: dict) -> SemiOperator:
     _check_keys(data, {"A", "identity_dim", "T"})
     if "T" not in data:
         raise ValidationError('missing required key "T"')
-    return make_operator(_context_from(data), _parse_matrix(data["T"], '"T"'))
+    t = _parse_matrix(data["T"], '"T"')
+    return make_operator(_context_from(data, t.shape[0], '"T"'), t)
 
 
 def _run_radius(cfg: JobConfig, data: dict) -> dict:
@@ -186,10 +194,9 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     missing = [k for k in block_keys if k not in data]
     if missing:
         raise ValidationError(f"missing required key(s): {', '.join(missing)}")
-    ctx = _context_from(data)
-    ops = [
-        make_operator(ctx, _parse_matrix(data[k], f'"{k}"')) for k in block_keys
-    ]
+    blocks = [_parse_matrix(data[k], f'"{k}"') for k in block_keys]
+    ctx = _context_from(data, blocks[0].shape[0], '"T11"')
+    ops = [make_operator(ctx, b) for b in blocks]
     return {"command": "blockbounds", **asdict(matrix_bound_report(*ops))}
 
 

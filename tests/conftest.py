@@ -71,6 +71,21 @@ def record_batched_solves(monkeypatch):
     return calls
 
 
+def dense_min(objective, lo, hi, n=10**5):
+    """Least value of *objective* (a function of an array of angles) on n
+    angles over [lo, hi], zoomed twice into the cells next to the best one,
+    so the reference resolves the argmin to about 1e-14 * (hi - lo)."""
+    for _ in range(3):
+        angles = np.linspace(lo, hi, n)
+        values = np.concatenate(
+            [objective(angles[i : i + 10**4]) for i in range(0, n, 10**4)]
+        )
+        best = int(np.argmin(values))
+        step = angles[1] - angles[0]
+        lo, hi = angles[best] - step, angles[best] + step
+    return float(values[best])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -6,6 +6,7 @@ import pytest
 import semirad as sr
 from semirad import arange, semihilbert
 from conftest import (
+    dense_min,
     random_operator,
     random_strict_context,
     record_batched_solves,
@@ -116,6 +117,82 @@ def test_crawford_below_radius(rng):
         assert sr.a_crawford(op) <= sr.a_numerical_radius(op) + 1e-10
 
 
+def normal_operator(eigenvalues, seed):
+    """A normal T with *eigenvalues* under the identity weight, in a random
+    orthonormal basis, so that C is not diagonal."""
+    n = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return sr.make_operator(sr.identity_context(n), (u * eigenvalues) @ u.conj().T)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, distance",
+    [
+        # a segment whose point nearest 0 is 1.5 + 0.5j, inside the segment
+        ([1 + 2j, 2 - 1j], np.sqrt(2.5)),
+        # a triangle whose point nearest 0 is 2 + 1j, inside the edge from
+        # 3 - 1j to 1 + 3j
+        ([3 - 1j, 1 + 3j, 4 + 4j], np.sqrt(5.0)),
+    ],
+    ids=["segment", "triangle"],
+)
+def test_crawford_at_a_kink(eigenvalues, distance):
+    # the min of h sits where the support lines of two vertices cross, a
+    # kink of h; the refinement models both branches and lands on it
+    op = normal_operator(eigenvalues, seed=len(eigenvalues))
+    c = op.compressed
+
+    def h(angles):
+        return np.linalg.eigvalsh(arange._rotated(c, angles))[:, -1]
+
+    reference = -dense_min(h, 0.0, 2.0 * np.pi)
+    crawford = sr.a_crawford(op)
+    assert crawford >= reference * (1 - 1e-14)
+    assert crawford == pytest.approx(distance, rel=1e-14)
+
+
+def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
+    # the grid proves the origin interior, so the Crawford number is 0
+    # without a refinement step: the scan is the only eigensolve
+    ctx = random_strict_context(np.random.default_rng(32), 32)
+    op = random_operator(np.random.default_rng(33), ctx)
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            calls.append((_name, np.ndim(m)))
+            return _fn(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert sr.a_crawford(op) == 0.0
+    assert set(calls) == {("eigvalsh", 3)}
+
+
+def test_range_quantities_refine_in_few_steps(monkeypatch):
+    # on an n = 32 operator the radius, the Crawford number and the bound
+    # report take no single-matrix eigvalsh and at most 12 refinement steps
+    ctx = random_strict_context(np.random.default_rng(32), 32)
+    op = random_operator(np.random.default_rng(33), ctx)
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sr.a_numerical_radius(op)
+    sr.a_crawford(op)
+    sr.bound_report(op)
+    scan = [shape for name, shape in calls if name == "eigvalsh"]
+    assert all(len(shape) == 3 for shape in scan)  # chunks of the one scan
+    assert sum(shape[0] for shape in scan) == 360
+    steps = [shape for name, shape in calls if name == "eigh"]
+    assert 0 < len(steps) <= 12
+    assert set(steps) <= {(32, 32), (2, 32, 32)}
+
+
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_half_turn_spectra_give_the_whole_support_function(n):
     # Re(exp(-i(theta+pi)) C) = -Re(exp(-i theta) C): the bottom of the
@@ -183,11 +260,19 @@ def range_round(op, order):
 ROUND = ("radius", "crawford", "bounds", "inclusion", "range")
 
 
+def scans(calls, k):
+    """*calls* without the H_phi refinement's eigh steps, each of which
+    stacks the two k x k parts of one angle."""
+    steps = [shape for name, shape in calls if name == "eigh"]
+    assert steps and set(steps) == {(2, k, k)}
+    return [call for call in calls if call[0] != "eigh"]
+
+
 def test_one_operator_is_scanned_once(rng, monkeypatch):
     op = random_operator(rng, random_strict_context(rng, 5))
     calls = record_batched_solves(monkeypatch)
     range_round(op, ROUND)
-    assert calls == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
+    assert scans(calls, 5) == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
     calls.clear()
     range_round(op, ROUND[:-1])
     assert calls == []
@@ -201,7 +286,7 @@ def test_estimate_range_first_fills_the_scan(rng, monkeypatch):
     op = random_operator(rng, random_strict_context(rng, 5))
     calls = record_batched_solves(monkeypatch)
     range_round(op, ROUND[::-1])
-    assert calls == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
+    assert scans(calls, 5) == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
 
 
 def test_kept_values_do_not_depend_on_the_order(rng):
@@ -236,7 +321,7 @@ def test_derived_operator_has_its_own_scan(rng, monkeypatch, derive):
     )
     calls = record_batched_solves(monkeypatch)
     values = range_round(derived, ROUND)
-    assert calls == [("eigvalsh", (360, 4, 4)), ("solve", (720, 4, 4))]
+    assert scans(calls, 4) == [("eigvalsh", (360, 4, 4)), ("solve", (720, 4, 4))]
     assert values["radius"] != range_round(op, ["radius"])["radius"]
     expected = range_round(fresh, ROUND)
     for name in ("radius", "crawford"):

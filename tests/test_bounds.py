@@ -3,12 +3,13 @@ import pytest
 
 import semirad as sr
 from conftest import (
+    dense_min,
     random_operator,
     random_strict_context,
     record_batched_solves,
     singular_pair,
 )
-from semirad import bounds, semihilbert
+from semirad import arange, bounds, semihilbert
 
 
 def two_by_two(mat, ctx=None):
@@ -133,7 +134,8 @@ class TestSpectralParts:
 
     def test_bound_report_runs_one_scan_and_one_svd(self, rng, monkeypatch):
         # the radius, both lower bounds and the H_phi bound all read the
-        # spectra of the half-turn parts
+        # spectra of the half-turn parts; the refinements add one eigh per
+        # step, of one part for the radius and of the two parts for H_phi
         op = random_operator(rng, random_strict_context(rng, 4))
         calls = []
         for name in ("eigvalsh", "eigh", "svd"):
@@ -148,8 +150,10 @@ class TestSpectralParts:
             semihilbert, "SemiOperator", lambda *a, **kw: built.append(a)
         )
         sr.bound_report(op)
-        assert [c for c in calls if len(c[1]) > 2] == [("eigvalsh", (360, 4, 4))]
-        assert [c for c in calls if c[0] != "eigvalsh"] == [("svd", (4, 4))]
+        assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (360, 4, 4))]
+        assert [c for c in calls if c[0] == "svd"] == [("svd", (4, 4))]
+        steps = {shape for name, shape in calls if name == "eigh"}
+        assert steps == {(4, 4), (2, 4, 4)}
         assert built == []
 
 
@@ -394,7 +398,32 @@ class TestOptimizeT:
             sr.optimize_t(26, *ops)
 
 
+def test_hphi_bound_at_a_kink():
+    # the minimizer sits where the first part has lambda_max = -lambda_min,
+    # a kink of its norm, which the refinement models and lands on
+    rng = np.random.default_rng(0)
+    t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    op = sr.make_operator(sr.identity_context(3), t)
+    upper, phi = sr.upper_bound_hphi(op)
+    c = op.compressed
+
+    def objective(phis):
+        parts = arange._rotated(c, -np.concatenate((phis, phis + 0.5 * np.pi)))
+        lam = np.linalg.eigvalsh(parts)
+        norm = np.maximum(lam[:, -1], -lam[:, 0])
+        return np.hypot(norm[: len(phis)], norm[len(phis) :])
+
+    lam = np.linalg.eigvalsh(arange._rotated(c, -phi))
+    assert abs(lam[-1] + lam[0]) <= 1e-13 * lam[-1]
+    reference = dense_min(objective, 0.0, 0.5 * np.pi)
+    assert upper <= reference * (1 + 1e-14)
+    assert upper >= sr.a_numerical_radius(op)
+
+
 RANK_ZERO_CALLS = {
+    "lower_bound_21": lambda ops: sr.lower_bound_21(ops[0]),
+    "lower_bound_22": lambda ops: sr.lower_bound_22(ops[0]),
+    "upper_bound_hphi": lambda ops: sr.upper_bound_hphi(ops[0]),
     "matrix_bound_report": lambda ops: sr.matrix_bound_report(*ops),
     "block_bound_lemma24": lambda ops: sr.block_bound_lemma24(*ops[:2]),
     "block_bound_th25": lambda ops: sr.block_bound_th25(*ops),

@@ -368,6 +368,34 @@ class TestValidation:
         assert main(["--command", "radius", "--input", path, "--output", out]) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "dim", [1, 3, 10**9, 10**400], ids=["1", "3", "1e9", "1e400"]
+    )
+    @pytest.mark.parametrize("command", ["radius", "bounds", "range", "blockbounds"])
+    def test_identity_dim_differs_from_the_operator(
+        self, tmp_path, capsys, monkeypatch, command, dim
+    ):
+        # the size is checked before the identity weight is built, so no
+        # dimension, however large, allocates anything
+        doc = {"identity_dim": dim}
+        if command == "blockbounds":
+            doc.update({k: cmat(np.eye(2)) for k in ("T11", "T12", "T21", "T22")})
+        else:
+            doc["T"] = cmat(np.eye(2))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+
+        def no_eye(*args, **kw):
+            raise AssertionError("np.eye called")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        assert main(["--command", command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert '"identity_dim" is' in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestTolerances:
     def test_environment_cannot_loosen_the_hermitian_gate(

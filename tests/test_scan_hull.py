@@ -3,63 +3,173 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirad.scan import _refine_best, golden_section_min
+from semirad import scan
+from semirad.scan import _model_step, branches, refine_best
+
+# The golden_section ids are kept for the tests of the second-order
+# refinement that replaced golden-section search; its bisection step is the
+# fallback those tests now reach.
+
+
+def analytic(f, df, d2f, evals=None):
+    """evaluate(t) for refine_best from a function and its two derivatives:
+    one part with one branch, the model of the minimized function."""
+
+    def evaluate(t):
+        if evals is not None:
+            evals.append(t)
+        return f(t), np.array([[[f(t)]], [[df(t)]], [[d2f(t)]]])
+
+    return evaluate
+
+
+def negated(evaluate):
+    """The same evaluate with the model of -f, to maximize f."""
+
+    def flipped(t):
+        f, q = evaluate(t)
+        return f, -q
+
+    return flipped
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=-0.9, max_value=0.9))
 def test_golden_section_min_quadratic(center):
-    x, val = golden_section_min(lambda t: (t - center) ** 2, -1.0, 1.0)
+    # a quadratic is its own model: one step from the grid lands on it,
+    # unless the grid point is already within rounding of the minimum
+    evals = []
+    f = analytic(
+        lambda t: (t - center) ** 2, lambda t: 2 * (t - center), lambda t: 2.0, evals
+    )
+    xs = np.array([-1.0, 0.0, 1.0])
+    x, val = refine_best(f, xs, (xs - center) ** 2, 1.0, False)
     assert abs(x - center) <= 1e-8
     assert val <= 1e-15
+    assert len(evals) <= 2
 
 
 def test_golden_section_max():
-    # maximizing is minimizing -f, as _refine_best does
-    x, val = golden_section_min(lambda t: -np.cos(t), -1.5, 1.5)
-    # position resolves only to ~sqrt(eps) on a flat top; the value is exact
-    assert abs(x) <= 1e-7
-    assert val == pytest.approx(-1.0)
+    # maximizing hands refine_best the model of -f
+    evals = []
+    f = analytic(np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), evals)
+    xs = np.array([-1.5, 0.3, 2.1])
+    x, val = refine_best(negated(f), xs, np.cos(xs), 1.8, True)
+    assert abs(x) <= 1e-8
+    assert val == 1.0
+    assert len(evals) <= 5
 
 
 def test_golden_section_ends_where_float_spacing_exceeds_tol():
     # near 1e10 adjacent floats lie ~2e-6 apart, so the bracket never gets
-    # narrower than TOL; the step cap ends the search
+    # narrower than TOL; a model with no curvature always points at an end
+    # of the bracket, so every step bisects, until the float spacing ends
+    # the search
     evals = []
-
-    def f(t):
-        evals.append(t)
-        return (t - 1e10) ** 2
-
-    x, _ = golden_section_min(f, 1e10 - 1.0, 1e10 + 1.0)
-    assert len(evals) == 202  # two to start, one per step
+    f = analytic(
+        lambda t: (t - 1e10) ** 2, lambda t: 2 * (t - 1e10), lambda t: 0.0, evals
+    )
+    xs = np.array([1e10 - 0.7, 1e10 + 0.3])
+    x, _ = refine_best(f, xs, (xs - 1e10) ** 2, 1.0, False)
+    assert np.spacing(1e10) > scan.TOL
+    assert len(evals) <= 25
     assert abs(x - 1e10) <= 1e-5
 
 
 def test_golden_section_handles_reversed_and_tiny_brackets():
-    x, _ = golden_section_min(lambda t: t * t, 1.0, -1.0)
-    assert abs(x) <= 1e-8
-    x, val = golden_section_min(lambda t: t, 0.5, 0.5 + 1e-14)
-    assert val == pytest.approx(0.5)
+    f = analytic(lambda t: t * t, lambda t: 2 * t, lambda t: 2.0)
+    # a descending grid refines like an ascending one
+    xs = np.array([1.0, 0.25, -0.5])
+    x, _ = refine_best(f, xs, xs**2, 0.75, False)
+    assert abs(x) <= 1e-12
+    # a bracket narrower than TOL is evaluated once, at the grid point
+    evals = []
+    f = analytic(lambda t: t, lambda t: 1.0, lambda t: 0.0, evals)
+    x, val = refine_best(f, np.array([0.5]), np.array([0.5]), 1e-14, False)
+    assert evals == [0.5]
+    assert (x, val) == (0.5, 0.5)
 
 
 def test_refine_best_beats_grid_between_points():
     # the true maximum of cos(x - 0.34) sits between grid points
     xs = np.linspace(0.0, 1.0, 11)
     values = np.cos(xs - 0.34)
-    x, val = _refine_best(lambda t: np.cos(t - 0.34), xs, values, 0.1, True)
+    f = analytic(
+        lambda t: np.cos(t - 0.34),
+        lambda t: -np.sin(t - 0.34),
+        lambda t: -np.cos(t - 0.34),
+    )
+    x, val = refine_best(negated(f), xs, values, 0.1, True)
     assert abs(x - 0.34) <= 1e-7
     assert val == pytest.approx(1.0, abs=1e-15)
     assert val > values.max()
-    x, val = _refine_best(lambda t: (t - 0.77) ** 2, xs, (xs - 0.77) ** 2, 0.1, False)
+    g = analytic(lambda t: (t - 0.77) ** 2, lambda t: 2 * (t - 0.77), lambda t: 2.0)
+    x, val = refine_best(g, xs, (xs - 0.77) ** 2, 0.1, False)
     assert abs(x - 0.77) <= 1e-8
 
 
 def test_refine_best_keeps_a_strictly_better_grid_point():
-    # a spike on the grid that golden section over its cells cannot see
+    # a spike on the grid that the refinement over its cells cannot see
     xs = np.arange(5.0)
     values = np.array([0.0, 1.0, 5.0, 1.0, 0.0])
-    x, val = _refine_best(lambda t: 1.0, xs, values, 1.0, True)
+    flat = analytic(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
+    x, val = refine_best(flat, xs, values, 1.0, True)
     assert (x, val) == (2.0, 5.0)
-    x, val = _refine_best(lambda t: 1.0, xs, -values, 1.0, False)
+    x, val = refine_best(flat, xs, -values, 1.0, False)
     assert (x, val) == (2.0, -5.0)
+
+
+def test_model_step_finds_the_crossing_of_two_branches():
+    # max(1 + d, 1 - 2 d) is least where the lines cross, at d = 0, a kink
+    # that no stationary point sees; shifted, the crossing moves with it
+    q = np.array([[[1.0, 1.0]], [[1.0, -2.0]], [[0.0, 0.0]]])
+    assert _model_step(q, -1.0, 1.0) == (0.0, 0.0)
+    q[0, 0, 1] = 1.3  # branch 2 is now the top one at d = 0
+    d, gain = _model_step(q, -1.0, 1.0)
+    assert d == pytest.approx(0.1)
+    assert gain == pytest.approx(0.2)
+    # the sum over parts of the max over branches
+    two = np.array(
+        [
+            [[0.0, -1.0], [0.0, -5.0]],  # values: part 1, part 2
+            [[1.0, 0.0], [-1.0, 0.0]],  # slopes
+            [[2.0, 0.0], [4.0, 0.0]],  # curvatures
+        ]
+    )
+    # (d + d^2) + (-d + 2 d^2) = 3 d^2 is least at 0
+    d, gain = _model_step(two, -1.0, 1.0)
+    assert d == pytest.approx(0.0, abs=1e-15)
+    # (d + d^2) + (-4 d + 2 d^2) = 3 d^2 - 3 d is least at 1/2
+    two[1, 1, 0] = -4.0
+    d, gain = _model_step(two, -1.0, 1.0)
+    assert d == pytest.approx(0.5)
+    assert gain == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_branch_slopes_and_curvatures_match_finite_differences(parts):
+    # Hellmann-Feynman slope and second-order perturbation curvature of
+    # each eigenvalue of P(t) = cos t X + sin t Y
+    rng = np.random.default_rng(5)
+    k = 5
+    xy = rng.normal(size=(2, parts, k, k)) + 1j * rng.normal(size=(2, parts, k, k))
+    x, y = xy + np.swapaxes(xy.conj(), -1, -2)
+
+    def family(t):
+        t = np.asarray(t)[..., None, None, None]
+        p = np.cos(t) * x + np.sin(t) * y
+        return p[0] if parts == 1 else p
+
+    t, h = 0.4, 1e-4
+    lam, q = branches(family, t, list(range(k)), 8.0)
+    assert lam.shape == (parts, k)
+    here, ahead, behind = (
+        np.linalg.eigvalsh(family(u)).reshape(parts, k) for u in (t, t + h, t - h)
+    )
+    np.testing.assert_allclose(lam, here, rtol=1e-13, atol=1e-13)
+    s = 8.0  # the power of two at the scale 8
+    np.testing.assert_allclose(q[0] * s, here, rtol=1e-13, atol=1e-13)
+    slope = (ahead - behind) / (2 * h)
+    curvature = (ahead - 2 * here + behind) / h**2
+    np.testing.assert_allclose(q[1] * s, slope, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(q[2] * s, curvature, rtol=1e-4, atol=1e-4)
