@@ -4,13 +4,16 @@ Lower bounds combine the seminorm of one rotation component with the
 Crawford number of the other; the upper bound minimizes the two-term
 rotation functional over phi.  The weighted real and imaginary parts
 compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
-so the radius and every bound of one operator are read off the
-half-turn spectra of the radius scan, taken once per operator and kept
-on it (:func:`arange._spectra`); :func:`bound_report` reads the H_phi
-bound through :func:`upper_bound_hphi`, whose best grid angle is refined
-by second-order steps on the eigenvalue branches of both parts
-(:func:`scan.refine_best`) and kept on the operator, and the block bounds
-read w(T11) and w(T22) from the same per-operator cache.  A rank-0
+so the radius and every bound of one operator are read off its
+support-line cells (:class:`arange._Cells`), made once per operator and
+kept on it: both lower bounds off the start lines at 0 and pi/2, and the
+H_phi objective at every angle of the picture, whose angles are closed
+under rotation by pi/2.  :func:`upper_bound_hphi` prunes the quarter-turn
+cells on bounds of the objective, refines the best angle by second-order
+steps on the eigenvalue branches of both parts (:func:`scan.refine_best`)
+and checks the refined value against every cell's bound; the value is
+kept on the operator, and :func:`bound_report` reads it there.  The block
+bounds read w(T11) and w(T22) from the same per-operator cells.  A rank-0
 weight makes every bound 0, with one warning at the caller's line.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
@@ -36,16 +39,22 @@ from math import hypot
 import numpy as np
 
 from .arange import (
+    _QUARTER,
+    _UNIT,
+    _Cells,
+    _cells,
     _degenerate_warning,
+    _floor,
     _memo,
-    _refine,
-    _refined_support,
+    _midpoints,
+    _optimize,
+    _radius,
     _rotated,
-    _spectra,
+    _span,
     a_numerical_radius,
 )
 from .errors import TOutOfRange
-from .scan import branches
+from .scan import branches, refine_best
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
@@ -54,32 +63,30 @@ from .semihilbert import (
     make_operator,
 )
 
-def _norm_crawford(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and Crawford numbers of Hermitian H from ascending spectra *lam*.
+def _norm_crawford(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and Crawford numbers of Hermitian H from its extreme
+    eigenvalues *lo* and *hi*.
 
     ||H|| = max(lambda_max, -lambda_min); the range of H is the segment
     [lambda_min, lambda_max], so its distance to 0 is
     max(0, lambda_min, -lambda_max).
     """
-    lo, hi = lam[..., 0], lam[..., -1]
     return np.maximum(hi, -lo), np.maximum(0.0, np.maximum(lo, -hi))
 
 
-def _lower_pair(lam: np.ndarray) -> tuple[float, float]:
-    """Both lower bounds from the spectra *lam* of parts at angles spaced
-    evenly over the half turn: Re C is the first, Im C (theta = pi/2) the
-    middle one."""
-    norm, craw = _norm_crawford(lam[[0, len(lam) // 2]])
-    return hypot(norm[0], craw[1]), hypot(norm[1], craw[0])
-
-
 def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
-    """(lower_bound_21, lower_bound_22) from one eigvalsh of Re C and Im C;
-    0 under a rank-0 weight, with one warning at the caller's line."""
+    """(lower_bound_21, lower_bound_22) off the start of the support-line
+    cells, whose angle 0 part is Re C and angle pi/2 part Im C; 0 under a
+    rank-0 weight, with one warning at the caller's line."""
     if op.compressed.shape[0] == 0:
         _degenerate_warning(stacklevel=4)
         return 0.0, 0.0
-    return _lower_pair(np.linalg.eigvalsh(_rotated(op.compressed, [0.0, 0.5 * np.pi])))
+    cells = _cells(op)
+    # h at 0, pi/2, pi, 3 pi/2 (base angle 0 comes first): lambda_max of
+    # Re C and Im C, then -lambda_min of each
+    h = cells.h[0] * cells.unit
+    norm, craw = _norm_crawford(-h[2:], h[:2])
+    return hypot(norm[0], craw[1]), hypot(norm[1], craw[0])
 
 
 def lower_bound_21(op: SemiOperator) -> float:
@@ -93,15 +100,42 @@ def lower_bound_22(op: SemiOperator) -> float:
     return _lower_bounds(op)[1]
 
 
-def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
-    """The H_phi bound of C from its half-turn spectra *lam*; see
-    :func:`upper_bound_hphi`."""
+def _hphi(cells: _Cells) -> tuple[float, float]:
+    """The H_phi bound of C; see :func:`upper_bound_hphi`."""
+    c = cells.c
     k = c.shape[0]
     idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
-    norm = _norm_crawford(lam)[0]
-    scale = float(np.max(norm))
+    scale = cells.reach * cells.unit
 
-    def f(theta: float):
+    def survey(index, h, dh):
+        # F(u) = hypot(N(u), N(u + pi/2)), N(u) = max(h(u), h(u + pi)), at
+        # the base angles u, with its slope from the branch of each max
+        n = len(index) // 4
+        h4, dh4 = h.reshape(4, n), dh.reshape(4, n)
+        top = h4[:2] >= h4[2:]  # N's branch
+        norm = np.where(top, h4[:2], h4[2:])
+        f = np.hypot(norm[0], norm[1])
+        slope = np.where(top, dh4[:2], dh4[2:])
+        df = np.sum(norm * slope, axis=0) / np.where(f > 0, f, 1.0)
+        # |F'| <= hypot(N'(u), N'(u + pi/2)) and |N'| = |h'| <= |p| <= w,
+        # which the picture's reach bounds, so F is at least
+        # (F_a + F_b - lipschitz * width) / 2 on a cell; where that is below
+        # the least F, F is at least its value for the support points at
+        # the cell's ends, each turned back by its quarter turns
+        base = index[:n]
+        width = _span(base, _QUARTER) * _UNIT
+        lipschitz = np.sqrt(2.0) * cells.reach
+        floor = 0.5 * (f + np.roll(f, -1) - lipschitz * width)
+        near = np.flatnonzero(floor < np.min(f))
+        if near.size:
+            q = np.exp(1j * base * _UNIT) * (h4 + 1j * dh4)
+            ends = np.stack((q, np.roll(q, -1, axis=1)), axis=2)[:, near]
+            groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
+            floor[near] = _floor(base[near] * _UNIT, width[near], groups)
+        s = -cells.unit
+        return base * _UNIT, s * f, s * df, s * floor, _midpoints(base, _QUARTER)
+
+    def evaluate(theta: float):
         lam_t, (v, g, cv) = branches(
             lambda t: _rotated(c, t + np.array([0.0, 0.5 * np.pi])), theta, idx, scale
         )
@@ -109,11 +143,15 @@ def _hphi(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
         # model to first order, in the same units as the branches
         squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
         value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
-        return hypot(*_norm_crawford(lam_t)[0]), squares / (2.0 * value or 1.0)
+        norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
+        return hypot(*norms), squares / (2.0 * value or 1.0)
 
-    q = len(norm) // 2
-    theta, best = _refine(f, np.hypot(norm[:q], norm[q:]), False)
-    return best, -theta % (0.5 * np.pi)
+    def refine(theta, value, below, above):
+        t, f = refine_best(evaluate, [theta], [-value], (below, above), False)
+        return t, -f
+
+    theta, best = _optimize(cells, survey, refine)
+    return -best, -theta % (0.5 * np.pi)
 
 
 def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
@@ -122,19 +160,22 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     H_phi is the weighted real part of exp(i*phi) T, whose seminorm is
     the spectral radius of Re(exp(i*phi) C), the part at theta = -phi.
     A part's norm has period pi in theta, so the objective at phi = -theta
-    pairs the first quarter of the half-turn scan with the second.  Each
-    refinement step takes one eigh of the two parts and models the squares
-    of the top two and bottom two eigenvalues of each, whose largest is
-    the squared norm: the minimum often sits at a kink of a norm, where a
-    part has lambda_max = -lambda_min.  Returns (value, phi) with phi in
-    [0, pi/2), kept on the operator; 0 under a rank-0 weight, with a
-    warning.
+    pairs the support values at theta and theta + pi with those a quarter
+    turn on, all known at every angle of the support-line cells.  The
+    quarter-turn cells whose bound of the objective lies below the best
+    value are pruned and refined like the radius's
+    (:func:`arange._optimize`); each refinement step takes one eigh of the
+    two parts and models
+    the squares of the top two and bottom two eigenvalues of each, whose
+    largest is the squared norm: the minimum often sits at a kink of a
+    norm, where a part has lambda_max = -lambda_min.  Returns (value, phi)
+    with phi in [0, pi/2), kept on the operator; 0 under a rank-0 weight,
+    with a warning.
     """
-    c = op.compressed
-    if c.shape[0] == 0:
+    if op.compressed.shape[0] == 0:
         _degenerate_warning()
         return 0.0, 0.0
-    return _memo(op, "_hphi", lambda: _hphi(c, _spectra(op)))
+    return _memo(op, "_hphi", lambda: _hphi(_cells(op)))
 
 
 def _block_scalars(
@@ -282,7 +323,7 @@ def bound_report(op: SemiOperator) -> BoundReport:
         _degenerate_warning()
         return BoundReport(*[0.0] * 7)
     norm = a_operator_seminorm(op)
-    lower_21, lower_22 = _lower_pair(_spectra(op))
+    lower_21, lower_22 = _lower_bounds(op)
     upper, phi_star = upper_bound_hphi(op)
     return BoundReport(
         w_exact=a_numerical_radius(op),
@@ -330,7 +371,7 @@ def matrix_bound_report(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_refined_support(compressed, True),
+        w_b_exact=_radius(_Cells(compressed)) if compressed.size else 0.0,
         lemma24=_th25_value(w11, 0.0, n12, 0.0) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

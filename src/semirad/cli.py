@@ -15,10 +15,13 @@ Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 (malformed JSON with line and column, a negative ``--seed``, a JSON
 integer too large for a float, an ``"identity_dim"`` other than the size
 of the operator, checked before the weight is built, an input file that
-is not UTF-8, an ``--output`` path that cannot be written).  The scan grid
-(``arange.THETA_GRID``) and every tolerance (``linalg.HERM_TOL``,
-``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the output carries results
-only, plus ``seed`` where the Monte-Carlo check of a radius job used it.
+is not UTF-8, an ``--output`` path that cannot be written).  The gap of
+the range picture (``arange.RTOL``) and every tolerance
+(``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
+output carries results only, plus ``seed`` where the Monte-Carlo check of
+a radius job used it.  A range job gives the inner polygon of support
+points (``boundary``) and the outer polygon of support-line vertices
+(``outer``), at least 32 points each.
 Output for a fixed config and seed is byte-identical across runs at a
 fixed BLAS thread count; files are written atomically (temp file +
 rename).
@@ -233,13 +236,14 @@ def _run_range(cfg: JobConfig, data: dict) -> dict:
         "command": "range",
         **asdict(est),
         "boundary": [[float(z.real), float(z.imag)] for z in est.boundary],
+        "outer": [[float(z.real), float(z.imag)] for z in est.outer],
     }
 
 
 def _render_table(payload: dict) -> str:
     lines = []
     for key, value in payload.items():
-        if key == "boundary":
+        if key in ("boundary", "outer"):
             lines.append(f"{key:<18} {len(value)} points")
         elif isinstance(value, list):
             lines.append(f"{key:<18} " + " ".join(f"{v:.6g}" for v in value))
@@ -259,11 +263,10 @@ def _render_svg(payload: dict) -> str:
     margin = 60
     radius = payload["radius"]
     crawford = payload["crawford"]
-    boundary = payload["boundary"]
+    boundary, outer = payload["boundary"], payload["outer"]
     extent = max(
         [radius, crawford]
-        + [abs(x) for x, _ in boundary]
-        + [abs(y) for _, y in boundary]
+        + [abs(v) for point in boundary + outer for v in point]
         + [1e-12]
     )
     if extent <= 0:
@@ -288,6 +291,12 @@ def _render_svg(payload: dict) -> str:
         'stroke="#999999" stroke-width="1"/>',
     ]
     if boundary:
+        # the range lies between the outer polygon, dashed, and the inner one
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in outer)
+        parts.append(
+            f'<polygon points="{points}" fill="none" stroke="#1f77b4" '
+            'stroke-width="1" stroke-dasharray="4 3"/>'
+        )
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in boundary)
         parts.append(
             f'<polygon points="{points}" fill="#9ecae1" fill-opacity="0.4" '

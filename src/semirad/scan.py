@@ -1,4 +1,4 @@
-"""Second-order refinement of grid scans over a Hermitian family.
+"""Second-order refinement over a Hermitian family.
 
 Every refined quantity is read off extreme eigenvalues of a stack of
 Hermitian parts of the form
@@ -9,17 +9,20 @@ One ``eigh`` of P(t) gives each eigenvalue branch lambda, with unit
 eigenvector x, its slope x* P' x and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
-model.  The callers scan a coarse grid first and hand it to
-:func:`refine_best`, which refines inside the two cells next to the best
-grid point, so unimodality only has to hold locally.  Each step
-minimizes the objective's model, the sum over parts of the max over
-branches of their quadratics, inside a bracket that the sign of the
-slope shrinks; where that minimizer is not strictly inside the bracket,
-or the steps stop halving, the step bisects the bracket instead.  A kink,
-where two branches cross, is where their quadratics cross, so kinks
-converge as fast as smooth optima.  The search stops once the model
-promises less than the rounding of the spectrum, or once the bracket is
-at most ``TOL`` wide.
+model (:func:`branches`).  Its first half, :func:`_eigen`, over a stack
+of angles, gives the support-line cells of :mod:`semirad.arange` their
+values and slopes.  The callers prune those cells first, into runs of
+cells whose bound beats the best angle, and hand each run's best angle
+and its run to :func:`refine_best`, so unimodality only has to hold
+inside a run; the callers then check the refined value against every
+cell's bound.  Each step minimizes the objective's model, the sum over
+parts of the max over branches of their quadratics, inside a bracket
+that the sign of the slope shrinks; where that minimizer is
+not strictly inside the bracket, or the steps stop halving, the step
+bisects the bracket instead.  A kink, where two branches cross, is where
+their quadratics cross, so kinks converge as fast as smooth optima.  The
+search stops once the model promises less than the rounding of the
+spectrum, or once the bracket is at most ``TOL`` wide.
 """
 
 from __future__ import annotations
@@ -33,6 +36,24 @@ import numpy as np
 
 #: Width of the bracket at which the refinement stops.
 TOL = 1e-10
+
+
+def _unit(scale: float) -> float:
+    """The power of two s with s <= *scale* < 2 s (1 for a zero scale)."""
+    return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
+
+
+def _eigen(family: Callable, t, idx, s: float):
+    """(lam, vec, y): the ascending spectra, shape (parts, k), and the
+    eigenvectors of the Hermitian stack ``family(t)``, and y = P' x / s
+    for the eigenvectors x of the branches *idx*, so that x* y is each
+    branch's slope in units of s."""
+    lam, vec = np.linalg.eigh(family(t))
+    k = lam.shape[-1]
+    lam, vec = lam.reshape(-1, k), vec.reshape(-1, k, k)
+    dp = family(t + 0.5 * np.pi).reshape(-1, k, k)
+    dp /= s  # before the products, so that they neither overflow nor underflow
+    return lam, vec, dp @ vec[:, :, idx]
 
 
 def branches(
@@ -49,22 +70,19 @@ def branches(
     that a unit means the same at every t and squares neither overflow nor
     underflow.
     """
-    lam, vec = np.linalg.eigh(family(t))
-    k = lam.shape[-1]
-    lam, vec = lam.reshape(-1, k), vec.reshape(-1, k, k)
-    s = ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0  # s <= scale < 2 s
+    s = _unit(scale)
+    lam, vec, y = _eigen(family, t, idx, s)
     lam = lam / s
-    dp = np.reshape(family(t + 0.5 * np.pi), (-1, k, k)) / s
-    x = vec[:, :, idx]
-    g = np.swapaxes(vec.conj(), 1, 2) @ (dp @ x)  # g[p, j, b] = x_j* P' x_b
+    # g[p, j, b] = x_j* P' x_b, with no conjugated copy of the eigenvectors
+    g = (np.swapaxes(vec, 1, 2) @ y.conj()).conj()
     value = lam[:, idx]
     slope = g[:, idx, np.arange(len(idx))].real
     gap = value[:, None, :] - lam[:, :, None]
     coupling = np.abs(g) ** 2
     # j = b, and any eigenvalue equal to the branch's, has no coupling term
     coupling = np.divide(coupling, gap, out=np.zeros_like(coupling), where=gap != 0)
-    curvature = 2.0 * np.sum(coupling, axis=1) - value
-    return lam * s, np.stack((value, slope, curvature))
+    curvature = 2.0 * coupling.sum(axis=1) - value
+    return lam * s, np.array((value, slope, curvature))
 
 
 def _roots(c0: float, c1: float, c2: float) -> list[float]:
@@ -107,19 +125,18 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _minimize(
-    evaluate: Callable, t: float, step: float, sign: float
+    evaluate: Callable, t: float, a: float, b: float, sign: float
 ) -> tuple[float, float]:
-    """Best (t, f(t)) evaluated while minimizing sign * f on
-    [t - step, t + step], starting at t (see :func:`refine_best`).
+    """Best (t, f(t)) evaluated while minimizing sign * f on [a, b],
+    starting at t (see :func:`refine_best`).
 
     A model step must be at most half the step before the last
     (Press et al., Numerical Recipes, ``rtsafe``), so model steps shrink
     geometrically and bisections halve the bracket; 200 steps at most, as
     a backstop.
     """
-    a, b = t - step, t + step
     best_t, best = t, np.inf
-    moves = [2.0 * step, 2.0 * step]  # the last two steps taken
+    moves = [b - a, b - a]  # the last two steps taken
     for _ in range(200):
         f, q = evaluate(t)
         if sign * f < best:
@@ -154,7 +171,9 @@ def refine_best(
 ) -> tuple[float, float]:
     """Best point of a grid scan, refined; returns (x, f(x)).
 
-    *values* holds f at the grid points *xs*, which lie *step* apart.
+    *values* holds f at the grid points *xs*; *step* is the distance from
+    the best grid point to the ends of the bracket searched around it, one
+    number (the spacing of an even grid) or a pair (below, above).
     ``evaluate(t)`` returns f(t) and the quadratic models of the branches
     it is read off (as :func:`branches` gives them), arranged so that the
     sum over parts of the max over branches grows with f when minimizing
@@ -164,7 +183,9 @@ def refine_best(
     """
     sign = -1.0 if maximize else 1.0
     k = int(np.argmin(sign * np.asarray(values)))
-    x, fx = _minimize(evaluate, float(xs[k]), step, sign)
+    below, above = (step, step) if np.ndim(step) == 0 else step
+    t = float(xs[k])
+    x, fx = _minimize(evaluate, t, t - below, t + above, sign)
     grid = float(values[k])
     if sign * grid < sign * fx:
         return float(xs[k]), grid

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
+from semirad import arange
 
 
 def random_strict_context(rng, n, floor=0.05):
@@ -46,14 +47,28 @@ def singular_pair(rng, n, r, leak=0.0):
     return sr.make_context(a), t
 
 
-def separated(lam, w):
-    """Mask of the THETA_GRID angles whose support point is well posed:
-    from the half-turn spectra *lam*, the extreme eigenvalue that gives
-    the point lies at least 1e-3 * w clear of the next one."""
-    if lam.shape[1] == 1:
-        return np.ones(2 * len(lam), dtype=bool)
-    gap = np.concatenate((lam[:, -1] - lam[:, -2], lam[:, 1] - lam[:, 0]))
-    return gap >= 1e-3 * w
+def separated(c, theta, w):
+    """Mask of the angles *theta* whose support point of C is well posed:
+    the top eigenvalue of Re(exp(-i theta) C) lies at least 1e-3 * w clear
+    of the next one."""
+    if c.shape[0] == 1:
+        return np.ones(len(theta), dtype=bool)
+    lam = np.linalg.eigvalsh(arange._rotated(c, theta))
+    return lam[:, -1] - lam[:, -2] >= 1e-3 * w
+
+
+def record_angles(monkeypatch):
+    """(cells, base angles) of every round of the support-line cells from
+    now on; the base angles are integers, in units of arange._UNIT."""
+    rounds = []
+    evaluate = arange._Cells.evaluate
+
+    def recorded(self, base):
+        rounds.append((self, base.copy()))
+        return evaluate(self, base)
+
+    monkeypatch.setattr(arange._Cells, "evaluate", recorded)
+    return rounds
 
 
 def record_batched_solves(monkeypatch):

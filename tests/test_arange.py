@@ -1,14 +1,17 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange, semihilbert
+from semirad import arange, cli, semihilbert
 from conftest import (
     dense_min,
     random_operator,
     random_strict_context,
+    record_angles,
     record_batched_solves,
     separated,
     singular_pair,
@@ -152,28 +155,8 @@ def test_crawford_at_a_kink(eigenvalues, distance):
     assert crawford == pytest.approx(distance, rel=1e-14)
 
 
-def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
-    # the grid proves the origin interior, so the Crawford number is 0
-    # without a refinement step: the scan is the only eigensolve
-    ctx = random_strict_context(np.random.default_rng(32), 32)
-    op = random_operator(np.random.default_rng(33), ctx)
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-
-        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
-            calls.append((_name, np.ndim(m)))
-            return _fn(m, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    assert sr.a_crawford(op) == 0.0
-    assert set(calls) == {("eigvalsh", 3)}
-
-
-def test_range_quantities_refine_in_few_steps(monkeypatch):
-    # on an n = 32 operator the radius, the Crawford number and the bound
-    # report take no single-matrix eigvalsh and at most 12 refinement steps
-    ctx = random_strict_context(np.random.default_rng(32), 32)
-    op = random_operator(np.random.default_rng(33), ctx)
+def record_eigensolves(monkeypatch):
+    """(kind, shape) of every eigvalsh and eigh call from now on."""
     calls = []
     for name in ("eigvalsh", "eigh"):
 
@@ -182,67 +165,96 @@ def test_range_quantities_refine_in_few_steps(monkeypatch):
             return _fn(m, *args, **kw)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
+    # the picture's inner polygon holds the origin, so the Crawford number
+    # is 0 without a refinement step: the picture's stacked eigh calls are
+    # the only eigensolves
+    ctx = random_strict_context(np.random.default_rng(32), 32)
+    op = random_operator(np.random.default_rng(33), ctx)
+    calls = record_eigensolves(monkeypatch)
+    assert sr.a_crawford(op) == 0.0
+    assert calls and {(name, len(shape)) for name, shape in calls} == {("eigh", 3)}
+
+
+def test_range_quantities_refine_in_few_steps(monkeypatch):
+    # on an n = 32 operator the radius, the Crawford number and the bound
+    # report take no eigvalsh, one picture of stacked parts and at most 12
+    # refinement steps
+    ctx = random_strict_context(np.random.default_rng(32), 32)
+    op = random_operator(np.random.default_rng(33), ctx)
+    calls = record_eigensolves(monkeypatch)
     sr.a_numerical_radius(op)
     sr.a_crawford(op)
     sr.bound_report(op)
-    scan = [shape for name, shape in calls if name == "eigvalsh"]
-    assert all(len(shape) == 3 for shape in scan)  # chunks of the one scan
-    assert sum(shape[0] for shape in scan) == 360
-    steps = [shape for name, shape in calls if name == "eigh"]
+    assert all(name == "eigh" for name, _ in calls)
+    stacks = [shape for _, shape in calls if len(shape) == 3 and shape[0] > 2]
+    assert stacks[0] == (16, 32, 32)  # the 32 start lines
+    assert sum(shape[0] for shape in stacks) <= 128
+    steps = [shape for _, shape in calls if shape not in stacks]
     assert 0 < len(steps) <= 12
     assert set(steps) <= {(32, 32), (2, 32, 32)}
 
 
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_half_turn_spectra_give_the_whole_support_function(n):
-    # Re(exp(-i(theta+pi)) C) = -Re(exp(-i theta) C): the bottom of the
-    # spectrum at theta is minus the top at theta + pi
+    # Re(exp(-i(theta+pi)) C) = -Re(exp(-i theta) C): the bottom branch of
+    # the part at theta gives h at theta + pi, so the parts of the half
+    # turn give h at every angle of the picture
     rng = np.random.default_rng(n)
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    half = arange._HALF_TURN
-    lam = arange._half_turn(c)
-    direct = np.linalg.eigvalsh(arange._rotated(c, half + np.pi))[:, -1]
+    op = sr.make_operator(sr.identity_context(n), c)
+    theta, h = arange._picture(op)[:2]
+    assert np.all(np.diff(theta) > 0) and theta[0] == 0.0 and theta[-1] < 2 * np.pi
+    assert np.all(theta[len(theta) // 2 :] >= np.pi)
+    direct = np.linalg.eigvalsh(arange._rotated(c, theta))[:, -1]
     # relative to the scale of h: h itself crosses 0
     tol = 1e-13 * np.max(np.abs(direct))
-    np.testing.assert_allclose(-lam[:, 0], direct, rtol=0, atol=tol)
-    full = np.linalg.eigvalsh(arange._rotated(c, arange._THETAS))[:, -1]
-    np.testing.assert_allclose(arange._support(lam), full, rtol=0, atol=tol)
+    np.testing.assert_allclose(h, direct, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize(
     "quantity", [sr.a_numerical_radius, sr.a_crawford, sr.spectral_inclusion_check]
 )
 def test_range_quantities_run_one_half_turn_scan(rng, monkeypatch, quantity):
+    # the support lines are evaluated in stacked eigh calls over the half
+    # turn, starting from its 16 parts (32 lines), each later round a whole
+    # number of quarter-turn orbits; any other eigensolve is a single
+    # refinement step
     op = random_operator(rng, random_strict_context(rng, 3))
-    stacks = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(m, *args, **kw):
-        if np.ndim(m) > 2:
-            stacks.append(np.shape(m))
-        return eigvalsh(m, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    calls = record_eigensolves(monkeypatch)
+    rounds = record_angles(monkeypatch)
     quantity(op)
-    assert stacks == [(360, 3, 3)]
+    stacks = [shape for _, shape in calls if len(shape) == 3]
+    assert [name for name, _ in calls] == ["eigh"] * len(calls)
+    assert stacks[0] == (16, 3, 3)
+    assert stacks == [(2 * len(base), 3, 3) for _, base in rounds]
+    assert {shape for _, shape in calls if len(shape) == 2} <= {(3, 3)}
 
 
 def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
-    # the kept eigvalsh scan gives the eigenvalues; one stacked solve of
-    # the shifted top and bottom systems gives the 720 boundary points,
-    # the bottom vectors the second half
+    # the picture is the only eigensolve of the boundary: stacked eigh
+    # calls over the half turn, the bottom branches giving the second half
+    # turn; each point lies on the support line of its angle and every
+    # outer vertex within RTOL * w of its inner chord
     op = random_operator(rng, random_strict_context(rng, 3))
     calls = record_batched_solves(monkeypatch)
     est = sr.estimate_range(op)
-    assert calls == [("eigvalsh", (360, 3, 3)), ("solve", (720, 3, 3))]
-    assert est.boundary.shape == (720,)
-    c = op.compressed
-    for theta, point in zip(arange._THETAS, est.boundary):
-        top = np.linalg.eigvalsh(arange._rotated(c, theta))[-1]
-        # each point is on the support line of its angle
-        assert (np.exp(-1j * theta) * point).real == pytest.approx(
-            top, abs=1e-12 * est.radius
-        )
+    assert {name for name, _ in calls} == {"eigh"}
+    theta, h, boundary, outer, gap = arange._picture(op)
+    assert np.array_equal(est.boundary, boundary) and np.array_equal(est.outer, outer)
+    assert len(boundary) == len(outer) >= 32
+    c, w = op.compressed, est.radius
+    top = np.linalg.eigvalsh(arange._rotated(c, theta))[:, -1]
+    on_line = (np.exp(-1j * theta) * boundary).real
+    assert np.max(np.abs(on_line - top)) <= 1e-12 * w
+    assert np.max(gap) <= arange.RTOL * w
+    # each vertex lies on the support lines of its cell's two angles
+    nxt = np.roll(theta, -1)
+    for angle, support in ((theta, h), (nxt, np.roll(h, -1))):
+        assert np.max(np.abs((np.exp(-1j * angle) * outer).real - support)) <= 1e-9 * w
 
 
 def range_round(op, order):
@@ -260,33 +272,37 @@ def range_round(op, order):
 ROUND = ("radius", "crawford", "bounds", "inclusion", "range")
 
 
-def scans(calls, k):
-    """*calls* without the H_phi refinement's eigh steps, each of which
-    stacks the two k x k parts of one angle."""
-    steps = [shape for name, shape in calls if name == "eigh"]
-    assert steps and set(steps) == {(2, k, k)}
-    return [call for call in calls if call[0] != "eigh"]
+def evaluated(rounds):
+    """Every base angle of the recorded *rounds*, in the order evaluated."""
+    return np.concatenate([base for _, base in rounds])
 
 
 def test_one_operator_is_scanned_once(rng, monkeypatch):
     op = random_operator(rng, random_strict_context(rng, 5))
-    calls = record_batched_solves(monkeypatch)
+    rounds = record_angles(monkeypatch)
     range_round(op, ROUND)
-    assert scans(calls, 5) == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
-    calls.clear()
-    range_round(op, ROUND[:-1])
-    assert calls == []
-    # the boundary needs the eigenvectors, which are not kept; the shifted
-    # solve gets them from the kept spectra, with no second eigensolve
-    range_round(op, ["range"])
-    assert calls == [("solve", (720, 5, 5))]
+    angles = evaluated(rounds)
+    # no angle is evaluated twice, and every eigensolve of a round is stacked
+    assert len(np.unique(angles)) == len(angles)
+    assert len({id(cells) for cells, _ in rounds}) == 1
+    rounds.clear()
+    range_round(op, ROUND[::-1])
+    assert rounds == []
 
 
 def test_estimate_range_first_fills_the_scan(rng, monkeypatch):
-    op = random_operator(rng, random_strict_context(rng, 5))
-    calls = record_batched_solves(monkeypatch)
-    range_round(op, ROUND[::-1])
-    assert scans(calls, 5) == [("eigvalsh", (360, 5, 5)), ("solve", (720, 5, 5))]
+    # asked in reverse order, the operator evaluates the same angles, none
+    # twice
+    ctx = random_strict_context(rng, 5)
+    t = random_operator(rng, ctx).matrix
+    rounds = record_angles(monkeypatch)
+    range_round(sr.make_operator(ctx, t), ROUND)
+    forward = evaluated(rounds)
+    rounds.clear()
+    range_round(sr.make_operator(ctx, t), ROUND[::-1])
+    backward = evaluated(rounds)
+    assert len(np.unique(backward)) == len(backward)
+    assert np.array_equal(np.sort(forward), np.sort(backward))
 
 
 def test_kept_values_do_not_depend_on_the_order(rng):
@@ -319,9 +335,11 @@ def test_derived_operator_has_its_own_scan(rng, monkeypatch, derive):
     fresh = semihilbert.SemiOperator(
         matrix=derived.matrix, context=derived.context, compressed=derived.compressed
     )
-    calls = record_batched_solves(monkeypatch)
+    rounds = record_angles(monkeypatch)
     values = range_round(derived, ROUND)
-    assert scans(calls, 4) == [("eigvalsh", (360, 4, 4)), ("solve", (720, 4, 4))]
+    # the derived operator starts its own cells from the 32 start lines
+    assert len({id(cells) for cells, _ in rounds}) == 1
+    assert rounds[0][0].c is derived.compressed and len(rounds[0][1]) == 8
     assert values["radius"] != range_round(op, ["radius"])["radius"]
     expected = range_round(fresh, ROUND)
     for name in ("radius", "crawford"):
@@ -371,25 +389,29 @@ def test_boundary_points_are_support_points(case):
     op = sr.make_operator(sr.make_context(a), t)
     est = sr.estimate_range(op)
     p, w = est.boundary, est.radius
-    h = arange._support(arange._spectra(op))
-    assert np.all(np.isfinite(p))
+    theta, h, _, outer, gap = arange._picture(op)
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(outer))
     # on the support line of its angle, and inside the disk of radius w
-    on_line = (np.exp(-1j * arange._THETAS) * p).real
+    on_line = (np.exp(-1j * theta) * p).real
     assert np.max(np.abs(on_line - h)) <= 1e-12 * w
     assert np.all(np.abs(p) <= w * (1 + 1e-12))
+    assert np.max(gap) <= arange.RTOL * w
 
 
 def test_boundary_of_the_zero_matrix_runs_no_solve(monkeypatch):
+    # every gap is 0, so the 32 start lines are the whole picture
     op = sr.make_operator(sr.identity_context(3), np.zeros((3, 3)))
     calls = record_batched_solves(monkeypatch)
     est = sr.estimate_range(op)
-    assert calls == [("eigvalsh", (360, 3, 3))]
-    assert not np.any(est.boundary)
+    assert calls == [("eigh", (16, 3, 3))]
+    assert est.boundary.shape == (32,) and not np.any(est.boundary)
+    assert not np.any(est.outer)
 
 
 def test_boundary_points_match_eigenvectors(rng):
-    # where the extreme eigenvalue is clear of the next, the point is
-    # well posed and the shifted solve finds eigh's eigenvector
+    # where the top eigenvalue is clear of the next, the point is well
+    # posed, and the point read off the slope is x* C x of eigh's
+    # eigenvector
     for k in range(30):
         n = int(rng.integers(2, 13))
         scale = 10.0 ** rng.uniform(-5, 5)
@@ -401,29 +423,29 @@ def test_boundary_points_match_eigenvectors(rng):
         op = sr.make_operator(ctx, scale * t)
         est = sr.estimate_range(op)
         c = op.compressed
-        lam, vec = np.linalg.eigh(arange._rotated(c, arange._HALF_TURN))
-        x = np.concatenate((vec[:, :, -1], vec[:, :, 0]))
+        theta = arange._picture(op)[0]
+        x = np.linalg.eigh(arange._rotated(c, theta))[1][:, :, -1]
         ref = np.einsum("bi,bi->b", x.conj(), x @ c.T)
-        ok = separated(lam, est.radius)
+        ok = separated(c, theta, est.radius)
         assert np.max(np.abs(est.boundary - ref)[ok]) <= 1e-9 * est.radius
 
 
 def test_boundary_solve_failure_is_a_numerical_failure(rng, monkeypatch):
+    # a LAPACK failure in the eigensolve of the support lines
     op = random_operator(rng, random_strict_context(rng, 3))
 
-    def singular(*args, **kw):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def failing(*args, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(sr.NumericalFailure, match="shifted solve"):
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(sr.NumericalFailure, match="eigensolve of the support lines"):
         sr.estimate_range(op)
 
 
 def test_scans_run_in_bounded_chunks(rng, monkeypatch):
-    # k = 20: 163 angles (65,200 entries) per eigvalsh or SVD stack, 81
-    # angles, top and bottom, per solve stack and 40 per stack of the
-    # 2k x 2k block matrix; the results do not depend on the chunking,
-    # down to one angle per stack
+    # k = 20: at most 163 matrices (65,200 entries) per eigh or SVD stack,
+    # 40 per stack of the 2k x 2k block matrix; the results do not depend
+    # on the chunking, down to one matrix per stack
     k = 20
     ctx = random_strict_context(rng, k)
     blocks = [random_operator(rng, ctx).matrix for _ in range(4)]
@@ -432,8 +454,9 @@ def test_scans_run_in_bounded_chunks(rng, monkeypatch):
         ops = [sr.make_operator(ctx, b) for b in blocks]
         est = sr.estimate_range(ops[0])
         return (
-            arange._spectra(ops[0]),
+            arange._picture(ops[0])[1],
             est.boundary,
+            est.outer,
             est.radius,
             est.crawford,
             sr.bound_report(ops[0]),
@@ -443,12 +466,9 @@ def test_scans_run_in_bounded_chunks(rng, monkeypatch):
 
     calls = record_batched_solves(monkeypatch)
     chunked = outputs()
-    scan = [(163, k, k), (163, k, k), (34, k, k)]
     shapes = {kind: [s for name, s in calls if name == kind] for kind in dict(calls)}
-    # T11's scan, T22's (T11's is kept) and the 2k x 2k block matrix's
-    assert shapes["eigvalsh"] == scan * 2 + [(40, 2 * k, 2 * k)] * 9
-    assert shapes["solve"] == [(162, k, k)] * 4 + [(72, k, k)]
-    assert shapes["svd"] == scan
+    assert shapes["svd"] == [(163, k, k), (163, k, k), (34, k, k)]
+    assert {shape[1:] for shape in shapes["eigh"]} == {(k, k), (2 * k, 2 * k)}
     assert all(np.prod(shape) <= arange.CHUNK_ENTRIES for _, shape in calls)
     for budget in (2**40, 1):
         monkeypatch.setattr(arange, "CHUNK_ENTRIES", budget)
@@ -649,3 +669,60 @@ def test_sampler_explores_half_the_budget_then_perturbs(samples, batches):
     for c in seen:
         assert np.allclose(np.linalg.norm(c, axis=1), 1.0)
     assert best == max(float(np.max(np.abs(c[:, 0]))) for c in seen)
+
+
+def test_pruning_finds_the_peak_the_start_lines_miss():
+    # two eigenvalues of nearly equal modulus between the start lines at 0
+    # and pi/16: the start line at pi/16 sits at the lower one, and only
+    # bisecting the cell whose vertex bound beats it finds the true radius;
+    # the origin lies outside the hull, whose nearest point is the middle
+    # of the edge between the two eigenvalues of nearly equal least modulus
+    near = [0.4 * np.exp(0.097j), (0.4 + 1e-5) * np.exp(0.19j)]
+    eigenvalues = [np.exp(0.098j), (1 - 1e-4) * np.exp(0.19j), *near, 0.6 + 0.1j]
+    op = normal_operator(eigenvalues, seed=5)
+    c = op.compressed
+    start = np.arange(32) * np.pi / 16
+    h = np.linalg.eigvalsh(arange._rotated(c, start))[:, -1]
+    assert start[np.argmax(h)] == np.pi / 16 and np.max(h) < 1 - 5e-5
+    assert sr.a_numerical_radius(op) == pytest.approx(1.0, rel=1e-14)
+    # distance from 0 to the segment between the two near eigenvalues
+    a, b = near
+    along = np.clip(np.real(-a * np.conj(b - a)) / abs(b - a) ** 2, 0.0, 1.0)
+    assert 0.0 < along < 1.0
+    assert sr.a_crawford(op) == pytest.approx(abs(a + along * (b - a)), rel=1e-13)
+
+
+def _cli_range_jobs(seed):
+    """The range jobs of the cli-small benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+    problems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(problems)
+    jobs = problems.cli_problems(seed)
+    return [job["doc"] for job in jobs if job["command"] == "range"]
+
+
+def distance_to_polygon(z, polygon):
+    """Distance of each point *z* to the convex *polygon* (counterclockwise
+    vertices, repeats allowed), 0 inside."""
+    a, edge = polygon, np.roll(polygon, -1) - polygon
+    rel = z[:, None] - a[None, :]
+    norm = np.abs(edge) ** 2
+    t = np.clip(np.real(rel * edge.conj()) / np.where(norm > 0, norm, 1.0), 0.0, 1.0)
+    nearest = np.min(np.abs(rel - t * edge), axis=1)
+    inside = np.all(np.imag(edge.conj() * rel) >= 0, axis=1)
+    return np.where(inside, 0.0, nearest)
+
+
+@pytest.mark.parametrize("seed", [7, 401])
+def test_old_720_point_polygon_lies_within_rtol_of_the_inner_polygon(seed):
+    # the support points at the 720 angles of the former fixed grid lie in
+    # the range, so within RTOL * w of the new inner polygon
+    thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    for doc in _cli_range_jobs(seed):
+        op = cli._operator_from(doc)
+        est = sr.estimate_range(op)
+        x = np.linalg.eigh(arange._rotated(op.compressed, thetas))[1][:, :, -1]
+        old = np.einsum("bi,bi->b", x.conj(), x @ op.compressed.T)
+        gap = distance_to_polygon(old, est.boundary)
+        assert np.max(gap) <= arange.RTOL * est.radius * (1 + 1e-9)

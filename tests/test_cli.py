@@ -44,18 +44,21 @@ RADIUS_JOB = {
 
 
 def test_radius_runs_one_batched_scan(tmp_path, capsys, monkeypatch):
+    # the support lines of the one operator, in stacked eigh calls that
+    # start from the 16 parts of the half turn; no eigvalsh stack
     path = write_json(tmp_path, RADIUS_JOB)
     stacks = []
-    eigvalsh = np.linalg.eigvalsh
+    for name in ("eigvalsh", "eigh"):
 
-    def counted(m, *args, **kw):
-        if np.ndim(m) > 2:
-            stacks.append(np.shape(m))
-        return eigvalsh(m, *args, **kw)
+        def counted(m, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            if np.ndim(m) > 2:
+                stacks.append((_name, np.shape(m)))
+            return _fn(m, *args, **kw)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     assert main(["--command", "radius", "--input", path, "--format", "json"]) == 0
-    assert stacks == [(360, 2, 2)]
+    assert stacks[0] == ("eigh", (16, 2, 2))
+    assert {name for name, _ in stacks} == {"eigh"}
 
 
 def test_radius_matches_library_to_the_bit(tmp_path, capsys):
@@ -164,7 +167,8 @@ def test_range_json_and_svg(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["radius"] == pytest.approx(np.sqrt(5), abs=1e-4)
-    assert len(payload["boundary"]) == 720
+    # a segment: every gap is 0 at the 32 start lines
+    assert len(payload["boundary"]) == len(payload["outer"]) == 32
     assert "refined" not in payload
     assert payload["degenerate"] is False
 
@@ -172,7 +176,10 @@ def test_range_json_and_svg(tmp_path, capsys):
     assert code == 0
     svg = capsys.readouterr().out
     assert svg.startswith("<?xml")
-    assert "<polygon" in svg
+    # the outer polygon, dashed, behind the inner one
+    assert svg.count("<polygon") == 2
+    assert 'fill="none"' in svg.split("<polygon")[1]
+    assert "stroke-dasharray" in svg.split("<polygon")[1]
     assert svg.count("<circle") == 2
     assert "</svg>" in svg
 
@@ -191,7 +198,7 @@ OUTPUT_KEYS = {
         "command", "degree", "r_c", "r_cm", "r_fk", "r_prk", "d_star", "alphas",
         "max_root_modulus",
     },
-    "range": {"command", "radius", "crawford", "boundary", "degenerate"},
+    "range": {"command", "radius", "crawford", "boundary", "outer", "degenerate"},
 }
 
 

@@ -74,12 +74,14 @@ def test_unitary_similarity_keeps_bound_report(seed, n, kernel):
 
 
 def weighted_quantities(a, t):
-    """Radius, Crawford number, BoundReport fields and boundary of T under A."""
+    """Radius, Crawford number, BoundReport fields and the range picture
+    (angles, inner and outer polygons) of T under A."""
     op = sr.make_operator(sr.make_context(a), t)
     est = sr.estimate_range(op)
     out = {"radius": sr.a_numerical_radius(op), "crawford": sr.a_crawford(op)}
     out.update(vars(sr.bound_report(op)))
-    out["boundary"] = est.boundary
+    out["theta"] = sr.arange._picture(op)[0]
+    out["boundary"], out["outer"] = est.boundary, est.outer
     return op, out
 
 
@@ -105,11 +107,15 @@ def test_rescaling_the_weight_keeps_every_weighted_quantity(seed, n, kernel, c):
     _, scaled = weighted_quantities(c * a, t)
     w = base["radius"]
     # phi_star is an argmin, which a flat objective leaves undetermined
-    for name in base.keys() - {"phi_star", "boundary"}:
+    for name in base.keys() - {"phi_star", "theta", "boundary", "outer"}:
         assert scaled[name] == pytest.approx(base[name], rel=1e-12, abs=1e-12 * w), name
-    # a support point is well posed where its eigenvalue is isolated
-    ok = separated(sr.arange._spectra(op), w)
-    moved = np.abs(scaled["boundary"] - base["boundary"])[ok]
+    # the two pictures may bisect different cells; at the angles both
+    # evaluated, a support point is well posed where its eigenvalue is
+    # isolated
+    both, i, j = np.intersect1d(base["theta"], scaled["theta"], return_indices=True)
+    assert both[0] == 0.0 and len(both) >= 32
+    ok = separated(op.compressed, both, w)
+    moved = np.abs(scaled["boundary"][j] - base["boundary"][i])[ok]
     assert np.all(moved <= 1e-12 * w)
 
 
