@@ -30,10 +30,12 @@ on it (like its ``adjoint``).  Every quantity below starts from it:
     for every theta.
 
 A pruned search groups the cells whose bound beats the best value into
-runs, bisects a run until its points show one peak, refines each run's
-best angle by second-order steps on its eigenvalue branches
-(:mod:`semirad.scan`), and bisects on while a cell's bound beats the best
-refined value by more than the picture's resolution.  Every
+runs, cuts each run at the valleys of its points into segments of one
+peak, bisects a segment until its points agree on that peak, refines
+every segment's best angle by second-order steps on its eigenvalue
+branches (:mod:`semirad.scan`), and bisects on while a cell's bound beats
+the best refined value: outside the refined segments by more than the
+rounding of h, inside them by more than the picture's resolution.  Every
 batched eigensolve runs in chunks of at most CHUNK_ENTRIES matrix
 entries, so its memory does not grow with the number of angles.
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -69,7 +71,8 @@ CHUNK_ENTRIES = 2**16
 # exact.  The cells start from _START support lines per quarter turn (32 in
 # all: 16 parts of the half turn).  A pruned search bisects at most _SPLITS
 # cells per round, in at most _ROUNDS rounds, so that a function flat to
-# the resolution of its bounds (h of a disk) stays cheap.
+# the resolution of its bounds (h of a disk) stays cheap; it refines every
+# segment that may hold the optimum, however many.
 _QUARTER = 2**30
 _UNIT = 0.5 * np.pi / _QUARTER
 _START = 8
@@ -115,11 +118,11 @@ class _Cells:
     quarter-turn orbit at once, so the set is closed under rotation by
     pi/2 and the norm of every part at theta + pi/2 is known too.  Values
     are kept, in units of a power of two at the scale of C, per base angle
-    in [0, pi/2).  The cells start from 32 support lines and are bisected,
-    round by round, until every outer vertex lies within RTOL * max h of
-    its inner chord: the picture.  Each pruned search grows its own set of
-    base angles from the picture, so what it reads depends on C alone, and
-    no angle is evaluated twice.
+    in [0, pi/2).  The cells start from 32 support lines, evaluated at
+    once, and are bisected on first read of the picture, round by round,
+    until every outer vertex lies within RTOL * max h of its inner chord.
+    Each pruned search grows its own set of base angles from the picture,
+    so what it reads depends on C alone, and no angle is evaluated twice.
     """
 
     def __init__(self, c: np.ndarray):
@@ -129,18 +132,24 @@ class _Cells:
         self.h = self.dh = np.zeros((0, 4))
         self.start = np.arange(_START, dtype=np.int64) * (_QUARTER // _START)
         self.evaluate(self.start)
+
+    @cached_property
+    def picture(self) -> np.ndarray:
+        """The base angles of the picture, grown from the start lines."""
         # a cell one unit wide has no new point, so this ends
-        self.picture = self.start
+        picture = self.start
         while True:
-            names = _coarse(*self.view(self.picture))
-            grown = self.extend(self.picture, names)
-            if len(grown) == len(self.picture):
-                break
-            self.picture = grown
-        # the outer polygon holds the range, so its largest modulus bounds
-        # the radius: the scale of every later decision
-        vertex = _geometry(*self.view(self.picture))[4]
-        self.reach = float(np.max(np.abs(vertex)))
+            grown = self.extend(picture, _coarse(*self.view(picture)))
+            if len(grown) == len(picture):
+                return picture
+            picture = grown
+
+    @cached_property
+    def reach(self) -> float:
+        """The largest modulus of the picture's outer polygon, which holds
+        the range, so that it bounds the radius: the scale of every later
+        decision, in units of ``unit``."""
+        return float(np.max(np.abs(_geometry(*self.view(self.picture))[4])))
 
     def evaluate(self, base: np.ndarray) -> None:
         """One round: the parts at the new base angles and a quarter turn
@@ -214,8 +223,7 @@ def _coarse(index, h, dh):
 
 
 def _cells(op: SemiOperator) -> _Cells:
-    """The support-line cells of *op*, grown to the picture once per
-    operator."""
+    """The support-line cells of *op*, made once per operator."""
     return _memo(op, "_cells", lambda: _Cells(op.compressed))
 
 
@@ -308,19 +316,33 @@ def _chord_bound(index, h, dh) -> np.ndarray:
     return _floor(theta, width, [np.stack((p, p_next), axis=1)])
 
 
-def _runs(value, slope, excess, slack) -> tuple[np.ndarray, list]:
+def _valleys(value: np.ndarray, slope: np.ndarray, slack: float) -> list[int]:
+    """Positions of the valleys of a sequence of points: the least point
+    from each falling one (*slope* below -slack) to the next rising one
+    (above slack), which parts two peaks."""
+    sign = np.where(slope > slack, 1, np.where(slope < -slack, -1, 0))
+    moving = np.flatnonzero(sign)
+    turn = (sign[moving[:-1]] < 0) & (sign[moving[1:]] > 0)
+    return [
+        i + int(np.argmin(value[i : j + 1]))
+        for i, j in zip(moving[:-1][turn].tolist(), moving[1:][turn].tolist())
+    ]
+
+
+def _segments(value, slope, excess, slack) -> tuple[np.ndarray, list]:
     """One round of a pruned search for the max of *value* over a cyclic
-    view: (cells to bisect, runs to refine).
+    view of n points: (cells to bisect, segments to refine).
 
     A cell, running from its point to the next, is open while *excess*
     (its bound of *value* less the best value) is above *slack*, and so
     are the two cells next to the best point.  Each run of consecutive
-    open cells may hold the max.  A run is ready when *slope* rises into
-    its best point and falls after it at every point inside the run, so
-    that it brackets one peak as far as its points can tell; it is then
-    refined from that point, one (point, first point, last point) each.
-    Otherwise up to _SPLITS open cells of the runs that are not ready are
-    bisected, by excess, and nothing is refined.
+    open cells may hold the max; its valleys (:func:`_valleys`) cut it into
+    segments of one peak each, as far as its points can tell; each is
+    (best point, first point, last point), the first and last the same
+    around the whole turn.  A segment is ready when *slope* rises into its
+    best point and falls after it at every point inside it; the cells of
+    the segments that are not ready are bisected, at most _SPLITS of them
+    by excess.
     """
     n = len(value)
     opened = excess > slack
@@ -336,17 +358,25 @@ def _runs(value, slope, excess, slack) -> tuple[np.ndarray, list]:
         padded = np.concatenate(([0], np.roll(opened, -shift), [0]))
         edge = np.diff(padded.astype(np.int8))
         first, last = edge.nonzero()[0].reshape(-1, 2).T + shift
-    runs, split = [], []
+    segments, split = [], []
     for a, b in zip(first.tolist(), last.tolist()):
         points = np.arange(a, b + 1) % n
-        top = int(np.argmax(value[points]))
-        g = slope[points]
-        if np.all(g[1:top] >= -slack) and np.all(g[top + 1 : -1] <= slack):
-            runs.append((int(points[top]), a % n, b % n))
+        cuts = _valleys(value[points], slope[points], slack)
+        if b - a == n:
+            # around the whole turn, the segments run from valley to valley
+            cuts = [i for i in cuts if 0 < i < n]
+            ends = [*cuts, cuts[0] + n] if cuts else [0, n]
         else:
-            split.append(points[:-1])
+            ends = [0, *cuts, b - a]
+        for i, j in zip(ends[:-1], ends[1:]):
+            run = (a + np.arange(i, j + 1)) % n
+            top = int(np.argmax(value[run]))
+            g = slope[run]
+            segments.append((int(run[top]), int(run[0]), int(run[-1])))
+            if np.any(g[1:top] < -slack) or np.any(g[top + 1 : -1] > slack):
+                split.append(run[:-1])
     cells = np.concatenate(split) if split else np.zeros(0, dtype=np.int64)
-    return _top(cells, excess), runs
+    return _top(cells, excess), segments
 
 
 def _top(cells: np.ndarray, excess: np.ndarray) -> np.ndarray:
@@ -354,46 +384,76 @@ def _top(cells: np.ndarray, excess: np.ndarray) -> np.ndarray:
     return cells[np.argsort(-excess[cells], kind="stable")][:_SPLITS]
 
 
-def _optimize(cells: _Cells, survey, refine) -> tuple[float, float]:
-    """(t, f(t)) at the max of a function f of the support lines, pruned
-    on the cells, then refined and checked.
+def _optimize(cells: _Cells, survey, refine, period: float) -> tuple[float, float]:
+    """(t, f(t)) at the max of a function f of the support lines, of period
+    *period*, pruned on the cells, then refined and checked.
 
     ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic view:
     f and its slope at each point, a bound of f over each cell (the cell
     from a point to the next) and each cell's midpoint; ``refine(theta, f,
     below, above)`` refines from the point theta within the bracket.  The
-    cells are bisected round by round until every run of open cells is
-    ready (:func:`_runs`); each run is then refined, at most _SPLITS of
-    them, the most promising first, and the best refined max is kept once
-    no cell's bound beats it by more than RTOL times the picture's reach,
-    the overshoot of a smooth arc's bound at the picture's resolution;
-    otherwise the cells that do are bisected and the search goes on, for
-    at most _ROUNDS rounds.
+    result starts at the best point.  The cells are bisected round by
+    round until every segment of open cells is ready (:func:`_segments`);
+    each segment is then refined from its best point within its bracket,
+    and the best value is kept once no cell's bound beats it: by more than
+    the rounding of f outside the refined segments, and by more than twice
+    RTOL times the picture's reach inside them, the most a bound at the
+    picture's resolution overshoots one smooth optimum (the outer vertex
+    lies within the picture's gap of the range, and the H_phi floor within
+    sqrt(2) gaps of its objective).  Otherwise the cells that beat it are
+    bisected and the search goes on.  After _ROUNDS rounds every segment
+    is refined, ready or not, and a bound that still beats the result is
+    reported by a RuntimeWarning.
     """
     base = cells.picture
     reach = cells.reach * cells.unit
     # the rounding of h: the backward error of eigh, carried over by Weyl's
     # inequality
     slack = 4.0 * cells.c.shape[0] * _EPS * reach
-    for last in [False] * _ROUNDS + [True]:
+    best = (-np.inf, 0.0)
+    refined: dict = {}
+    for rounds in range(_ROUNDS + 1):
         theta, value, slope, bound, names = survey(*cells.view(base))
-        excess = bound - np.max(value)
-        split, runs = _runs(value, slope, excess, slack)
-        if not split.size or last:
-            period = 2.0 * np.pi if theta[-1] > 0.5 * np.pi else 0.5 * np.pi
-            runs.sort(key=lambda run: -value[run[0]])
-            best = (-np.inf, 0.0)
-            for top, a, b in runs[:_SPLITS]:
-                below, above = (theta[[a, b]] - theta[top]) * [-1, 1] % period
-                if a == b:  # the whole turn
-                    below = above = 0.5 * period
-                t, v = refine(theta[top], value[top], below, above)
-                best = max(best, (v, t))
-            v, t = best
-            split = _top(np.flatnonzero(bound - v > RTOL * reach), bound - v)
-            if not split.size or last:
-                return t, v
+        top = int(np.argmax(value))
+        best = max(best, (float(value[top]), float(theta[top])))
+        split, segments = _segments(value, slope, bound - best[0], slack)
+        if split.size and rounds < _ROUNDS:
+            base = cells.extend(base, names[split])
+            continue
+        n = len(value)
+        tol = np.full(n, slack)
+        # the most promising first, so that a better result can shut the
+        # segments after it
+        for top, a, b in sorted(segments, key=lambda seg: -value[seg[0]]):
+            inside = (a + np.arange((b - a) % n or n)) % n
+            if np.max(bound[inside]) - best[0] <= slack:
+                continue
+            below = (theta[top] - theta[a]) % period
+            above = period - below if a == b else (theta[b] - theta[top]) % period
+            if a == b == top:  # the whole turn from the best point
+                below = above = 0.5 * period
+            key = (float(theta[top]), below, above)
+            if key not in refined:
+                refined[key] = refine(theta[top], value[top], below, above)
+            t, v = refined[key]
+            best = max(best, (v, t))
+            tol[inside] = 2.0 * RTOL * reach
+        over = bound - best[0]
+        split = _top(np.flatnonzero(over > tol), over)
+        if not split.size:
+            break
+        if rounds == _ROUNDS:
+            warnings.warn(
+                f"the pruned search stopped after {_ROUNDS} rounds with a "
+                f"cell bound {np.max(over):.3e} beyond its result "
+                f"{best[0]:.17g}, which may miss the optimum",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
         base = cells.extend(base, names[split])
+    v, t = best
+    return t, v
 
 
 def _support_survey(cells: _Cells, sign: float, bound):
@@ -429,7 +489,8 @@ def _extremum(cells: _Cells, maximize: bool, bound) -> float:
         t, f = refine_best(evaluate, [theta], [sign * value], (below, above), maximize)
         return t, sign * f
 
-    return sign * _optimize(cells, _support_survey(cells, sign, bound), refine)[1]
+    survey = _support_survey(cells, sign, bound)
+    return sign * _optimize(cells, survey, refine, 2.0 * np.pi)[1]
 
 
 def _radius(cells: _Cells) -> float:
@@ -481,11 +542,10 @@ def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius, the max of the support function.
 
     Starting from the picture, the cells whose outer vertex could beat the
-    best h form runs; the top eigenvalue branch is refined from each run's
-    best angle by second-order steps (:func:`scan.refine_best`), and the
-    best refined value is kept once no vertex beats it by more than RTOL
-    times the picture's reach (the largest modulus of its outer polygon,
-    which holds the range).
+    best h form runs, cut at their valleys into segments of one peak; the
+    top eigenvalue branch is refined from each segment's best angle by
+    second-order steps (:func:`scan.refine_best`), and the best refined
+    value is kept once no vertex beats it (:func:`_optimize`).
     """
     return _extreme(op, "_radius", _radius)
 

@@ -117,21 +117,14 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         f = np.hypot(norm[0], norm[1])
         slope = np.where(top, dh4[:2], dh4[2:])
         df = np.sum(norm * slope, axis=0) / np.where(f > 0, f, 1.0)
-        # |F'| <= hypot(N'(u), N'(u + pi/2)) and |N'| = |h'| <= |p| <= w,
-        # which the picture's reach bounds, so F is at least
-        # (F_a + F_b - lipschitz * width) / 2 on a cell; where that is below
-        # the least F, F is at least its value for the support points at
-        # the cell's ends, each turned back by its quarter turns
+        # F is at least its value for the support points at the cell's
+        # ends, each turned back by its quarter turns
         base = index[:n]
         width = _span(base, _QUARTER) * _UNIT
-        lipschitz = np.sqrt(2.0) * cells.reach
-        floor = 0.5 * (f + np.roll(f, -1) - lipschitz * width)
-        near = np.flatnonzero(floor < np.min(f))
-        if near.size:
-            q = np.exp(1j * base * _UNIT) * (h4 + 1j * dh4)
-            ends = np.stack((q, np.roll(q, -1, axis=1)), axis=2)[:, near]
-            groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
-            floor[near] = _floor(base[near] * _UNIT, width[near], groups)
+        q = np.exp(1j * base * _UNIT) * (h4 + 1j * dh4)
+        ends = np.stack((q, np.roll(q, -1, axis=1)), axis=2)
+        groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
+        floor = _floor(base * _UNIT, width, groups)
         s = -cells.unit
         return base * _UNIT, s * f, s * df, s * floor, _midpoints(base, _QUARTER)
 
@@ -150,7 +143,7 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         t, f = refine_best(evaluate, [theta], [-value], (below, above), False)
         return t, -f
 
-    theta, best = _optimize(cells, survey, refine)
+    theta, best = _optimize(cells, survey, refine, 0.5 * np.pi)
     return -best, -theta % (0.5 * np.pi)
 
 

@@ -11,11 +11,12 @@ eigenvector x, its slope x* P' x and its curvature
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
 model (:func:`branches`).  Its first half, :func:`_eigen`, over a stack
 of angles, gives the support-line cells of :mod:`semirad.arange` their
-values and slopes.  The callers prune those cells first, into runs of
-cells whose bound beats the best angle, and hand each run's best angle
-and its run to :func:`refine_best`, so unimodality only has to hold
-inside a run; the callers then check the refined value against every
-cell's bound.  Each step minimizes the objective's model, the sum over
+values and slopes.  The callers prune those cells first, into segments
+of cells whose bound beats the best angle, each holding one peak as far
+as its points tell, and hand each segment's best angle and its bracket
+to :func:`refine_best`, so unimodality only has to hold inside a
+segment; the callers then check the refined value against every cell's
+bound.  Each step minimizes the objective's model, the sum over
 parts of the max over branches of their quadratics, inside a bracket
 that the sign of the slope shrinks; where that minimizer is
 not strictly inside the bracket, or the steps stop halving, the step

@@ -692,6 +692,32 @@ def test_pruning_finds_the_peak_the_start_lines_miss():
     assert sr.a_crawford(op) == pytest.approx(abs(a + along * (b - a)), rel=1e-13)
 
 
+def test_pruning_refines_every_peak_that_may_hold_the_max():
+    # eight eigenvalues of modulus within 1e-6 of 1, seven of them 0.003
+    # past a start line and the largest midway between two: h has one peak
+    # per eigenvalue, and the picture's seven best peaks are the lower ones
+    angles = np.arange(8) * np.pi / 4 + 0.003
+    angles[5] += np.pi / 32 - 0.003
+    moduli = 1.0 + 1e-7 * np.arange(8)
+    moduli[5] = 1.0 + 1e-6
+    op = normal_operator(moduli * np.exp(1j * angles), seed=8)
+    theta, h = arange._picture(op)[:2]
+    nearest = np.argmin(np.abs(np.angle(np.exp(1j * (theta[:, None] - angles)))), axis=1)
+    best = np.array([np.max(h[nearest == j]) for j in range(8)])
+    assert np.all(np.delete(best, 5) > best[5])
+    assert sr.a_numerical_radius(op) == pytest.approx(1.0 + 1e-6, rel=1e-14)
+
+
+def test_radius_of_a_near_disk():
+    # the range of [[0, 2], [1e-9, 0]] is an ellipse with semi-axes
+    # 1 +- 5e-10: every outer vertex beats every sample, so the whole turn
+    # is open, and its two peaks, parted by valleys of depth 1e-9, are
+    # refined on their own
+    op = sr.make_operator(sr.identity_context(2), np.array([[0.0, 2.0], [1e-9, 0.0]]))
+    assert sr.a_numerical_radius(op) == pytest.approx(1.0 + 5e-10, rel=1e-14)
+    assert sr.bound_report(op).upper_hphi == pytest.approx(np.sqrt(2.0), rel=1e-14)
+
+
 def _cli_range_jobs(seed):
     """The range jobs of the cli-small benchmark workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"

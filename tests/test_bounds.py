@@ -470,6 +470,19 @@ def test_hphi_bound_is_the_global_minimum(make):
     assert upper >= sr.a_numerical_radius(op) * (1 - 1e-14)
 
 
+def test_search_out_of_rounds_refines_every_segment_and_warns(monkeypatch):
+    # with no bisection round left, the first round refines every segment,
+    # ready or not; a cell bound that still beats the result is reported,
+    # and the result is the objective at the angle returned
+    monkeypatch.setattr(arange, "_ROUNDS", 0)
+    op = HPHI_CASES["two_minima"](None)
+    with pytest.warns(RuntimeWarning, match="pruned search stopped after 0 rounds"):
+        upper, phi = sr.upper_bound_hphi(op)
+    objective = hphi_objective(op.compressed)
+    assert upper == pytest.approx(objective(np.array([phi]))[0], rel=1e-14)
+    assert upper >= dense_min(objective, 0.0, 0.5 * np.pi)
+
+
 RANK_ZERO_CALLS = {
     "lower_bound_21": lambda ops: sr.lower_bound_21(ops[0]),
     "lower_bound_22": lambda ops: sr.lower_bound_22(ops[0]),
