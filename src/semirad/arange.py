@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import NotStrictlyPositive, NumericalFailure
 from .linalg import require_square, spectral_norm
-from .scan import _eigen, _unit, branches, refine_best
+from .scan import _unit, branches, refine
 from .semihilbert import SemiOperator, im_a, re_a
 
 #: Outer-inner gap of every cell of the range picture, relative to the
@@ -107,7 +107,7 @@ class _Cells:
     Every angle theta evaluated gives the support value h(theta) and the
     support point p_theta = exp(i theta) (h + i h'), the point x* C x of
     the top eigenvector x, whose slope h' = x* Im(exp(-i theta) C) x comes
-    with the eigenvector (:func:`scan._eigen`).  Between two neighbouring
+    with the eigenvector (:func:`scan.branches`).  Between two neighbouring
     angles a < b lies a cell: the points p_a, p_b span a chord of the inner
     polygon, inside the range, and the support lines at a and b meet at a
     vertex of the outer polygon, around it, so h on [a, b] lies between
@@ -159,16 +159,11 @@ class _Cells:
         value, slope = [], []
         # the parts and their eigenvectors: two stacks of the chunk's size
         for s in _chunks(len(angles), k, copies=2):
-            try:
-                lam, vec, y = _eigen(
-                    lambda t: _rotated(self.c, t), angles[s], [0, -1], self.unit
-                )
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    f"eigensolve of the support lines failed: {exc}"
-                ) from exc
-            value.append(lam[:, [0, -1]] / self.unit)
-            slope.append((vec[:, :, [0, -1]].conj() * y).sum(axis=1).real)
+            v, g = branches(
+                lambda t: _rotated(self.c, t), angles[s], [0, -1], self.unit
+            )[1][:2]
+            value.append(v)
+            slope.append(g)
         # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
         h, dh = (
             np.concatenate((r[:n, 1:], r[n:, 1:], -r[:n, :1], -r[n:, :1]), axis=1)
@@ -384,15 +379,15 @@ def _top(cells: np.ndarray, excess: np.ndarray) -> np.ndarray:
     return cells[np.argsort(-excess[cells], kind="stable")][:_SPLITS]
 
 
-def _optimize(cells: _Cells, survey, refine, period: float) -> tuple[float, float]:
+def _optimize(cells: _Cells, survey, evaluate, period: float) -> tuple[float, float]:
     """(t, f(t)) at the max of a function f of the support lines, of period
     *period*, pruned on the cells, then refined and checked.
 
     ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic view:
     f and its slope at each point, a bound of f over each cell (the cell
-    from a point to the next) and each cell's midpoint; ``refine(theta, f,
-    below, above)`` refines from the point theta within the bracket.  The
-    result starts at the best point.  The cells are bisected round by
+    from a point to the next) and each cell's midpoint; ``evaluate(t)``
+    gives f(t) and the models of the branches of -f, for
+    :func:`scan.refine`.  The result starts at the best point.  The cells are bisected round by
     round until every segment of open cells is ready (:func:`_segments`);
     each segment is then refined from its best point within its bracket,
     and the best value is kept once no cell's bound beats it: by more than
@@ -434,7 +429,8 @@ def _optimize(cells: _Cells, survey, refine, period: float) -> tuple[float, floa
                 below = above = 0.5 * period
             key = (float(theta[top]), below, above)
             if key not in refined:
-                refined[key] = refine(theta[top], value[top], below, above)
+                t = float(theta[top])
+                refined[key] = refine(evaluate, t, t - below, t + above)
             t, v = refined[key]
             best = max(best, (v, t))
             tol[inside] = 2.0 * RTOL * reach
@@ -456,19 +452,9 @@ def _optimize(cells: _Cells, survey, refine, period: float) -> tuple[float, floa
     return t, v
 
 
-def _support_survey(cells: _Cells, sign: float, bound):
-    """survey of sign * h for :func:`_optimize` over full-turn views, with
-    ``bound(view)`` bounding h over each cell."""
-
-    def survey(index, h, dh):
-        s = sign * cells.unit
-        return index * _UNIT, s * h, s * dh, s * bound(index, h, dh), _midpoints(index)
-
-    return survey
-
-
 def _extremum(cells: _Cells, maximize: bool, bound) -> float:
-    """max (or min) of h.
+    """max (or min) of h, as the max of sign * h over full-turn views, with
+    ``bound(view)`` bounding h over each cell.
 
     The max of h sits where the top branch is smooth.  The min may sit
     where the top branch crosses the next one, or, where the whole
@@ -481,16 +467,15 @@ def _extremum(cells: _Cells, maximize: bool, bound) -> float:
     sign = 1.0 if maximize else -1.0
     scale = cells.reach * cells.unit
 
+    def survey(index, h, dh):
+        s = sign * cells.unit
+        return index * _UNIT, s * h, s * dh, s * bound(index, h, dh), _midpoints(index)
+
     def evaluate(t: float):
         lam_t, q = branches(lambda u: _rotated(c, u), t, idx, scale)
-        return float(lam_t[0, -1]), -sign * q
+        return sign * float(lam_t[0, -1]), -sign * q
 
-    def refine(theta, value, below, above):
-        t, f = refine_best(evaluate, [theta], [sign * value], (below, above), maximize)
-        return t, sign * f
-
-    survey = _support_survey(cells, sign, bound)
-    return sign * _optimize(cells, survey, refine, 2.0 * np.pi)[1]
+    return sign * _optimize(cells, survey, evaluate, 2.0 * np.pi)[1]
 
 
 def _radius(cells: _Cells) -> float:
@@ -544,7 +529,7 @@ def a_numerical_radius(op: SemiOperator) -> float:
     Starting from the picture, the cells whose outer vertex could beat the
     best h form runs, cut at their valleys into segments of one peak; the
     top eigenvalue branch is refined from each segment's best angle by
-    second-order steps (:func:`scan.refine_best`), and the best refined
+    second-order steps (:func:`scan.refine`), and the best refined
     value is kept once no vertex beats it (:func:`_optimize`).
     """
     return _extreme(op, "_radius", _radius)
@@ -626,9 +611,11 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     the seminorm over its own grid of THETA_GRID angles is the batched SVD
     of their compressed combinations over the half turn (the norm has
     period pi), chunked like every batched eigensolve.  The combinations
-    form a Hermitian family like the rotated parts, so the best theta is
-    refined on the larger of the branches lambda_max and -lambda_min, like
-    the radius.  Agrees with :func:`a_numerical_radius` to ~1e-8.
+    form a Hermitian family like the rotated parts, so the grid's best
+    angle is refined within one grid step on the larger of the branches
+    lambda_max and -lambda_min (:func:`scan.refine`), like the radius; the
+    grid's maximum stands if no refined point beats it.  Agrees with
+    :func:`a_numerical_radius` to ~1e-8.
     """
     c_re, c_im = re_a(op).compressed, im_a(op).compressed
     if c_re.shape[0] == 0:
@@ -649,18 +636,18 @@ def w_theta_identity_check(op: SemiOperator) -> float:
             for s in _chunks(len(half), k)
         ]
     )
-    scale = float(np.max(norms))
+    best = int(np.argmax(norms))
 
     def norm(theta: float):
         # the norm is the larger of lambda_max and -lambda_min; refine that
         # branch, whose max is smooth
-        lam, q = branches(part, theta, [0, k - 1], scale)
+        lam, q = branches(part, theta, [0, k - 1], norms[best])
         top = lam[0, -1] >= -lam[0, 0]
         model = -q[:, :, 1:] if top else q[:, :, :1]
         return float(max(lam[0, -1], -lam[0, 0])), model
 
-    step = 2.0 * np.pi / THETA_GRID
-    return refine_best(norm, thetas, np.tile(norms, 2), step, True)[1]
+    t, step = float(half[best]), 2.0 * np.pi / THETA_GRID
+    return max(refine(norm, t, t - step, t + step)[1], float(norms[best]))
 
 
 def general_eig(m) -> np.ndarray:

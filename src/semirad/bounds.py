@@ -10,7 +10,7 @@ kept on it: both lower bounds off the start lines at 0 and pi/2, and the
 H_phi objective at every angle of the picture, whose angles are closed
 under rotation by pi/2.  :func:`upper_bound_hphi` prunes the quarter-turn
 cells on bounds of the objective, refines the best angle by second-order
-steps on the eigenvalue branches of both parts (:func:`scan.refine_best`)
+steps on the eigenvalue branches of both parts (:func:`scan.refine`)
 and checks the refined value against every cell's bound; the value is
 kept on the operator, and :func:`bound_report` reads it there.  The block
 bounds read w(T11) and w(T22) from the same per-operator cells.  A rank-0
@@ -54,7 +54,7 @@ from .arange import (
     a_numerical_radius,
 )
 from .errors import TOutOfRange
-from .scan import branches, refine_best
+from .scan import branches
 from .semihilbert import (
     SemiOperator,
     _require_same_context,
@@ -137,13 +137,9 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
         value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
         norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
-        return hypot(*norms), squares / (2.0 * value or 1.0)
+        return -hypot(*norms), squares / (2.0 * value or 1.0)
 
-    def refine(theta, value, below, above):
-        t, f = refine_best(evaluate, [theta], [-value], (below, above), False)
-        return t, -f
-
-    theta, best = _optimize(cells, survey, refine, 0.5 * np.pi)
+    theta, best = _optimize(cells, survey, evaluate, 0.5 * np.pi)
     return -best, -theta % (0.5 * np.pi)
 
 

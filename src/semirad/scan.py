@@ -9,21 +9,22 @@ One ``eigh`` of P(t) gives each eigenvalue branch lambda, with unit
 eigenvector x, its slope x* P' x and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
-model (:func:`branches`).  Its first half, :func:`_eigen`, over a stack
-of angles, gives the support-line cells of :mod:`semirad.arange` their
-values and slopes.  The callers prune those cells first, into segments
-of cells whose bound beats the best angle, each holding one peak as far
-as its points tell, and hand each segment's best angle and its bracket
-to :func:`refine_best`, so unimodality only has to hold inside a
-segment; the callers then check the refined value against every cell's
-bound.  Each step minimizes the objective's model, the sum over
-parts of the max over branches of their quadratics, inside a bracket
-that the sign of the slope shrinks; where that minimizer is
-not strictly inside the bracket, or the steps stop halving, the step
-bisects the bracket instead.  A kink, where two branches cross, is where
-their quadratics cross, so kinks converge as fast as smooth optima.  The
-search stops once the model promises less than the rounding of the
-spectrum, or once the bracket is at most ``TOL`` wide.
+model (:func:`branches`).  Over a stack of angles, the same call gives
+the support-line cells of :mod:`semirad.arange` their values and slopes.
+The callers prune those cells first, into segments of cells whose bound
+beats the best angle, each holding one peak as far as its points tell,
+and hand each segment's best angle and its bracket to :func:`refine`, the
+one refinement, which maximizes a function f of the branches, so
+unimodality only has to hold inside a segment; the callers then check
+the refined value against every cell's bound.  Each step minimizes the
+model of -f, the sum over parts of the max over branches of their
+quadratics, inside a bracket that the sign of the slope shrinks; where
+that minimizer is not strictly inside the bracket, or the steps stop
+halving, the step bisects the bracket instead.  A kink, where two
+branches cross, is where their quadratics cross, so kinks converge as
+fast as smooth optima.  The search stops once the model promises less
+than the rounding of the spectrum, or once the bracket is at most
+``TOL`` wide.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 #: Width of the bracket at which the refinement stops.
 TOL = 1e-10
 
@@ -44,38 +47,32 @@ def _unit(scale: float) -> float:
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
 
-def _eigen(family: Callable, t, idx, s: float):
-    """(lam, vec, y): the ascending spectra, shape (parts, k), and the
-    eigenvectors of the Hermitian stack ``family(t)``, and y = P' x / s
-    for the eigenvectors x of the branches *idx*, so that x* y is each
-    branch's slope in units of s."""
-    lam, vec = np.linalg.eigh(family(t))
-    k = lam.shape[-1]
-    lam, vec = lam.reshape(-1, k), vec.reshape(-1, k, k)
-    dp = family(t + 0.5 * np.pi).reshape(-1, k, k)
-    dp /= s  # before the products, so that they neither overflow nor underflow
-    return lam, vec, dp @ vec[:, :, idx]
-
-
 def branches(
-    family: Callable, t: float, idx, scale: float
+    family: Callable, t, idx, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of the Hermitian stack ``family(t)`` and the quadratic models
     of its eigenvalue branches *idx*.
 
-    *family* maps an angle to one k x k part or a stack of them, of the form
-    above, so that ``family(t + pi/2)`` is the derivative.  Returns
-    (lam, q): the ascending spectra, shape (parts, k), and the value, slope
-    and curvature of each branch, shape (3, parts, len(idx)), in units of
-    s, a power of two at *scale* (the largest |eigenvalue| on the grid), so
-    that a unit means the same at every t and squares neither overflow nor
-    underflow.
+    *family* maps an angle, or an array of them, to one k x k part or a
+    stack of them, of the form above, so that ``family(t + pi/2)`` is the
+    derivative.  Returns (lam, q): the ascending spectra, shape (parts, k),
+    and the value, slope and curvature of each branch, shape
+    (3, parts, len(idx)), in units of s, a power of two at *scale* (the
+    largest |eigenvalue| in sight), so that a unit means the same at every
+    t and squares neither overflow nor underflow.  A LAPACK failure raises
+    NumericalFailure.
     """
     s = _unit(scale)
-    lam, vec, y = _eigen(family, t, idx, s)
-    lam = lam / s
+    try:
+        lam, vec = np.linalg.eigh(family(t))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolve of the support lines failed: {exc}") from exc
+    k = lam.shape[-1]
+    lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
+    dp = family(t + 0.5 * np.pi).reshape(-1, k, k)
+    dp /= s  # before the products, so that they neither overflow nor underflow
     # g[p, j, b] = x_j* P' x_b, with no conjugated copy of the eigenvectors
-    g = (np.swapaxes(vec, 1, 2) @ y.conj()).conj()
+    g = (np.swapaxes(vec, 1, 2) @ (dp @ vec[:, :, idx]).conj()).conj()
     value = lam[:, idx]
     slope = g[:, idx, np.arange(len(idx))].real
     gap = value[:, None, :] - lam[:, :, None]
@@ -125,69 +122,43 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     return float(d[best]), -float(model[best])
 
 
-def _minimize(
-    evaluate: Callable, t: float, a: float, b: float, sign: float
-) -> tuple[float, float]:
-    """Best (t, f(t)) evaluated while minimizing sign * f on [a, b],
-    starting at t (see :func:`refine_best`).
+def refine(evaluate: Callable, t: float, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the largest f evaluated while maximizing f on [lo, hi],
+    starting at t.
 
-    A model step must be at most half the step before the last
-    (Press et al., Numerical Recipes, ``rtsafe``), so model steps shrink
-    geometrically and bisections halve the bracket; 200 steps at most, as
-    a backstop.
+    ``evaluate(t)`` returns f(t) and the quadratic models of the branches
+    of -f (as :func:`branches` gives them), so that the sum over parts of
+    the max over branches is -f.  A model step must be at most half the
+    step before the last (Press et al., Numerical Recipes, ``rtsafe``), so
+    model steps shrink geometrically and bisections halve the bracket; 200
+    steps at most, as a backstop.
     """
-    best_t, best = t, np.inf
-    moves = [b - a, b - a]  # the last two steps taken
+    best_t, best = t, -np.inf
+    moves = [hi - lo, hi - lo]  # the last two steps taken
     for _ in range(200):
         f, q = evaluate(t)
-        if sign * f < best:
-            best_t, best = t, sign * f
+        if f > best:
+            best_t, best = t, f
         elif moves[1] <= TOL:
             break  # a step within TOL gained nothing: f is at its rounding
         v, g = q[0], q[1]
         top = np.argmax(v, axis=1)[:, None]
         slope = float(np.sum(np.take_along_axis(g, top, axis=1)))
         if slope > 0.0:
-            b = t
+            hi = t
         elif slope < 0.0:
-            a = t
+            lo = t
         else:
             break
-        if b - a <= TOL:
+        if hi - lo <= TOL:
             break
-        d, gain = _model_step(q, a - t, b - t)
+        d, gain = _model_step(q, lo - t, hi - t)
         if not gain > np.finfo(np.float64).eps or t + d == t:
             break
-        if not a < t + d < b or abs(d) > 0.5 * moves[0]:
-            d = 0.5 * (a + b) - t
+        if not lo < t + d < hi or abs(d) > 0.5 * moves[0]:
+            d = 0.5 * (lo + hi) - t
             if t + d == t:
                 break  # the bracket is at the float spacing of t
         moves = [moves[1], abs(d)]
         t += d
-    return best_t, sign * best
-
-
-def refine_best(
-    evaluate: Callable, xs, values, step: float, maximize: bool
-) -> tuple[float, float]:
-    """Best point of a grid scan, refined; returns (x, f(x)).
-
-    *values* holds f at the grid points *xs*; *step* is the distance from
-    the best grid point to the ends of the bracket searched around it, one
-    number (the spacing of an even grid) or a pair (below, above).
-    ``evaluate(t)`` returns f(t) and the quadratic models of the branches
-    it is read off (as :func:`branches` gives them), arranged so that the
-    sum over parts of the max over branches grows with f when minimizing
-    and with -f when maximizing.  The search starts at the best grid point
-    and stays within one cell of it; the grid point is kept only if it is
-    strictly better than every point evaluated.
-    """
-    sign = -1.0 if maximize else 1.0
-    k = int(np.argmin(sign * np.asarray(values)))
-    below, above = (step, step) if np.ndim(step) == 0 else step
-    t = float(xs[k])
-    x, fx = _minimize(evaluate, t, t - below, t + above, sign)
-    grid = float(values[k])
-    if sign * grid < sign * fx:
-        return float(xs[k]), grid
-    return x, fx
+    return best_t, best

@@ -442,6 +442,40 @@ def test_boundary_solve_failure_is_a_numerical_failure(rng, monkeypatch):
         sr.estimate_range(op)
 
 
+@pytest.mark.parametrize(
+    "quantity", [sr.a_numerical_radius, sr.upper_bound_hphi, sr.w_theta_identity_check]
+)
+def test_refinement_solve_failure_is_a_numerical_failure(rng, monkeypatch, quantity):
+    # LAPACK fails on the one and two-part eigh calls of the refinements,
+    # not on the stacks of the support lines
+    op = random_operator(rng, random_strict_context(rng, 4))
+    eigh = np.linalg.eigh
+
+    def failing(m, *args, **kw):
+        if np.ndim(m) == 2 or len(m) <= 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(sr.NumericalFailure, match="eigensolve of the support lines"):
+        quantity(op)
+
+
+def test_w_theta_identity_check_keeps_a_strictly_better_grid_point(rng, monkeypatch):
+    # the result is at least the maximum of its own grid, and is that
+    # maximum when no refined point beats it
+    op = random_operator(rng, random_strict_context(rng, 4))
+    c_re, c_im = sr.re_a(op).compressed, sr.im_a(op).compressed
+    half = np.linspace(0.0, 2.0 * np.pi, arange.THETA_GRID, endpoint=False)[
+        : arange.THETA_GRID // 2, None, None
+    ]
+    parts = np.cos(half) * c_re - np.sin(half) * c_im
+    grid = float(np.max(np.linalg.svd(parts, compute_uv=False)[:, 0]))
+    assert sr.w_theta_identity_check(op) >= grid
+    monkeypatch.setattr(arange, "refine", lambda evaluate, t, lo, hi: (t, 0.0))
+    assert sr.w_theta_identity_check(op) == grid
+
+
 def test_scans_run_in_bounded_chunks(rng, monkeypatch):
     # k = 20: at most 163 matrices (65,200 entries) per eigh or SVD stack,
     # 40 per stack of the 2k x 2k block matrix; the results do not depend

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semirad import scan
-from semirad.scan import _model_step, branches, refine_best
+from semirad.scan import _model_step, branches, refine
 
 # The golden_section ids are kept for the tests of the second-order
 # refinement that replaced golden-section search; its bisection step is the
@@ -12,25 +12,20 @@ from semirad.scan import _model_step, branches, refine_best
 
 
 def analytic(f, df, d2f, evals=None):
-    """evaluate(t) for refine_best from a function and its two derivatives:
-    one part with one branch, the model of the minimized function."""
+    """evaluate(t) for refine, which maximizes f, from f and its two
+    derivatives: one part with one branch, the model of -f."""
 
     def evaluate(t):
         if evals is not None:
             evals.append(t)
-        return f(t), np.array([[[f(t)]], [[df(t)]], [[d2f(t)]]])
+        return f(t), -np.array([[[f(t)]], [[df(t)]], [[d2f(t)]]])
 
     return evaluate
 
 
-def negated(evaluate):
-    """The same evaluate with the model of -f, to maximize f."""
-
-    def flipped(t):
-        f, q = evaluate(t)
-        return f, -q
-
-    return flipped
+def from_best(xs, values):
+    """The best of the grid points *xs*, where refine starts."""
+    return float(xs[int(np.argmax(values))])
 
 
 @settings(max_examples=30, deadline=None)
@@ -40,21 +35,22 @@ def test_golden_section_min_quadratic(center):
     # unless the grid point is already within rounding of the minimum
     evals = []
     f = analytic(
-        lambda t: (t - center) ** 2, lambda t: 2 * (t - center), lambda t: 2.0, evals
+        lambda t: -((t - center) ** 2), lambda t: -2 * (t - center), lambda t: -2.0, evals
     )
     xs = np.array([-1.0, 0.0, 1.0])
-    x, val = refine_best(f, xs, (xs - center) ** 2, 1.0, False)
+    t = from_best(xs, -((xs - center) ** 2))
+    x, val = refine(f, t, t - 1.0, t + 1.0)
     assert abs(x - center) <= 1e-8
-    assert val <= 1e-15
+    assert val >= -1e-15
     assert len(evals) <= 2
 
 
 def test_golden_section_max():
-    # maximizing hands refine_best the model of -f
     evals = []
     f = analytic(np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), evals)
     xs = np.array([-1.5, 0.3, 2.1])
-    x, val = refine_best(negated(f), xs, np.cos(xs), 1.8, True)
+    t = from_best(xs, np.cos(xs))
+    x, val = refine(f, t, t - 1.8, t + 1.8)
     assert abs(x) <= 1e-8
     assert val == 1.0
     assert len(evals) <= 5
@@ -67,30 +63,30 @@ def test_golden_section_ends_where_float_spacing_exceeds_tol():
     # the search
     evals = []
     f = analytic(
-        lambda t: (t - 1e10) ** 2, lambda t: 2 * (t - 1e10), lambda t: 0.0, evals
+        lambda t: -((t - 1e10) ** 2), lambda t: -2 * (t - 1e10), lambda t: 0.0, evals
     )
-    xs = np.array([1e10 - 0.7, 1e10 + 0.3])
-    x, _ = refine_best(f, xs, (xs - 1e10) ** 2, 1.0, False)
+    t = 1e10 + 0.3
+    x, _ = refine(f, t, t - 1.0, t + 1.0)
     assert np.spacing(1e10) > scan.TOL
     assert len(evals) <= 25
     assert abs(x - 1e10) <= 1e-5
 
 
 def test_golden_section_handles_reversed_and_tiny_brackets():
-    f = analytic(lambda t: t * t, lambda t: 2 * t, lambda t: 2.0)
-    # a descending grid refines like an ascending one
-    xs = np.array([1.0, 0.25, -0.5])
-    x, _ = refine_best(f, xs, xs**2, 0.75, False)
-    assert abs(x) <= 1e-12
-    # a bracket narrower than TOL is evaluated once, at the grid point
+    f = analytic(lambda t: -t * t, lambda t: -2 * t, lambda t: -2.0)
+    # a start at either end of the bracket refines like one inside it
+    for t in (0.25, -0.5, 1.0):
+        x, _ = refine(f, t, -0.5, 1.0)
+        assert abs(x) <= 1e-12
+    # a bracket narrower than TOL is evaluated once, at the start
     evals = []
-    f = analytic(lambda t: t, lambda t: 1.0, lambda t: 0.0, evals)
-    x, val = refine_best(f, np.array([0.5]), np.array([0.5]), 1e-14, False)
+    f = analytic(lambda t: -t, lambda t: -1.0, lambda t: 0.0, evals)
+    x, val = refine(f, 0.5, 0.5 - 1e-14, 0.5 + 1e-14)
     assert evals == [0.5]
-    assert (x, val) == (0.5, 0.5)
+    assert (x, val) == (0.5, -0.5)
 
 
-def test_refine_best_beats_grid_between_points():
+def test_refine_beats_grid_between_points():
     # the true maximum of cos(x - 0.34) sits between grid points
     xs = np.linspace(0.0, 1.0, 11)
     values = np.cos(xs - 0.34)
@@ -99,24 +95,15 @@ def test_refine_best_beats_grid_between_points():
         lambda t: -np.sin(t - 0.34),
         lambda t: -np.cos(t - 0.34),
     )
-    x, val = refine_best(negated(f), xs, values, 0.1, True)
+    t = from_best(xs, values)
+    x, val = refine(f, t, t - 0.1, t + 0.1)
     assert abs(x - 0.34) <= 1e-7
     assert val == pytest.approx(1.0, abs=1e-15)
     assert val > values.max()
-    g = analytic(lambda t: (t - 0.77) ** 2, lambda t: 2 * (t - 0.77), lambda t: 2.0)
-    x, val = refine_best(g, xs, (xs - 0.77) ** 2, 0.1, False)
+    g = analytic(lambda t: -((t - 0.77) ** 2), lambda t: -2 * (t - 0.77), lambda t: -2.0)
+    t = from_best(xs, -((xs - 0.77) ** 2))
+    x, val = refine(g, t, t - 0.1, t + 0.1)
     assert abs(x - 0.77) <= 1e-8
-
-
-def test_refine_best_keeps_a_strictly_better_grid_point():
-    # a spike on the grid that the refinement over its cells cannot see
-    xs = np.arange(5.0)
-    values = np.array([0.0, 1.0, 5.0, 1.0, 0.0])
-    flat = analytic(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
-    x, val = refine_best(flat, xs, values, 1.0, True)
-    assert (x, val) == (2.0, 5.0)
-    x, val = refine_best(flat, xs, -values, 1.0, False)
-    assert (x, val) == (2.0, -5.0)
 
 
 def test_model_step_finds_the_crossing_of_two_branches():
