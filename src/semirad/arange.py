@@ -29,15 +29,17 @@ on it (like its ``adjoint``).  Every quantity below starts from it:
   * inclusion: z lies in the range iff Re(exp(-i*theta) z) <= h(theta)
     for every theta.
 
-A pruned search groups the cells whose bound beats the best value into
-runs, cuts each run at the valleys of its points into segments of one
-peak, bisects a segment until its points agree on that peak, refines
-every segment's best angle by second-order steps on its eigenvalue
-branches (:mod:`semirad.scan`), and bisects on while a cell's bound beats
-the best refined value: outside the refined segments by more than the
-rounding of h, inside them by more than the picture's resolution.  Every
-batched eigensolve runs in chunks of at most CHUNK_ENTRIES matrix
-entries, so its memory does not grow with the number of angles.
+Every eigensolve, the cells' stacks and each refinement step alike, is
+one call of :func:`scan.branches`.  A pruned search groups the cells
+whose bound beats the best value into runs, cuts each run at the valleys
+of its points into segments of one peak, bisects a segment until its
+points agree on that peak, refines every segment's best angle by
+second-order steps on its eigenvalue branches (:func:`scan.refine`), and
+bisects on while a cell's bound beats the best refined value: outside
+the refined segments by more than the rounding of h, inside them by more
+than the picture's resolution.  Every batched eigensolve runs in chunks
+of at most CHUNK_ENTRIES matrix entries, so its memory does not grow
+with the number of angles.
 
 Two independent cross-checks live here as well: the rotation identity
 path through the weighted real part on its own fixed grid
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -156,18 +158,14 @@ class _Cells:
         on, in stacked eigh calls of at most CHUNK_ENTRIES entries."""
         k, n = self.c.shape[0], len(base)
         angles = np.concatenate((base, base + _QUARTER)) * _UNIT
-        value, slope = [], []
-        # the parts and their eigenvectors: two stacks of the chunk's size
-        for s in _chunks(len(angles), k, copies=2):
-            v, g = branches(
-                lambda t: _rotated(self.c, t), angles[s], [0, -1], self.unit
-            )[1][:2]
-            value.append(v)
-            slope.append(g)
+        # value and slope of the bottom and top branches; the parts and
+        # their eigenvectors are two stacks of the chunk's size
+        rotated, chunks = partial(_rotated, self.c), _chunks(len(angles), k, copies=2)
+        q = [branches(rotated, angles[s], [0, -1], self.unit)[1][:2] for s in chunks]
         # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
         h, dh = (
             np.concatenate((r[:n, 1:], r[n:, 1:], -r[:n, :1], -r[n:, :1]), axis=1)
-            for r in (np.concatenate(value), np.concatenate(slope))
+            for r in np.concatenate(q, axis=1)
         )
         merged = np.concatenate((self.base, base))
         order = merged.argsort(kind="stable")
@@ -379,9 +377,12 @@ def _top(cells: np.ndarray, excess: np.ndarray) -> np.ndarray:
     return cells[np.argsort(-excess[cells], kind="stable")][:_SPLITS]
 
 
-def _optimize(cells: _Cells, survey, evaluate, period: float) -> tuple[float, float]:
+def _optimize(
+    cells: _Cells, base: np.ndarray, survey, evaluate, period: float
+) -> tuple[float, float]:
     """(t, f(t)) at the max of a function f of the support lines, of period
-    *period*, pruned on the cells, then refined and checked.
+    *period*, pruned on the cells from the base angles *base*, then refined
+    and checked.
 
     ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic view:
     f and its slope at each point, a bound of f over each cell (the cell
@@ -400,7 +401,6 @@ def _optimize(cells: _Cells, survey, evaluate, period: float) -> tuple[float, fl
     is refined, ready or not, and a bound that still beats the result is
     reported by a RuntimeWarning.
     """
-    base = cells.picture
     reach = cells.reach * cells.unit
     # the rounding of h: the backward error of eigh, carried over by Weyl's
     # inequality
@@ -452,9 +452,9 @@ def _optimize(cells: _Cells, survey, evaluate, period: float) -> tuple[float, fl
     return t, v
 
 
-def _extremum(cells: _Cells, maximize: bool, bound) -> float:
-    """max (or min) of h, as the max of sign * h over full-turn views, with
-    ``bound(view)`` bounding h over each cell.
+def _extremum(cells: _Cells, base: np.ndarray, maximize: bool, bound) -> float:
+    """max (or min) of h, as the max of sign * h over full-turn views from
+    *base*, with ``bound(view)`` bounding h over each cell.
 
     The max of h sits where the top branch is smooth.  The min may sit
     where the top branch crosses the next one, or, where the whole
@@ -475,12 +475,18 @@ def _extremum(cells: _Cells, maximize: bool, bound) -> float:
         lam_t, q = branches(lambda u: _rotated(c, u), t, idx, scale)
         return sign * float(lam_t[0, -1]), -sign * q
 
-    return sign * _optimize(cells, survey, evaluate, 2.0 * np.pi)[1]
+    return sign * _optimize(cells, base, survey, evaluate, 2.0 * np.pi)[1]
 
 
 def _radius(cells: _Cells) -> float:
-    """max of h, pruned on the vertex bound."""
-    return _extremum(cells, True, _vertex_bound)
+    """max of h, pruned on the vertex bound, from the picture and the
+    direction of its farthest support point, where h is at least that
+    point's modulus, so a peak whose support point the picture holds is
+    found even when lower peaks share its segment."""
+    index, h, dh = cells.view(cells.picture)
+    i = int(np.argmax(np.hypot(h, dh)))  # |p_theta| = hypot(h, h')
+    far = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
+    return _extremum(cells, cells.extend(cells.picture, far), True, _vertex_bound)
 
 
 def _crawford(cells: _Cells) -> float:
@@ -493,7 +499,7 @@ def _crawford(cells: _Cells) -> float:
     left = np.imag(edge.conj() * -p)[edge != 0]
     if left.size and np.all(left > 0.0):
         return 0.0
-    return max(0.0, -_extremum(cells, False, _chord_bound))
+    return max(0.0, -_extremum(cells, cells.picture, False, _chord_bound))
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -526,11 +532,12 @@ def _extreme(op: SemiOperator, key: str, compute) -> float:
 def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius, the max of the support function.
 
-    Starting from the picture, the cells whose outer vertex could beat the
-    best h form runs, cut at their valleys into segments of one peak; the
-    top eigenvalue branch is refined from each segment's best angle by
-    second-order steps (:func:`scan.refine`), and the best refined
-    value is kept once no vertex beats it (:func:`_optimize`).
+    Starting from the picture and the direction of its farthest support
+    point, the cells whose outer vertex could beat the best h form runs,
+    cut at their valleys into segments of one peak; the top eigenvalue
+    branch is refined from each segment's best angle by second-order steps
+    (:func:`scan.refine`), and the best refined value is kept once no
+    vertex beats it (:func:`_optimize`).
     """
     return _extreme(op, "_radius", _radius)
 
@@ -615,10 +622,12 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     angle is refined within one grid step on the larger of the branches
     lambda_max and -lambda_min (:func:`scan.refine`), like the radius; the
     grid's maximum stands if no refined point beats it.  Agrees with
-    :func:`a_numerical_radius` to ~1e-8.
+    :func:`a_numerical_radius` to ~1e-8; 0 under a rank-0 weight, with a
+    warning, like the radius.
     """
     c_re, c_im = re_a(op).compressed, im_a(op).compressed
     if c_re.shape[0] == 0:
+        _degenerate_warning()
         return 0.0
 
     def part(theta):
@@ -626,10 +635,9 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         return np.cos(theta) * c_re - np.sin(theta) * c_im
 
     k = c_re.shape[0]
-    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
     # the part at theta + pi is minus the part at theta: same norm, so the
     # SVDs run over the half turn, chunked like every batched eigensolve
-    half = thetas[: THETA_GRID // 2]
+    half = np.linspace(0.0, np.pi, THETA_GRID // 2, endpoint=False)
     norms = np.concatenate(
         [
             np.linalg.svd(part(half[s]), compute_uv=False)[:, 0]

@@ -8,13 +8,15 @@ so the radius and every bound of one operator are read off its
 support-line cells (:class:`arange._Cells`), made once per operator and
 kept on it: both lower bounds off the start lines at 0 and pi/2, and the
 H_phi objective at every angle of the picture, whose angles are closed
-under rotation by pi/2.  :func:`upper_bound_hphi` prunes the quarter-turn
-cells on bounds of the objective, refines the best angle by second-order
-steps on the eigenvalue branches of both parts (:func:`scan.refine`)
-and checks the refined value against every cell's bound; the value is
-kept on the operator, and :func:`bound_report` reads it there.  The block
-bounds read w(T11) and w(T22) from the same per-operator cells.  A rank-0
-weight makes every bound 0, with one warning at the caller's line.
+under rotation by pi/2.  :func:`upper_bound_hphi` runs the radius's
+pruned search (:func:`arange._optimize`) on minus the objective over the
+quarter-turn cells: it prunes them on bounds of the objective, refines
+the best angle of each segment by second-order steps on the eigenvalue
+branches of both parts (:func:`scan.refine`) and checks the refined
+value against every cell's bound; the value is kept on the operator, and
+:func:`bound_report` reads it there.  The block bounds read w(T11) and
+w(T22) from the same per-operator cells.  A rank-0 weight makes every
+bound 0, with one warning at the caller's line.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  Lemma 2.4
@@ -139,7 +141,7 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
         return -hypot(*norms), squares / (2.0 * value or 1.0)
 
-    theta, best = _optimize(cells, survey, evaluate, 0.5 * np.pi)
+    theta, best = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
     return -best, -theta % (0.5 * np.pi)
 
 

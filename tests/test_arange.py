@@ -347,7 +347,9 @@ def test_derived_operator_has_its_own_scan(rng, monkeypatch, derive):
     assert values["bounds"] == expected["bounds"]
 
 
-@pytest.mark.parametrize("quantity", [sr.a_numerical_radius, sr.a_crawford])
+@pytest.mark.parametrize(
+    "quantity", [sr.a_numerical_radius, sr.a_crawford, sr.w_theta_identity_check]
+)
 def test_rank_zero_weight_warns_on_every_call(monkeypatch, quantity):
     op = sr.make_operator(sr.make_context(np.zeros((2, 2))), np.eye(2))
     calls = record_batched_solves(monkeypatch)
@@ -740,6 +742,23 @@ def test_pruning_refines_every_peak_that_may_hold_the_max():
     best = np.array([np.max(h[nearest == j]) for j in range(8)])
     assert np.all(np.delete(best, 5) > best[5])
     assert sr.a_numerical_radius(op) == pytest.approx(1.0 + 1e-6, rel=1e-14)
+
+
+def test_radius_finds_a_higher_peak_hidden_in_one_segment():
+    # three peaks within 3e-7 of each other and 0.06 rad share one
+    # segment, where refining its best angle can climb a lower one; eight
+    # lower peaks lie elsewhere.  The picture holds a support point at the
+    # highest (a corner of the range), whose direction starts the search.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        moduli = np.concatenate(
+            ([1 + 4.9e-7, 1 + 4.1e-7, 1 + 7.0e-7], 1 + rng.uniform(-1e-6, 4e-7, 8))
+        )
+        angles = np.concatenate(
+            ([4.958, 5.005, 5.021], np.linspace(0.0, 4.6, 8) + rng.uniform(0.0, 0.3, 8))
+        )
+        op = normal_operator(moduli * np.exp(1j * angles), seed=seed)
+        assert sr.a_numerical_radius(op) == pytest.approx(np.max(moduli), rel=1e-14)
 
 
 def test_radius_of_a_near_disk():
