@@ -153,6 +153,12 @@ class _Cells:
         decision, in units of ``unit``."""
         return float(np.max(np.abs(_geometry(*self.view(self.picture))[4])))
 
+    @cached_property
+    def rounding(self) -> float:
+        """The rounding of h, in units of ``unit``: the backward error of
+        eigh, carried over by Weyl's inequality."""
+        return 4.0 * self.c.shape[0] * _EPS * self.reach
+
     def evaluate(self, base: np.ndarray) -> None:
         """One round: the parts at the new base angles and a quarter turn
         on, in stacked eigh calls of at most CHUNK_ENTRIES entries."""
@@ -388,23 +394,21 @@ def _optimize(
     f and its slope at each point, a bound of f over each cell (the cell
     from a point to the next) and each cell's midpoint; ``evaluate(t)``
     gives f(t) and the models of the branches of -f, for
-    :func:`scan.refine`.  The result starts at the best point.  The cells are bisected round by
-    round until every segment of open cells is ready (:func:`_segments`);
-    each segment is then refined from its best point within its bracket,
-    and the best value is kept once no cell's bound beats it: by more than
-    the rounding of f outside the refined segments, and by more than twice
-    RTOL times the picture's reach inside them, the most a bound at the
-    picture's resolution overshoots one smooth optimum (the outer vertex
-    lies within the picture's gap of the range, and the H_phi floor within
-    sqrt(2) gaps of its objective).  Otherwise the cells that beat it are
-    bisected and the search goes on.  After _ROUNDS rounds every segment
-    is refined, ready or not, and a bound that still beats the result is
-    reported by a RuntimeWarning.
+    :func:`scan.refine`.  The result starts at the best point.  The cells
+    are bisected round by round until every segment of open cells is ready
+    (:func:`_segments`); each segment is then refined from its best point
+    within its bracket, and the best value is kept once no cell's bound
+    beats it: by more than the rounding of f outside the refined segments,
+    and by more than twice RTOL times the picture's reach inside them, the
+    most a bound at the picture's resolution overshoots one smooth optimum
+    (the outer vertex lies within the picture's gap of the range, and the
+    H_phi floor within sqrt(2) gaps of its objective).  Otherwise the
+    cells that beat it are bisected and the search goes on.  After _ROUNDS
+    rounds every segment is refined, ready or not, and a bound that still
+    beats the result is reported by a RuntimeWarning.
     """
     reach = cells.reach * cells.unit
-    # the rounding of h: the backward error of eigh, carried over by Weyl's
-    # inequality
-    slack = 4.0 * cells.c.shape[0] * _EPS * reach
+    slack = cells.rounding * cells.unit
     best = (-np.inf, 0.0)
     refined: dict = {}
     for rounds in range(_ROUNDS + 1):
@@ -479,14 +483,22 @@ def _extremum(cells: _Cells, base: np.ndarray, maximize: bool, bound) -> float:
 
 
 def _radius(cells: _Cells) -> float:
-    """max of h, pruned on the vertex bound, from the picture and the
-    direction of its farthest support point, where h is at least that
-    point's modulus, so a peak whose support point the picture holds is
-    found even when lower peaks share its segment."""
+    """max of h, pruned on the vertex bound.
+
+    Every support point lies in the range, so its modulus is at most w.  A
+    result below the modulus of the picture's farthest support point, by
+    more than the rounding of h, missed a peak (one hidden in a segment
+    with lower ones), and the search runs again with that point's
+    direction among its starting angles, where h is at least its modulus.
+    """
+    w = _extremum(cells, cells.picture, True, _vertex_bound)
     index, h, dh = cells.view(cells.picture)
-    i = int(np.argmax(np.hypot(h, dh)))  # |p_theta| = hypot(h, h')
-    far = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
-    return _extremum(cells, cells.extend(cells.picture, far), True, _vertex_bound)
+    far = np.hypot(h, dh)  # |p_theta|
+    i = int(np.argmax(far))
+    if far[i] * cells.unit - w <= cells.rounding * cells.unit:
+        return w
+    start = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
+    return _extremum(cells, cells.extend(cells.picture, start), True, _vertex_bound)
 
 
 def _crawford(cells: _Cells) -> float:
@@ -532,12 +544,12 @@ def _extreme(op: SemiOperator, key: str, compute) -> float:
 def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius, the max of the support function.
 
-    Starting from the picture and the direction of its farthest support
-    point, the cells whose outer vertex could beat the best h form runs,
-    cut at their valleys into segments of one peak; the top eigenvalue
-    branch is refined from each segment's best angle by second-order steps
-    (:func:`scan.refine`), and the best refined value is kept once no
-    vertex beats it (:func:`_optimize`).
+    Starting from the picture, the cells whose outer vertex could beat the
+    best h form runs, cut at their valleys into segments of one peak; the
+    top eigenvalue branch is refined from each segment's best angle by
+    second-order steps (:func:`scan.refine`), the best refined value is
+    kept once no vertex beats it (:func:`_optimize`), and it is checked
+    against the picture's farthest support point (:func:`_radius`).
     """
     return _extreme(op, "_radius", _radius)
 

@@ -47,9 +47,7 @@ def _unit(scale: float) -> float:
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
 
-def branches(
-    family: Callable, t, idx, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+def branches(family: Callable, t, idx, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of the Hermitian stack ``family(t)`` and the quadratic models
     of its eigenvalue branches *idx*.
 
@@ -66,7 +64,8 @@ def branches(
     try:
         lam, vec = np.linalg.eigh(family(t))
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolve of the support lines failed: {exc}") from exc
+        msg = f"eigensolve of the support lines failed: {exc}"
+        raise NumericalFailure(msg) from exc
     k = lam.shape[-1]
     lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
     dp = family(t + 0.5 * np.pi).reshape(-1, k, k)

@@ -744,11 +744,20 @@ def test_pruning_refines_every_peak_that_may_hold_the_max():
     assert sr.a_numerical_radius(op) == pytest.approx(1.0 + 1e-6, rel=1e-14)
 
 
-def test_radius_finds_a_higher_peak_hidden_in_one_segment():
+def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
     # three peaks within 3e-7 of each other and 0.06 rad share one
     # segment, where refining its best angle can climb a lower one; eight
     # lower peaks lie elsewhere.  The picture holds a support point at the
-    # highest (a corner of the range), whose direction starts the search.
+    # highest (a corner of the range): a result below its modulus runs the
+    # search again from its direction.  A result that reaches the farthest
+    # support point, as on a random operator, runs one search.
+    searches = []
+    extremum = arange._extremum
+    monkeypatch.setattr(
+        arange, "_extremum", lambda *args: searches.append(1) or extremum(*args)
+    )
+    sr.a_numerical_radius(random_operator(rng, random_strict_context(rng, 6)))
+    assert len(searches) == 1
     for seed in range(200):
         rng = np.random.default_rng(seed)
         moduli = np.concatenate(

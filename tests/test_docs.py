@@ -15,7 +15,9 @@ for _module in MODULES:  # so that each is an attribute of the package
     importlib.import_module(f"semirad.{_module}")
 
 # `arange.RTOL`, `scan.branches`, `arange._Cells.evaluate`, ... in the README
-README_NAME = re.compile(r"`(?:semirad\.)?((?:%s)\.[A-Za-z_][\w.]*)" % "|".join(MODULES))
+README_NAME = re.compile(
+    r"`(?:semirad\.)?((?:%s)\.[A-Za-z_][\w.]*)" % "|".join(MODULES)
+)
 # :func:`refine`, :class:`arange._Cells`, ... in the sources
 SPHINX_TARGET = re.compile(r":(?:func|class):`~?([\w.]+)`")
 

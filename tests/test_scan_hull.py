@@ -35,7 +35,10 @@ def test_golden_section_min_quadratic(center):
     # unless the grid point is already within rounding of the minimum
     evals = []
     f = analytic(
-        lambda t: -((t - center) ** 2), lambda t: -2 * (t - center), lambda t: -2.0, evals
+        lambda t: -((t - center) ** 2),
+        lambda t: -2 * (t - center),
+        lambda t: -2.0,
+        evals,
     )
     xs = np.array([-1.0, 0.0, 1.0])
     t = from_best(xs, -((xs - center) ** 2))
@@ -100,7 +103,9 @@ def test_refine_beats_grid_between_points():
     assert abs(x - 0.34) <= 1e-7
     assert val == pytest.approx(1.0, abs=1e-15)
     assert val > values.max()
-    g = analytic(lambda t: -((t - 0.77) ** 2), lambda t: -2 * (t - 0.77), lambda t: -2.0)
+    g = analytic(
+        lambda t: -((t - 0.77) ** 2), lambda t: -2 * (t - 0.77), lambda t: -2.0
+    )
     t = from_best(xs, -((xs - 0.77) ** 2))
     x, val = refine(g, t, t - 0.1, t + 0.1)
     assert abs(x - 0.77) <= 1e-8
