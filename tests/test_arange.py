@@ -759,13 +759,12 @@ def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
     sr.a_numerical_radius(random_operator(rng, random_strict_context(rng, 6)))
     assert len(searches) == 1
     for seed in range(200):
-        rng = np.random.default_rng(seed)
+        draw = np.random.default_rng(seed)
         moduli = np.concatenate(
-            ([1 + 4.9e-7, 1 + 4.1e-7, 1 + 7.0e-7], 1 + rng.uniform(-1e-6, 4e-7, 8))
+            ([1 + 4.9e-7, 1 + 4.1e-7, 1 + 7.0e-7], 1 + draw.uniform(-1e-6, 4e-7, 8))
         )
-        angles = np.concatenate(
-            ([4.958, 5.005, 5.021], np.linspace(0.0, 4.6, 8) + rng.uniform(0.0, 0.3, 8))
-        )
+        spread = np.linspace(0.0, 4.6, 8) + draw.uniform(0.0, 0.3, 8)
+        angles = np.concatenate(([4.958, 5.005, 5.021], spread))
         op = normal_operator(moduli * np.exp(1j * angles), seed=seed)
         assert sr.a_numerical_radius(op) == pytest.approx(np.max(moduli), rel=1e-14)
 
