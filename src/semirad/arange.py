@@ -431,9 +431,9 @@ def _optimize(
             above = period - below if a == b else (theta[b] - theta[top]) % period
             if a == b == top:  # the whole turn from the best point
                 below = above = 0.5 * period
-            key = (float(theta[top]), below, above)
+            t = float(theta[top])
+            key = (t, below, above)
             if key not in refined:
-                t = float(theta[top])
                 refined[key] = refine(evaluate, t, t - below, t + above)
             t, v = refined[key]
             best = max(best, (v, t))
