@@ -11,6 +11,7 @@ rho(M), reached at the Perron vector; both are computed directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,18 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
         raise InvalidMatrix(f"coefficients must form a 1-D sequence, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DegreeZero("polynomial must have degree >= 1")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise InvalidMatrix("coefficients must be finite")
     lead = complex(leading_coefficient)
     if lead == 0:
         raise DegreeZero("leading coefficient must be nonzero")
     if lead != 1.0 + 0.0j:
-        arr = arr / lead
+        # a tiny leading coefficient can push a quotient past the float
+        # range; the check below reports that instead of a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = arr / lead
+    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        raise InvalidMatrix(
+            "coefficients must be finite, also after dividing by the leading coefficient"
+        )
     return PolynomialSpec(
         coefficients=arr, degree=int(arr.size), leading_coefficient=lead
     )
@@ -82,17 +88,22 @@ def bound_cauchy(p: PolynomialSpec) -> float:
     return 1.0 + float(np.max(np.abs(p.coefficients)))
 
 
+def _norm(mags: np.ndarray) -> float:
+    """The 2-norm of the magnitudes, scaled by the largest, so that no
+    square overflows or underflows where the norm itself does not."""
+    top = float(np.max(mags))
+    return top * float(np.sqrt(np.sum((mags / top) ** 2))) if top > 0.0 else 0.0
+
+
 def bound_carmichael_mason(p: PolynomialSpec) -> float:
-    """sqrt(1 + sum |a_i|^2)."""
-    return float(np.sqrt(1.0 + np.sum(np.abs(p.coefficients) ** 2)))
+    """sqrt(1 + sum |a_i|^2), as hypot(1, ||a||_2)."""
+    return math.hypot(1.0, _norm(np.abs(p.coefficients)))
 
 
 def bound_fujii_kubo(p: PolynomialSpec) -> float:
     """(sqrt(sum |a_i|^2) + |a_{n-1}|) / 2 + cos(pi / (n+1))."""
     mags = np.abs(p.coefficients)
-    return float(
-        0.5 * (np.sqrt(np.sum(mags**2)) + mags[-1]) + np.cos(np.pi / (p.degree + 1))
-    )
+    return 0.5 * (_norm(mags) + float(mags[-1])) + math.cos(math.pi / (p.degree + 1))
 
 
 def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
@@ -144,28 +155,85 @@ def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
     return np.asarray(d)
 
 
+def _row_one(m11: float, tail: list[float], y: float) -> tuple[float, float]:
+    """Row 1 of M d = rho d in y = 1 / (2 rho - 1), and its slope in y.
+
+    Rows 2..n fix d_k = y (|a_{n-k}| + d_{k+1}), so one backward pass over
+    ``tail`` (as in ``_chain_weights``) gives d_2 and its derivative, and
+    row 1 becomes Q(y) = y (M_11 + d_2 / 2) - (1 + y) / 2.  Q(0) = -1/2
+    and every coefficient of Q from y^2 up is nonnegative, so Q is convex
+    with at most one positive root, at rho = rho(M); Q <= 0 where rho lies
+    above it.
+    """
+    d = slope = 0.0
+    for t in reversed(tail):
+        s = t + d
+        d, slope = y * s, s + y * slope
+    return y * (m11 + 0.5 * d) - 0.5 * (1.0 + y), m11 - 0.5 + 0.5 * (d + y * slope)
+
+
+def _perron_root(m11: float, tail: list[float], lo: float, hi: float) -> float:
+    """rho(M), rounded up to a float, from the row-1 equation Q of
+    ``_row_one`` and a bracket lo <= rho(M) <= hi.
+
+    Safeguarded Newton steps on Q(y), taken on the floats of rho because
+    the weights are formed from rho (near rho = 1/2 these are far coarser
+    than the floats of y).  The bracket keeps Q > 0 at lo and Q <= 0 at
+    hi.  As Q is convex, a step from below rho(M) cannot pass it; a step
+    from above that leaves the bracket, a Q that does not rise yet, or a
+    step that fails to halve the one before (a slow creep from far below)
+    is replaced by bisection in rho.  The iteration stops once the step
+    reaches the float spacing of rho, or that of y four times over, the
+    rounding of Q itself.  It returns the float at or just above rho(M):
+    there alpha_1 stays below rho, while one float below, near rho = 1/2,
+    it can exceed rho(M) by thousands of units in the last place.
+    """
+    if lo >= hi or not any(tail):
+        # without a tail M is triangular: rho(M) is its largest diagonal entry
+        return lo
+    rho, last = (lo if lo > 0.5 else hi), math.inf
+    while True:
+        y = 1.0 / (2.0 * rho - 1.0)
+        q, slope = _row_one(m11, tail, y)
+        if q <= 0.0:
+            hi = rho
+        else:
+            lo = rho
+        nxt = step = -math.inf
+        if slope > 0.0:
+            dy = q / slope
+            t = y - dy
+            nxt = rho + 0.5 * (dy / t) / y if t > 0.0 else math.inf
+            if abs(dy) <= 4.0 * math.ulp(y) or abs(nxt - rho) <= math.ulp(rho):
+                return rho if q <= 0.0 else min(hi, math.nextafter(nxt, hi))
+            step = abs(nxt - rho)
+            nxt = min(nxt, math.nextafter(hi, lo))
+        if nxt <= lo or step > 0.5 * last:
+            nxt, step = 0.5 * (lo + hi), math.inf
+            if not lo < nxt < hi:
+                return hi
+        rho, last = nxt, step
+
+
 def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     """Weights minimizing the certificate max_k alpha_k; returns (d, value).
 
     By Collatz-Wielandt the minimum over d > 0 is the Perron root rho(M)
     of ``certificate_matrix(p)``, at its Perron vector.  For a trial rho
-    ``_chain_weights`` solves rows 2..n exactly; row 1, M_11 + d_2 / 2,
-    then falls as rho grows, and bisection finds where it meets rho.  No
-    eigensolver is involved, so reducible M (a_0 = 0) and a near-zero a_0
-    (an ill-conditioned Perron root) come out as accurately as the rest.
-    The all-ones weights stay a candidate.
+    ``_chain_weights`` solves rows 2..n exactly, and row 1 leaves one
+    equation in y = 1 / (2 rho - 1), convex with one positive root
+    (``_row_one``); safeguarded Newton steps find it (``_perron_root``)
+    in a handful of passes over the coefficients.  No eigensolver is
+    involved, so reducible M (a_0 = 0) and a near-zero a_0 (an
+    ill-conditioned Perron root) come out as accurately as the rest.  The
+    all-ones weights stay a candidate.
     """
     m = certificate_matrix(p)
     tail = np.abs(p.coefficients[-2::-1]).tolist()
     # rho(M) of a nonnegative M lies between its largest diagonal entry
     # and its largest row sum
     lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if m[0] @ _chain_weights(tail, mid) <= mid:
-            hi = mid
-        else:
-            lo = mid
-    d_star = _chain_weights(tail, hi)
+    d_star = _chain_weights(tail, _perron_root(float(m[0, 0]), tail, lo, hi))
     val = bound_prk(p, d_star)
     ones = np.ones(p.degree, dtype=np.float64)
     base = bound_prk(p, ones)

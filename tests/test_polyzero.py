@@ -1,9 +1,14 @@
+import importlib.util
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
+from semirad import polyzero
 
 # running example: p(z) = z^5 + 3z^2 + z/100 + 1/10
 EXAMPLE = [0.1, 0.01, 3.0, 0.0, 0.0]
@@ -27,6 +32,17 @@ def test_make_polynomial_rejects_degree_zero():
         sr.make_polynomial([])
     with pytest.raises(sr.DegreeZero):
         sr.make_polynomial([1.0], leading_coefficient=0.0)
+
+
+def test_make_polynomial_rejects_overflow_after_normalizing():
+    # 1e10 / 1e-300 is past the float range: an error, not an inf
+    # coefficient with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sr.InvalidMatrix):
+            sr.make_polynomial([1e10, 2.0], leading_coefficient=1e-300)
+        with pytest.raises(sr.InvalidMatrix):
+            sr.make_polynomial([1.0, np.inf])
 
 
 def test_companion_layout_degree_one():
@@ -67,6 +83,19 @@ class TestClassicalBounds:
         # only the cosine term survives: cos(pi/3) = 1/2
         p = sr.make_polynomial([0.0, 0.0])
         assert sr.bound_fujii_kubo(p) == pytest.approx(0.5, abs=1e-12)
+
+
+    def test_huge_coefficients_do_not_overflow(self):
+        # |a_0|^2 = 9e320 overflows, but neither bound does
+        p = sr.make_polynomial([3e160, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_cm = sr.bound_carmichael_mason(p)
+            r_fk = sr.bound_fujii_kubo(p)
+            rep = sr.zero_bound_report(p)
+        assert r_cm == pytest.approx(3e160, rel=1e-15)
+        assert r_fk == pytest.approx(1.5e160, rel=1e-15)
+        assert np.isfinite(rep.r_prk) and rep.r_prk >= rep.max_root_modulus
 
 
 class TestAlphas:
@@ -169,6 +198,18 @@ def perron_root(coeffs) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(reference_matrix(coeffs)))))
 
 
+REDUCIBLE = [
+    [0.0, 1.0, 2.0, 3.0],  # a_0 = 0
+    [0.0, 0.0, 1e-3, 0.0, 5.0, 0.0, 0.0],  # a_0 = 0, interior zeros
+    [1.0, 0.0, 0.0, 2.0, 0.0, 1.0],  # interior zeros only
+    [0.0, 0.0, 0.0, 0.9],  # only a_{n-1}: rho(M) = 0.9
+    [0.0, 0.0],  # all zero
+    [0.0] * 5,
+    [0.0] * 24,
+]
+NEAR_ZERO_A0 = [1e-20] + [0.0] * 14 + [0.1]
+
+
 class TestOptimizeWeights:
     def test_certificate_matrix_reproduces_alphas(self, rng):
         for n in (1, 2, 5, 13):
@@ -243,18 +284,7 @@ class TestOptimizeWeights:
         assert val <= sr.bound_prk(p, d) + 1e-12 * max(1.0, val)
         assert val >= sr.max_root_modulus(p) - 1e-8
 
-    @pytest.mark.parametrize(
-        "coeffs",
-        [
-            [0.0, 1.0, 2.0, 3.0],  # a_0 = 0
-            [0.0, 0.0, 1e-3, 0.0, 5.0, 0.0, 0.0],  # a_0 = 0, interior zeros
-            [1.0, 0.0, 0.0, 2.0, 0.0, 1.0],  # interior zeros only
-            [0.0, 0.0, 0.0, 0.9],  # only a_{n-1}: rho(M) = 0.9
-            [0.0, 0.0],  # all zero
-            [0.0] * 5,
-            [0.0] * 24,
-        ],
-    )
+    @pytest.mark.parametrize("coeffs", REDUCIBLE)
     def test_reducible_cases(self, coeffs):
         p = sr.make_polynomial(coeffs)
         d_star, val = sr.optimize_weights(p)
@@ -266,8 +296,7 @@ class TestOptimizeWeights:
         # a_0 = 1e-20 is invisible to a dense eigensolve of M, which returns
         # rho = 0.5; the true Perron root (50-digit arithmetic) is larger,
         # and the Perron weights level every alpha at it
-        coeffs = [1e-20] + [0.0] * 14 + [0.1]
-        p = sr.make_polynomial(coeffs)
+        p = sr.make_polynomial(NEAR_ZERO_A0)
         d_star, val = sr.optimize_weights(p)
         assert np.all(np.isfinite(d_star)) and np.all(d_star > 0)
         assert val == pytest.approx(0.523466414621636, rel=1e-12)
@@ -286,6 +315,144 @@ class TestOptimizeWeights:
             if val <= classical + 1e-6:
                 wins += 1
         assert wins >= 90
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# rho(M) of this quadratic in 50-digit arithmetic; 2 rho - 1 is about 2e-3,
+# so the floats of rho are coarse against those of y = 1 / (2 rho - 1)
+NEAR_HALF = [5.8841e-4 + 1.85886e-3j, 1.8438e-4 - 2.05411e-3j]
+NEAR_HALF_RHO = 0.50097891278763695
+
+
+def bisection_weights(p):
+    """The weight search that Newton's method replaced, kept as the
+    reference: bisection of [max diag M, max row sum M] until row 1 of
+    M d, with d from ``_chain_weights``, meets rho."""
+    m = sr.certificate_matrix(p)
+    tail = np.abs(p.coefficients[-2::-1]).tolist()
+    lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if m[0] @ polyzero._chain_weights(tail, mid) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    d_star = polyzero._chain_weights(tail, hi)
+    val = sr.bound_prk(p, d_star)
+    ones = np.ones(p.degree)
+    base = sr.bound_prk(p, ones)
+    return (d_star, val) if val < base else (ones, base)
+
+
+def benchmark_polynomials(seeds):
+    """The roots-deg8-24 problems of ``perfbench/problems.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_problems", ROOT / "perfbench" / "problems.py"
+    )
+    problems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(problems)
+    return [q["coeffs"] for seed in seeds for q in problems.roots_problems(seed)]
+
+
+def criterion_8_polynomials():
+    """The 500 polynomials of acceptance criterion 8."""
+    rng = np.random.default_rng(808)
+    out = []
+    for _ in range(500):
+        n = int(rng.integers(1, 13))
+        out.append(rng.uniform(-7, 7, size=n) + 1j * rng.uniform(-7, 7, size=n))
+    return out
+
+
+def random_polynomials(count, seed):
+    """Degree 1-29, magnitudes over 0-8 decades, a fifth of them zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        decades = rng.uniform(0.0, 8.0)
+        mags = 10.0 ** (rng.uniform(0.0, decades, n) - 0.5 * decades)
+        coeffs = mags * np.exp(2j * np.pi * rng.uniform(size=n))
+        coeffs[rng.uniform(size=n) < 0.2] = 0.0
+        out.append(coeffs)
+    return out
+
+
+CORPORA = {
+    "benchmark": lambda: benchmark_polynomials((7, 401, 402, 403)),
+    "criterion-8": criterion_8_polynomials,
+    "reducible-and-near-zero": lambda: REDUCIBLE + [NEAR_ZERO_A0],
+    "random": lambda: random_polynomials(3000, 16),
+}
+
+
+@pytest.fixture
+def row_one_calls(monkeypatch):
+    """Counts the evaluations of the row-1 equation in ``calls[0]``."""
+    calls = [0]
+    row_one = polyzero._row_one
+
+    def counted(*args):
+        calls[0] += 1
+        return row_one(*args)
+
+    monkeypatch.setattr(polyzero, "_row_one", counted)
+    return calls
+
+
+class TestPerronSolver:
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_matches_bisection(self, corpus):
+        worst = 0.0
+        for coeffs in CORPORA[corpus]():
+            p = sr.make_polynomial(coeffs)
+            d_star, val = sr.optimize_weights(p)
+            assert val == sr.bound_prk(p, d_star)
+            ref = bisection_weights(p)[1]
+            worst = max(worst, abs(val - ref) / ref if ref else abs(val))
+        assert worst <= 1e-13
+
+    def test_matches_bisection_near_one_half(self):
+        # small coefficients put rho(M) within 1e-2..1e-5 of 1/2, where one
+        # float of rho moves alpha_1 by up to 1e4 floats: the solver must
+        # land on the same side of rho(M) as the bisection
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            n = int(rng.integers(2, 8))
+            mags = 10.0 ** rng.uniform(-5.0, -2.0, n)
+            p = sr.make_polynomial(mags * np.exp(2j * np.pi * rng.uniform(size=n)))
+            ref = bisection_weights(p)[1]
+            assert sr.optimize_weights(p)[1] == pytest.approx(ref, rel=1e-15, abs=0)
+
+    def test_root_near_one_half(self):
+        p = sr.make_polynomial(NEAR_HALF)
+        d_star, val = sr.optimize_weights(p)
+        assert val == pytest.approx(NEAR_HALF_RHO, rel=1e-15, abs=0)
+        # row 1 moves some 500 times faster than rho here, so the float of
+        # rho just above rho(M) leaves alpha_1 a few units below it
+        assert sr.alphas(p, d_star) == pytest.approx([val, val], rel=1e-14, abs=0)
+
+    def test_evaluations_on_the_benchmark(self, row_one_calls):
+        counts = []
+        for coeffs in benchmark_polynomials((7, 401, 402, 403)):
+            row_one_calls[0] = 0
+            sr.optimize_weights(sr.make_polynomial(coeffs))
+            counts.append(row_one_calls[0])
+        # the bisection took 38-52 evaluations, 45 in the median
+        assert np.median(counts) <= 8
+        assert max(counts) <= 52
+
+    @pytest.mark.parametrize("degree", [3, 8, 20, 29])
+    def test_far_start_is_bisected(self, degree, row_one_calls):
+        # M_11 = 1/2 + 1e-12 starts Newton at y = 5e11, far above the root,
+        # from where plain Newton steps shrink y by only a factor 1 - 1/n
+        coeffs = np.full(degree, 1.0 / (degree - 1))
+        coeffs[-1] = 0.0
+        coeffs *= 1.0 + 2e-12
+        p = sr.make_polynomial(coeffs)
+        val = sr.optimize_weights(p)[1]
+        assert row_one_calls[0] <= 52
+        assert val == pytest.approx(bisection_weights(p)[1], rel=1e-13, abs=0)
 
 
 class TestReport:
