@@ -16,9 +16,12 @@ p_theta = exp(i theta) (h + i h').  Between two neighbouring angles the
 points span a chord of the inner polygon and their support lines meet at
 a vertex of the outer polygon; the range lies between the two.  The
 cells start from 32 support lines and are refined, in rounds of one
-stacked eigensolve each, until every outer vertex lies within RTOL times
-the largest h of its chord: the picture, made once per operator and kept
-on it (like its ``adjoint``).  Every quantity below starts from it:
+stacked eigensolve each that reads values and slopes only, until every
+outer vertex lies within RTOL times the largest h of its chord; each
+open cell is split at the normal of its chord (the chord rule of the
+sandwich algorithm; :func:`_coarse`).  That is the picture, made once
+per operator and kept on it (like its ``adjoint``).  Every quantity
+below starts from it:
 
   * radius   w = max_theta h(theta), pruned on the outer vertices,
   * crawford m = max(0, -min_theta h(theta))   (support duality), 0 at
@@ -56,7 +59,7 @@ from functools import cached_property, partial, reduce
 import numpy as np
 
 from .errors import NotStrictlyPositive, NumericalFailure
-from .linalg import require_square, spectral_norm
+from .linalg import lapack, require_square, spectral_norm
 from .scan import _unit, branches, refine
 from .semihilbert import SemiOperator, im_a, re_a
 
@@ -109,7 +112,8 @@ class _Cells:
     Every angle theta evaluated gives the support value h(theta) and the
     support point p_theta = exp(i theta) (h + i h'), the point x* C x of
     the top eigenvector x, whose slope h' = x* Im(exp(-i theta) C) x comes
-    with the eigenvector (:func:`scan.branches`).  Between two neighbouring
+    with the eigenvector (:func:`scan.branches`, which skips the curvature
+    here: the rounds read value and slope only).  Between two neighbouring
     angles a < b lies a cell: the points p_a, p_b span a chord of the inner
     polygon, inside the range, and the support lines at a and b meet at a
     vertex of the outer polygon, around it, so h on [a, b] lies between
@@ -121,8 +125,9 @@ class _Cells:
     pi/2 and the norm of every part at theta + pi/2 is known too.  Values
     are kept, in units of a power of two at the scale of C, per base angle
     in [0, pi/2).  The cells start from 32 support lines, evaluated at
-    once, and are bisected on first read of the picture, round by round,
-    until every outer vertex lies within RTOL * max h of its inner chord.
+    once, and on first read of the picture each open cell is split at the
+    normal of its chord (:func:`_coarse`), round by round, until every
+    outer vertex lies within RTOL * max h of its inner chord.
     Each pruned search grows its own set of base angles from the picture,
     so what it reads depends on C alone, and no angle is evaluated twice.
     """
@@ -164,10 +169,13 @@ class _Cells:
         on, in stacked eigh calls of at most CHUNK_ENTRIES entries."""
         k, n = self.c.shape[0], len(base)
         angles = np.concatenate((base, base + _QUARTER)) * _UNIT
-        # value and slope of the bottom and top branches; the parts and
-        # their eigenvectors are two stacks of the chunk's size
+        # value and slope, not curvature, of the bottom and top branches;
+        # the parts and their eigenvectors are two stacks of the chunk's size
         rotated, chunks = partial(_rotated, self.c), _chunks(len(angles), k, copies=2)
-        q = [branches(rotated, angles[s], [0, -1], self.unit)[1][:2] for s in chunks]
+        q = [
+            branches(rotated, angles[s], [0, -1], self.unit, curvature=False)[1]
+            for s in chunks
+        ]
         # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
         h, dh = (
             np.concatenate((r[:n, 1:], r[n:, 1:], -r[:n, :1], -r[n:, :1]), axis=1)
@@ -207,18 +215,23 @@ def _member(x: np.ndarray, sorted_: np.ndarray) -> np.ndarray:
 
 def _coarse(index, h, dh):
     """The picture's rule: split every cell whose gap exceeds RTOL * max h
-    into 2^L equal cells, L = log4 of the excess rounded up (at most 6):
-    the gap of a smooth arc shrinks fourfold with each bisection, so most
-    cells need one round; one at a corner, whose gap shrinks twofold,
-    takes more."""
-    gap, tol = _gap(*_geometry(index, h, dh)[2:]), RTOL * h.max()
-    cells = (gap > tol).nonzero()[0]
-    levels = np.minimum(np.ceil(0.5 * np.log2(gap[cells] / tol)), 6).astype(np.int64)
-    inner = 2**levels - 1  # new points per split cell
-    # the points a + j (b - a) / 2^L, 0 < j < 2^L, of each split cell
-    cell = cells.repeat(inner)
-    j = np.arange(len(cell)) - (inner.cumsum() - inner).repeat(inner) + 1
-    return index[cell] + _span(index)[cell] * j // (inner + 1).repeat(inner)
+    at the normal of its chord, the chord rule of the sandwich algorithm
+    (Rote, Computing 48, 1992), rounded to the angle grid: the support line
+    there closes a flat edge that the cell straddles at once, where equal
+    splits would only halve its gap.  A normal outside the open cell, or
+    within 1/8 of the cell's width of its midpoint (as on a smooth arc),
+    gives way to the midpoint, so that the four cells of a quarter-turn
+    orbit share one new base angle."""
+    _, _, p, p_next, vertex = _geometry(index, h, dh)
+    cells = (_gap(p, p_next, vertex) > RTOL * h.max()).nonzero()[0]
+    a, span = index[cells], _span(index)[cells]
+    chord = p_next[cells] - p[cells]
+    # the chord's outward normal, in grid units from the cell's first angle
+    normal = (np.angle(chord) - 0.5 * np.pi - a * _UNIT) % (2.0 * np.pi)
+    off = np.rint(normal / _UNIT).astype(np.int64)
+    mid = span // 2
+    snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span)
+    return a + np.where(snap, mid, off)
 
 
 def _cells(op: SemiOperator) -> _Cells:
@@ -650,12 +663,13 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     # the part at theta + pi is minus the part at theta: same norm, so the
     # SVDs run over the half turn, chunked like every batched eigensolve
     half = np.linspace(0.0, np.pi, THETA_GRID // 2, endpoint=False)
-    norms = np.concatenate(
-        [
-            np.linalg.svd(part(half[s]), compute_uv=False)[:, 0]
-            for s in _chunks(len(half), k)
-        ]
-    )
+    with lapack("SVD of the rotation grid"):
+        norms = np.concatenate(
+            [
+                np.linalg.svd(part(half[s]), compute_uv=False)[:, 0]
+                for s in _chunks(len(half), k)
+            ]
+        )
     best = int(np.argmax(norms))
 
     def norm(theta: float):
@@ -677,10 +691,8 @@ def general_eig(m) -> np.ndarray:
     stays below 1e-8 * ||M|| (0 for a zero M); otherwise NumericalFailure.
     """
     mat = require_square(m)
-    try:
+    with lapack("eigenvalue iteration"):
         lam, vec = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
     scale = spectral_norm(mat)
     # in units of ||M||, so that squares of tiny residuals cannot underflow
     residual = (mat @ vec - vec * lam[None, :]) / (scale or 1.0)

@@ -5,7 +5,9 @@ the whole package; :func:`as_complex_matrix` is the validation gate that
 turns arbitrary input into one.  On top of it this module provides the
 Hermitian eigendecomposition behind a relative symmetry gate, the spectral
 norm, and the split of a PSD spectrum into kept and dropped eigenpairs at a
-relative rank cutoff.  Both tolerances are fixed module constants.
+relative rank cutoff.  Both tolerances are fixed module constants.  Every
+LAPACK call of the package runs inside :func:`lapack`, so that a failure
+surfaces as NumericalFailure, never as a raw ``LinAlgError``.
 
 All functions are pure; nothing here mutates its arguments.  Target sizes
 are small dense matrices (n <= 512), so every factorization is a direct
@@ -25,6 +27,24 @@ HERM_TOL = 1e-8
 
 #: Relative eigenvalue cutoff below which a PSD matrix is treated as singular.
 RANK_TOL = 1e-10
+
+
+class lapack:
+    """Context that turns a LAPACK failure inside it into NumericalFailure,
+    with the message "<what> failed: <reason>".  A class rather than a
+    generator, so that entering it costs next to nothing on hot paths."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
+            raise NumericalFailure(f"{self.what} failed: {exc}") from exc
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -91,10 +111,8 @@ def hermitian_eig(m) -> EigenDecomposition:
         raise NotHermitian(
             f"asymmetry {defect:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
         )
-    try:
+    with lapack("Hermitian eigendecomposition"):
         eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Hermitian eigendecomposition failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -105,10 +123,8 @@ def spectral_norm(m) -> float:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0.0
-    try:
+    with lapack("SVD"):
         sigma = np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
     return float(sigma[0])
 
 

@@ -101,21 +101,29 @@ def bound_carmichael_mason(p: PolynomialSpec) -> float:
 
 
 def bound_fujii_kubo(p: PolynomialSpec) -> float:
-    """(sqrt(sum |a_i|^2) + |a_{n-1}|) / 2 + cos(pi / (n+1))."""
+    """(sqrt(sum |a_i|^2) + |a_{n-1}|) / 2 + cos(pi / (n+1)), each term
+    halved before the sum, so that it stays finite wherever the bound is."""
     mags = np.abs(p.coefficients)
-    return 0.5 * (_norm(mags) + float(mags[-1])) + math.cos(math.pi / (p.degree + 1))
+    half = 0.5 * _norm(mags) + 0.5 * float(mags[-1])
+    return half + math.cos(math.pi / (p.degree + 1))
 
 
 def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
     """The nonnegative certificate matrix M behind the alphas, every entry
     halved: row 1 collects all coefficient magnitudes (|a_{n-1}| twice) on
     weight 1 plus weight 2; row k >= 2 puts |a_{n-k}| on weight 1 plus
-    weights k and k+1, so the last row sees a_0.  Degree 1: [[|a_0|]]."""
-    mags = np.abs(p.coefficients)
+    weights k and k+1, so the last row sees a_0.  Degree 1: [[|a_0|]].
+    Each magnitude is halved before the sums, which is exact, so M is
+    finite wherever its entries are; an entry past the float range raises
+    InvalidMatrix."""
+    half = 0.5 * np.abs(p.coefficients)
     k = np.arange(1, p.degree)
     m = np.zeros((p.degree, p.degree), dtype=np.float64)
-    m[:, 0] = 0.5 * mags[::-1]
-    m[0, 0] += 0.5 * float(np.sum(mags))
+    m[:, 0] = half[::-1]
+    with np.errstate(over="ignore"):
+        m[0, 0] += float(np.sum(half))
+    if not math.isfinite(m[0, 0]):
+        raise InvalidMatrix("the certificate matrix overflows: coefficients too large")
     m[k, k] = m[k - 1, k] = 0.5
     return m
 
@@ -226,7 +234,8 @@ def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     in a handful of passes over the coefficients.  No eigensolver is
     involved, so reducible M (a_0 = 0) and a near-zero a_0 (an
     ill-conditioned Perron root) come out as accurately as the rest.  The
-    all-ones weights stay a candidate.
+    all-ones weights stay a candidate; they win where the Perron weights'
+    certificate overflows (2 rho - 1 past the float range floors them).
     """
     m = certificate_matrix(p)
     tail = np.abs(p.coefficients[-2::-1]).tolist()
@@ -234,9 +243,11 @@ def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     # and its largest row sum
     lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
     d_star = _chain_weights(tail, _perron_root(float(m[0, 0]), tail, lo, hi))
-    val = bound_prk(p, d_star)
     ones = np.ones(p.degree, dtype=np.float64)
-    base = bound_prk(p, ones)
+    # max_k alpha_k of each candidate (``bound_prk``) from this M; an
+    # overflowed value loses to the ones
+    with np.errstate(over="ignore"):
+        val, base = (float(np.max(m @ d / d)) for d in (d_star, ones))
     return (d_star, val) if val < base else (ones, base)
 
 

@@ -9,8 +9,10 @@ One ``eigh`` of P(t) gives each eigenvalue branch lambda, with unit
 eigenvector x, its slope x* P' x and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
-model (:func:`branches`).  Over a stack of angles, the same call gives
-the support-line cells of :mod:`semirad.arange` their values and slopes.
+model (:func:`branches`).  Over a stack of angles, the same call, told
+to skip the curvature, gives the support-line cells of
+:mod:`semirad.arange` their values and slopes alone; only the steps of
+:func:`refine` read curvature.
 The callers prune those cells first, into segments of cells whose bound
 beats the best angle, each holding one peak as far as its points tell,
 and hand each segment's best angle and its bracket to :func:`refine`, the
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .linalg import lapack
 
 #: Width of the bracket at which the refinement stops.
 TOL = 1e-10
@@ -47,7 +49,9 @@ def _unit(scale: float) -> float:
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
 
-def branches(family: Callable, t, idx, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def branches(
+    family: Callable, t, idx, scale: float, curvature: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of the Hermitian stack ``family(t)`` and the quadratic models
     of its eigenvalue branches *idx*.
 
@@ -57,29 +61,32 @@ def branches(family: Callable, t, idx, scale: float) -> tuple[np.ndarray, np.nda
     and the value, slope and curvature of each branch, shape
     (3, parts, len(idx)), in units of s, a power of two at *scale* (the
     largest |eigenvalue| in sight), so that a unit means the same at every
-    t and squares neither overflow nor underflow.  A LAPACK failure raises
-    NumericalFailure.
+    t and squares neither overflow nor underflow.  Without *curvature*, q
+    holds value and slope only, shape (2, parts, len(idx)), the same to the
+    bit: the coupling to the other branches, which only the curvature
+    reads, is skipped.  A LAPACK failure raises NumericalFailure.
     """
     s = _unit(scale)
-    try:
+    with lapack("eigensolve of the support lines"):
         lam, vec = np.linalg.eigh(family(t))
-    except np.linalg.LinAlgError as exc:
-        msg = f"eigensolve of the support lines failed: {exc}"
-        raise NumericalFailure(msg) from exc
     k = lam.shape[-1]
     lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
     dp = family(t + 0.5 * np.pi).reshape(-1, k, k)
     dp /= s  # before the products, so that they neither overflow nor underflow
-    # g[p, j, b] = x_j* P' x_b, with no conjugated copy of the eigenvectors
-    g = (np.swapaxes(vec, 1, 2) @ (dp @ vec[:, :, idx]).conj()).conj()
+    x = vec[:, :, idx]
+    dx = dp @ x
     value = lam[:, idx]
-    slope = g[:, idx, np.arange(len(idx))].real
+    slope = np.sum(x.conj() * dx, axis=1).real  # x_b* P' x_b
+    if not curvature:
+        return lam * s, np.array((value, slope))
+    # g[p, j, b] = x_j* P' x_b, with no conjugated copy of the eigenvectors
+    g = (np.swapaxes(vec, 1, 2) @ dx.conj()).conj()
     gap = value[:, None, :] - lam[:, :, None]
     coupling = np.abs(g) ** 2
     # j = b, and any eigenvalue equal to the branch's, has no coupling term
     coupling = np.divide(coupling, gap, out=np.zeros_like(coupling), where=gap != 0)
-    curvature = 2.0 * coupling.sum(axis=1) - value
-    return lam * s, np.array((value, slope, curvature))
+    bend = 2.0 * coupling.sum(axis=1) - value
+    return lam * s, np.array((value, slope, bend))
 
 
 def _roots(c0: float, c1: float, c2: float) -> list[float]:

@@ -44,6 +44,7 @@ from .linalg import (
     _kept_eigenpairs,
     hermitian_defect,
     hermitian_eig,
+    lapack,
     require_square,
     spectral_norm,
 )
@@ -299,7 +300,8 @@ def is_a_positive(op: SemiOperator) -> bool:
     """Whether A @ T is Hermitian PSD, read off C like the test above."""
     if not is_a_selfadjoint(op):
         return False
-    lam = np.linalg.eigvalsh(_hermitian_part(op.compressed))
+    with lapack("eigensolve of the A-positivity test"):
+        lam = np.linalg.eigvalsh(_hermitian_part(op.compressed))
     # the least eigenvalue may fall short of 0 by HERM_TOL times the largest
     return bool(lam.size == 0 or lam[0] >= -HERM_TOL * lam[-1])
 

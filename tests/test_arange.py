@@ -369,9 +369,22 @@ def test_estimate_range_fields(rng):
     assert est.radius == pytest.approx(sr.a_numerical_radius(op), abs=1e-12)
 
 
-def _with_kernel():
-    ctx, t = singular_pair(np.random.default_rng(11), 5, 3)
+def _with_kernel(seed=11, rank=3):
+    ctx, t = singular_pair(np.random.default_rng(seed), 5, rank)
     return ctx.matrix, t
+
+
+def _normal(m, seed):
+    """A diagonal T of m random complex eigenvalues: a polygonal range."""
+    z = np.random.default_rng(seed).normal(size=(2, m)).T @ [1.0, 1j]
+    return np.eye(m), np.diag(z)
+
+
+def _dense(seed):
+    """A random strict weight and a random dense T: a smooth range."""
+    rng = np.random.default_rng(seed)
+    ctx = random_strict_context(rng, 6)
+    return ctx.matrix, random_operator(rng, ctx).matrix
 
 
 BOUNDARY_CASES = {
@@ -382,6 +395,11 @@ BOUNDARY_CASES = {
     "kernel": _with_kernel(),
     "tiny": (np.eye(4), 1e-170 * (np.eye(4, k=1) + np.diag([1.0, 1j, -1.0, 0.5]))),
     "float_limit": (np.diag([1.0, 4.0]), np.diag([1e308, -1e308])),
+    "dense": _dense(3),
+    "normal_5": _normal(5, 5),
+    "normal_64": _normal(64, 6),
+    "near_disk": (np.eye(2), np.array([[0.0, 2.0], [1e-9, 0.0]])),
+    "rank_1": _with_kernel(8, 1),
 }
 
 
@@ -397,7 +415,18 @@ def test_boundary_points_are_support_points(case):
     on_line = (np.exp(-1j * theta) * p).real
     assert np.max(np.abs(on_line - h)) <= 1e-12 * w
     assert np.all(np.abs(p) <= w * (1 + 1e-12))
-    assert np.max(gap) <= arange.RTOL * w
+    assert np.max(gap) <= arange.RTOL * np.max(h)
+
+
+def test_picture_of_a_regular_pentagon_closes_each_edge_at_once(monkeypatch):
+    # the chord rule puts a support line normal to each flat edge the first
+    # time a cell straddles it, so five edges cost few rounds
+    z = np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
+    op = sr.make_operator(sr.identity_context(5), np.diag(z))
+    calls = record_batched_solves(monkeypatch)
+    _, h, _, _, gap = arange._picture(op)
+    assert sum(shape[0] for kind, shape in calls if kind == "eigh") <= 32
+    assert np.max(gap) <= arange.RTOL * np.max(h)
 
 
 def test_boundary_of_the_zero_matrix_runs_no_solve(monkeypatch):
@@ -461,6 +490,21 @@ def test_refinement_solve_failure_is_a_numerical_failure(rng, monkeypatch, quant
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(sr.NumericalFailure, match="eigensolve of the support lines"):
         quantity(op)
+
+
+def test_identity_grid_failure_is_a_numerical_failure(rng, monkeypatch):
+    # LAPACK fails on the stacked SVDs of the rotation grid only
+    op = random_operator(rng, random_strict_context(rng, 4))
+    svd = np.linalg.svd
+
+    def failing(m, *args, **kw):
+        if np.ndim(m) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(sr.NumericalFailure, match="SVD of the rotation grid failed"):
+        sr.w_theta_identity_check(op)
 
 
 def test_w_theta_identity_check_keeps_a_strictly_better_grid_point(rng, monkeypatch):

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -575,3 +580,47 @@ class TestReports:
         assert rep.th27 == pytest.approx(v27, abs=1e-12)
         assert rep.th25 == pytest.approx(sr.block_bound_th25(*ops), abs=1e-12)
         assert rep.w_b_exact <= min(rep.th25, rep.th27, rep.th28) + 1e-8
+
+
+# One n = 200 bound report, printed as JSON, in a fresh interpreter.
+_REPORT_N200 = """
+import json
+import numpy as np
+import semirad as sr
+rng = np.random.default_rng(200)
+g, t = rng.normal(size=(2, 200, 200)) + 1j * rng.normal(size=(2, 200, 200))
+ctx = sr.make_context(g @ g.conj().T + 0.05 * np.eye(200))
+print(json.dumps(vars(sr.bound_report(sr.make_operator(ctx, t)))))
+"""
+
+
+def test_brackets_hold_at_one_and_two_blas_threads():
+    # the last digits may move with the BLAS thread count; the brackets
+    # must hold at either count, and the radius agree far below any bound
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sr.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=path,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_N200],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        reports.append(json.loads(out.stdout))
+    for rep in reports:
+        w = rep["w_exact"] * (1 + 1e-12)
+        assert max(rep["lower_21"], rep["lower_22"], rep["sandwich_lower"]) <= w
+        assert rep["w_exact"] <= min(rep["upper_hphi"], rep["sandwich_upper"]) * (
+            1 + 1e-12
+        )
+    one, two = (rep["w_exact"] for rep in reports)
+    assert one == pytest.approx(two, rel=1e-12, abs=0)

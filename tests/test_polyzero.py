@@ -97,6 +97,26 @@ class TestClassicalBounds:
         assert r_fk == pytest.approx(1.5e160, rel=1e-15)
         assert np.isfinite(rep.r_prk) and rep.r_prk >= rep.max_root_modulus
 
+    def test_coefficients_near_the_float_limit(self):
+        # the magnitudes sum past the float range, their halves do not; the
+        # Perron weights floor to 1e-12 (2 rho - 1 overflows), and their
+        # overflowed certificate loses to the all-ones weights
+        p = sr.make_polynomial([1e308, 1e308])
+        rep = sr.zero_bound_report(p)  # any warning fails the test
+        assert rep.r_fk == pytest.approx(1.2071067811865475e308, rel=1e-15)
+        assert rep.r_fk >= rep.max_root_modulus
+        assert rep.r_prk == 1.5e308
+        assert rep.d_star.tolist() == [1.0, 1.0]
+
+    def test_certificate_entry_past_the_float_range_is_invalid(self):
+        # M_11 = (|a_0| + 2 |a_1| + |a_2|) / 2 = 2e308 itself overflows
+        p = sr.make_polynomial([1e308, 1e308, 1e308])
+        with pytest.raises(sr.InvalidMatrix, match="certificate matrix overflows"):
+            sr.certificate_matrix(p)
+        with pytest.raises(sr.InvalidMatrix, match="certificate matrix overflows"):
+            sr.zero_bound_report(p)
+        assert np.isfinite(sr.bound_fujii_kubo(p))
+
 
 class TestAlphas:
     def test_running_example_with_tuned_weights(self):

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirad import scan
+from semirad import arange, scan
 from semirad.scan import _model_step, branches, refine
 
 # The golden_section ids are kept for the tests of the second-order
@@ -165,3 +167,18 @@ def test_branch_slopes_and_curvatures_match_finite_differences(parts):
     curvature = (ahead - 2 * here + behind) / h**2
     np.testing.assert_allclose(q[1] * s, slope, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(q[2] * s, curvature, rtol=1e-4, atol=1e-4)
+
+
+def test_branches_without_curvature_give_the_same_values_and_slopes():
+    # the cells' rounds skip the curvature; value and slope come from one
+    # expression in both modes, so they agree to the bit
+    rng = np.random.default_rng(9)
+    k = 6
+    c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    family = partial(arange._rotated, c)
+    angles = np.linspace(0.0, np.pi, 40, endpoint=False)
+    lam, q = branches(family, angles, [0, k - 1], 4.0)
+    lean_lam, lean = branches(family, angles, [0, k - 1], 4.0, curvature=False)
+    assert q.shape == (3, 40, 2) and lean.shape == (2, 40, 2)
+    assert np.array_equal(lam, lean_lam)
+    assert np.array_equal(q[:2], lean)

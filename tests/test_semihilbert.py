@@ -358,6 +358,19 @@ def test_is_a_positive(rng):
     assert not sr.is_a_positive(sr.make_operator(ctx, -gram.matrix))
 
 
+def test_a_positive_solve_failure_is_a_numerical_failure(rng, monkeypatch):
+    # a LAPACK failure in the eigensolve of the positivity test
+    ctx = random_strict_context(rng, 3)
+    op = sr.make_operator(ctx, np.eye(3))
+
+    def failing(*args, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(sr.NumericalFailure, match="A-positivity test failed"):
+        sr.is_a_positive(op)
+
+
 @pytest.mark.parametrize("c", [1e-15, 1e-9, 1.0, 1e6])
 def test_selfadjoint_and_positive_gates_ignore_weight_scale(c):
     # A -> cA, and T -> sT for s > 0, cannot change whether A T is
