@@ -2,9 +2,10 @@
 
 Everything runs on the compressed matrix C = L^(1/2) Q* T Q L^(-1/2)
 built from the kept eigenpairs (L, Q) of A, whose classical numerical
-range equals the weighted range of T.  One kernel, :func:`_rotated`,
-builds the rotated Hermitian parts Re(exp(-i*theta) C), one matrix or a
-stack of them, and every range quantity is read off the support function
+range equals the weighted range of T.  One kernel, :func:`scan.branches`,
+takes the rotated Hermitian parts Re(exp(-i*theta) C) of C itself, one
+matrix or a stack of them, and every range quantity is read off the
+support function
 
     h(theta) = lambda_max(Re(exp(-i*theta) C)).
 
@@ -14,35 +15,38 @@ and, the part at theta + pi being minus it, at theta + pi, and the
 eigenvector gives the slope h' and so the support point
 p_theta = exp(i theta) (h + i h').  Between two neighbouring angles the
 points span a chord of the inner polygon and their support lines meet at
-a vertex of the outer polygon; the range lies between the two.  The
-cells start from 32 support lines and are refined, in rounds of one
-stacked eigensolve each that reads values and slopes only, until every
-outer vertex lies within RTOL times the largest h of its chord; each
-open cell is split at the normal of its chord (the chord rule of the
-sandwich algorithm; :func:`_coarse`).  That is the picture, made once
-per operator and kept on it (like its ``adjoint``).  Every quantity
-below starts from it:
+a vertex of the outer polygon; the range lies between the two.  Every
+operator's cells start from 32 support lines, and each quantity grows
+only the cells it needs from them:
 
   * radius   w = max_theta h(theta), pruned on the outer vertices,
   * crawford m = max(0, -min_theta h(theta))   (support duality), 0 at
-    once when the inner polygon holds the origin, else pruned on the
-    chords,
-  * boundary: the inner polygon's support points and the outer polygon's
-    vertices, in angle order,
+    once when the start lines' inner polygon holds the origin, else
+    pruned on the chords,
+  * boundary: the picture's support points and outer vertices, in angle
+    order,
   * inclusion: z lies in the range iff Re(exp(-i*theta) z) <= h(theta)
     for every theta.
+
+The picture, which the boundary, the inclusion check and the H_phi bound
+read, is refined in rounds of one stacked eigensolve each that reads
+values and slopes only, until every outer vertex lies within RTOL times
+the largest h of its chord; each open cell is split at the normal of its
+chord (the chord rule of the sandwich algorithm; :func:`_chord_rule`).
+It is made once per operator and kept on it (like its ``adjoint``); the
+radius and the Crawford number never grow it.
 
 Every eigensolve, the cells' stacks and each refinement step alike, is
 one call of :func:`scan.branches`.  A pruned search groups the cells
 whose bound beats the best value into runs, cuts each run at the valleys
-of its points into segments of one peak, bisects a segment until its
-points agree on that peak, refines every segment's best angle by
-second-order steps on its eigenvalue branches (:func:`scan.refine`), and
-bisects on while a cell's bound beats the best refined value: outside
-the refined segments by more than the rounding of h, inside them by more
-than the picture's resolution.  Every batched eigensolve runs in chunks
-of at most CHUNK_ENTRIES matrix entries, so its memory does not grow
-with the number of angles.
+of its points into segments of one peak, refines the best angle of one
+new segment per round by second-order steps on its eigenvalue branches
+(:func:`scan.refine`), and splits every other cell whose bound beats the
+best value, by the chord rule: outside the refined segments by more than
+the rounding of h, inside them by more than twice RTOL times the reach
+or while the cell is coarser than the picture.  Every batched eigensolve
+runs in chunks of at most CHUNK_ENTRIES matrix entries, so its memory
+does not grow with the number of angles.
 
 Two independent cross-checks live here as well: the rotation identity
 path through the weighted real part on its own fixed grid
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -74,28 +78,15 @@ CHUNK_ENTRIES = 2**16
 # Angles are integer multiples of _UNIT, 2**30 to the quarter turn, so that
 # a midpoint, a rotation by pi/2 and the test for an angle already seen are
 # exact.  The cells start from _START support lines per quarter turn (32 in
-# all: 16 parts of the half turn).  A pruned search bisects at most _SPLITS
-# cells per round, in at most _ROUNDS rounds, so that a function flat to
-# the resolution of its bounds (h of a disk) stays cheap; it refines every
-# segment that may hold the optimum, however many.
+# all: 16 parts of the half turn).  A pruned search splits every open cell
+# in each round and refines at most one new segment per round, in at most
+# _ROUNDS rounds, after which it refines every segment that may hold the
+# optimum, however many.
 _QUARTER = 2**30
 _UNIT = 0.5 * np.pi / _QUARTER
 _START = 8
-_SPLITS = 4
 _ROUNDS = 16
 _EPS = np.finfo(np.float64).eps
-
-
-def _rotated(c: np.ndarray, theta) -> np.ndarray:
-    """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
-
-    A scalar theta gives one Hermitian matrix, an array of angles the
-    stack of them.
-    The phase is halved before the sum, so entries near the float limit
-    do not overflow; halving is exact, so the result is the same.
-    """
-    half = 0.5 * np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
-    return half.conj() * c + half * c.conj().T
 
 
 def _chunks(m: int, k: int, copies: int = 1) -> list[slice]:
@@ -111,7 +102,7 @@ class _Cells:
 
     Every angle theta evaluated gives the support value h(theta) and the
     support point p_theta = exp(i theta) (h + i h'), the point x* C x of
-    the top eigenvector x, whose slope h' = x* Im(exp(-i theta) C) x comes
+    the top eigenvector x, whose slope h' = Im(exp(-i theta) x* C x) comes
     with the eigenvector (:func:`scan.branches`, which skips the curvature
     here: the rounds read value and slope only).  Between two neighbouring
     angles a < b lies a cell: the points p_a, p_b span a chord of the inner
@@ -125,11 +116,13 @@ class _Cells:
     pi/2 and the norm of every part at theta + pi/2 is known too.  Values
     are kept, in units of a power of two at the scale of C, per base angle
     in [0, pi/2).  The cells start from 32 support lines, evaluated at
-    once, and on first read of the picture each open cell is split at the
+    once, whose outer polygon sets the reach, the scale of every later
+    decision.  On first read of the picture each open cell is split at the
     normal of its chord (:func:`_coarse`), round by round, until every
-    outer vertex lies within RTOL * max h of its inner chord.
-    Each pruned search grows its own set of base angles from the picture,
-    so what it reads depends on C alone, and no angle is evaluated twice.
+    outer vertex lies within RTOL * max h of its inner chord.  Each pruned
+    search grows its own set of base angles from the start lines (the
+    H_phi bound's from the picture), so what it reads depends on C alone,
+    whatever else was grown before, and no angle is evaluated twice.
     """
 
     def __init__(self, c: np.ndarray):
@@ -153,10 +146,11 @@ class _Cells:
 
     @cached_property
     def reach(self) -> float:
-        """The largest modulus of the picture's outer polygon, which holds
-        the range, so that it bounds the radius: the scale of every later
-        decision, in units of ``unit``."""
-        return float(np.max(np.abs(_geometry(*self.view(self.picture))[4])))
+        """The largest modulus of the start lines' outer polygon, which
+        holds the range, so that it bounds the radius: the scale of every
+        later decision, in units of ``unit``, the same whatever else has
+        been grown."""
+        return float(np.max(np.abs(_geometry(*self.view(self.start))[4])))
 
     @cached_property
     def rounding(self) -> float:
@@ -171,10 +165,9 @@ class _Cells:
         angles = np.concatenate((base, base + _QUARTER)) * _UNIT
         # value and slope, not curvature, of the bottom and top branches;
         # the parts and their eigenvectors are two stacks of the chunk's size
-        rotated, chunks = partial(_rotated, self.c), _chunks(len(angles), k, copies=2)
         q = [
-            branches(rotated, angles[s], [0, -1], self.unit, curvature=False)[1]
-            for s in chunks
+            branches(self.c, angles[s], [0, -1], self.unit, curvature=False)[1]
+            for s in _chunks(len(angles), k, copies=2)
         ]
         # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
         h, dh = (
@@ -213,25 +206,32 @@ def _member(x: np.ndarray, sorted_: np.ndarray) -> np.ndarray:
     return sorted_[at] == x
 
 
-def _coarse(index, h, dh):
-    """The picture's rule: split every cell whose gap exceeds RTOL * max h
-    at the normal of its chord, the chord rule of the sandwich algorithm
-    (Rote, Computing 48, 1992), rounded to the angle grid: the support line
-    there closes a flat edge that the cell straddles at once, where equal
-    splits would only halve its gap.  A normal outside the open cell, or
-    within 1/8 of the cell's width of its midpoint (as on a smooth arc),
-    gives way to the midpoint, so that the four cells of a quarter-turn
-    orbit share one new base angle."""
-    _, _, p, p_next, vertex = _geometry(index, h, dh)
-    cells = (_gap(p, p_next, vertex) > RTOL * h.max()).nonzero()[0]
-    a, span = index[cells], _span(index)[cells]
-    chord = p_next[cells] - p[cells]
+def _chord_rule(index: np.ndarray, geometry) -> np.ndarray:
+    """Where to split each cell of a view: at the normal of its chord, the
+    chord rule of the sandwich algorithm (Rote, Computing 48, 1992),
+    rounded to the angle grid.  The support line there closes a flat edge
+    that the cell straddles at once, where equal splits would only halve
+    its gap, and finds a corner hidden between the cell's support points.
+    A normal outside the cell, or within 1/8 of the cell's width of its
+    midpoint (as on a smooth arc), and a chord of length 0 give way to the
+    midpoint, so that the four cells of a quarter-turn orbit share one new
+    base angle.  *geometry* is the view's :func:`_geometry`."""
+    _, _, p, p_next, _ = geometry
+    span, chord = _span(index), p_next - p
     # the chord's outward normal, in grid units from the cell's first angle
-    normal = (np.angle(chord) - 0.5 * np.pi - a * _UNIT) % (2.0 * np.pi)
+    normal = (np.angle(chord) - 0.5 * np.pi - index * _UNIT) % (2.0 * np.pi)
     off = np.rint(normal / _UNIT).astype(np.int64)
     mid = span // 2
-    snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span)
-    return a + np.where(snap, mid, off)
+    snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span) | (chord == 0)
+    return index + np.where(snap, mid, off)
+
+
+def _coarse(index, h, dh):
+    """The picture's rule: split every cell whose gap exceeds RTOL * max h
+    by the chord rule (:func:`_chord_rule`)."""
+    geometry = _geometry(index, h, dh)
+    cells = _gap(*geometry[2:]) > RTOL * h.max()
+    return _chord_rule(index, geometry)[cells]
 
 
 def _cells(op: SemiOperator) -> _Cells:
@@ -314,66 +314,71 @@ def _floor(a: np.ndarray, width: np.ndarray, groups: list[np.ndarray]) -> np.nda
     return np.minimum.reduceat(values, np.flatnonzero(np.diff(cell, prepend=-1)))
 
 
-def _vertex_bound(index, h, dh) -> np.ndarray:
-    """Upper bound of h over each cell: the outer vertex's support there,
-    its modulus if the cell holds its direction, else the larger end."""
-    theta, width, _, _, vertex = _geometry(index, h, dh)
+def _vertex_bound(geometry, h: np.ndarray) -> np.ndarray:
+    """Upper bound of h over each cell of a view of :func:`_geometry`
+    *geometry*: the outer vertex's support there, its modulus if the cell
+    holds its direction, else the larger end."""
+    theta, width, _, _, vertex = geometry
     inside = (np.angle(vertex) - theta) % (2.0 * np.pi) <= width
     return np.where(inside, np.abs(vertex), np.maximum(h, _next(h)))
 
 
-def _chord_bound(index, h, dh) -> np.ndarray:
-    """Lower bound of h over each cell: the inner chord's support there."""
-    theta, width, p, p_next, _ = _geometry(index, h, dh)
+def _chord_bound(geometry, h: np.ndarray) -> np.ndarray:
+    """Lower bound of h over each cell of a view of :func:`_geometry`
+    *geometry*: the inner chord's support there."""
+    theta, width, p, p_next, _ = geometry
     return _floor(theta, width, [np.stack((p, p_next), axis=1)])
 
 
-def _valleys(value: np.ndarray, slope: np.ndarray, slack: float) -> list[int]:
+def _valleys(value: list, sign: list) -> list[int]:
     """Positions of the valleys of a sequence of points: the least point
-    from each falling one (*slope* below -slack) to the next rising one
-    (above slack), which parts two peaks."""
-    sign = np.where(slope > slack, 1, np.where(slope < -slack, -1, 0))
-    moving = np.flatnonzero(sign)
-    turn = (sign[moving[:-1]] < 0) & (sign[moving[1:]] > 0)
+    from each falling one (*sign* -1) to the next rising one (+1), which
+    parts two peaks."""
+    moving = [i for i, s in enumerate(sign) if s]
     return [
-        i + int(np.argmin(value[i : j + 1]))
-        for i, j in zip(moving[:-1][turn].tolist(), moving[1:][turn].tolist())
+        min(range(i, j + 1), key=value.__getitem__)
+        for i, j in zip(moving, moving[1:])
+        if sign[i] < 0 < sign[j]
     ]
 
 
-def _segments(value, slope, excess, slack) -> tuple[np.ndarray, list]:
-    """One round of a pruned search for the max of *value* over a cyclic
-    view of n points: (cells to bisect, segments to refine).
+def _segments(value, slope, excess, slack) -> list[tuple[int, int, int, bool]]:
+    """The segments of a pruned search for the max of *value* over a
+    cyclic view of n points.
 
     A cell, running from its point to the next, is open while *excess*
     (its bound of *value* less the best value) is above *slack*, and so
     are the two cells next to the best point.  Each run of consecutive
     open cells may hold the max; its valleys (:func:`_valleys`) cut it into
     segments of one peak each, as far as its points can tell; each is
-    (best point, first point, last point), the first and last the same
-    around the whole turn.  A segment is ready when *slope* rises into its
-    best point and falls after it at every point inside it; the cells of
-    the segments that are not ready are bisected, at most _SPLITS of them
-    by excess.
+    (best point, first point, last point, ready), the first and last the
+    same around the whole turn.  A segment is ready when *slope* rises into
+    its best point and falls after it at every point inside it (by more
+    than *slack*).  The points are few, so this runs on lists.
     """
     n = len(value)
-    opened = excess > slack
+    opened = (excess > slack).tolist()
     best = int(np.argmax(value))
-    opened[[best, best - 1]] = True
-    if opened.all():
+    opened[best] = opened[best - 1] = True
+    value = value.tolist()
+    sign = ((slope > slack).astype(int) - (slope < -slack)).tolist()
+    if all(opened):
         # one run around the whole turn, from and back to the best point
-        first, last = np.array([best]), np.array([best + n])
+        runs = [(best, best + n)]
     else:
-        # shift so that a shut cell comes first, and find where runs start
-        # and end
-        shift = int(np.argmin(opened))
-        padded = np.concatenate(([0], np.roll(opened, -shift), [0]))
-        edge = np.diff(padded.astype(np.int8))
-        first, last = edge.nonzero()[0].reshape(-1, 2).T + shift
-    segments, split = [], []
-    for a, b in zip(first.tolist(), last.tolist()):
-        points = np.arange(a, b + 1) % n
-        cuts = _valleys(value[points], slope[points], slack)
+        # cell i runs from point i to i + 1; scan from a shut cell round
+        runs, first = [], None
+        shut = opened.index(False)
+        for i in range(shut + 1, shut + n + 1):
+            if opened[i % n]:
+                first = i if first is None else first
+            elif first is not None:
+                runs.append((first, i))
+                first = None
+    segments = []
+    for a, b in runs:
+        points = [i % n for i in range(a, b + 1)]
+        cuts = _valleys([value[i] for i in points], [sign[i] for i in points])
         if b - a == n:
             # around the whole turn, the segments run from valley to valley
             cuts = [i for i in cuts if 0 < i < n]
@@ -381,78 +386,76 @@ def _segments(value, slope, excess, slack) -> tuple[np.ndarray, list]:
         else:
             ends = [0, *cuts, b - a]
         for i, j in zip(ends[:-1], ends[1:]):
-            run = (a + np.arange(i, j + 1)) % n
-            top = int(np.argmax(value[run]))
-            g = slope[run]
-            segments.append((int(run[top]), int(run[0]), int(run[-1])))
-            if np.any(g[1:top] < -slack) or np.any(g[top + 1 : -1] > slack):
-                split.append(run[:-1])
-    cells = np.concatenate(split) if split else np.zeros(0, dtype=np.int64)
-    return _top(cells, excess), segments
-
-
-def _top(cells: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """The at most _SPLITS of *cells* with the largest *excess*."""
-    return cells[np.argsort(-excess[cells], kind="stable")][:_SPLITS]
+            run = [(a + m) % n for m in range(i, j + 1)]
+            top = max(range(len(run)), key=lambda m: value[run[m]])
+            g = [sign[p] for p in run]
+            ready = -1 not in g[1:top] and 1 not in g[top + 1 : -1]
+            segments.append((run[top], run[0], run[-1], ready))
+    return segments
 
 
 def _optimize(
     cells: _Cells, base: np.ndarray, survey, evaluate, period: float
-) -> tuple[float, float]:
-    """(t, f(t)) at the max of a function f of the support lines, of period
-    *period*, pruned on the cells from the base angles *base*, then refined
-    and checked.
+) -> tuple[float, float, np.ndarray]:
+    """(t, f(t), angles) at the max of a function f of the support lines,
+    of period *period*, pruned on the cells from the base angles *base*,
+    then refined and checked; *angles* are the base angles the search grew.
 
-    ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic view:
-    f and its slope at each point, a bound of f over each cell (the cell
-    from a point to the next) and each cell's midpoint; ``evaluate(t)``
-    gives f(t) and the models of the branches of -f, for
-    :func:`scan.refine`.  The result starts at the best point.  The cells
-    are bisected round by round until every segment of open cells is ready
-    (:func:`_segments`); each segment is then refined from its best point
-    within its bracket, and the best value is kept once no cell's bound
-    beats it: by more than the rounding of f outside the refined segments,
-    and by more than twice RTOL times the picture's reach inside them, the
-    most a bound at the picture's resolution overshoots one smooth optimum
-    (the outer vertex lies within the picture's gap of the range, and the
-    H_phi floor within sqrt(2) gaps of its objective).  Otherwise the
-    cells that beat it are bisected and the search goes on.  After _ROUNDS
-    rounds every segment is refined, ready or not, and a bound that still
-    beats the result is reported by a RuntimeWarning.
+    ``survey(view)`` gives (theta, f, f', bound, names, coarse) over a
+    cyclic view: f and its slope at each point, a bound of f over each
+    cell (the cell from a point to the next), where to split each cell, and
+    which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
+    and the models of the branches of -f, for :func:`scan.refine`.  The
+    result starts at the best point.  Each round cuts the open cells into
+    segments (:func:`_segments`) and refines one new segment, the most
+    promising ready one that holds no refined optimum yet, from its best
+    point within its bracket.  Then every cell whose bound beats the best
+    value is split: by more than the rounding of f outside the segments
+    that hold a refined optimum, and inside them while the cell is coarser
+    than the picture or its bound beats the value by more than twice RTOL
+    times the reach, the most a bound at the picture's resolution
+    overshoots one smooth optimum (the outer vertex lies within the
+    picture's gap of the range, and the H_phi floor within sqrt(2) gaps of
+    its objective).  Around a refined optimum the cells thus reach the
+    picture's resolution, so a second peak hidden in its segment shows as
+    a valley or as a farther support point.  The search ends once no cell
+    beats the best value.  After _ROUNDS rounds every segment is refined,
+    ready or not, and a bound that still beats the result is reported by a
+    RuntimeWarning.
     """
     reach = cells.reach * cells.unit
     slack = cells.rounding * cells.unit
     best = (-np.inf, 0.0)
-    refined: dict = {}
+    refined: list[float] = []  # the angles of the refined optima
     for rounds in range(_ROUNDS + 1):
-        theta, value, slope, bound, names = survey(*cells.view(base))
+        theta, value, slope, bound, names, coarse = survey(*cells.view(base))
         top = int(np.argmax(value))
         best = max(best, (float(value[top]), float(theta[top])))
-        split, segments = _segments(value, slope, bound - best[0], slack)
-        if split.size and rounds < _ROUNDS:
-            base = cells.extend(base, names[split])
-            continue
+        segments = _segments(value, slope, bound - best[0], slack)
         n = len(value)
         tol = np.full(n, slack)
-        # the most promising first, so that a better result can shut the
-        # segments after it
-        for top, a, b in sorted(segments, key=lambda seg: -value[seg[0]]):
+        fresh = True  # no segment refined yet in this round
+        # the most promising first
+        for top, a, b, ready in sorted(segments, key=lambda seg: -value[seg[0]]):
             inside = (a + np.arange((b - a) % n or n)) % n
-            if np.max(bound[inside]) - best[0] <= slack:
-                continue
             below = (theta[top] - theta[a]) % period
             above = period - below if a == b else (theta[b] - theta[top]) % period
             if a == b == top:  # the whole turn from the best point
                 below = above = 0.5 * period
             t = float(theta[top])
-            key = (t, below, above)
-            if key not in refined:
-                refined[key] = refine(evaluate, t, t - below, t + above)
-            t, v = refined[key]
-            best = max(best, (v, t))
-            tol[inside] = 2.0 * RTOL * reach
+            held = any((u - t + below) % period <= below + above for u in refined)
+            if not held:
+                if np.max(bound[inside]) - best[0] <= slack:
+                    continue
+                if not (fresh and ready) and rounds < _ROUNDS:
+                    continue
+                fresh = False
+                t, v = refine(evaluate, t, t - below, t + above)
+                refined.append(t)
+                best = max(best, (v, t))
+            tol[inside] = np.where(coarse[inside], slack, 2.0 * RTOL * reach)
         over = bound - best[0]
-        split = _top(np.flatnonzero(over > tol), over)
+        split = np.flatnonzero(over > tol)
         if not split.size:
             break
         if rounds == _ROUNDS:
@@ -466,12 +469,17 @@ def _optimize(
             break
         base = cells.extend(base, names[split])
     v, t = best
-    return t, v
+    return t, v, base
 
 
-def _extremum(cells: _Cells, base: np.ndarray, maximize: bool, bound) -> float:
-    """max (or min) of h, as the max of sign * h over full-turn views from
-    *base*, with ``bound(view)`` bounding h over each cell.
+def _extremum(
+    cells: _Cells, base: np.ndarray, maximize: bool, bound
+) -> tuple[float, np.ndarray]:
+    """(max (or min) of h, the base angles evaluated), as the max of
+    sign * h over full-turn views from *base*, with
+    ``bound(geometry, h)`` bounding h over each cell of a view of
+    :func:`_geometry` *geometry*; each open cell is split by the chord
+    rule (:func:`_chord_rule`).
 
     The max of h sits where the top branch is smooth.  The min may sit
     where the top branch crosses the next one, or, where the whole
@@ -486,45 +494,50 @@ def _extremum(cells: _Cells, base: np.ndarray, maximize: bool, bound) -> float:
 
     def survey(index, h, dh):
         s = sign * cells.unit
-        return index * _UNIT, s * h, s * dh, s * bound(index, h, dh), _midpoints(index)
+        geometry = _geometry(index, h, dh)
+        coarse = _gap(*geometry[2:]) > RTOL * cells.reach
+        names = _chord_rule(index, geometry)
+        return geometry[0], s * h, s * dh, s * bound(geometry, h), names, coarse
 
     def evaluate(t: float):
-        lam_t, q = branches(lambda u: _rotated(c, u), t, idx, scale)
+        lam_t, q = branches(c, t, idx, scale)
         return sign * float(lam_t[0, -1]), -sign * q
 
-    return sign * _optimize(cells, base, survey, evaluate, 2.0 * np.pi)[1]
+    _, v, base = _optimize(cells, base, survey, evaluate, 2.0 * np.pi)
+    return sign * v, base
 
 
 def _radius(cells: _Cells) -> float:
-    """max of h, pruned on the vertex bound.
+    """max of h, pruned on the vertex bound, from the start lines.
 
     Every support point lies in the range, so its modulus is at most w.  A
-    result below the modulus of the picture's farthest support point, by
-    more than the rounding of h, missed a peak (one hidden in a segment
-    with lower ones), and the search runs again with that point's
-    direction among its starting angles, where h is at least its modulus.
+    result below the modulus of the farthest support point the search
+    evaluated, by more than the rounding of h, missed a peak (one hidden in
+    a segment with lower ones), and the search runs again with that
+    point's direction among its angles, where h is at least its modulus.
     """
-    w = _extremum(cells, cells.picture, True, _vertex_bound)
-    index, h, dh = cells.view(cells.picture)
+    w, base = _extremum(cells, cells.start, True, _vertex_bound)
+    index, h, dh = cells.view(base)
     far = np.hypot(h, dh)  # |p_theta|
     i = int(np.argmax(far))
     if far[i] * cells.unit - w <= cells.rounding * cells.unit:
         return w
     start = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
-    return _extremum(cells, cells.extend(cells.picture, start), True, _vertex_bound)
+    return _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
 
 
 def _crawford(cells: _Cells) -> float:
-    """max(0, -min h): 0 at once when the picture's inner polygon holds the
-    origin; otherwise the min of h, pruned on the chord bound."""
-    _, _, p, p_next, _ = _geometry(*cells.view(cells.picture))
+    """max(0, -min h): 0 at once when the start lines' inner polygon holds
+    the origin; otherwise the min of h, pruned on the chord bound, from the
+    start lines."""
+    _, _, p, p_next, _ = _geometry(*cells.view(cells.start))
     edge = p_next - p
     # the origin lies strictly left of every edge of the counterclockwise
     # polygon (an edge of length 0 says nothing)
     left = np.imag(edge.conj() * -p)[edge != 0]
     if left.size and np.all(left > 0.0):
         return 0.0
-    return max(0.0, -_extremum(cells, cells.picture, False, _chord_bound))
+    return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0])
 
 
 def _degenerate_warning(stacklevel: int = 3) -> None:
@@ -557,12 +570,14 @@ def _extreme(op: SemiOperator, key: str, compute) -> float:
 def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius, the max of the support function.
 
-    Starting from the picture, the cells whose outer vertex could beat the
-    best h form runs, cut at their valleys into segments of one peak; the
-    top eigenvalue branch is refined from each segment's best angle by
-    second-order steps (:func:`scan.refine`), the best refined value is
-    kept once no vertex beats it (:func:`_optimize`), and it is checked
-    against the picture's farthest support point (:func:`_radius`).
+    Starting from the 32 start lines, and growing only the cells it needs
+    (never the picture), the cells whose outer vertex could beat the best
+    h form runs, cut at their valleys into segments of one peak; the top
+    eigenvalue branch is refined from the best angle of one new segment
+    per round by second-order steps (:func:`scan.refine`), the best refined
+    value is kept once no vertex beats it (:func:`_optimize`), and it is
+    checked against the farthest support point the search evaluated
+    (:func:`_radius`).
     """
     return _extreme(op, "_radius", _radius)
 
@@ -572,10 +587,11 @@ def a_crawford(op: SemiOperator) -> float:
 
     By support duality the distance from the origin to the convex range
     is max(0, -min_theta h(theta)).  A value of 0 means the origin lies in
-    the range; when the picture's inner polygon already holds it strictly
-    inside, nothing is refined.  Otherwise the cells are pruned on the chord
-    bound of h and the minimum is refined on the eigenvalue branches that
-    may cross there.
+    the range; when the start lines' inner polygon already holds it
+    strictly inside, nothing is refined.  Otherwise the cells are grown
+    from the start lines, pruned on the chord bound of h, and the minimum
+    is refined on the eigenvalue branches that may cross there; the
+    picture is never grown.
     """
     return _extreme(op, "_crawford", _crawford)
 
@@ -643,10 +659,11 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     the seminorm over its own grid of THETA_GRID angles is the batched SVD
     of their compressed combinations over the half turn (the norm has
     period pi), chunked like every batched eigensolve.  The combinations
-    form a Hermitian family like the rotated parts, so the grid's best
-    angle is refined within one grid step on the larger of the branches
-    lambda_max and -lambda_min (:func:`scan.refine`), like the radius; the
-    grid's maximum stands if no refined point beats it.  Agrees with
+    are the rotated parts of C' = Re_A(T) - i Im_A(T), compressed (C* in
+    exact arithmetic), so the grid's best angle is refined through
+    :func:`scan.branches` of C' within one grid step on the larger of the
+    branches lambda_max and -lambda_min (:func:`scan.refine`), like the
+    radius; the grid's maximum stands if no refined point beats it.  Agrees with
     :func:`a_numerical_radius` to ~1e-8; 0 under a rank-0 weight, with a
     warning, like the radius.
     """
@@ -672,10 +689,12 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         )
     best = int(np.argmax(norms))
 
+    c_prime = c_re - 1j * c_im  # part(theta) = Re(exp(-i theta) C')
+
     def norm(theta: float):
         # the norm is the larger of lambda_max and -lambda_min; refine that
         # branch, whose max is smooth
-        lam, q = branches(part, theta, [0, k - 1], norms[best])
+        lam, q = branches(c_prime, theta, [0, k - 1], norms[best])
         top = lam[0, -1] >= -lam[0, 0]
         model = -q[:, :, 1:] if top else q[:, :, :1]
         return float(max(lam[0, -1], -lam[0, 0])), model

@@ -10,12 +10,14 @@ kept on it: both lower bounds off the start lines at 0 and pi/2, and the
 H_phi objective at every angle of the picture, whose angles are closed
 under rotation by pi/2.  :func:`upper_bound_hphi` runs the radius's
 pruned search (:func:`arange._optimize`) on minus the objective over the
-quarter-turn cells: it prunes them on bounds of the objective, refines
-the best angle of each segment by second-order steps on the eigenvalue
-branches of both parts (:func:`scan.refine`) and checks the refined
-value against every cell's bound; the value is kept on the operator, and
-:func:`bound_report` reads it there.  The block bounds read w(T11) and
-w(T22) from the same per-operator cells.  A rank-0 weight makes every
+quarter-turn cells of the picture: it prunes them on bounds of the
+objective, refines the best angle of one new segment per round by
+second-order steps on the eigenvalue branches of both parts
+(:func:`scan.refine`) and checks the refined value against every
+cell's bound; the value is kept on the operator, and :func:`bound_report`
+reads it there.  The block bounds read w(T11) and w(T22) from the same
+per-operator cells, whose radius searches grow only the cells they need
+from the start lines, never the picture.  A rank-0 weight makes every
 bound 0, with one warning at the caller's line.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
@@ -51,7 +53,6 @@ from .arange import (
     _midpoints,
     _optimize,
     _radius,
-    _rotated,
     _span,
     a_numerical_radius,
 )
@@ -128,12 +129,13 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
         floor = _floor(base * _UNIT, width, groups)
         s = -cells.unit
-        return base * _UNIT, s * f, s * df, s * floor, _midpoints(base, _QUARTER)
+        names = _midpoints(base, _QUARTER)
+        # the picture's cells, and every split of them, are at its resolution
+        return base * _UNIT, s * f, s * df, s * floor, names, np.zeros(n, dtype=bool)
 
     def evaluate(theta: float):
-        lam_t, (v, g, cv) = branches(
-            lambda t: _rotated(c, t + np.array([0.0, 0.5 * np.pi])), theta, idx, scale
-        )
+        angles = theta + np.array([0.0, 0.5 * np.pi])
+        lam_t, (v, g, cv) = branches(c, angles, idx, scale)
         # the squares' model over twice the objective is the objective's
         # model to first order, in the same units as the branches
         squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
@@ -141,7 +143,7 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
         return -hypot(*norms), squares / (2.0 * value or 1.0)
 
-    theta, best = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
+    theta, best, _ = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
     return -best, -theta % (0.5 * np.pi)
 
 

@@ -1,29 +1,31 @@
-"""Second-order refinement over a Hermitian family.
+"""Second-order refinement over the rotated parts of C.
 
-Every refined quantity is read off extreme eigenvalues of a stack of
-Hermitian parts of the form
+Every refined quantity is read off extreme eigenvalues of the rotated
+Hermitian parts of a compressed matrix C,
 
-    P(t) = cos(t) X + sin(t) Y,  so that  P'(t) = P(t + pi/2),  P'' = -P.
+    P(t) = Re(exp(-i t) C),  so that  P'(t) = Im(exp(-i t) C),  P'' = -P,
 
+one matrix or a stack of them over an array of angles (:func:`_rotated`).
 One ``eigh`` of P(t) gives each eigenvalue branch lambda, with unit
-eigenvector x, its slope x* P' x and its curvature
+eigenvector x, its slope x* P' x = Im(exp(-i t) x* C x) and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
-model (:func:`branches`).  Over a stack of angles, the same call, told
-to skip the curvature, gives the support-line cells of
-:mod:`semirad.arange` their values and slopes alone; only the steps of
-:func:`refine` read curvature.
+model (:func:`branches`).  The slope needs C x alone and the couplings
+C x and C* x, so no stack of derivatives is formed.  Over a stack of
+angles, the same call, told to skip the curvature, gives the
+support-line cells of :mod:`semirad.arange` their values and slopes
+alone; only the steps of :func:`refine` read curvature.
 The callers prune those cells first, into segments of cells whose bound
 beats the best angle, each holding one peak as far as its points tell,
-and hand each segment's best angle and its bracket to :func:`refine`, the
-one refinement, which maximizes a function f of the branches, so
-unimodality only has to hold inside a segment; the callers then check
-the refined value against every cell's bound.  Each step minimizes the
-model of -f, the sum over parts of the max over branches of their
-quadratics, inside a bracket that the sign of the slope shrinks; where
-that minimizer is not strictly inside the bracket, or the steps stop
-halving, the step bisects the bracket instead.  A kink, where two
-branches cross, is where their quadratics cross, so kinks converge as
+and hand the best angle of the most promising segment and its bracket to
+:func:`refine`, the one refinement, which maximizes a function f of the
+branches, so unimodality only has to hold inside a segment; the callers
+then check the refined value against every cell's bound.  Each step
+minimizes the model of -f, the sum over parts of the max over branches
+of their quadratics, inside a bracket that the sign of the slope
+shrinks; where that minimizer is not strictly inside the bracket, or the
+steps stop halving, the step bisects the bracket instead.  A kink, where
+two branches cross, is where their quadratics cross, so kinks converge as
 fast as smooth optima.  The search stops once the model promises less
 than the rounding of the spectrum, or once the bracket is at most
 ``TOL`` wide.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from math import copysign, frexp, ldexp, sqrt
+from math import copysign, frexp, isfinite, ldexp, sqrt
 from typing import Callable
 
 import numpy as np
@@ -49,43 +51,59 @@ def _unit(scale: float) -> float:
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
 
-def branches(
-    family: Callable, t, idx, scale: float, curvature: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the Hermitian stack ``family(t)`` and the quadratic models
-    of its eigenvalue branches *idx*.
+def _rotated(c: np.ndarray, theta) -> np.ndarray:
+    """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
 
-    *family* maps an angle, or an array of them, to one k x k part or a
-    stack of them, of the form above, so that ``family(t + pi/2)`` is the
-    derivative.  Returns (lam, q): the ascending spectra, shape (parts, k),
-    and the value, slope and curvature of each branch, shape
-    (3, parts, len(idx)), in units of s, a power of two at *scale* (the
-    largest |eigenvalue| in sight), so that a unit means the same at every
-    t and squares neither overflow nor underflow.  Without *curvature*, q
-    holds value and slope only, shape (2, parts, len(idx)), the same to the
-    bit: the coupling to the other branches, which only the curvature
-    reads, is skipped.  A LAPACK failure raises NumericalFailure.
+    A scalar theta gives one Hermitian matrix, an array of angles the
+    stack of them.
+    The phase is halved before the sum, so entries near the float limit
+    do not overflow; halving is exact, so the result is the same.
+    """
+    half = 0.5 * np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
+    return half.conj() * c + half * c.conj().T
+
+
+def branches(
+    c: np.ndarray, t, idx, scale: float, curvature: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of the rotated parts P(t) of *c* and the quadratic models of
+    their eigenvalue branches *idx*.
+
+    *t* is an angle, one part, or an array of them, a stack of parts.
+    Returns (lam, q): the ascending spectra, shape (parts, k), and the
+    value, slope and curvature of each branch, shape (3, parts, len(idx)),
+    in units of s, a power of two at *scale* (the largest |eigenvalue| in
+    sight), so that a unit means the same at every t and squares neither
+    overflow nor underflow.  Without *curvature*, q holds value and slope
+    only, shape (2, parts, len(idx)), the same to the bit: the coupling to
+    the other branches, which only the curvature reads, is skipped.  A
+    LAPACK failure raises NumericalFailure.
     """
     s = _unit(scale)
+    t = np.asarray(t, dtype=np.float64)
     with lapack("eigensolve of the support lines"):
-        lam, vec = np.linalg.eigh(family(t))
+        lam, vec = np.linalg.eigh(_rotated(c, t))
     k = lam.shape[-1]
     lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
-    dp = family(t + 0.5 * np.pi).reshape(-1, k, k)
-    dp /= s  # before the products, so that they neither overflow nor underflow
+    turn = np.exp(-1j * t).reshape(-1, 1)
+    c = c / s  # before the products, so that they neither overflow nor underflow
     x = vec[:, :, idx]
-    dx = dp @ x
+    cx = c @ x
     value = lam[:, idx]
-    slope = np.sum(x.conj() * dx, axis=1).real  # x_b* P' x_b
+    # x_b* P' x_b = Im(exp(-i t) x_b* C x_b)
+    slope = (turn * np.sum(x.conj() * cx, axis=1)).imag
     if not curvature:
         return lam * s, np.array((value, slope))
-    # g[p, j, b] = x_j* P' x_b, with no conjugated copy of the eigenvectors
-    g = (np.swapaxes(vec, 1, 2) @ dx.conj()).conj()
+    # 2i P' x_b = exp(-i t) C x_b - exp(i t) C* x_b, and g[p, j, b] is the
+    # conjugate of 2i x_j* P' x_b, whose modulus alone the curvature reads
+    turn = turn[:, :, None]
+    dx = turn * cx - turn.conj() * (c.conj().T @ x)
+    g = np.swapaxes(vec, 1, 2) @ dx.conj()
     gap = value[:, None, :] - lam[:, :, None]
     coupling = np.abs(g) ** 2
     # j = b, and any eigenvalue equal to the branch's, has no coupling term
     coupling = np.divide(coupling, gap, out=np.zeros_like(coupling), where=gap != 0)
-    bend = 2.0 * coupling.sum(axis=1) - value
+    bend = 0.5 * coupling.sum(axis=1) - value
     return lam * s, np.array((value, slope, bend))
 
 
@@ -109,8 +127,16 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     its minimizer is an end of the interval, a crossing, or a stationary
     point of one sum that picks one branch per part.  Each part is taken
     relative to its largest value, so the gain carries no rounding of the
-    values themselves.
+    values themselves.  One branch of one part is a plain quadratic, whose
+    candidates are taken in floats, by the same operations.
     """
+    if q.shape[1:] == (1, 1):
+        g, c = float(q[1, 0, 0]), float(q[2, 0, 0])
+        cands = [lo, hi, -g / c] if c > 0 else [lo, hi]
+        d = [min(max(x, lo), hi) for x in cands if isfinite(x)]
+        model = [x * (g + 0.5 * c * x) for x in d]
+        best = model.index(min(model))
+        return d[best], -model[best]
     v, g, c = q
     gs, cs = reduce(np.add.outer, g).ravel(), reduce(np.add.outer, c).ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # kept only if finite

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange
+from semirad import arange, scan
 
 
 def random_strict_context(rng, n, floor=0.05):
@@ -53,7 +53,7 @@ def separated(c, theta, w):
     of the next one."""
     if c.shape[0] == 1:
         return np.ones(len(theta), dtype=bool)
-    lam = np.linalg.eigvalsh(arange._rotated(c, theta))
+    lam = np.linalg.eigvalsh(scan._rotated(c, theta))
     return lam[:, -1] - lam[:, -2] >= 1e-3 * w
 
 

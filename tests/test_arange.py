@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange, cli, semihilbert
+from semirad import arange, cli, scan, semihilbert
 from conftest import (
     dense_min,
     random_operator,
@@ -147,7 +147,7 @@ def test_crawford_at_a_kink(eigenvalues, distance):
     c = op.compressed
 
     def h(angles):
-        return np.linalg.eigvalsh(arange._rotated(c, angles))[:, -1]
+        return np.linalg.eigvalsh(scan._rotated(c, angles))[:, -1]
 
     reference = -dense_min(h, 0.0, 2.0 * np.pi)
     crawford = sr.a_crawford(op)
@@ -169,14 +169,14 @@ def record_eigensolves(monkeypatch):
 
 
 def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
-    # the picture's inner polygon holds the origin, so the Crawford number
-    # is 0 without a refinement step: the picture's stacked eigh calls are
-    # the only eigensolves
+    # the start lines' inner polygon holds the origin, so the Crawford
+    # number is 0 without a refinement step: the one stacked eigh of the
+    # start lines is the only eigensolve
     ctx = random_strict_context(np.random.default_rng(32), 32)
     op = random_operator(np.random.default_rng(33), ctx)
     calls = record_eigensolves(monkeypatch)
     assert sr.a_crawford(op) == 0.0
-    assert calls and {(name, len(shape)) for name, shape in calls} == {("eigh", 3)}
+    assert calls == [("eigh", (16, 32, 32))]
 
 
 def test_range_quantities_refine_in_few_steps(monkeypatch):
@@ -209,7 +209,7 @@ def test_half_turn_spectra_give_the_whole_support_function(n):
     theta, h = arange._picture(op)[:2]
     assert np.all(np.diff(theta) > 0) and theta[0] == 0.0 and theta[-1] < 2 * np.pi
     assert np.all(theta[len(theta) // 2 :] >= np.pi)
-    direct = np.linalg.eigvalsh(arange._rotated(c, theta))[:, -1]
+    direct = np.linalg.eigvalsh(scan._rotated(c, theta))[:, -1]
     # relative to the scale of h: h itself crosses 0
     tol = 1e-13 * np.max(np.abs(direct))
     np.testing.assert_allclose(h, direct, rtol=0, atol=tol)
@@ -247,7 +247,7 @@ def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
     assert np.array_equal(est.boundary, boundary) and np.array_equal(est.outer, outer)
     assert len(boundary) == len(outer) >= 32
     c, w = op.compressed, est.radius
-    top = np.linalg.eigvalsh(arange._rotated(c, theta))[:, -1]
+    top = np.linalg.eigvalsh(scan._rotated(c, theta))[:, -1]
     on_line = (np.exp(-1j * theta) * boundary).real
     assert np.max(np.abs(on_line - top)) <= 1e-12 * w
     assert np.max(gap) <= arange.RTOL * w
@@ -455,7 +455,7 @@ def test_boundary_points_match_eigenvectors(rng):
         est = sr.estimate_range(op)
         c = op.compressed
         theta = arange._picture(op)[0]
-        x = np.linalg.eigh(arange._rotated(c, theta))[1][:, :, -1]
+        x = np.linalg.eigh(scan._rotated(c, theta))[1][:, :, -1]
         ref = np.einsum("bi,bi->b", x.conj(), x @ c.T)
         ok = separated(c, theta, est.radius)
         assert np.max(np.abs(est.boundary - ref)[ok]) <= 1e-9 * est.radius
@@ -762,7 +762,7 @@ def test_pruning_finds_the_peak_the_start_lines_miss():
     op = normal_operator(eigenvalues, seed=5)
     c = op.compressed
     start = np.arange(32) * np.pi / 16
-    h = np.linalg.eigvalsh(arange._rotated(c, start))[:, -1]
+    h = np.linalg.eigvalsh(scan._rotated(c, start))[:, -1]
     assert start[np.argmax(h)] == np.pi / 16 and np.max(h) < 1 - 5e-5
     assert sr.a_numerical_radius(op) == pytest.approx(1.0, rel=1e-14)
     # distance from 0 to the segment between the two near eigenvalues
@@ -791,10 +791,11 @@ def test_pruning_refines_every_peak_that_may_hold_the_max():
 def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
     # three peaks within 3e-7 of each other and 0.06 rad share one
     # segment, where refining its best angle can climb a lower one; eight
-    # lower peaks lie elsewhere.  The picture holds a support point at the
-    # highest (a corner of the range): a result below its modulus runs the
-    # search again from its direction.  A result that reaches the farthest
-    # support point, as on a random operator, runs one search.
+    # lower peaks lie elsewhere.  The search's own angles hold a support
+    # point at the highest (a corner of the range): a result below its
+    # modulus runs the search again from its direction.  A result that
+    # reaches the farthest support point, as on a random operator, runs one
+    # search.
     searches = []
     extremum = arange._extremum
     monkeypatch.setattr(
@@ -823,13 +824,18 @@ def test_radius_of_a_near_disk():
     assert sr.bound_report(op).upper_hphi == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
-def _cli_range_jobs(seed):
-    """The range jobs of the cli-small benchmark workload."""
+def _benchmark_problems():
+    """The problem generators of the benchmark, perfbench/problems.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"
     spec = importlib.util.spec_from_file_location("perfbench_problems", path)
     problems = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(problems)
-    jobs = problems.cli_problems(seed)
+    return problems
+
+
+def _cli_range_jobs(seed):
+    """The range jobs of the cli-small benchmark workload."""
+    jobs = _benchmark_problems().cli_problems(seed)
     return [job["doc"] for job in jobs if job["command"] == "range"]
 
 
@@ -853,7 +859,106 @@ def test_old_720_point_polygon_lies_within_rtol_of_the_inner_polygon(seed):
     for doc in _cli_range_jobs(seed):
         op = cli._operator_from(doc)
         est = sr.estimate_range(op)
-        x = np.linalg.eigh(arange._rotated(op.compressed, thetas))[1][:, :, -1]
+        x = np.linalg.eigh(scan._rotated(op.compressed, thetas))[1][:, :, -1]
         old = np.einsum("bi,bi->b", x.conj(), x @ op.compressed.T)
         gap = distance_to_polygon(old, est.boundary)
         assert np.max(gap) <= arange.RTOL * est.radius * (1 + 1e-9)
+
+
+def _order_cases():
+    """(weight, T) of an operator-n32 benchmark problem, a normal T with a
+    known radius and a random k = 4 operator."""
+    problem = _benchmark_problems().operator_problems(7)[0]
+    rng = np.random.default_rng(4)
+    ctx = random_strict_context(rng, 4)
+    normal = normal_operator([1.2, 0.3 + 1j, -0.9 - 0.4j, 0.5j], seed=3)
+    return [
+        (problem["A"], problem["T"]),
+        (normal.context.matrix, normal.matrix),
+        (ctx.matrix, random_operator(rng, ctx).matrix),
+    ]
+
+
+@pytest.mark.parametrize("case", _order_cases(), ids=["n32", "normal", "k4"])
+def test_call_order_changes_no_bit(case):
+    # the searches grow their own cells from the start lines, so the
+    # picture grown before them by estimate_range changes none of their bits
+    a, t = case
+
+    def searches(op):
+        return sr.a_numerical_radius(op), sr.a_crawford(op), sr.bound_report(op)
+
+    first = sr.make_operator(sr.make_context(a), t)
+    before = searches(first)
+    sr.estimate_range(first)
+    later = sr.make_operator(sr.make_context(a), t)
+    sr.estimate_range(later)
+    assert searches(later) == before
+
+
+def test_radius_only_calls_grow_no_picture(rng, monkeypatch):
+    # the radius, the Crawford number and the block report grow only the
+    # cells their searches need; estimate_range still grows the picture
+    ctx = random_strict_context(rng, 5)
+    ops = [random_operator(rng, ctx) for _ in range(4)]
+    grown = []
+    coarse = arange._coarse
+    monkeypatch.setattr(
+        arange, "_coarse", lambda *view: grown.append(1) or coarse(*view)
+    )
+    for op in ops:
+        sr.a_numerical_radius(op)
+        sr.a_crawford(op)
+    sr.matrix_bound_report(*ops)
+    assert grown == []
+    assert all("picture" not in vars(arange._cells(op)) for op in ops)
+    sr.estimate_range(ops[0])
+    assert grown and "picture" in vars(arange._cells(ops[0]))
+
+
+def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
+    # on an n = 32 operator, the radius's search from the start lines and
+    # its refinement take fewer parts than the picture alone
+    problem = _benchmark_problems().operator_problems(7)[1]
+    parts = []
+    branches = arange.branches
+
+    def counted(c, t, *args, **kw):
+        parts.append(np.size(t))
+        return branches(c, t, *args, **kw)
+
+    monkeypatch.setattr(arange, "branches", counted)
+
+    def operator():
+        return sr.make_operator(sr.make_context(problem["A"]), problem["T"])
+
+    sr.a_numerical_radius(operator())
+    radius = sum(parts)
+    parts.clear()
+    arange._picture(operator())
+    assert 0 < radius < sum(parts)
+
+
+def test_radius_of_two_peaks_in_one_start_cell():
+    # two extreme eigenvalues e^{i beta} and (1 + eps) e^{i (beta + s)}, s
+    # below the pi/16 width of a start cell, and k - 2 lower ones; the
+    # radius is the larger modulus, whether T is diagonal or not
+    draw = np.random.default_rng(18)
+    for i in range(400):
+        k = int(draw.integers(2, 9))
+        s = draw.uniform(0.005, 0.3)
+        eps = 10.0 ** draw.uniform(-9, -3)
+        beta = draw.uniform(0.0, 2.0 * np.pi)
+        peaks = [np.exp(1j * beta), (1 + eps) * np.exp(1j * (beta + s))]
+        others = draw.uniform(0.2, 0.9, k - 2) * np.exp(
+            2j * np.pi * draw.uniform(size=k - 2)
+        )
+        z = np.concatenate((peaks, others))
+        if i % 2:
+            g = draw.normal(size=(2, k, k))
+            u, _ = np.linalg.qr(g[0] + 1j * g[1])
+            t = (u * z) @ u.conj().T
+        else:
+            t = np.diag(z)
+        op = sr.make_operator(sr.identity_context(k), t)
+        assert sr.a_numerical_radius(op) == pytest.approx(1 + eps, rel=1e-13), i

@@ -15,7 +15,7 @@ from conftest import (
     record_batched_solves,
     singular_pair,
 )
-from semirad import arange, bounds, semihilbert
+from semirad import arange, bounds, scan, semihilbert
 
 
 def two_by_two(mat, ctx=None):
@@ -423,12 +423,12 @@ def test_hphi_bound_at_a_kink():
     c = op.compressed
 
     def objective(phis):
-        parts = arange._rotated(c, -np.concatenate((phis, phis + 0.5 * np.pi)))
+        parts = scan._rotated(c, -np.concatenate((phis, phis + 0.5 * np.pi)))
         lam = np.linalg.eigvalsh(parts)
         norm = np.maximum(lam[:, -1], -lam[:, 0])
         return np.hypot(norm[: len(phis)], norm[len(phis) :])
 
-    lam = np.linalg.eigvalsh(arange._rotated(c, -phi))
+    lam = np.linalg.eigvalsh(scan._rotated(c, -phi))
     assert abs(lam[-1] + lam[0]) <= 1e-13 * lam[-1]
     reference = dense_min(objective, 0.0, 0.5 * np.pi)
     assert upper <= reference * (1 + 1e-14)
@@ -440,7 +440,7 @@ def hphi_objective(c):
     array of angles phi, the objective the H_phi bound minimizes."""
 
     def objective(phis):
-        parts = arange._rotated(c, -np.concatenate((phis, phis + 0.5 * np.pi)))
+        parts = scan._rotated(c, -np.concatenate((phis, phis + 0.5 * np.pi)))
         lam = np.linalg.eigvalsh(parts)
         norm = np.maximum(lam[:, -1], -lam[:, 0])
         return np.hypot(norm[: len(phis)], norm[len(phis) :])

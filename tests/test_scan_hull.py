@@ -1,11 +1,9 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirad import arange, scan
+from semirad import scan
 from semirad.scan import _model_step, branches, refine
 
 # The golden_section ids are kept for the tests of the second-order
@@ -140,25 +138,38 @@ def test_model_step_finds_the_crossing_of_two_branches():
     assert gain == pytest.approx(0.75)
 
 
+
+def test_model_step_of_one_quadratic_matches_the_general_path():
+    # one branch of one part is taken in floats; the same branch twice
+    # takes the general path, whose model is the same, to the bit
+    rng = np.random.default_rng(12)
+    for i in range(2000):
+        q = rng.normal(size=(3, 1, 1)) * 10.0 ** rng.uniform(-20, 20, size=(3, 1, 1))
+        if i % 3 == 0:
+            q[2] = -abs(q[2]) if i % 2 else 0.0
+        lo, hi = -(10.0 ** rng.uniform(-12, 1)), 10.0 ** rng.uniform(-12, 1)
+        assert _model_step(q, lo, hi) == _model_step(np.repeat(q, 2, axis=2), lo, hi)
+
 @pytest.mark.parametrize("parts", [1, 2])
 def test_branch_slopes_and_curvatures_match_finite_differences(parts):
     # Hellmann-Feynman slope and second-order perturbation curvature of
-    # each eigenvalue of P(t) = cos t X + sin t Y
+    # each eigenvalue of P(t) = Re(exp(-i t) C) = cos t X + sin t Y, for
+    # C = X + i Y; one angle gives one part, an array of angles a stack
     rng = np.random.default_rng(5)
     k = 5
-    xy = rng.normal(size=(2, parts, k, k)) + 1j * rng.normal(size=(2, parts, k, k))
-    x, y = xy + np.swapaxes(xy.conj(), -1, -2)
+    c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
 
-    def family(t):
-        t = np.asarray(t)[..., None, None, None]
-        p = np.cos(t) * x + np.sin(t) * y
-        return p[0] if parts == 1 else p
+    def part(t):
+        t = np.asarray(t)[..., None, None]
+        x, y = 0.5 * (c + c.conj().T), -0.5j * (c - c.conj().T)
+        return np.cos(t) * x + np.sin(t) * y
 
-    t, h = 0.4, 1e-4
-    lam, q = branches(family, t, list(range(k)), 8.0)
+    t = 0.4 if parts == 1 else 0.4 + np.array([0.0, 2.1])
+    h = 1e-4
+    lam, q = branches(c, t, list(range(k)), 8.0)
     assert lam.shape == (parts, k)
     here, ahead, behind = (
-        np.linalg.eigvalsh(family(u)).reshape(parts, k) for u in (t, t + h, t - h)
+        np.linalg.eigvalsh(part(u)).reshape(parts, k) for u in (t, t + h, t - h)
     )
     np.testing.assert_allclose(lam, here, rtol=1e-13, atol=1e-13)
     s = 8.0  # the power of two at the scale 8
@@ -175,10 +186,9 @@ def test_branches_without_curvature_give_the_same_values_and_slopes():
     rng = np.random.default_rng(9)
     k = 6
     c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    family = partial(arange._rotated, c)
     angles = np.linspace(0.0, np.pi, 40, endpoint=False)
-    lam, q = branches(family, angles, [0, k - 1], 4.0)
-    lean_lam, lean = branches(family, angles, [0, k - 1], 4.0, curvature=False)
+    lam, q = branches(c, angles, [0, k - 1], 4.0)
+    lean_lam, lean = branches(c, angles, [0, k - 1], 4.0, curvature=False)
     assert q.shape == (3, 40, 2) and lean.shape == (2, 40, 2)
     assert np.array_equal(lam, lean_lam)
     assert np.array_equal(q[:2], lean)
