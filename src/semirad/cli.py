@@ -25,6 +25,14 @@ points (``boundary``) and the outer polygon of support-line vertices
 Output for a fixed config and seed is byte-identical across runs at a
 fixed BLAS thread count; files are written atomically (temp file +
 rename).
+
+:func:`main` may be called many times in one process, and each call pays
+only for its own job: it parses with one parser, built on the first call
+(:func:`build_parser` still returns a new one), a well-formed matrix is
+checked in one pass and converted by one ``np.array`` call, and the
+polygons and weights of the payloads are converted by ``tolist``, not
+point by point.  Every call's output is byte-identical to the same call
+made first in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -123,7 +132,50 @@ def _parse_complex(entry, where: str) -> complex:
     return complex(_float(entry[0], where), _float(entry[1], where))
 
 
+def _is_matrix(value) -> bool:
+    """Whether *value* is a nonempty array of equal nonempty rows of
+    [re, im] pairs of numbers; ``type`` rejects bool, as :func:`_is_number`
+    does."""
+    if type(value) is not list or not value or type(value[0]) is not list:
+        return False
+    width = len(value[0])
+    if not width:
+        return False
+    for row in value:
+        if type(row) is not list or len(row) != width:
+            return False
+        for e in row:
+            if (
+                type(e) is not list
+                or len(e) != 2
+                or type(e[0]) not in (int, float)
+                or type(e[1]) not in (int, float)
+            ):
+                return False
+    return True
+
+
 def _parse_matrix(value, where: str) -> np.ndarray:
+    """The complex matrix of *value*, a nonempty array of equal rows of
+    [re, im] pairs.
+
+    Well-formed input is checked in one pass (:func:`_is_matrix`) and
+    converted by one ``np.array`` call, whose float64 pairs viewed as
+    complex128 hold the bits of ``complex(re, im)``.  Anything else, a JSON
+    integer beyond the float range included, goes to :func:`_parse_rows`,
+    which walks it entry by entry, so the error reported is the first one
+    in row-major order.
+    """
+    if _is_matrix(value):
+        try:
+            return np.array(value, dtype=np.float64).view(np.complex128)[..., 0]
+        except OverflowError:
+            pass
+    return _parse_rows(value, where)
+
+
+def _parse_rows(value, where: str) -> np.ndarray:
+    """:func:`_parse_matrix` entry by entry, raising the first error."""
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{where}: expected a nonempty array of rows")
     rows = []
@@ -186,9 +238,19 @@ def _run_radius(cfg: JobConfig, data: dict) -> dict:
     return payload
 
 
+def _fields(report) -> dict:
+    """The fields of a report dataclass, in order, not copied."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _points(z: np.ndarray) -> list:
+    """Complex points as [re, im] pairs of Python floats."""
+    return np.column_stack((z.real, z.imag)).tolist()
+
+
 def _run_bounds(cfg: JobConfig, data: dict) -> dict:
     op = _operator_from(data)
-    return {"command": "bounds", **asdict(bound_report(op))}
+    return {"command": "bounds", **_fields(bound_report(op))}
 
 
 def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
@@ -200,7 +262,7 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     blocks = [_parse_matrix(data[k], f'"{k}"') for k in block_keys]
     ctx = _context_from(data, blocks[0].shape[0], '"T11"')
     ops = [make_operator(ctx, b) for b in blocks]
-    return {"command": "blockbounds", **asdict(matrix_bound_report(*ops))}
+    return {"command": "blockbounds", **_fields(matrix_bound_report(*ops))}
 
 
 def _run_zeros(cfg: JobConfig, data: dict) -> dict:
@@ -223,9 +285,9 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
     return {
         "command": "zeros",
         "degree": p.degree,
-        **asdict(rep),
-        "d_star": [float(v) for v in rep.d_star],
-        "alphas": [float(v) for v in rep.alphas],
+        **_fields(rep),
+        "d_star": rep.d_star.tolist(),
+        "alphas": rep.alphas.tolist(),
     }
 
 
@@ -234,9 +296,9 @@ def _run_range(cfg: JobConfig, data: dict) -> dict:
     est = estimate_range(op)
     return {
         "command": "range",
-        **asdict(est),
-        "boundary": [[float(z.real), float(z.imag)] for z in est.boundary],
-        "outer": [[float(z.real), float(z.imag)] for z in est.outer],
+        **_fields(est),
+        "boundary": _points(est.boundary),
+        "outer": _points(est.outer),
     }
 
 
@@ -371,6 +433,7 @@ def run(cfg: JobConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line."""
     parser = argparse.ArgumentParser(
         prog="semirad",
         description=(
@@ -389,8 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing
+    leaves no state in it, so one call cannot change the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return run(
         JobConfig(
             command=args.command,

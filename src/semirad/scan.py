@@ -24,18 +24,22 @@ then check the refined value against every cell's bound.  Each step
 minimizes the model of -f, the sum over parts of the max over branches
 of their quadratics, inside a bracket that the sign of the slope
 shrinks; where that minimizer is not strictly inside the bracket, or the
-steps stop halving, the step bisects the bracket instead.  A kink, where
-two branches cross, is where their quadratics cross, so kinks converge as
-fast as smooth optima.  The search stops once the model promises less
-than the rounding of the spectrum, or once the bracket is at most
-``TOL`` wide.
+steps stop halving, the step bisects the bracket instead.  A point below
+the best value ends the bracket on its own side of the best point,
+whatever its slope says, so the best point never leaves the bracket; if
+its slope does not point back to the best point, it lies on the flank of
+another peak, and the next step starts from the best point instead.  A
+kink, where two branches cross, is where their quadratics cross; the
+crossings of every pair of branches of every part are solved in one
+array pass (:func:`_model_step`), so kinks converge as fast as smooth
+optima.  The search stops once the model promises less than the rounding
+of the spectrum, or once the bracket is at most ``TOL`` wide.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations
-from math import copysign, frexp, isfinite, ldexp, sqrt
+from functools import cache, reduce
+from math import frexp, isfinite, ldexp
 from typing import Callable
 
 import numpy as np
@@ -107,15 +111,10 @@ def branches(
     return lam * s, np.array((value, slope, bend))
 
 
-def _roots(c0: float, c1: float, c2: float) -> list[float]:
-    """Real roots of c0 + c1 d + c2 d^2."""
-    if c2 == 0.0:
-        return [-c0 / c1] if c1 else []
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    r = -0.5 * (c1 + copysign(sqrt(disc), c1))
-    return [r / c2, c0 / r] if r else [0.0]
+@cache
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of *count* branches, in lexicographic order."""
+    return np.triu_indices(count, 1)
 
 
 def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
@@ -139,13 +138,27 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
         return d[best], -model[best]
     v, g, c = q
     gs, cs = reduce(np.add.outer, g).ravel(), reduce(np.add.outer, c).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # kept only if finite
-        cands = [lo, hi, *(-gs[cs > 0] / cs[cs > 0])]
-        for vp, gp, cp in zip(*q):
-            for i, j in combinations(range(len(vp)), 2):
-                dv, dg, dc = vp[i] - vp[j], gp[i] - gp[j], cp[i] - cp[j]
-                cands += _roots(float(dv), float(dg), 0.5 * float(dc))
-        d = np.clip([x for x in cands if np.isfinite(x)], lo, hi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the crossings of each pair i < j of branches of one part: the real
+        # roots of c0 + c1 d + c2 d^2, in part, pair and root order.  A line
+        # (c2 = 0) has the one root -c0/c1 and a double root at 0 has r = 0;
+        # a root that is not there (c1 = 0 on a line, a negative
+        # discriminant) comes out as inf or nan, and every candidate is kept
+        # only if finite
+        i, j = _pairs(q.shape[2])
+        c0, c1, dc = q[:, :, i] - q[:, :, j]
+        c2 = 0.5 * dc
+        r = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        linear = c2 == 0.0
+        roots = np.stack(
+            (
+                np.where(linear, -c0 / c1, np.where(r != 0.0, r / c2, 0.0)),
+                np.where(linear, np.nan, c0 / r),
+            ),
+            axis=-1,
+        )
+        cands = np.concatenate(([lo, hi], -gs[cs > 0] / cs[cs > 0], roots.ravel()))
+        d = np.clip(cands[np.isfinite(cands)], lo, hi)
         rise = (v - v.max(axis=1, keepdims=True))[..., None] + d * (
             g[..., None] + 0.5 * c[..., None] * d
         )
@@ -170,13 +183,24 @@ def refine(evaluate: Callable, t: float, lo: float, hi: float) -> tuple[float, f
     for _ in range(200):
         f, q = evaluate(t)
         if f > best:
-            best_t, best = t, f
+            best_t, best, best_q = t, f, q
         elif moves[1] <= TOL:
             break  # a step within TOL gained nothing: f is at its rounding
         v, g = q[0], q[1]
         top = np.argmax(v, axis=1)[:, None]
         slope = float(np.sum(np.take_along_axis(g, top, axis=1)))
-        if slope > 0.0:
+        if t != best_t:
+            # below the best value, t ends the bracket on its own side of
+            # the best point, whatever its slope says; a slope that does
+            # not point back to the best point puts t on the flank of
+            # another peak, so the next step starts from the best point
+            if t < best_t:
+                lo = t
+            else:
+                hi = t
+            if (t - best_t) * slope <= 0.0:
+                t, q = best_t, best_q
+        elif slope > 0.0:
             hi = t
         elif slope < 0.0:
             lo = t

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +226,51 @@ def test_json_output_keys(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == OUTPUT_KEYS["radius"] | {"mc_radius", "mc_samples", "seed"}
     assert payload["seed"] == 5
+
+
+def test_main_builds_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # 20 in-process calls, interleaved, each against the same call made
+    # first in a fresh interpreter: exit code, stdout and stderr alike
+    path = write_json(tmp_path, RADIUS_JOB)
+    base = ["--command", "radius", "--input", path]
+    mc = ["--mc-samples", "50", "--seed", "3"]
+    calls = [
+        base,
+        base + ["--format", "json"] + mc,
+        base + ["--seed", "-1"],
+        base + mc,
+        base + ["--format", "json"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sr.__file__)))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "semirad", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        for argv in calls
+    ]
+    assert [r.returncode for r in fresh] == [0, 0, 2, 0, 0]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for i in range(20):
+        k = (3 * i) % len(calls)
+        code = main(calls[k])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            fresh[k].returncode, fresh[k].stdout, fresh[k].stderr
+        ), calls[k]
+    assert len(built) <= 1
 
 
 def test_table_format(tmp_path, capsys):

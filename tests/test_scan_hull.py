@@ -1,6 +1,10 @@
+from functools import reduce
+from itertools import combinations
+from math import copysign, isfinite, sqrt
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semirad import scan
@@ -111,6 +115,31 @@ def test_refine_beats_grid_between_points():
     assert abs(x - 0.77) <= 1e-8
 
 
+def test_refine_keeps_the_best_point_inside_the_bracket():
+    # two peaks, the higher at 1 and a narrow lower one at 2.5: the first
+    # model step from 0.5 overshoots to 2.14, below the start value but on
+    # the rising flank of the lower peak; that point must end the bracket on
+    # its side of the start, not move the bracket's far end past the start
+    def bump(t, at, width, height):
+        # a Gaussian, its slope and its curvature
+        u = (t - at) / width
+        e = height * np.exp(-0.5 * u * u)
+        return np.array((e, -u / width * e, (u * u - 1.0) / width**2 * e))
+
+    evals = []
+
+    def evaluate(t):
+        evals.append(t)
+        f, df, d2f = bump(t, 1.0, 0.6, 1.0) + bump(t, 2.5, 0.2, 0.6)
+        return f, -np.array([[[f]], [[df]], [[d2f]]])
+
+    x, val = refine(evaluate, 0.5, 0.0, 4.0)
+    assert 2.0 < evals[1] < 2.3
+    assert evaluate(evals[1])[0] < evaluate(0.5)[0]
+    assert abs(x - 1.0) <= 1e-6
+    assert val > 1.0
+
+
 def test_model_step_finds_the_crossing_of_two_branches():
     # max(1 + d, 1 - 2 d) is least where the lines cross, at d = 0, a kink
     # that no stationary point sees; shifted, the crossing moves with it
@@ -137,6 +166,86 @@ def test_model_step_finds_the_crossing_of_two_branches():
     assert d == pytest.approx(0.5)
     assert gain == pytest.approx(0.75)
 
+
+
+def _roots(c0, c1, c2):
+    """Real roots of c0 + c1 d + c2 d^2, in floats."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    r = -0.5 * (c1 + copysign(sqrt(disc), c1))
+    return [r / c2, c0 / r] if r else [0.0]
+
+
+def model_step_pairwise(q, lo, hi):
+    """The reference for _model_step: the crossings of each pair of
+    branches of each part, one pair at a time."""
+    if q.shape[1:] == (1, 1):
+        g, c = float(q[1, 0, 0]), float(q[2, 0, 0])
+        cands = [lo, hi, -g / c] if c > 0 else [lo, hi]
+        d = [min(max(x, lo), hi) for x in cands if isfinite(x)]
+        model = [x * (g + 0.5 * c * x) for x in d]
+        best = model.index(min(model))
+        return d[best], -model[best]
+    v, g, c = q
+    gs, cs = reduce(np.add.outer, g).ravel(), reduce(np.add.outer, c).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cands = [lo, hi, *(-gs[cs > 0] / cs[cs > 0])]
+        for vp, gp, cp in zip(*q):
+            for i, j in combinations(range(len(vp)), 2):
+                dv, dg, dc = vp[i] - vp[j], gp[i] - gp[j], cp[i] - cp[j]
+                cands += _roots(float(dv), float(dg), 0.5 * float(dc))
+        d = np.clip([x for x in cands if np.isfinite(x)], lo, hi)
+        rise = (v - v.max(axis=1, keepdims=True))[..., None] + d * (
+            g[..., None] + 0.5 * c[..., None] * d
+        )
+        model = np.sum(np.max(rise, axis=1), axis=0)
+    best = int(np.argmin(model))
+    return float(d[best]), -float(model[best])
+
+
+@st.composite
+def branch_models(draw):
+    parts, count = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    # few distinct values, so that ties, equal curvatures and double roots
+    # come up often
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    q = draw(st.lists(entry, min_size=3 * parts * count, max_size=3 * parts * count))
+    lo, hi = draw(st.floats(1e-9, 10.0)), draw(st.floats(1e-9, 10.0))
+    return np.reshape(q, (3, parts, count)), -lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_models())
+# equal curvatures: the crossing of two lines
+@example((np.array([[[0.0, 1.0]], [[1.0, -1.0]], [[2.0, 2.0]]]), -1.0, 1.0))
+# no crossing: a negative discriminant
+@example((np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[2.0, 0.0]]]), -1.0, 1.0))
+# r = 0: branches that touch at d = 0
+@example((np.array([[[0.0, 0.0]], [[1.0, 1.0]], [[2.0, 0.0]]]), -1.0, 1.0))
+@example(
+    (
+        np.array(
+            [
+                [[0.0, -1.0, 0.5, 0.0], [1.0, 1.0, -2.0, 0.0]],
+                [[1.0, 0.0, -1.0, 2.0], [-1.0, 0.5, 0.0, 0.0]],
+                [[2.0, 0.0, 2.0, -1.0], [4.0, 4.0, 0.0, 1.0]],
+            ]
+        ),
+        -0.7,
+        1.3,
+    )
+)
+def test_model_step_matches_the_pairwise_crossings(case):
+    q, lo, hi = case
+    d, gain = _model_step(q, lo, hi)
+    ref = model_step_pairwise(q, lo, hi)
+    assert np.array([d, gain]).tobytes() == np.array(ref).tobytes()
 
 
 def test_model_step_of_one_quadratic_matches_the_general_path():
