@@ -707,12 +707,20 @@ def general_eig(m) -> np.ndarray:
     """Eigenvalues of a general (non-Hermitian) square matrix.
 
     Each returned pair is accepted only if the residual ||Mv - lambda v||
-    stays below 1e-8 * ||M|| (0 for a zero M); otherwise NumericalFailure.
+    stays below 1e-8 * ||M|| (0 for a zero M), with ||M|| from an SVD;
+    otherwise NumericalFailure.
     """
     mat = require_square(m)
+    return _checked_eig(mat, spectral_norm(mat))
+
+
+def _checked_eig(mat: np.ndarray, scale: float) -> np.ndarray:
+    """Eigenvalues of the square ``mat`` whose eigenpairs pass the residual
+    gate ||Mv - lambda v|| <= 1e-8 * scale, for scale = ||M||_2 (0 for a
+    zero M); otherwise NumericalFailure.  The caller supplies the norm,
+    from an SVD or from a closed form."""
     with lapack("eigenvalue iteration"):
         lam, vec = np.linalg.eig(mat)
-    scale = spectral_norm(mat)
     # in units of ||M||, so that squares of tiny residuals cannot underflow
     residual = (mat @ vec - vec * lam[None, :]) / (scale or 1.0)
     worst = float(np.max(np.linalg.norm(residual, axis=0))) if lam.size else 0.0

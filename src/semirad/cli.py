@@ -12,7 +12,8 @@ are row-major nested arrays of them):
 
 Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
 2 validation error: every malformed input, with one ``error:`` line
-(malformed JSON with line and column, a negative ``--seed``, a JSON
+(an unknown, missing or mistyped flag, malformed JSON with line and
+column, a negative ``--seed``, a JSON
 integer too large for a float, an ``"identity_dim"`` other than the size
 of the operator, checked before the weight is built, an input file that
 is not UTF-8, an ``--output`` path that cannot be written).  The gap of
@@ -432,9 +433,20 @@ def run(cfg: JobConfig) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ValidationError, which
+    :func:`main` reports in one ``error:`` line with exit code 2, instead
+    of printing the usage block and exiting."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line."""
-    parser = argparse.ArgumentParser(
+    """A new parser of the command line.  An unknown flag, a malformed
+    value or a missing required flag raises ValidationError; ``--help``
+    prints the usage and exits 0."""
+    parser = _Parser(
         prog="semirad",
         description=(
             "Weighted numerical radius toolkit: radii, bound brackets, "
@@ -460,7 +472,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return run(
         JobConfig(
             command=args.command,

@@ -7,6 +7,12 @@ forms.  The weighted bound certifies max |zero| <= max_k alpha_k, with
 alpha = (M d) / d for any weights d > 0 and one nonnegative matrix M
 built from |a_i|.  By Collatz-Wielandt its best value is the Perron root
 rho(M), reached at the Perron vector; both are computed directly.
+
+``zero_bound_report`` forms each quantity once: one array of coefficient
+magnitudes for the classical bounds, M and ||C_p||_2, one 2-norm of it,
+one certificate matrix, whose alphas at the Perron weights come from the
+search itself, and one companion eigensolve.  Its residual gate takes
+||C_p||_2 in closed form (``_companion_norm``), not from an SVD.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arange import general_eig
+from .arange import _checked_eig
 from .errors import DegreeZero, InvalidMatrix, NonPositiveWeight, WeightDimensionMismatch
 
 
@@ -116,9 +122,15 @@ def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
     Each magnitude is halved before the sums, which is exact, so M is
     finite wherever its entries are; an entry past the float range raises
     InvalidMatrix."""
-    half = 0.5 * np.abs(p.coefficients)
-    k = np.arange(1, p.degree)
-    m = np.zeros((p.degree, p.degree), dtype=np.float64)
+    return _certificate(np.abs(p.coefficients))
+
+
+def _certificate(mags: np.ndarray) -> np.ndarray:
+    """``certificate_matrix`` from the magnitudes |a_0| .. |a_{n-1}|."""
+    n = mags.size
+    half = 0.5 * mags
+    k = np.arange(1, n)
+    m = np.zeros((n, n), dtype=np.float64)
     m[:, 0] = half[::-1]
     with np.errstate(over="ignore"):
         m[0, 0] += float(np.sum(half))
@@ -141,8 +153,30 @@ def bound_prk(p: PolynomialSpec, d) -> float:
 
 
 def max_root_modulus(p: PolynomialSpec) -> float:
-    """Largest zero modulus, via companion-matrix eigenvalues."""
-    return float(np.max(np.abs(general_eig(companion(p)))))
+    """Largest zero modulus, via companion-matrix eigenvalues.  Their
+    residual gate is that of ``general_eig``, on ||C_p||_2 in closed form
+    (``_companion_norm``) instead of an SVD."""
+    scale = _companion_norm(np.abs(p.coefficients))
+    return float(np.max(np.abs(_checked_eig(companion(p), scale))))
+
+
+def _companion_norm(mags: np.ndarray) -> float:
+    """||C_p||_2 from the magnitudes |a_0| .. |a_{n-1}|, without an SVD.
+
+    C_p* C_p = diag(1, ..., 1, 0) + r* r for the first row r of C_p, so
+    its top eigenvalue comes from a 2x2 block: with s = sum_{i>=1} |a_i|^2
+    and t = |a_0|^2, ||C_p||_2^2 = (1 + s + t + hypot(1 + s - t,
+    2 sqrt(s t))) / 2.  It is evaluated in units of c = max(1, max |a_i|),
+    where the ones become e = 1 / c^2 and no term exceeds n + 1, so no
+    square overflows, and whatever underflows is negligible against e or
+    against the largest magnitude.  Degree 1: |a_0|.
+    """
+    if mags.size == 1:
+        return float(mags[0])
+    c = max(1.0, float(np.max(mags)))
+    sq = (mags / c) ** 2
+    s, t, e = float(np.sum(sq[1:])), float(sq[0]), (1.0 / c) * (1.0 / c)
+    return c * math.sqrt(0.5 * (e + s + t + math.hypot(e + s - t, 2.0 * math.sqrt(s * t))))
 
 
 def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
@@ -237,18 +271,29 @@ def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     all-ones weights stay a candidate; they win where the Perron weights'
     certificate overflows (2 rho - 1 past the float range floors them).
     """
-    m = certificate_matrix(p)
+    d, alpha_vals = _perron_weights(p, certificate_matrix(p))
+    return d, float(np.max(alpha_vals))
+
+
+def _perron_weights(p: PolynomialSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of ``optimize_weights`` and their alphas (M d) / d, for
+    the certificate matrix m of p."""
+    # the tail's magnitudes come from the reversed (strided) coefficients,
+    # M's from the contiguous ones: numpy's complex abs may round the two
+    # differently in the last bit, and the weights keep the tail's bits
     tail = np.abs(p.coefficients[-2::-1]).tolist()
     # rho(M) of a nonnegative M lies between its largest diagonal entry
     # and its largest row sum
     lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
     d_star = _chain_weights(tail, _perron_root(float(m[0, 0]), tail, lo, hi))
-    ones = np.ones(p.degree, dtype=np.float64)
-    # max_k alpha_k of each candidate (``bound_prk``) from this M; an
-    # overflowed value loses to the ones
+    ones = np.ones(len(m), dtype=np.float64)
+    # the alphas of each candidate (``alphas``) from this M; an overflowed
+    # certificate loses to the ones
     with np.errstate(over="ignore"):
-        val, base = (float(np.max(m @ d / d)) for d in (d_star, ones))
-    return (d_star, val) if val < base else (ones, base)
+        a_star, a_ones = (m @ d / d for d in (d_star, ones))
+    if float(np.max(a_star)) < float(np.max(a_ones)):
+        return d_star, a_star
+    return ones, a_ones
 
 
 @dataclass(frozen=True)
@@ -266,15 +311,26 @@ class ZeroBoundReport:
 
 
 def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
-    """Evaluate every bound, with the Perron weights unless d is supplied."""
-    d_star = optimize_weights(p)[0] if d is None else validate_weights(d, p.degree)
-    alpha_vals = alphas(p, d_star)
+    """Evaluate every bound, with the Perron weights unless d is supplied.
+
+    Every quantity is formed once (see the module docstring), by the
+    expressions of the public functions, so each field equals theirs to
+    the bit.
+    """
+    mags = np.abs(p.coefficients)
+    if d is None:
+        d_star, alpha_vals = _perron_weights(p, _certificate(mags))
+    else:
+        d_star = validate_weights(d, p.degree)
+        alpha_vals = _certificate(mags) @ d_star / d_star
+    norm = _norm(mags)
+    lam = _checked_eig(companion(p), _companion_norm(mags))
     return ZeroBoundReport(
-        r_c=bound_cauchy(p),
-        r_cm=bound_carmichael_mason(p),
-        r_fk=bound_fujii_kubo(p),
+        r_c=1.0 + float(np.max(mags)),
+        r_cm=math.hypot(1.0, norm),
+        r_fk=0.5 * norm + 0.5 * float(mags[-1]) + math.cos(math.pi / (p.degree + 1)),
         r_prk=float(np.max(alpha_vals)),
         d_star=d_star,
         alphas=alpha_vals,
-        max_root_modulus=max_root_modulus(p),
+        max_root_modulus=float(np.max(np.abs(lam))),
     )

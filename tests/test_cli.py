@@ -335,11 +335,31 @@ class TestValidation:
 
     @pytest.mark.parametrize("flag", ["--theta-grid", "--phi-grid"])
     def test_grid_flags_rejected(self, tmp_path, capsys, flag):
+        # a parser error is returned as exit code 2 with one error line,
+        # like every other malformed input, not raised as SystemExit
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
+        assert main(["--command", "bounds", "--input", path, flag, "64"]) == 2
+        assert flag in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--command", "zeros", "--input", "{path}", "--seed", "x"],
+            ["--command", "zeros"],
+            ["--command", "roots", "--input", "{path}"],
+        ],
+        ids=["seed-not-an-integer", "missing-input", "unknown-command"],
+    )
+    def test_parser_errors_return_2(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path, QUINTIC)
+        assert main([a.format(path=path) for a in argv]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--command", "bounds", "--input", path, flag, "64"])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: semirad")
 
     def test_overflowing_compressed_matrix(self, tmp_path, capsys):
         # A and T are finite, but C = L^(1/2) Q* T Q L^(-1/2) is not
@@ -388,6 +408,7 @@ class TestValidation:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        return captured.err
 
     def test_negative_seed(self, tmp_path, capsys):
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})

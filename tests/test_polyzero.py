@@ -1,10 +1,12 @@
 import importlib.util
+import math
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
@@ -489,3 +491,105 @@ class TestReport:
         rep = sr.zero_bound_report(p, d=EXAMPLE_WEIGHTS)
         assert np.allclose(rep.d_star, EXAMPLE_WEIGHTS)
         assert rep.r_prk == pytest.approx(2.0833, abs=5e-4)
+
+    @pytest.mark.parametrize("d", [None, EXAMPLE_WEIGHTS], ids=["perron", "given"])
+    def test_one_certificate_one_eigensolve_no_svd(self, monkeypatch, d):
+        calls = {"certificate": 0, "eig": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(polyzero, "_certificate", counted("certificate", polyzero._certificate))
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        sr.zero_bound_report(sr.make_polynomial(EXAMPLE), d=d)
+        assert calls == {"certificate": 1, "eig": 1, "svd": 0}
+
+    @pytest.mark.parametrize("corpus", ["benchmark-seed-7", "criterion-8"])
+    def test_fields_equal_the_public_functions(self, corpus):
+        # the report shares its magnitudes, M and eigensolve across fields,
+        # and every field keeps the bits of the function that defines it
+        polys = (
+            benchmark_polynomials((7,)) if corpus == "benchmark-seed-7"
+            else criterion_8_polynomials()
+        )
+        for coeffs in polys:
+            p = sr.make_polynomial(coeffs)
+            d_star, val = sr.optimize_weights(p)
+            perron = sr.zero_bound_report(p)
+            assert perron.r_prk == val
+            given = np.linspace(0.5, 2.0, p.degree)
+            for rep, d in ((perron, d_star), (sr.zero_bound_report(p, given), given)):
+                assert rep.r_c == sr.bound_cauchy(p)
+                assert rep.r_cm == sr.bound_carmichael_mason(p)
+                assert rep.r_fk == sr.bound_fujii_kubo(p)
+                assert rep.d_star.tobytes() == d.tobytes()
+                assert rep.alphas.tobytes() == sr.alphas(p, d).tobytes()
+                assert rep.r_prk == float(np.max(rep.alphas))
+                assert rep.max_root_modulus == sr.max_root_modulus(p)
+
+
+def formula_norm(mags) -> float:
+    """||C_p||_2 from the 2x2 block of C_p* C_p, in 40-digit arithmetic."""
+    if len(mags) == 1:
+        return float(mags[0])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sq = [Decimal(float(m)) ** 2 for m in mags]
+        s, t = sum(sq[1:]), sq[0]
+        return float(((1 + s + t + ((1 + s - t) ** 2 + 4 * s * t).sqrt()) / 2).sqrt())
+
+
+class TestCompanionNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(min_value=-150.0, max_value=150.0), min_size=1, max_size=40),
+        zeros=st.sampled_from(["none", "a_0", "all"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    # the SVD is 23 eps off here (7.7 n eps), the closed form 0
+    @example(exponents=[-7.3, -7.0, -7.0], zeros="none", seed=11)
+    def test_closed_form_matches_the_svd(self, exponents, zeros, seed):
+        n = len(exponents)
+        phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n))
+        coeffs = 10.0 ** np.asarray(exponents) * phases
+        if zeros != "none":
+            coeffs[: 1 if zeros == "a_0" else n] = 0.0
+        p = sr.make_polynomial(coeffs)
+        mags = np.abs(p.coefficients)
+        got = polyzero._companion_norm(mags)
+        ref = sr.spectral_norm(sr.companion(p))
+        eps = np.finfo(np.float64).eps
+        assert math.isfinite(got) == math.isfinite(ref)
+        # the evaluation in units of max(1, max |a_i|) loses no accuracy at
+        # any scale ...
+        assert got == pytest.approx(formula_norm(mags), rel=4 * eps, abs=0)
+        # ... and the formula is the SVD's norm; near a pure shift (every
+        # |a_i| about 1e-8) LAPACK's own error reaches 16 n eps against a
+        # 40-digit SVD, where the closed form stays within 1 eps of it
+        assert got == pytest.approx(ref, rel=32 * n * eps, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_max_root_modulus_rejects_bad_pair_at_any_scale(self, monkeypatch, scale):
+        # one eigenvalue moved by 1e-6 ||C_p|| fails the gate of 1e-8 ||C_p||
+        # and one moved by 1e-10 ||C_p|| passes it, whatever the scale
+        p = sr.make_polynomial(scale * np.array([2.0, 0.7j, 1.5, -1.0]))
+        eig = np.linalg.eig
+        moved = []
+
+        def corrupted(mat):
+            lam, vec = eig(mat)
+            return lam + moved[0] * np.linalg.norm(mat, 2) * (np.arange(lam.size) == 0), vec
+
+        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        moved.append(1e-6)
+        with pytest.raises(sr.NumericalFailure, match="residual"):
+            sr.max_root_modulus(p)
+        with pytest.raises(sr.NumericalFailure, match="residual"):
+            sr.zero_bound_report(p)
+        moved[0] = 1e-10
+        assert math.isfinite(sr.max_root_modulus(p))
