@@ -5,16 +5,13 @@ Crawford number of the other; the upper bound minimizes the two-term
 rotation functional over phi.  The weighted real and imaginary parts
 compress to the Hermitian Re C and Im C, and H_phi to Re(exp(i*phi) C),
 so the radius and every bound of one operator are read off its
-support-line cells (:class:`arange._Cells`), made once per operator and
+support-line cells (:class:`cells.Cells`), made once per operator and
 kept on it: both lower bounds off the start lines at 0 and pi/2, and the
 H_phi objective at every angle of the picture, whose angles are closed
 under rotation by pi/2.  :func:`upper_bound_hphi` runs the radius's
-pruned search (:func:`arange._optimize`) on minus the objective over the
-quarter-turn cells of the picture: it prunes them on bounds of the
-objective, refines the best angle of one new segment per round by
-second-order steps on the eigenvalue branches of both parts
-(:func:`scan.refine`) and checks the refined value against every
-cell's bound; the value is kept on the operator, and :func:`bound_report`
+pruned search (:func:`cells.optimize`) on minus the objective over the
+quarter-turn cells of the picture, refined on the eigenvalue branches of
+both parts; the value is kept on the operator, and :func:`bound_report`
 reads it there.  The block bounds read w(T11) and w(T22) from the same
 per-operator cells, whose radius searches grow only the cells they need
 from the start lines, never the picture.  A rank-0 weight makes every
@@ -42,28 +39,25 @@ from math import hypot
 
 import numpy as np
 
-from .arange import (
-    _QUARTER,
-    _UNIT,
-    _Cells,
-    _cells,
-    _degenerate_warning,
-    _floor,
-    _memo,
-    _midpoints,
-    _optimize,
-    _radius,
-    _span,
-    a_numerical_radius,
+from .arange import a_numerical_radius
+from .cells import (
+    Cells,
+    degenerate_warning,
+    extreme,
+    floor,
+    operator_cells,
+    optimize,
+    quarter_cells,
+    radius,
 )
 from .errors import TOutOfRange
 from .scan import branches
 from .semihilbert import (
     SemiOperator,
-    _require_same_context,
     a_operator_seminorm,
     make_context,
     make_operator,
+    require_same_context,
 )
 
 def _norm_crawford(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +76,9 @@ def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
     cells, whose angle 0 part is Re C and angle pi/2 part Im C; 0 under a
     rank-0 weight, with one warning at the caller's line."""
     if op.compressed.shape[0] == 0:
-        _degenerate_warning(stacklevel=4)
+        degenerate_warning(stacklevel=4)
         return 0.0, 0.0
-    cells = _cells(op)
-    # h at 0, pi/2, pi, 3 pi/2 (base angle 0 comes first): lambda_max of
-    # Re C and Im C, then -lambda_min of each
-    h = cells.h[0] * cells.unit
+    h = operator_cells(op).axes()
     norm, craw = _norm_crawford(-h[2:], h[:2])
     return hypot(norm[0], craw[1]), hypot(norm[1], craw[0])
 
@@ -103,7 +94,7 @@ def lower_bound_22(op: SemiOperator) -> float:
     return _lower_bounds(op)[1]
 
 
-def _hphi(cells: _Cells) -> tuple[float, float]:
+def _hphi(cells: Cells) -> tuple[float, float]:
     """The H_phi bound of C; see :func:`upper_bound_hphi`."""
     c = cells.c
     k = c.shape[0]
@@ -122,16 +113,14 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         df = np.sum(norm * slope, axis=0) / np.where(f > 0, f, 1.0)
         # F is at least its value for the support points at the cell's
         # ends, each turned back by its quarter turns
-        base = index[:n]
-        width = _span(base, _QUARTER) * _UNIT
-        q = np.exp(1j * base * _UNIT) * (h4 + 1j * dh4)
+        theta, width, names = quarter_cells(index[:n])
+        q = np.exp(1j * theta) * (h4 + 1j * dh4)
         ends = np.stack((q, np.roll(q, -1, axis=1)), axis=2)
         groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
-        floor = _floor(base * _UNIT, width, groups)
         s = -cells.unit
-        names = _midpoints(base, _QUARTER)
+        bound = s * floor(theta, width, groups)
         # the picture's cells, and every split of them, are at its resolution
-        return base * _UNIT, s * f, s * df, s * floor, names, np.zeros(n, dtype=bool)
+        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])
@@ -143,7 +132,7 @@ def _hphi(cells: _Cells) -> tuple[float, float]:
         norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
         return -hypot(*norms), squares / (2.0 * value or 1.0)
 
-    theta, best, _ = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
+    theta, best, _ = optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
     return -best, -theta % (0.5 * np.pi)
 
 
@@ -156,19 +145,15 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     pairs the support values at theta and theta + pi with those a quarter
     turn on, all known at every angle of the support-line cells.  The
     quarter-turn cells whose bound of the objective lies below the best
-    value are pruned and refined like the radius's
-    (:func:`arange._optimize`); each refinement step takes one eigh of the
-    two parts and models
-    the squares of the top two and bottom two eigenvalues of each, whose
+    value are pruned and refined like the radius's (:func:`cells.optimize`);
+    each refinement step takes one eigh of the two parts and models the
+    squares of the top two and bottom two eigenvalues of each, whose
     largest is the squared norm: the minimum often sits at a kink of a
     norm, where a part has lambda_max = -lambda_min.  Returns (value, phi)
     with phi in [0, pi/2), kept on the operator; 0 under a rank-0 weight,
     with a warning.
     """
-    if op.compressed.shape[0] == 0:
-        _degenerate_warning()
-        return 0.0, 0.0
-    return _memo(op, "_hphi", lambda: _hphi(_cells(op)))
+    return extreme(op, "_hphi", _hphi, (0.0, 0.0))
 
 
 def _block_scalars(
@@ -176,9 +161,9 @@ def _block_scalars(
 ) -> tuple[float, float, float, float]:
     """(w(T11), w(T22), ||T12||, ||T21||), the inputs of every block bound;
     all 0 under a rank-0 weight, with one warning at the caller's line."""
-    _require_same_context(t11, t12, t21, t22)
+    require_same_context(t11, t12, t21, t22)
     if t11.context.rank == 0:
-        _degenerate_warning(stacklevel=4)
+        degenerate_warning(stacklevel=4)
         return 0.0, 0.0, 0.0, 0.0
     return (
         a_numerical_radius(t11),
@@ -216,9 +201,9 @@ def _optimize_split(scalars: tuple[float, ...]) -> tuple[float, float]:
 def block_bound_lemma24(t11: SemiOperator, t12: SemiOperator) -> float:
     """Closed-form radius bound for the block matrix [[T11, T12], [0, 0]]
     under the doubled weight: bound 25 with a zero bottom row."""
-    _require_same_context(t11, t12)
+    require_same_context(t11, t12)
     if t11.context.rank == 0:
-        _degenerate_warning()
+        degenerate_warning()
         return 0.0
     return _th25_value(a_numerical_radius(t11), 0.0, a_operator_seminorm(t12), 0.0)
 
@@ -290,7 +275,7 @@ def assemble_blocks(
     ordinary operator constructor.  This is the full-space reference;
     :func:`matrix_bound_report` needs only the compressed blocks.
     """
-    _require_same_context(t11, t12, t21, t22)
+    require_same_context(t11, t12, t21, t22)
     ctx = t11.context
     zero = np.zeros_like(ctx.matrix)
     doubled = make_context(np.block([[ctx.matrix, zero], [zero, ctx.matrix]]))
@@ -313,7 +298,7 @@ class BoundReport:
 
 def bound_report(op: SemiOperator) -> BoundReport:
     if op.compressed.shape[0] == 0:
-        _degenerate_warning()
+        degenerate_warning()
         return BoundReport(*[0.0] * 7)
     norm = a_operator_seminorm(op)
     lower_21, lower_22 = _lower_bounds(op)
@@ -364,7 +349,7 @@ def matrix_bound_report(
         [[t11.compressed, t12.compressed], [t21.compressed, t22.compressed]]
     )
     return MatrixBoundReport(
-        w_b_exact=_radius(_Cells(compressed)) if compressed.size else 0.0,
+        w_b_exact=radius(Cells(compressed)) if compressed.size else 0.0,
         lemma24=_th25_value(w11, 0.0, n12, 0.0) if bottom_row_zero else None,
         th25=_th25_value(*scalars),
         th27=v27,

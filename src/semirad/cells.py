@@ -1,0 +1,551 @@
+"""Support-line cells of a compressed matrix C and their pruned search.
+
+The cells (Johnson, SIAM J. Numer. Anal. 15, 1978; :class:`Cells`)
+sample the support function h(theta) = lambda_max(Re(exp(-i*theta) C)).
+One eigh of the part at theta gives h at theta and, the part at theta +
+pi being minus it, at theta + pi, and the eigenvector gives the slope h'
+and so the support point p_theta = exp(i theta) (h + i h').  Between two
+neighbouring angles the points span a chord of the inner polygon and
+their support lines meet at a vertex of the outer polygon; the range
+lies between the two.  Every operator's cells start from 32 support
+lines, and each quantity grows only the cells it needs from them:
+
+  * the radius, max h, pruned on the outer vertices (:func:`radius`),
+  * the Crawford number, max(0, -min h), 0 at once when the start lines'
+    inner polygon holds the origin, else pruned on the chords
+    (:func:`crawford`),
+  * the picture, which the boundary, the inclusion check and the H_phi
+    bound read, refined in rounds of one stacked eigensolve each that
+    reads values and slopes only, until every outer vertex lies within
+    RTOL times the largest h of its chord; each open cell is split at the
+    normal of its chord (the chord rule of the sandwich algorithm;
+    :func:`_chord_rule`).  It is made once per operator and kept on it
+    (like its ``adjoint``); the radius and the Crawford number never grow
+    it.
+
+Every eigensolve is one call of :func:`scan.branches`: the cells' stacks
+through :func:`Cells.support` alone, and each refinement step of the
+pruned search (:func:`optimize`).  Every batched eigensolve runs in
+chunks of at most CHUNK_ENTRIES matrix entries, so its memory does not
+grow with the number of angles.
+"""
+
+from __future__ import annotations
+
+import warnings
+from functools import cached_property, reduce
+
+import numpy as np
+
+from .scan import branches, refine, unit
+from .semihilbert import SemiOperator
+
+#: Outer-inner gap of every cell of the range picture, relative to the
+#: radius, down to which :func:`arange.estimate_range` bisects the cells.
+RTOL = 1e-3
+
+#: Complex entries in one stack of matrices handed to LAPACK (1 MiB): the
+#: batched eigensolves run over chunks of angles this size.
+CHUNK_ENTRIES = 2**16
+
+# Angles are integer multiples of _UNIT, 2**30 to the quarter turn, so that
+# a midpoint, a rotation by pi/2 and the test for an angle already seen are
+# exact.  The cells start from _START support lines per quarter turn (32 in
+# all: 16 parts of the half turn).  A pruned search splits every open cell
+# in each round and refines at most one new segment per round, in at most
+# _ROUNDS rounds, after which it refines every segment that may hold the
+# optimum, however many.
+_QUARTER = 2**30
+_UNIT = 0.5 * np.pi / _QUARTER
+_START = 8
+_ROUNDS = 16
+_EPS = np.finfo(np.float64).eps
+
+
+def chunks(m: int, k: int, copies: int = 1) -> list[slice]:
+    """Slices of *m* stacked k x k matrices, each holding at most
+    CHUNK_ENTRIES entries in *copies* arrays of its size (one matrix at
+    least)."""
+    step = max(1, CHUNK_ENTRIES // (copies * k * k))
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+class Cells:
+    """The support-line cells of C: h on a cell [a, b] lies between the
+    support functions of its chord [p_a, p_b] and of its outer vertex.
+
+    Angles are evaluated for a whole quarter-turn orbit at once, so the
+    set is closed under rotation by pi/2 and the norm of every part at
+    theta + pi/2 is known too.  Values are kept, in units of a power of
+    two at the scale of C, per base angle in [0, pi/2).  The 32 start
+    lines are evaluated at once; their outer polygon sets the reach, the
+    scale of every later decision.  The picture is grown on first read
+    (:func:`_coarse`).  Each pruned search grows its own set of base
+    angles from the start lines (the H_phi bound's from the picture), so
+    what it reads depends on C alone, whatever else was grown before, and
+    no angle is evaluated twice.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+        self.unit = unit(float(np.max(np.abs(c))))
+        self.base = np.zeros(0, dtype=np.int64)
+        self.h = self.dh = np.zeros((0, 4))
+        self.start = np.arange(_START, dtype=np.int64) * (_QUARTER // _START)
+        self.evaluate(self.start)
+
+    @cached_property
+    def picture(self) -> np.ndarray:
+        """The base angles of the picture, grown from the start lines."""
+        # a cell one unit wide has no new point, so this ends
+        picture = self.start
+        while True:
+            grown = self.extend(picture, _coarse(*self.view(picture)))
+            if len(grown) == len(picture):
+                return picture
+            picture = grown
+
+    @cached_property
+    def reach(self) -> float:
+        """The largest modulus of the start lines' outer polygon, which
+        holds the range, so that it bounds the radius: the scale of every
+        later decision, in units of ``unit``, the same whatever else has
+        been grown."""
+        return float(np.max(np.abs(_geometry(*self.view(self.start))[4])))
+
+    @cached_property
+    def rounding(self) -> float:
+        """The rounding of h, in units of ``unit``: the backward error of
+        eigh, carried over by Weyl's inequality."""
+        return 4.0 * self.c.shape[0] * _EPS * self.reach
+
+    def support(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h, h') at *angles* (column 0) and at *angles* + pi (column 1),
+        in units of ``unit``: the top branch of each part and minus its
+        bottom one, value and slope only, in stacked eigh calls of at most
+        CHUNK_ENTRIES entries."""
+        # the parts and their eigenvectors are two stacks of the chunk's size
+        q = [
+            branches(self.c, angles[s], [0, -1], self.unit, curvature=False)[1]
+            for s in chunks(len(angles), self.c.shape[0], copies=2)
+        ]
+        return tuple(r[:, ::-1] * [1.0, -1.0] for r in np.concatenate(q, axis=1))
+
+    def evaluate(self, base: np.ndarray) -> None:
+        """One round: the parts at the new base angles and a quarter turn
+        on, in one call of :func:`Cells.support`."""
+        n = len(base)
+        # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
+        h, dh = (
+            np.concatenate((r[:n, :1], r[n:, :1], r[:n, 1:], r[n:, 1:]), axis=1)
+            for r in self.support(np.concatenate((base, base + _QUARTER)) * _UNIT)
+        )
+        merged = np.concatenate((self.base, base))
+        order = merged.argsort(kind="stable")
+        self.base = merged[order]
+        self.h = np.concatenate((self.h, h))[order]
+        self.dh = np.concatenate((self.dh, dh))[order]
+
+    def view(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, h, h') over the whole turn, in angle order, for the
+        sorted base angles *base*; the angle is index * _UNIT."""
+        i = np.searchsorted(self.base, base)
+        index = (base + _QUARTER * np.arange(4)[:, None]).ravel()
+        return index, self.h[i].T.ravel(), self.dh[i].T.ravel()
+
+    def extend(self, base: np.ndarray, names: np.ndarray) -> np.ndarray:
+        """*base* with the base angles of *names* (any angles, taken modulo
+        a quarter turn), evaluating those not seen before in one round."""
+        new = np.sort(names % _QUARTER)
+        fresh = ~_member(new, base)
+        fresh[1:] &= new[1:] != new[:-1]
+        new = new[fresh]
+        unseen = new[~_member(new, self.base)]
+        if unseen.size:
+            self.evaluate(unseen)
+        return np.sort(np.concatenate((base, new))) if new.size else base
+
+    def axes(self) -> np.ndarray:
+        """h at 0, pi/2, pi and 3 pi/2, in the units of C: lambda_max of
+        Re C and Im C, then -lambda_min of each."""
+        return self.h[0] * self.unit  # base angle 0 comes first
+
+    def outline(self) -> tuple:
+        """(theta, h, boundary, outer, gap) of the picture, in the units of
+        C: one entry per angle or per cell, in angle order."""
+        index, h, dh = self.view(self.picture)
+        _, _, p, p_next, vertex = _geometry(index, h, dh)
+        s = self.unit
+        return index * _UNIT, h * s, p * s, vertex * s, _gap(p, p_next, vertex) * s
+
+
+def _member(x: np.ndarray, sorted_: np.ndarray) -> np.ndarray:
+    """Which entries of *x* the sorted array *sorted_* holds."""
+    at = np.minimum(np.searchsorted(sorted_, x), len(sorted_) - 1)
+    return sorted_[at] == x
+
+
+def _chord_rule(index: np.ndarray, geometry) -> np.ndarray:
+    """Where to split each cell of a view: at the normal of its chord, the
+    chord rule of the sandwich algorithm (Rote, Computing 48, 1992),
+    rounded to the angle grid.  The support line there closes a flat edge
+    that the cell straddles at once, where equal splits would only halve
+    its gap, and finds a corner hidden between the cell's support points.
+    A normal outside the cell, or within 1/8 of the cell's width of its
+    midpoint (as on a smooth arc), and a chord of length 0 give way to the
+    midpoint, so that the four cells of a quarter-turn orbit share one new
+    base angle.  *geometry* is the view's :func:`_geometry`."""
+    _, _, p, p_next, _ = geometry
+    span, chord = _span(index), p_next - p
+    # the chord's outward normal, in grid units from the cell's first angle
+    normal = (np.angle(chord) - 0.5 * np.pi - index * _UNIT) % (2.0 * np.pi)
+    off = np.rint(normal / _UNIT).astype(np.int64)
+    mid = span // 2
+    snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span) | (chord == 0)
+    return index + np.where(snap, mid, off)
+
+
+def _coarse(index, h, dh):
+    """The picture's rule: split every cell whose gap exceeds RTOL * max h
+    by the chord rule (:func:`_chord_rule`)."""
+    geometry = _geometry(index, h, dh)
+    cells = _gap(*geometry[2:]) > RTOL * h.max()
+    return _chord_rule(index, geometry)[cells]
+
+
+def _next(x: np.ndarray) -> np.ndarray:
+    """*x* at the next point of a cyclic view."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def _span(index: np.ndarray, turn: int = 4 * _QUARTER) -> np.ndarray:
+    """Width of each cell of a cyclic view of *index* over *turn*."""
+    nxt = _next(index)
+    nxt[-1] += turn
+    return nxt - index
+
+
+def quarter_cells(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, width, midpoint) of each quarter-turn cell of the sorted base
+    angles *base* of a view, the cell of an angle running to the next one:
+    its angle, its width and the base angle that splits it."""
+    span = _span(base, _QUARTER)
+    return base * _UNIT, span * _UNIT, base + span // 2
+
+
+def _geometry(index: np.ndarray, h: np.ndarray, dh: np.ndarray):
+    """(theta, width, p, p_next, vertex) of every cell of a view, the cell
+    of an angle running to the next one: the support points at both ends
+    and the outer vertex where their support lines meet."""
+    theta = index * _UNIT
+    width = _span(index) * _UNIT
+    turn = np.exp(1j * theta)
+    p = turn * (h + 1j * dh)
+    p_next = _next(p)
+    # along the line at theta from p to where it meets the next one; the
+    # points' difference carries no cancellation of h itself
+    t = np.real(_next(turn).conj() * (p_next - p)) / np.sin(width)
+    return theta, width, p, p_next, p + 1j * turn * t
+
+
+def _gap(p: np.ndarray, p_next: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Distance from each outer vertex to its inner chord [p, p_next]:
+    every point between the two polygons in a cell lies this close to the
+    inner one."""
+    chord = p_next - p
+    norm = np.abs(chord) ** 2
+    along = np.divide(
+        np.real((vertex - p) * chord.conj()),
+        norm,
+        out=np.zeros_like(norm),
+        where=norm > 0,
+    )
+    return np.abs(vertex - (p + along.clip(0.0, 1.0) * chord))
+
+
+def floor(a: np.ndarray, width: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Least value over each cell [a, a + width] of the max over each group
+    (cells x points) of Re(exp(-i theta) g), joined by hypot over groups.
+
+    Between the crossings of two points of a group the function is one
+    sinusoid per group, or the root of a sum of their squares, so its least
+    value sits at an end of the cell, at a crossing, or where such a sum is
+    stationary: these candidate angles are closed forms, and the least
+    value over them is exact.
+    """
+    cells = len(a)
+    cands = [a[:, None], (a + width)[:, None]]
+    for g in groups:
+        i, j = np.triu_indices(g.shape[1], 1)
+        cross = np.angle(g[:, i] - g[:, j])[:, :, None] + [0.5 * np.pi, 1.5 * np.pi]
+        cands.append(cross.reshape(cells, -1))
+    square = groups[0] ** 2
+    for g in groups[1:]:
+        square = (square[:, :, None] + g[:, None, :] ** 2).reshape(cells, -1)
+    flat = 0.5 * np.angle(square)[:, :, None] + 0.5 * np.pi * np.arange(4)
+    cands.append(flat.reshape(cells, -1))
+    off = (np.concatenate(cands, axis=1) - a[:, None]) % (2.0 * np.pi)
+    cell, k = np.nonzero(off <= width[:, None])  # both ends, at the least
+    turn = np.exp(-1j * (a[cell] + off[cell, k]))[:, None]
+    values = reduce(np.hypot, [np.max((turn * g[cell]).real, axis=1) for g in groups])
+    return np.minimum.reduceat(values, np.flatnonzero(np.diff(cell, prepend=-1)))
+
+
+def _vertex_bound(geometry, h: np.ndarray) -> np.ndarray:
+    """Upper bound of h over each cell of a view of :func:`_geometry`
+    *geometry*: the outer vertex's support there, its modulus if the cell
+    holds its direction, else the larger end."""
+    theta, width, _, _, vertex = geometry
+    inside = (np.angle(vertex) - theta) % (2.0 * np.pi) <= width
+    return np.where(inside, np.abs(vertex), np.maximum(h, _next(h)))
+
+
+def _chord_bound(geometry, h: np.ndarray) -> np.ndarray:
+    """Lower bound of h over each cell of a view of :func:`_geometry`
+    *geometry*: the inner chord's support there."""
+    theta, width, p, p_next, _ = geometry
+    return floor(theta, width, [np.stack((p, p_next), axis=1)])
+
+
+def _valleys(value: list, sign: list) -> list[int]:
+    """Positions of the valleys of a sequence of points: the least point
+    from each falling one (*sign* -1) to the next rising one (+1), which
+    parts two peaks."""
+    moving = [i for i, s in enumerate(sign) if s]
+    return [
+        min(range(i, j + 1), key=value.__getitem__)
+        for i, j in zip(moving, moving[1:])
+        if sign[i] < 0 < sign[j]
+    ]
+
+
+def _segments(value, slope, excess, slack) -> list[tuple[int, int, int, bool]]:
+    """The segments of a pruned search for the max of *value* over a
+    cyclic view of n points.
+
+    A cell, running from its point to the next, is open while *excess*
+    (its bound of *value* less the best value) is above *slack*, and so
+    are the two cells next to the best point.  Each run of consecutive
+    open cells may hold the max; its valleys (:func:`_valleys`) cut it into
+    segments of one peak each, as far as its points can tell; each is
+    (best point, first point, last point, ready), the first and last the
+    same around the whole turn.  A segment is ready when *slope* rises into
+    its best point and falls after it at every point inside it (by more
+    than *slack*).  The points are few, so this runs on lists.
+    """
+    n = len(value)
+    opened = (excess > slack).tolist()
+    best = int(np.argmax(value))
+    opened[best] = opened[best - 1] = True
+    value = value.tolist()
+    sign = ((slope > slack).astype(int) - (slope < -slack)).tolist()
+    if all(opened):
+        # one run around the whole turn, from and back to the best point
+        runs = [(best, best + n)]
+    else:
+        # cell i runs from point i to i + 1; scan from a shut cell round
+        runs, first = [], None
+        shut = opened.index(False)
+        for i in range(shut + 1, shut + n + 1):
+            if opened[i % n]:
+                first = i if first is None else first
+            elif first is not None:
+                runs.append((first, i))
+                first = None
+    segments = []
+    for a, b in runs:
+        points = [i % n for i in range(a, b + 1)]
+        cuts = _valleys([value[i] for i in points], [sign[i] for i in points])
+        if b - a == n:
+            # around the whole turn, the segments run from valley to valley
+            cuts = [i for i in cuts if 0 < i < n]
+            ends = [*cuts, cuts[0] + n] if cuts else [0, n]
+        else:
+            ends = [0, *cuts, b - a]
+        for i, j in zip(ends[:-1], ends[1:]):
+            run = [(a + m) % n for m in range(i, j + 1)]
+            top = max(range(len(run)), key=lambda m: value[run[m]])
+            g = [sign[p] for p in run]
+            ready = -1 not in g[1:top] and 1 not in g[top + 1 : -1]
+            segments.append((run[top], run[0], run[-1], ready))
+    return segments
+
+
+def optimize(
+    cells: Cells, base: np.ndarray, survey, evaluate, period: float
+) -> tuple[float, float, np.ndarray]:
+    """(t, f(t), angles) at the max of a function f of the support lines,
+    of period *period*, pruned on the cells from the base angles *base*,
+    then refined and checked; *angles* are the base angles the search grew.
+
+    ``survey(view)`` gives (theta, f, f', bound, names, coarse) over a
+    cyclic view: f and its slope at each point, a bound of f over each
+    cell (the cell from a point to the next), where to split each cell, and
+    which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
+    and the models of the branches of -f, for :func:`scan.refine`.  The
+    result starts at the best point.  Each round cuts the open cells into
+    segments (:func:`_segments`) and refines one new segment, the most
+    promising ready one that holds no refined optimum yet, from its best
+    point within its bracket.  Then every cell whose bound beats the best
+    value is split: by more than the rounding of f outside the segments
+    that hold a refined optimum, and inside them while the cell is coarser
+    than the picture or its bound beats the value by more than twice RTOL
+    times the reach, the most a bound at the picture's resolution
+    overshoots one smooth optimum (the outer vertex lies within the
+    picture's gap of the range, and the H_phi floor within sqrt(2) gaps of
+    its objective).  Around a refined optimum the cells thus reach the
+    picture's resolution, so a second peak hidden in its segment shows as
+    a valley or as a farther support point.  The search ends once no cell
+    beats the best value.  After _ROUNDS rounds every segment is refined,
+    ready or not, and a bound that still beats the result is reported by a
+    RuntimeWarning.
+    """
+    reach = cells.reach * cells.unit
+    slack = cells.rounding * cells.unit
+    best = (-np.inf, 0.0)
+    refined: list[float] = []  # the angles of the refined optima
+    for rounds in range(_ROUNDS + 1):
+        theta, value, slope, bound, names, coarse = survey(*cells.view(base))
+        top = int(np.argmax(value))
+        best = max(best, (float(value[top]), float(theta[top])))
+        segments = _segments(value, slope, bound - best[0], slack)
+        n = len(value)
+        tol = np.full(n, slack)
+        fresh = True  # no segment refined yet in this round
+        # the most promising first
+        for top, a, b, ready in sorted(segments, key=lambda seg: -value[seg[0]]):
+            inside = (a + np.arange((b - a) % n or n)) % n
+            below = (theta[top] - theta[a]) % period
+            above = period - below if a == b else (theta[b] - theta[top]) % period
+            if a == b == top:  # the whole turn from the best point
+                below = above = 0.5 * period
+            t = float(theta[top])
+            held = any((u - t + below) % period <= below + above for u in refined)
+            if not held:
+                if np.max(bound[inside]) - best[0] <= slack:
+                    continue
+                if not (fresh and ready) and rounds < _ROUNDS:
+                    continue
+                fresh = False
+                t, v = refine(evaluate, t, t - below, t + above)
+                refined.append(t)
+                best = max(best, (v, t))
+            tol[inside] = np.where(coarse[inside], slack, 2.0 * RTOL * reach)
+        over = bound - best[0]
+        split = np.flatnonzero(over > tol)
+        if not split.size:
+            break
+        if rounds == _ROUNDS:
+            warnings.warn(
+                f"the pruned search stopped after {_ROUNDS} rounds with a "
+                f"cell bound {np.max(over):.3e} beyond its result "
+                f"{best[0]:.17g}, which may miss the optimum",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
+        base = cells.extend(base, names[split])
+    v, t = best
+    return t, v, base
+
+
+def _extremum(
+    cells: Cells, base: np.ndarray, maximize: bool, bound
+) -> tuple[float, np.ndarray]:
+    """(max (or min) of h, the base angles evaluated), as the max of
+    sign * h over full-turn views from *base*, with
+    ``bound(geometry, h)`` bounding h over each cell of a view of
+    :func:`_geometry` *geometry*; each open cell is split by the chord
+    rule (:func:`_chord_rule`).
+
+    The max of h sits where the top branch is smooth.  The min may sit
+    where the top branch crosses the next one, or, where the whole
+    spectrum meets (a segment's normal), the bottom one, so those three
+    are modelled.
+    """
+    c = cells.c
+    k = c.shape[0]
+    idx = [k - 1] if maximize else sorted({0, max(k - 2, 0), k - 1})
+    sign = 1.0 if maximize else -1.0
+    scale = cells.reach * cells.unit
+
+    def survey(index, h, dh):
+        s = sign * cells.unit
+        geometry = _geometry(index, h, dh)
+        coarse = _gap(*geometry[2:]) > RTOL * cells.reach
+        names = _chord_rule(index, geometry)
+        return geometry[0], s * h, s * dh, s * bound(geometry, h), names, coarse
+
+    def evaluate(t: float):
+        lam_t, q = branches(c, t, idx, scale)
+        return sign * float(lam_t[0, -1]), -sign * q
+
+    _, v, base = optimize(cells, base, survey, evaluate, 2.0 * np.pi)
+    return sign * v, base
+
+
+def radius(cells: Cells) -> float:
+    """max of h, pruned on the vertex bound, from the start lines.
+
+    Every support point lies in the range, so its modulus is at most w.  A
+    result below the modulus of the farthest support point the search
+    evaluated, by more than the rounding of h, missed a peak (one hidden in
+    a segment with lower ones), and the search runs again with that
+    point's direction among its angles, where h is at least its modulus.
+    """
+    w, base = _extremum(cells, cells.start, True, _vertex_bound)
+    index, h, dh = cells.view(base)
+    far = np.hypot(h, dh)  # |p_theta|
+    i = int(np.argmax(far))
+    if far[i] * cells.unit - w <= cells.rounding * cells.unit:
+        return w
+    start = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
+    return _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
+
+
+def crawford(cells: Cells) -> float:
+    """max(0, -min h): 0 at once when the start lines' inner polygon holds
+    the origin; otherwise the min of h, pruned on the chord bound, from the
+    start lines."""
+    _, _, p, p_next, _ = _geometry(*cells.view(cells.start))
+    edge = p_next - p
+    # the origin lies strictly left of every edge of the counterclockwise
+    # polygon (an edge of length 0 says nothing)
+    left = np.imag(edge.conj() * -p)[edge != 0]
+    if left.size and np.all(left > 0.0):
+        return 0.0
+    return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0])
+
+
+def degenerate_warning(stacklevel: int = 3) -> None:
+    """Warn that a rank-0 weight makes every range quantity 0."""
+    warnings.warn(
+        "weight matrix has rank 0; the effective space is empty and all "
+        "range quantities are reported as 0",
+        RuntimeWarning,
+        stacklevel=stacklevel,
+    )
+
+
+def _memo(op: SemiOperator, key: str, compute):
+    """*op*'s value under *key*, computed on first read and kept in the
+    instance ``__dict__``, where ``cached_property`` keeps ``adjoint``."""
+    memo = vars(op)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def operator_cells(op: SemiOperator) -> Cells:
+    """The support-line cells of the operator *op*, made once per operator."""
+    return _memo(op, "_cells", lambda: Cells(op.compressed))
+
+
+def extreme(op: SemiOperator, key: str, compute, empty):
+    """*compute* of *op*'s cells, once per operator, kept under *key*;
+    *empty*, with a warning at the line that called the caller, on every
+    call, if C is empty."""
+    if op.compressed.shape[0] == 0:
+        degenerate_warning(stacklevel=4)
+        return empty
+    return _memo(op, key, lambda: compute(operator_cells(op)))

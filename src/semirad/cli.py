@@ -17,7 +17,7 @@ column, a negative ``--seed``, a JSON
 integer too large for a float, an ``"identity_dim"`` other than the size
 of the operator, checked before the weight is built, an input file that
 is not UTF-8, an ``--output`` path that cannot be written).  The gap of
-the range picture (``arange.RTOL``) and every tolerance
+the range picture (``cells.RTOL``) and every tolerance
 (``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
 output carries results only, plus ``seed`` where the Monte-Carlo check of
 a radius job used it.  A range job gives the inner polygon of support

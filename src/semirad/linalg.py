@@ -4,10 +4,11 @@ Plain ``numpy.ndarray`` (complex128, row-major) is the matrix carrier for
 the whole package; :func:`as_complex_matrix` is the validation gate that
 turns arbitrary input into one.  On top of it this module provides the
 Hermitian eigendecomposition behind a relative symmetry gate, the spectral
-norm, and the split of a PSD spectrum into kept and dropped eigenpairs at a
-relative rank cutoff.  Both tolerances are fixed module constants.  Every
-LAPACK call of the package runs inside :func:`lapack`, so that a failure
-surfaces as NumericalFailure, never as a raw ``LinAlgError``.
+norm, the split of a PSD spectrum into kept and dropped eigenpairs at a
+relative rank cutoff, and general eigenvalues behind a residual gate.  All
+tolerances are fixed.  Every LAPACK call of the package runs inside
+:func:`lapack`, so that a failure surfaces as NumericalFailure, never as a
+raw ``LinAlgError``.
 
 All functions are pure; nothing here mutates its arguments.  Target sizes
 are small dense matrices (n <= 512), so every factorization is a direct
@@ -68,7 +69,7 @@ def hermitian_defect(m: np.ndarray) -> float:
     return spectral_norm(m - m.conj().T)
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
+def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*)/2, Hermitian to the last bit."""
     return 0.5 * (m + m.conj().T)
 
@@ -112,7 +113,7 @@ def hermitian_eig(m) -> EigenDecomposition:
             f"asymmetry {defect:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
         )
     with lapack("Hermitian eigendecomposition"):
-        eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(m))
+        eigenvalues, eigenvectors = np.linalg.eigh(hermitian_part(m))
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -128,7 +129,7 @@ def spectral_norm(m) -> float:
     return float(sigma[0])
 
 
-def _kept_eigenpairs(
+def kept_eigenpairs(
     eig: EigenDecomposition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenpairs of a PSD matrix that survive the rank cutoff.
@@ -151,3 +152,31 @@ def _kept_eigenpairs(
     vecs = eig.eigenvectors
     return lam[keep], vecs[:, keep], vecs[:, ~keep]
 
+
+def general_eig(m) -> np.ndarray:
+    """Eigenvalues of a general (non-Hermitian) square matrix.
+
+    Each returned pair is accepted only if the residual ||Mv - lambda v||
+    stays below 1e-8 * ||M|| (0 for a zero M), with ||M|| from an SVD;
+    otherwise NumericalFailure.
+    """
+    mat = require_square(m)
+    return checked_eig(mat, spectral_norm(mat))
+
+
+def checked_eig(mat: np.ndarray, scale: float) -> np.ndarray:
+    """Eigenvalues of the square ``mat`` whose eigenpairs pass the residual
+    gate ||Mv - lambda v|| <= 1e-8 * scale, for scale = ||M||_2 (0 for a
+    zero M); otherwise NumericalFailure.  The caller supplies the norm,
+    from an SVD or from a closed form."""
+    with lapack("eigenvalue iteration"):
+        lam, vec = np.linalg.eig(mat)
+    # in units of ||M||, so that squares of tiny residuals cannot underflow
+    residual = (mat @ vec - vec * lam[None, :]) / (scale or 1.0)
+    worst = float(np.max(np.linalg.norm(residual, axis=0))) if lam.size else 0.0
+    tol = 1e-8 if scale else 0.0
+    if worst > tol:
+        raise NumericalFailure(
+            f"eigenpair residual {worst:.3e} ||M|| exceeds tolerance {tol:.0e} ||M||"
+        )
+    return lam

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arange import _checked_eig
 from .errors import DegreeZero, InvalidMatrix, NonPositiveWeight, WeightDimensionMismatch
+from .linalg import checked_eig
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def max_root_modulus(p: PolynomialSpec) -> float:
     residual gate is that of ``general_eig``, on ||C_p||_2 in closed form
     (``_companion_norm``) instead of an SVD."""
     scale = _companion_norm(np.abs(p.coefficients))
-    return float(np.max(np.abs(_checked_eig(companion(p), scale))))
+    return float(np.max(np.abs(checked_eig(companion(p), scale))))
 
 
 def _companion_norm(mags: np.ndarray) -> float:
@@ -271,17 +271,15 @@ def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
     all-ones weights stay a candidate; they win where the Perron weights'
     certificate overflows (2 rho - 1 past the float range floors them).
     """
-    d, alpha_vals = _perron_weights(p, certificate_matrix(p))
+    mags = np.abs(p.coefficients)
+    d, alpha_vals = _perron_weights(mags, _certificate(mags))
     return d, float(np.max(alpha_vals))
 
 
-def _perron_weights(p: PolynomialSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _perron_weights(mags: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights of ``optimize_weights`` and their alphas (M d) / d, for
-    the certificate matrix m of p."""
-    # the tail's magnitudes come from the reversed (strided) coefficients,
-    # M's from the contiguous ones: numpy's complex abs may round the two
-    # differently in the last bit, and the weights keep the tail's bits
-    tail = np.abs(p.coefficients[-2::-1]).tolist()
+    the magnitudes |a_0| .. |a_{n-1}| and their certificate matrix m."""
+    tail = mags[-2::-1].tolist()
     # rho(M) of a nonnegative M lies between its largest diagonal entry
     # and its largest row sum
     lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
@@ -319,12 +317,12 @@ def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
     """
     mags = np.abs(p.coefficients)
     if d is None:
-        d_star, alpha_vals = _perron_weights(p, _certificate(mags))
+        d_star, alpha_vals = _perron_weights(mags, _certificate(mags))
     else:
         d_star = validate_weights(d, p.degree)
         alpha_vals = _certificate(mags) @ d_star / d_star
     norm = _norm(mags)
-    lam = _checked_eig(companion(p), _companion_norm(mags))
+    lam = checked_eig(companion(p), _companion_norm(mags))
     return ZeroBoundReport(
         r_c=1.0 + float(np.max(mags)),
         r_cm=math.hypot(1.0, norm),

@@ -13,7 +13,7 @@ Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
 model (:func:`branches`).  The slope needs C x alone and the couplings
 C x and C* x, so no stack of derivatives is formed.  Over a stack of
 angles, the same call, told to skip the curvature, gives the
-support-line cells of :mod:`semirad.arange` their values and slopes
+support-line cells of :mod:`semirad.cells` their values and slopes
 alone; only the steps of :func:`refine` read curvature.
 The callers prune those cells first, into segments of cells whose bound
 beats the best angle, each holding one peak as far as its points tell,
@@ -50,7 +50,7 @@ from .linalg import lapack
 TOL = 1e-10
 
 
-def _unit(scale: float) -> float:
+def unit(scale: float) -> float:
     """The power of two s with s <= *scale* < 2 s (1 for a zero scale)."""
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
@@ -83,7 +83,7 @@ def branches(
     the other branches, which only the curvature reads, is skipped.  A
     LAPACK failure raises NumericalFailure.
     """
-    s = _unit(scale)
+    s = unit(scale)
     t = np.asarray(t, dtype=np.float64)
     with lapack("eigensolve of the support lines"):
         lam, vec = np.linalg.eigh(_rotated(c, t))

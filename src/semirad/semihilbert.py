@@ -40,10 +40,10 @@ from .errors import (
 from .linalg import (
     HERM_TOL,
     RANK_TOL,
-    _hermitian_part,
-    _kept_eigenpairs,
     hermitian_defect,
     hermitian_eig,
+    hermitian_part,
+    kept_eigenpairs,
     lapack,
     require_square,
     spectral_norm,
@@ -73,12 +73,12 @@ class PositiveOperator:
     @cached_property
     def pinv(self) -> np.ndarray:
         q = self.range_basis
-        return _hermitian_part((q / self.range_eigenvalues) @ q.conj().T)
+        return hermitian_part((q / self.range_eigenvalues) @ q.conj().T)
 
     @cached_property
     def projector(self) -> np.ndarray:
         q = self.range_basis
-        return _hermitian_part(q @ q.conj().T)
+        return hermitian_part(q @ q.conj().T)
 
     @property
     def dim(self) -> int:
@@ -106,7 +106,7 @@ def make_context(a) -> PositiveOperator:
     Raises NotSquare / NotHermitian / NotPSD on invalid input.
     """
     mat = require_square(a)
-    lam, q, q0 = _kept_eigenpairs(hermitian_eig(mat))
+    lam, q, q0 = kept_eigenpairs(hermitian_eig(mat))
     return PositiveOperator(
         matrix=mat, range_basis=q, range_eigenvalues=lam, kernel_basis=q0
     )
@@ -255,7 +255,7 @@ def scale_operator(op: SemiOperator, c: complex) -> SemiOperator:
 def add_operators(op1: SemiOperator, op2: SemiOperator) -> SemiOperator:
     """T + S under a shared context; compressed matrices add.
     NumericalFailure if the sum overflows."""
-    _require_same_context(op1, op2)
+    require_same_context(op1, op2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         return _finite_operator(
             op1.matrix + op2.matrix, op1.context, op1.compressed + op2.compressed
@@ -277,7 +277,7 @@ def im_a(op: SemiOperator) -> SemiOperator:
     return _attach_operator(op.context, (op.matrix - op.adjoint) / 2j)
 
 
-def _require_same_context(first: SemiOperator, *others: SemiOperator) -> None:
+def require_same_context(first: SemiOperator, *others: SemiOperator) -> None:
     for other in others:
         if other.context is not first.context and not np.array_equal(
             first.context.matrix, other.context.matrix
@@ -301,7 +301,7 @@ def is_a_positive(op: SemiOperator) -> bool:
     if not is_a_selfadjoint(op):
         return False
     with lapack("eigensolve of the A-positivity test"):
-        lam = np.linalg.eigvalsh(_hermitian_part(op.compressed))
+        lam = np.linalg.eigvalsh(hermitian_part(op.compressed))
     # the least eigenvalue may fall short of 0 by HERM_TOL times the largest
     return bool(lam.size == 0 or lam[0] >= -HERM_TOL * lam[-1])
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange, scan
+from semirad import cells, scan
 
 
 def random_strict_context(rng, n, floor=0.05):
@@ -59,15 +59,15 @@ def separated(c, theta, w):
 
 def record_angles(monkeypatch):
     """(cells, base angles) of every round of the support-line cells from
-    now on; the base angles are integers, in units of arange._UNIT."""
+    now on; the base angles are integers, in units of cells._UNIT."""
     rounds = []
-    evaluate = arange._Cells.evaluate
+    evaluate = cells.Cells.evaluate
 
     def recorded(self, base):
         rounds.append((self, base.copy()))
         return evaluate(self, base)
 
-    monkeypatch.setattr(arange._Cells, "evaluate", recorded)
+    monkeypatch.setattr(cells.Cells, "evaluate", recorded)
     return rounds
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad import arange, cli, scan, semihilbert
+from semirad import arange, cells, cli, scan, semihilbert
 from conftest import (
     dense_min,
     random_operator,
@@ -250,7 +250,7 @@ def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
     top = np.linalg.eigvalsh(scan._rotated(c, theta))[:, -1]
     on_line = (np.exp(-1j * theta) * boundary).real
     assert np.max(np.abs(on_line - top)) <= 1e-12 * w
-    assert np.max(gap) <= arange.RTOL * w
+    assert np.max(gap) <= cells.RTOL * w
     # each vertex lies on the support lines of its cell's two angles
     nxt = np.roll(theta, -1)
     for angle, support in ((theta, h), (nxt, np.roll(h, -1))):
@@ -415,7 +415,7 @@ def test_boundary_points_are_support_points(case):
     on_line = (np.exp(-1j * theta) * p).real
     assert np.max(np.abs(on_line - h)) <= 1e-12 * w
     assert np.all(np.abs(p) <= w * (1 + 1e-12))
-    assert np.max(gap) <= arange.RTOL * np.max(h)
+    assert np.max(gap) <= cells.RTOL * np.max(h)
 
 
 def test_picture_of_a_regular_pentagon_closes_each_edge_at_once(monkeypatch):
@@ -426,7 +426,7 @@ def test_picture_of_a_regular_pentagon_closes_each_edge_at_once(monkeypatch):
     calls = record_batched_solves(monkeypatch)
     _, h, _, _, gap = arange._picture(op)
     assert sum(shape[0] for kind, shape in calls if kind == "eigh") <= 32
-    assert np.max(gap) <= arange.RTOL * np.max(h)
+    assert np.max(gap) <= cells.RTOL * np.max(h)
 
 
 def test_boundary_of_the_zero_matrix_runs_no_solve(monkeypatch):
@@ -549,9 +549,9 @@ def test_scans_run_in_bounded_chunks(rng, monkeypatch):
     shapes = {kind: [s for name, s in calls if name == kind] for kind in dict(calls)}
     assert shapes["svd"] == [(163, k, k), (163, k, k), (34, k, k)]
     assert {shape[1:] for shape in shapes["eigh"]} == {(k, k), (2 * k, 2 * k)}
-    assert all(np.prod(shape) <= arange.CHUNK_ENTRIES for _, shape in calls)
+    assert all(np.prod(shape) <= cells.CHUNK_ENTRIES for _, shape in calls)
     for budget in (2**40, 1):
-        monkeypatch.setattr(arange, "CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(cells, "CHUNK_ENTRIES", budget)
         for got, want in zip(outputs(), chunked):
             np.testing.assert_array_equal(got, want)
 
@@ -797,9 +797,9 @@ def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
     # reaches the farthest support point, as on a random operator, runs one
     # search.
     searches = []
-    extremum = arange._extremum
+    extremum = cells._extremum
     monkeypatch.setattr(
-        arange, "_extremum", lambda *args: searches.append(1) or extremum(*args)
+        cells, "_extremum", lambda *args: searches.append(1) or extremum(*args)
     )
     sr.a_numerical_radius(random_operator(rng, random_strict_context(rng, 6)))
     assert len(searches) == 1
@@ -862,7 +862,7 @@ def test_old_720_point_polygon_lies_within_rtol_of_the_inner_polygon(seed):
         x = np.linalg.eigh(scan._rotated(op.compressed, thetas))[1][:, :, -1]
         old = np.einsum("bi,bi->b", x.conj(), x @ op.compressed.T)
         gap = distance_to_polygon(old, est.boundary)
-        assert np.max(gap) <= arange.RTOL * est.radius * (1 + 1e-9)
+        assert np.max(gap) <= cells.RTOL * est.radius * (1 + 1e-9)
 
 
 def _order_cases():
@@ -902,18 +902,18 @@ def test_radius_only_calls_grow_no_picture(rng, monkeypatch):
     ctx = random_strict_context(rng, 5)
     ops = [random_operator(rng, ctx) for _ in range(4)]
     grown = []
-    coarse = arange._coarse
+    coarse = cells._coarse
     monkeypatch.setattr(
-        arange, "_coarse", lambda *view: grown.append(1) or coarse(*view)
+        cells, "_coarse", lambda *view: grown.append(1) or coarse(*view)
     )
     for op in ops:
         sr.a_numerical_radius(op)
         sr.a_crawford(op)
     sr.matrix_bound_report(*ops)
     assert grown == []
-    assert all("picture" not in vars(arange._cells(op)) for op in ops)
+    assert all("picture" not in vars(cells.operator_cells(op)) for op in ops)
     sr.estimate_range(ops[0])
-    assert grown and "picture" in vars(arange._cells(ops[0]))
+    assert grown and "picture" in vars(cells.operator_cells(ops[0]))
 
 
 def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
@@ -921,13 +921,13 @@ def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
     # its refinement take fewer parts than the picture alone
     problem = _benchmark_problems().operator_problems(7)[1]
     parts = []
-    branches = arange.branches
+    branches = cells.branches
 
     def counted(c, t, *args, **kw):
         parts.append(np.size(t))
         return branches(c, t, *args, **kw)
 
-    monkeypatch.setattr(arange, "branches", counted)
+    monkeypatch.setattr(cells, "branches", counted)
 
     def operator():
         return sr.make_operator(sr.make_context(problem["A"]), problem["T"])
@@ -937,6 +937,28 @@ def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
     parts.clear()
     arange._picture(operator())
     assert 0 < radius < sum(parts)
+
+
+STACKED_CALLS = {
+    "a_numerical_radius": lambda ops: sr.a_numerical_radius(ops[0]),
+    "a_crawford": lambda ops: sr.a_crawford(ops[0]),
+    "bound_report": lambda ops: sr.bound_report(ops[0]),
+    "estimate_range": lambda ops: sr.estimate_range(ops[0]),
+    "matrix_bound_report": lambda ops: sr.matrix_bound_report(*ops),
+}
+
+
+@pytest.mark.parametrize("call", STACKED_CALLS.values(), ids=STACKED_CALLS.keys())
+def test_one_patch_intercepts_every_stacked_cells_eigensolve(rng, monkeypatch, call):
+    # every stacked eigensolve of the cells, asked from arange and from
+    # bounds alike, runs through Cells.support
+    def refused(self, angles):
+        raise RuntimeError("stacked cells eigensolve")
+
+    monkeypatch.setattr(cells.Cells, "support", refused)
+    ctx = random_strict_context(rng, 4)
+    with pytest.raises(RuntimeError, match="stacked cells eigensolve"):
+        call([random_operator(rng, ctx) for _ in range(4)])
 
 
 def test_radius_of_two_peaks_in_one_start_cell():

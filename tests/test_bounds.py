@@ -15,7 +15,7 @@ from conftest import (
     record_batched_solves,
     singular_pair,
 )
-from semirad import arange, bounds, scan, semihilbert
+from semirad import bounds, cells, scan, semihilbert
 
 
 def two_by_two(mat, ctx=None):
@@ -479,7 +479,7 @@ def test_search_out_of_rounds_refines_every_segment_and_warns(monkeypatch):
     # with no bisection round left, the first round refines every segment,
     # ready or not; a cell bound that still beats the result is reported,
     # and the result is the objective at the angle returned
-    monkeypatch.setattr(arange, "_ROUNDS", 0)
+    monkeypatch.setattr(cells, "_ROUNDS", 0)
     op = HPHI_CASES["two_minima"](None)
     with pytest.warns(RuntimeWarning, match="pruned search stopped after 0 rounds"):
         upper, phi = sr.upper_bound_hphi(op)

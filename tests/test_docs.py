@@ -14,11 +14,11 @@ MODULES = sorted(p.stem for p in SOURCES if not p.stem.startswith("_"))
 for _module in MODULES:  # so that each is an attribute of the package
     importlib.import_module(f"semirad.{_module}")
 
-# `arange.RTOL`, `scan.branches`, `arange._Cells.evaluate`, ... in the README
+# `cells.RTOL`, `scan.branches`, `cells.Cells.evaluate`, ... in the README
 README_NAME = re.compile(
     r"`(?:semirad\.)?((?:%s)\.[A-Za-z_][\w.]*)" % "|".join(MODULES)
 )
-# :func:`refine`, :class:`arange._Cells`, ... in the sources
+# :func:`refine`, :class:`cells.Cells`, ... in the sources
 SPHINX_TARGET = re.compile(r":(?:func|class):`~?([\w.]+)`")
 
 

@@ -509,6 +509,23 @@ class TestReport:
         sr.zero_bound_report(sr.make_polynomial(EXAMPLE), d=d)
         assert calls == {"certificate": 1, "eig": 1, "svd": 0}
 
+    def test_weights_read_the_reports_own_magnitudes(self):
+        # the Perron weights solve rows 2..n of the report's own M: d_star is
+        # _chain_weights on the tail of the one magnitude array M is built
+        # from, to the bit
+        draw = np.random.default_rng(29)
+        for _ in range(200):
+            deg = int(draw.integers(2, 25))
+            scale = 10.0 ** draw.uniform(-2.0, 2.0, deg)
+            p = sr.make_polynomial(scale * (draw.normal(size=deg) + 1j * draw.normal(size=deg)))
+            rep = sr.zero_bound_report(p)
+            mags = np.abs(p.coefficients)
+            tail = mags[-2::-1].tolist()
+            m = sr.certificate_matrix(p)
+            lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
+            rho = polyzero._perron_root(float(m[0, 0]), tail, lo, hi)
+            assert rep.d_star.tobytes() == polyzero._chain_weights(tail, rho).tobytes()
+
     @pytest.mark.parametrize("corpus", ["benchmark-seed-7", "criterion-8"])
     def test_fields_equal_the_public_functions(self, corpus):
         # the report shares its magnitudes, M and eigensolve across fields,
