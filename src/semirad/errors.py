@@ -2,8 +2,7 @@
 
 Validation errors describe inputs that violate a documented precondition
 (bad shapes, non-PSD weights, operators outside the admissible class).
-``NumericalFailure`` is reserved for internal breakdowns: an iterative
-solver that did not converge or a result that failed its residual gate.
+``NumericalFailure`` is reserved for internal breakdowns.
 The CLI maps ``ValidationError`` to exit code 2 and ``NumericalFailure``
 to exit code 1.
 """
@@ -65,4 +64,5 @@ class NonPositiveWeight(ValidationError):
 
 
 class NumericalFailure(Exception):
-    """An internal numerical routine failed to meet its contract."""
+    """An internal numerical routine failed its contract: a LAPACK call did
+    not converge, or a result failed its residual or backward-error gate."""

@@ -161,14 +161,7 @@ def general_eig(m) -> np.ndarray:
     otherwise NumericalFailure.
     """
     mat = require_square(m)
-    return checked_eig(mat, spectral_norm(mat))
-
-
-def checked_eig(mat: np.ndarray, scale: float) -> np.ndarray:
-    """Eigenvalues of the square ``mat`` whose eigenpairs pass the residual
-    gate ||Mv - lambda v|| <= 1e-8 * scale, for scale = ||M||_2 (0 for a
-    zero M); otherwise NumericalFailure.  The caller supplies the norm,
-    from an SVD or from a closed form."""
+    scale = spectral_norm(mat)
     with lapack("eigenvalue iteration"):
         lam, vec = np.linalg.eig(mat)
     # in units of ||M||, so that squares of tiny residuals cannot underflow

@@ -8,11 +8,9 @@ alpha = (M d) / d for any weights d > 0 and one nonnegative matrix M
 built from |a_i|.  By Collatz-Wielandt its best value is the Perron root
 rho(M), reached at the Perron vector; both are computed directly.
 
-``zero_bound_report`` forms each quantity once: one array of coefficient
-magnitudes for the classical bounds, M and ||C_p||_2, one 2-norm of it,
-one certificate matrix, whose alphas at the Perron weights come from the
-search itself, and one companion eigensolve.  Its residual gate takes
-||C_p||_2 in closed form (``_companion_norm``), not from an SVD.
+``zero_bound_report`` forms each quantity once: one magnitude array, one
+certificate matrix (its alphas at the Perron weights come from the search
+itself) and one eigenvalue-only companion solve, gated on its top root.
 """
 
 from __future__ import annotations
@@ -22,8 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeZero, InvalidMatrix, NonPositiveWeight, WeightDimensionMismatch
-from .linalg import checked_eig
+from .errors import (
+    DegreeZero,
+    InvalidMatrix,
+    NonPositiveWeight,
+    NumericalFailure,
+    WeightDimensionMismatch,
+)
+from .linalg import lapack
+
+#: Backward-error tolerance of the reported root (see ``_top_modulus``).
+ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,7 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
         raise InvalidMatrix(
             "coefficients must be finite, also after dividing by the leading coefficient"
         )
-    return PolynomialSpec(
-        coefficients=arr, degree=int(arr.size), leading_coefficient=lead
-    )
+    return PolynomialSpec(coefficients=arr, degree=int(arr.size), leading_coefficient=lead)
 
 
 def validate_weights(d, degree: int) -> np.ndarray:
@@ -70,9 +75,7 @@ def validate_weights(d, degree: int) -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidMatrix(f"weights must form a 1-D sequence, got ndim={arr.ndim}")
     if arr.size != degree:
-        raise WeightDimensionMismatch(
-            f"{arr.size} weights for a degree-{degree} polynomial"
-        )
+        raise WeightDimensionMismatch(f"{arr.size} weights for a degree-{degree} polynomial")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise NonPositiveWeight("weights must be finite and strictly positive")
     return arr
@@ -84,8 +87,7 @@ def companion(p: PolynomialSpec) -> np.ndarray:
     n = p.degree
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[0, :] = -p.coefficients[::-1]
-    for i in range(n - 1):
-        mat[i + 1, i] = 1.0
+    np.fill_diagonal(mat[1:], 1.0)
     return mat
 
 
@@ -153,30 +155,37 @@ def bound_prk(p: PolynomialSpec, d) -> float:
 
 
 def max_root_modulus(p: PolynomialSpec) -> float:
-    """Largest zero modulus, via companion-matrix eigenvalues.  Their
-    residual gate is that of ``general_eig``, on ||C_p||_2 in closed form
-    (``_companion_norm``) instead of an SVD."""
-    scale = _companion_norm(np.abs(p.coefficients))
-    return float(np.max(np.abs(checked_eig(companion(p), scale))))
+    """Largest zero modulus: |z*| of the top companion eigenvalue, gated (``_top_modulus``)."""
+    return _top_modulus(p, np.abs(p.coefficients))
 
 
-def _companion_norm(mags: np.ndarray) -> float:
-    """||C_p||_2 from the magnitudes |a_0| .. |a_{n-1}|, without an SVD.
-
-    C_p* C_p = diag(1, ..., 1, 0) + r* r for the first row r of C_p, so
-    its top eigenvalue comes from a 2x2 block: with s = sum_{i>=1} |a_i|^2
-    and t = |a_0|^2, ||C_p||_2^2 = (1 + s + t + hypot(1 + s - t,
-    2 sqrt(s t))) / 2.  It is evaluated in units of c = max(1, max |a_i|),
-    where the ones become e = 1 / c^2 and no term exceeds n + 1, so no
-    square overflows, and whatever underflows is negligible against e or
-    against the largest magnitude.  Degree 1: |a_0|.
+def _top_modulus(p: PolynomialSpec, mags: np.ndarray) -> float:
+    """|z*| for the companion eigenvalue z* of largest modulus, once its
+    backward error passes |p(z*)| <= ROOT_TOL * sum_{i=0..n} |a_i| |z*|^i
+    (a_n = 1), else NumericalFailure.  Every other computed root has
+    modulus <= |z*|, so no root the gate skips can exceed the reported
+    one; no accuracy beyond the conditioning of z* is certified.  One
+    Horner pass forms both sums, in z* where |z*| <= 1 and in w = 1/z*
+    elsewhere (p(z) / z^n = sum a_i w^(n-i)), in units of a power of two at
+    max(1, max |a_i|): neither overflows, so no ``inf`` lets a root pass.
     """
-    if mags.size == 1:
-        return float(mags[0])
-    c = max(1.0, float(np.max(mags)))
-    sq = (mags / c) ** 2
-    s, t, e = float(np.sum(sq[1:])), float(sq[0]), (1.0 / c) * (1.0 / c)
-    return c * math.sqrt(0.5 * (e + s + t + math.hypot(e + s - t, 2.0 * math.sqrt(s * t))))
+    with lapack("eigenvalue iteration"):
+        lam = np.linalg.eigvals(companion(p))
+    moduli = np.abs(lam)
+    z, r = complex(lam[np.argmax(moduli)]), float(np.max(moduli))
+    unit = math.ldexp(1.0, math.frexp(max(1.0, float(np.max(mags))))[1] - 1)
+    coeffs = (np.append(p.coefficients, 1.0) / unit).tolist()
+    x = 1.0 / z if r > 1.0 else z
+    num, den, size = 0.0, 0.0, abs(x)
+    for a in coeffs if r > 1.0 else coeffs[::-1]:
+        num, den = num * x + a, den * size + abs(a)
+    if not abs(num) <= ROOT_TOL * den:
+        eta = abs(num) / den if den else math.inf
+        raise NumericalFailure(
+            f"largest root z* = {z:.17g} fails the residual gate: backward error "
+            f"{eta:.3e} exceeds ROOT_TOL = {ROOT_TOL:.0e}"
+        )
+    return r
 
 
 def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
@@ -310,11 +319,9 @@ class ZeroBoundReport:
 
 def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
     """Evaluate every bound, with the Perron weights unless d is supplied.
-
-    Every quantity is formed once (see the module docstring), by the
+    Each quantity is formed once (see the module docstring), by the
     expressions of the public functions, so each field equals theirs to
-    the bit.
-    """
+    the bit; a root that fails its gate raises, as in ``max_root_modulus``."""
     mags = np.abs(p.coefficients)
     if d is None:
         d_star, alpha_vals = _perron_weights(mags, _certificate(mags))
@@ -322,7 +329,6 @@ def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
         d_star = validate_weights(d, p.degree)
         alpha_vals = _certificate(mags) @ d_star / d_star
     norm = _norm(mags)
-    lam = checked_eig(companion(p), _companion_norm(mags))
     return ZeroBoundReport(
         r_c=1.0 + float(np.max(mags)),
         r_cm=math.hypot(1.0, norm),
@@ -330,5 +336,5 @@ def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
         r_prk=float(np.max(alpha_vals)),
         d_star=d_star,
         alphas=alpha_vals,
-        max_root_modulus=float(np.max(np.abs(lam))),
+        max_root_modulus=_top_modulus(p, mags),
     )

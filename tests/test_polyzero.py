@@ -1,16 +1,17 @@
 import importlib.util
+import json
 import math
 import warnings
-from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
 from semirad import polyzero
+from semirad.cli import main
 
 # running example: p(z) = z^5 + 3z^2 + z/100 + 1/10
 EXAMPLE = [0.1, 0.01, 3.0, 0.0, 0.0]
@@ -494,7 +495,7 @@ class TestReport:
 
     @pytest.mark.parametrize("d", [None, EXAMPLE_WEIGHTS], ids=["perron", "given"])
     def test_one_certificate_one_eigensolve_no_svd(self, monkeypatch, d):
-        calls = {"certificate": 0, "eig": 0, "svd": 0}
+        calls = {"certificate": 0, "eigvals": 0, "eig": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -504,10 +505,10 @@ class TestReport:
             return wrapper
 
         monkeypatch.setattr(polyzero, "_certificate", counted("certificate", polyzero._certificate))
-        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for name in ("eigvals", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         sr.zero_bound_report(sr.make_polynomial(EXAMPLE), d=d)
-        assert calls == {"certificate": 1, "eig": 1, "svd": 0}
+        assert calls == {"certificate": 1, "eigvals": 1, "eig": 0, "svd": 0}
 
     def test_weights_read_the_reports_own_magnitudes(self):
         # the Perron weights solve rows 2..n of the report's own M: d_star is
@@ -550,63 +551,105 @@ class TestReport:
                 assert rep.max_root_modulus == sr.max_root_modulus(p)
 
 
-def formula_norm(mags) -> float:
-    """||C_p||_2 from the 2x2 block of C_p* C_p, in 40-digit arithmetic."""
-    if len(mags) == 1:
-        return float(mags[0])
-    with localcontext() as ctx:
-        ctx.prec = 40
-        sq = [Decimal(float(m)) ** 2 for m in mags]
-        s, t = sum(sq[1:]), sq[0]
-        return float(((1 + s + t + ((1 + s - t) ** 2 + 4 * s * t).sqrt()) / 2).sqrt())
+def patch_eigvals(monkeypatch, change):
+    """Make ``np.linalg.eigvals`` return change(lam) for the true eigenvalues."""
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: change(eigvals(mat)))
+
+
+def with_root(lam, index, value):
+    out = lam.copy()
+    out[index] = value
+    return out
 
 
 class TestCompanionNorm:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        exponents=st.lists(st.floats(min_value=-150.0, max_value=150.0), min_size=1, max_size=40),
-        zeros=st.sampled_from(["none", "a_0", "all"]),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    # the SVD is 23 eps off here (7.7 n eps), the closed form 0
-    @example(exponents=[-7.3, -7.0, -7.0], zeros="none", seed=11)
-    def test_closed_form_matches_the_svd(self, exponents, zeros, seed):
-        n = len(exponents)
-        phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n))
-        coeffs = 10.0 ** np.asarray(exponents) * phases
-        if zeros != "none":
-            coeffs[: 1 if zeros == "a_0" else n] = 0.0
-        p = sr.make_polynomial(coeffs)
-        mags = np.abs(p.coefficients)
-        got = polyzero._companion_norm(mags)
-        ref = sr.spectral_norm(sr.companion(p))
-        eps = np.finfo(np.float64).eps
-        assert math.isfinite(got) == math.isfinite(ref)
-        # the evaluation in units of max(1, max |a_i|) loses no accuracy at
-        # any scale ...
-        assert got == pytest.approx(formula_norm(mags), rel=4 * eps, abs=0)
-        # ... and the formula is the SVD's norm; near a pure shift (every
-        # |a_i| about 1e-8) LAPACK's own error reaches 16 n eps against a
-        # 40-digit SVD, where the closed form stays within 1 eps of it
-        assert got == pytest.approx(ref, rel=32 * n * eps, abs=0)
-
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_max_root_modulus_rejects_bad_pair_at_any_scale(self, monkeypatch, scale):
-        # one eigenvalue moved by 1e-6 ||C_p|| fails the gate of 1e-8 ||C_p||
-        # and one moved by 1e-10 ||C_p|| passes it, whatever the scale
+        # the largest eigenvalue moved by 1e-6 of its modulus fails the gate
+        # on its backward error, and one moved by 1e-12 passes, at any scale
         p = sr.make_polynomial(scale * np.array([2.0, 0.7j, 1.5, -1.0]))
-        eig = np.linalg.eig
         moved = []
 
-        def corrupted(mat):
-            lam, vec = eig(mat)
-            return lam + moved[0] * np.linalg.norm(mat, 2) * (np.arange(lam.size) == 0), vec
+        def move_top(lam):
+            top = np.argmax(np.abs(lam))
+            return with_root(lam, top, lam[top] * (1.0 + moved[0]))
 
-        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        patch_eigvals(monkeypatch, move_top)
         moved.append(1e-6)
-        with pytest.raises(sr.NumericalFailure, match="residual"):
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
             sr.max_root_modulus(p)
-        with pytest.raises(sr.NumericalFailure, match="residual"):
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
             sr.zero_bound_report(p)
-        moved[0] = 1e-10
+        moved[0] = 1e-12
         assert math.isfinite(sr.max_root_modulus(p))
+
+
+# p = z^5 + 10^k (0.3, -1.2 + 0.5i, 2, 0.7i, 1.5): well posed at every k,
+# and its largest zero modulus from a 60-digit mpmath solve of these
+# float coefficients, rounded to the nearest float
+FAMILY_BASE = np.array([0.3, -1.2 + 0.5j, 2.0, 0.7j, 1.5])
+FAMILY_MODULI = {
+    20: "0x1.043561a882930p+67",
+    50: "0x1.9a896283d96e7p+166",
+    100: "0x1.b6e83b85f253cp+332",
+    150: "0x1.d53cfc578e206p+498",
+    250: "0x1.0c2aac09afd83p+831",
+    -150: "0x1.fe2529cbf7a48p-101",
+}
+
+
+class TestRootGate:
+    @pytest.mark.parametrize("spoiled", [0.9, 2.0])
+    def test_skipped_roots_cannot_exceed_the_reported_one(self, monkeypatch, spoiled):
+        # the gate checks the largest root only: the smallest one spoiled to
+        # 0.9 |z*| changes no bit, and one pushed to 2 |z*| is reported and
+        # fails the gate
+        p = sr.make_polynomial(EXAMPLE)
+        before = sr.zero_bound_report(p).max_root_modulus
+        lam = np.linalg.eigvals(sr.companion(p))
+        small = int(np.argmin(np.abs(lam)))
+        value = spoiled * before * lam[small] / abs(lam[small])
+        patch_eigvals(monkeypatch, lambda lam: with_root(lam, small, value))
+        if spoiled < 1.0:
+            assert sr.max_root_modulus(p).hex() == before.hex()
+            assert sr.zero_bound_report(p).max_root_modulus.hex() == before.hex()
+            return
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
+            sr.max_root_modulus(p)
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
+            sr.zero_bound_report(p)
+
+    @pytest.mark.parametrize(
+        "coeffs, change",
+        [
+            # 1e308 (0.5, 0.5, 0.5): the top root, -5e307, moved by 1e-6 of
+            # its modulus
+            ([5e307] * 3, lambda lam: np.where(np.abs(lam) > 1e300, lam * (1.0 + 1e-6), lam)),
+            # a false top root on the unit circle, where sum |a_i| |z|^i and
+            # p(z) both overflow unless they are scaled down
+            ([1e308] * 3, lambda lam: np.array([1.0, 0.5, -0.5], dtype=complex)),
+        ],
+        ids=["moved", "false"],
+    )
+    def test_gate_holds_at_the_float_limit(self, monkeypatch, coeffs, change):
+        p = sr.make_polynomial(coeffs)
+        assert math.isfinite(sr.max_root_modulus(p))
+        patch_eigvals(monkeypatch, change)
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
+            sr.max_root_modulus(p)
+
+    @pytest.mark.parametrize("k", sorted(FAMILY_MODULI))
+    def test_large_and_small_coefficients(self, k, tmp_path, capsys):
+        # the gate on every eigenpair rejected k = 20 to 150; the zeros
+        # command now reports the same modulus as the library
+        coeffs = 10.0**k * FAMILY_BASE
+        got = sr.max_root_modulus(sr.make_polynomial(coeffs))
+        ref = float.fromhex(FAMILY_MODULI[k])
+        # k = -150 has five roots of one modulus, which LAPACK returns up to
+        # 18 units in the last place apart; its largest lies 3 above
+        assert abs(got - ref) <= (2 if k > 0 else 5 * 5) * math.ulp(ref)
+        job = tmp_path / "poly.json"
+        job.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs.tolist()]}))
+        assert main(["--command", "zeros", "--input", str(job), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_root_modulus"] == got
