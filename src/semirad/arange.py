@@ -85,12 +85,6 @@ class RangeEstimate:
     degenerate: bool = False
 
 
-def _picture(op: SemiOperator) -> tuple:
-    """(theta, h, boundary, outer, gap) of the picture of *op*, one entry
-    per angle or per cell, in angle order."""
-    return operator_cells(op).outline()
-
-
 def estimate_range(op: SemiOperator) -> RangeEstimate:
     """Radius, Crawford number, and the inner and outer polygons."""
     if op.compressed.shape[0] == 0:
@@ -99,7 +93,7 @@ def estimate_range(op: SemiOperator) -> RangeEstimate:
         return RangeEstimate(
             radius=0.0, crawford=0.0, boundary=empty, outer=empty, degenerate=True
         )
-    _, _, boundary, outer, _ = _picture(op)
+    _, _, boundary, outer, _ = operator_cells(op).outline()
     return RangeEstimate(
         radius=a_numerical_radius(op),
         crawford=a_crawford(op),
@@ -195,7 +189,7 @@ def spectral_inclusion_check(op: SemiOperator) -> InclusionReport:
             f"(rank {op.context.rank} < dimension {op.context.dim})"
         )
     eigenvalues = general_eig(op.matrix)
-    theta, h = _picture(op)[:2]
+    theta, h = operator_cells(op).outline()[:2]
     excess = (np.exp(-1j * theta) * eigenvalues[:, None]).real - h
     worst = max(0.0, float(np.max(excess)))
     radius = a_numerical_radius(op)

@@ -52,13 +52,12 @@ CHUNK_ENTRIES = 2**16
 # a midpoint, a rotation by pi/2 and the test for an angle already seen are
 # exact.  The cells start from _START support lines per quarter turn (32 in
 # all: 16 parts of the half turn).  A pruned search splits every open cell
-# in each round and refines at most one new segment per round, in at most
-# _ROUNDS rounds, after which it refines every segment that may hold the
-# optimum, however many.
+# in each round and refines at most one new segment per round, until no
+# cell is open or no split adds an angle: a cell one unit wide has no new
+# point, so every search ends.
 _QUARTER = 2**30
 _UNIT = 0.5 * np.pi / _QUARTER
 _START = 8
-_ROUNDS = 16
 _EPS = np.finfo(np.float64).eps
 
 
@@ -307,68 +306,32 @@ def _chord_bound(geometry, h: np.ndarray) -> np.ndarray:
     return floor(theta, width, [np.stack((p, p_next), axis=1)])
 
 
-def _valleys(value: list, sign: list) -> list[int]:
-    """Positions of the valleys of a sequence of points: the least point
-    from each falling one (*sign* -1) to the next rising one (+1), which
-    parts two peaks."""
+def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
+    """The segments of a pruned search for the max of *value* over a
+    cyclic view of n points: its valleys, the least point from each falling
+    one (*slope* below -*slack*) to the next rising one (above *slack*), cut
+    the whole turn into segments of one peak each, as far as its points can
+    tell, the highest best point first.  Each is (best point, first
+    point, last point), the first and last the same when one segment runs
+    around the whole turn.  The points are few, so this runs on lists."""
+    n = len(value)
+    best = int(np.argmax(value))
+    # from the best point, which no valley holds: the valleys lie on one
+    # turn, and the last segment runs on into the next
+    value = value.tolist()
+    value = (value[best:] + value[:best]) * 2 + value[best : best + 1]
+    sign = ((slope > slack).astype(int) - (slope < -slack)).tolist()
+    sign = sign[best:] + sign[: best + 1]
     moving = [i for i, s in enumerate(sign) if s]
-    return [
+    cuts = [
         min(range(i, j + 1), key=value.__getitem__)
         for i, j in zip(moving, moving[1:])
         if sign[i] < 0 < sign[j]
-    ]
-
-
-def _segments(value, slope, excess, slack) -> list[tuple[int, int, int, bool]]:
-    """The segments of a pruned search for the max of *value* over a
-    cyclic view of n points.
-
-    A cell, running from its point to the next, is open while *excess*
-    (its bound of *value* less the best value) is above *slack*, and so
-    are the two cells next to the best point.  Each run of consecutive
-    open cells may hold the max; its valleys (:func:`_valleys`) cut it into
-    segments of one peak each, as far as its points can tell; each is
-    (best point, first point, last point, ready), the first and last the
-    same around the whole turn.  A segment is ready when *slope* rises into
-    its best point and falls after it at every point inside it (by more
-    than *slack*).  The points are few, so this runs on lists.
-    """
-    n = len(value)
-    opened = (excess > slack).tolist()
-    best = int(np.argmax(value))
-    opened[best] = opened[best - 1] = True
-    value = value.tolist()
-    sign = ((slope > slack).astype(int) - (slope < -slack)).tolist()
-    if all(opened):
-        # one run around the whole turn, from and back to the best point
-        runs = [(best, best + n)]
-    else:
-        # cell i runs from point i to i + 1; scan from a shut cell round
-        runs, first = [], None
-        shut = opened.index(False)
-        for i in range(shut + 1, shut + n + 1):
-            if opened[i % n]:
-                first = i if first is None else first
-            elif first is not None:
-                runs.append((first, i))
-                first = None
-    segments = []
-    for a, b in runs:
-        points = [i % n for i in range(a, b + 1)]
-        cuts = _valleys([value[i] for i in points], [sign[i] for i in points])
-        if b - a == n:
-            # around the whole turn, the segments run from valley to valley
-            cuts = [i for i in cuts if 0 < i < n]
-            ends = [*cuts, cuts[0] + n] if cuts else [0, n]
-        else:
-            ends = [0, *cuts, b - a]
-        for i, j in zip(ends[:-1], ends[1:]):
-            run = [(a + m) % n for m in range(i, j + 1)]
-            top = max(range(len(run)), key=lambda m: value[run[m]])
-            g = [sign[p] for p in run]
-            ready = -1 not in g[1:top] and 1 not in g[top + 1 : -1]
-            segments.append((run[top], run[0], run[-1], ready))
-    return segments
+    ] or [0]
+    ends = [*cuts, cuts[0] + n]
+    tops = [max(range(i, j + 1), key=value.__getitem__) for i, j in zip(ends, ends[1:])]
+    segments = sorted(zip(tops, ends, ends[1:]), key=lambda seg: -value[seg[0]])
+    return [((best + p) % n, (best + i) % n, (best + j) % n) for p, i, j in segments]
 
 
 def optimize(
@@ -383,37 +346,35 @@ def optimize(
     cell (the cell from a point to the next), where to split each cell, and
     which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
     and the models of the branches of -f, for :func:`scan.refine`.  The
-    result starts at the best point.  Each round cuts the open cells into
+    result starts at the best point.  Each round cuts the view into
     segments (:func:`_segments`) and refines one new segment, the most
-    promising ready one that holds no refined optimum yet, from its best
-    point within its bracket.  Then every cell whose bound beats the best
-    value is split: by more than the rounding of f outside the segments
-    that hold a refined optimum, and inside them while the cell is coarser
-    than the picture or its bound beats the value by more than twice RTOL
-    times the reach, the most a bound at the picture's resolution
-    overshoots one smooth optimum (the outer vertex lies within the
-    picture's gap of the range, and the H_phi floor within sqrt(2) gaps of
-    its objective).  Around a refined optimum the cells thus reach the
-    picture's resolution, so a second peak hidden in its segment shows as
-    a valley or as a farther support point.  The search ends once no cell
-    beats the best value.  After _ROUNDS rounds every segment is refined,
-    ready or not, and a bound that still beats the result is reported by a
-    RuntimeWarning.
+    promising one whose bound beats the best value and that holds no
+    refined optimum yet, from its best point within its bracket.  Then
+    every cell whose bound beats the best value is split: by more than the
+    rounding of f outside the segments that hold a refined optimum, and
+    inside them while the cell is coarser than the picture or its bound
+    beats the value by more than twice RTOL times the reach, the most a
+    bound at the picture's resolution overshoots one smooth optimum (the
+    outer vertex lies within the picture's gap of the range, and the H_phi
+    floor within sqrt(2) gaps of its objective).  Around a refined optimum
+    the cells thus reach the picture's resolution, so a second peak hidden
+    in its segment shows as a valley or as a farther support point.  The
+    search ends once no cell's bound beats the best value by more than its
+    tolerance, or, with a RuntimeWarning, once no split adds an angle.
     """
     reach = cells.reach * cells.unit
     slack = cells.rounding * cells.unit
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
-    for rounds in range(_ROUNDS + 1):
+    while True:
         theta, value, slope, bound, names, coarse = survey(*cells.view(base))
         top = int(np.argmax(value))
         best = max(best, (float(value[top]), float(theta[top])))
-        segments = _segments(value, slope, bound - best[0], slack)
         n = len(value)
         tol = np.full(n, slack)
         fresh = True  # no segment refined yet in this round
         # the most promising first
-        for top, a, b, ready in sorted(segments, key=lambda seg: -value[seg[0]]):
+        for top, a, b in _segments(value, slope, slack):
             inside = (a + np.arange((b - a) % n or n)) % n
             below = (theta[top] - theta[a]) % period
             above = period - below if a == b else (theta[b] - theta[top]) % period
@@ -422,9 +383,7 @@ def optimize(
             t = float(theta[top])
             held = any((u - t + below) % period <= below + above for u in refined)
             if not held:
-                if np.max(bound[inside]) - best[0] <= slack:
-                    continue
-                if not (fresh and ready) and rounds < _ROUNDS:
+                if not fresh or np.max(bound[inside]) - best[0] <= slack:
                     continue
                 fresh = False
                 t, v = refine(evaluate, t, t - below, t + above)
@@ -435,18 +394,17 @@ def optimize(
         split = np.flatnonzero(over > tol)
         if not split.size:
             break
-        if rounds == _ROUNDS:
+        grown = cells.extend(base, names[split])
+        if len(grown) == len(base):
             warnings.warn(
-                f"the pruned search stopped after {_ROUNDS} rounds with a "
-                f"cell bound {np.max(over):.3e} beyond its result "
-                f"{best[0]:.17g}, which may miss the optimum",
+                f"the pruned search stopped, as no split adds an angle, with a "
+                f"cell bound {np.max(over):.3e} beyond its result {best[0]:.17g}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             break
-        base = cells.extend(base, names[split])
-    v, t = best
-    return t, v, base
+        base = grown
+    return best[1], best[0], base
 
 
 def _extremum(

@@ -165,20 +165,26 @@ def _top_modulus(p: PolynomialSpec, mags: np.ndarray) -> float:
     (a_n = 1), else NumericalFailure.  Every other computed root has
     modulus <= |z*|, so no root the gate skips can exceed the reported
     one; no accuracy beyond the conditioning of z* is certified.  One
-    Horner pass forms both sums, in z* where |z*| <= 1 and in w = 1/z*
-    elsewhere (p(z) / z^n = sum a_i w^(n-i)), in units of a power of two at
-    max(1, max |a_i|): neither overflows, so no ``inf`` lets a root pass.
+    Horner pass forms both sums in x = z* / 2^k, with 2^k the power of two
+    that puts |x| in [1/2, 1), and with each a_i 2^(k i) in units of
+    2^top, the power of two at the largest of them: every term is below 1
+    and the largest is at least 2^-(n+1), so neither sum overflows, nor
+    does the gate pass a root whose terms all underflow; only an exact
+    root 0 has a zero sum.
     """
     with lapack("eigenvalue iteration"):
         lam = np.linalg.eigvals(companion(p))
     moduli = np.abs(lam)
     z, r = complex(lam[np.argmax(moduli)]), float(np.max(moduli))
-    unit = math.ldexp(1.0, math.frexp(max(1.0, float(np.max(mags))))[1] - 1)
-    coeffs = (np.append(p.coefficients, 1.0) / unit).tolist()
-    x = 1.0 / z if r > 1.0 else z
+    k = math.frexp(r)[1]
+    coeffs = [*p.coefficients.tolist(), 1.0]
+    top = max(math.frexp(m)[1] + k * i for i, m in enumerate([*mags.tolist(), 1.0]) if m)
+    x = complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
     num, den, size = 0.0, 0.0, abs(x)
-    for a in coeffs if r > 1.0 else coeffs[::-1]:
-        num, den = num * x + a, den * size + abs(a)
+    for i in range(p.degree, -1, -1):
+        a, shift = coeffs[i], k * i - top
+        c = complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))
+        num, den = num * x + c, den * size + abs(c)
     if not abs(num) <= ROOT_TOL * den:
         eta = abs(num) / den if den else math.inf
         raise NumericalFailure(

@@ -15,12 +15,13 @@ C x and C* x, so no stack of derivatives is formed.  Over a stack of
 angles, the same call, told to skip the curvature, gives the
 support-line cells of :mod:`semirad.cells` their values and slopes
 alone; only the steps of :func:`refine` read curvature.
-The callers prune those cells first, into segments of cells whose bound
-beats the best angle, each holding one peak as far as its points tell,
-and hand the best angle of the most promising segment and its bracket to
-:func:`refine`, the one refinement, which maximizes a function f of the
-branches, so unimodality only has to hold inside a segment; the callers
-then check the refined value against every cell's bound.  Each step
+The callers cut those cells at their valleys into segments, each
+holding one peak as far as its points tell, and hand the best angle of
+the most promising segment whose bound beats the best value, and its
+bracket from valley to valley, to :func:`refine`, the one refinement,
+which maximizes a function f of the branches, so unimodality only has
+to hold inside a segment; the callers then check the refined value
+against every cell's bound.  Each step
 minimizes the model of -f, the sum over parts of the max over branches
 of their quadratics, inside a bracket that the sign of the slope
 shrinks; where that minimizer is not strictly inside the bracket, or the

@@ -206,7 +206,7 @@ def test_half_turn_spectra_give_the_whole_support_function(n):
     rng = np.random.default_rng(n)
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op = sr.make_operator(sr.identity_context(n), c)
-    theta, h = arange._picture(op)[:2]
+    theta, h = cells.operator_cells(op).outline()[:2]
     assert np.all(np.diff(theta) > 0) and theta[0] == 0.0 and theta[-1] < 2 * np.pi
     assert np.all(theta[len(theta) // 2 :] >= np.pi)
     direct = np.linalg.eigvalsh(scan._rotated(c, theta))[:, -1]
@@ -243,7 +243,7 @@ def test_estimate_range_is_one_half_turn_eigh(rng, monkeypatch):
     calls = record_batched_solves(monkeypatch)
     est = sr.estimate_range(op)
     assert {name for name, _ in calls} == {"eigh"}
-    theta, h, boundary, outer, gap = arange._picture(op)
+    theta, h, boundary, outer, gap = cells.operator_cells(op).outline()
     assert np.array_equal(est.boundary, boundary) and np.array_equal(est.outer, outer)
     assert len(boundary) == len(outer) >= 32
     c, w = op.compressed, est.radius
@@ -409,7 +409,7 @@ def test_boundary_points_are_support_points(case):
     op = sr.make_operator(sr.make_context(a), t)
     est = sr.estimate_range(op)
     p, w = est.boundary, est.radius
-    theta, h, _, outer, gap = arange._picture(op)
+    theta, h, _, outer, gap = cells.operator_cells(op).outline()
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(outer))
     # on the support line of its angle, and inside the disk of radius w
     on_line = (np.exp(-1j * theta) * p).real
@@ -424,7 +424,7 @@ def test_picture_of_a_regular_pentagon_closes_each_edge_at_once(monkeypatch):
     z = np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
     op = sr.make_operator(sr.identity_context(5), np.diag(z))
     calls = record_batched_solves(monkeypatch)
-    _, h, _, _, gap = arange._picture(op)
+    _, h, _, _, gap = cells.operator_cells(op).outline()
     assert sum(shape[0] for kind, shape in calls if kind == "eigh") <= 32
     assert np.max(gap) <= cells.RTOL * np.max(h)
 
@@ -454,7 +454,7 @@ def test_boundary_points_match_eigenvectors(rng):
         op = sr.make_operator(ctx, scale * t)
         est = sr.estimate_range(op)
         c = op.compressed
-        theta = arange._picture(op)[0]
+        theta = cells.operator_cells(op).outline()[0]
         x = np.linalg.eigh(scan._rotated(c, theta))[1][:, :, -1]
         ref = np.einsum("bi,bi->b", x.conj(), x @ c.T)
         ok = separated(c, theta, est.radius)
@@ -534,7 +534,7 @@ def test_scans_run_in_bounded_chunks(rng, monkeypatch):
         ops = [sr.make_operator(ctx, b) for b in blocks]
         est = sr.estimate_range(ops[0])
         return (
-            arange._picture(ops[0])[1],
+            cells.operator_cells(ops[0]).outline()[1],
             est.boundary,
             est.outer,
             est.radius,
@@ -781,7 +781,7 @@ def test_pruning_refines_every_peak_that_may_hold_the_max():
     moduli = 1.0 + 1e-7 * np.arange(8)
     moduli[5] = 1.0 + 1e-6
     op = normal_operator(moduli * np.exp(1j * angles), seed=8)
-    theta, h = arange._picture(op)[:2]
+    theta, h = cells.operator_cells(op).outline()[:2]
     nearest = np.argmin(np.abs(np.angle(np.exp(1j * (theta[:, None] - angles)))), axis=1)
     best = np.array([np.max(h[nearest == j]) for j in range(8)])
     assert np.all(np.delete(best, 5) > best[5])
@@ -935,7 +935,7 @@ def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
     sr.a_numerical_radius(operator())
     radius = sum(parts)
     parts.clear()
-    arange._picture(operator())
+    cells.operator_cells(operator()).outline()
     assert 0 < radius < sum(parts)
 
 

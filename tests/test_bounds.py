@@ -475,13 +475,13 @@ def test_hphi_bound_is_the_global_minimum(make):
     assert upper >= sr.a_numerical_radius(op) * (1 - 1e-14)
 
 
-def test_search_out_of_rounds_refines_every_segment_and_warns(monkeypatch):
-    # with no bisection round left, the first round refines every segment,
-    # ready or not; a cell bound that still beats the result is reported,
-    # and the result is the objective at the angle returned
-    monkeypatch.setattr(cells, "_ROUNDS", 0)
+def test_search_whose_splits_add_no_angle_warns(monkeypatch):
+    # when no split adds an angle, the search ends on the cells it has; a
+    # cell bound that still beats the result is reported, and the result
+    # is the objective at the angle returned
+    monkeypatch.setattr(cells.Cells, "extend", lambda self, base, names: base)
     op = HPHI_CASES["two_minima"](None)
-    with pytest.warns(RuntimeWarning, match="pruned search stopped after 0 rounds"):
+    with pytest.warns(RuntimeWarning, match="no split adds an angle"):
         upper, phi = sr.upper_bound_hphi(op)
     objective = hphi_objective(op.compressed)
     assert upper == pytest.approx(objective(np.array([phi]))[0], rel=1e-14)

@@ -80,7 +80,7 @@ def weighted_quantities(a, t):
     est = sr.estimate_range(op)
     out = {"radius": sr.a_numerical_radius(op), "crawford": sr.a_crawford(op)}
     out.update(vars(sr.bound_report(op)))
-    out["theta"] = sr.arange._picture(op)[0]
+    out["theta"] = sr.cells.operator_cells(op).outline()[0]
     out["boundary"], out["outer"] = est.boundary, est.outer
     return op, out
 

@@ -639,6 +639,23 @@ class TestRootGate:
         with pytest.raises(sr.NumericalFailure, match="backward error"):
             sr.max_root_modulus(p)
 
+    @pytest.mark.parametrize(
+        "coeffs, top, factor",
+        [([0.0, 1e-300], 1e-300, 2.0), ([0.0, 0.0, 1e-120], 1e-120, 1.5)],
+        ids=["1e-300", "1e-120"],
+    )
+    def test_gate_holds_where_every_term_underflows(
+        self, monkeypatch, coeffs, top, factor
+    ):
+        # z^2 + 1e-300 z and z^3 + 1e-120 z^2: in units of the coefficients,
+        # every term at the top root underflows, so 0 <= 0 would pass any
+        # root; in units at |z*| the gate still rejects a moved one
+        p = sr.make_polynomial(coeffs)
+        assert sr.max_root_modulus(p) == top
+        patch_eigvals(monkeypatch, lambda lam: np.where(np.abs(lam) > 0, lam * factor, lam))
+        with pytest.raises(sr.NumericalFailure, match="backward error"):
+            sr.max_root_modulus(p)
+
     @pytest.mark.parametrize("k", sorted(FAMILY_MODULI))
     def test_large_and_small_coefficients(self, k, tmp_path, capsys):
         # the gate on every eigenpair rejected k = 20 to 150; the zeros
