@@ -27,12 +27,16 @@ Every eigensolve is one call of :func:`scan.branches`: the cells' stacks
 through :func:`Cells.support` alone, and each refinement step of the
 pruned search (:func:`optimize`).  Every batched eigensolve runs in
 chunks of at most CHUNK_ENTRIES matrix entries, so its memory does not
-grow with the number of angles.
+grow with the number of angles.  A round merges the new values into the
+cells once and reads its view in one pass (:func:`_geometry`): the
+support points, the chords, the spans and the outer vertices, each
+computed once, which the gaps, the split angles and the bounds all read.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from functools import cached_property, reduce
 
 import numpy as np
@@ -59,6 +63,8 @@ _QUARTER = 2**30
 _UNIT = 0.5 * np.pi / _QUARTER
 _START = 8
 _EPS = np.finfo(np.float64).eps
+_ORBIT = _QUARTER * np.arange(4)[:, None]
+_SIGNS = np.array([1.0, -1.0])  # the top branch, and minus the bottom one
 
 
 def chunks(m: int, k: int, copies: int = 1) -> list[slice]:
@@ -89,7 +95,7 @@ class Cells:
         self.c = c
         self.unit = unit(float(np.max(np.abs(c))))
         self.base = np.zeros(0, dtype=np.int64)
-        self.h = self.dh = np.zeros((0, 4))
+        self.lines = np.zeros((2, 4, 0))  # (h, h') per quarter turn and base angle
         self.start = np.arange(_START, dtype=np.int64) * (_QUARTER // _START)
         self.evaluate(self.start)
 
@@ -110,7 +116,7 @@ class Cells:
         holds the range, so that it bounds the radius: the scale of every
         later decision, in units of ``unit``, the same whatever else has
         been grown."""
-        return float(np.max(np.abs(_geometry(*self.view(self.start))[4])))
+        return float(np.max(np.abs(_geometry(*self.view(self.start)).vertex)))
 
     @cached_property
     def rounding(self) -> float:
@@ -118,7 +124,7 @@ class Cells:
         eigh, carried over by Weyl's inequality."""
         return 4.0 * self.c.shape[0] * _EPS * self.reach
 
-    def support(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def support(self, angles: np.ndarray) -> np.ndarray:
         """(h, h') at *angles* (column 0) and at *angles* + pi (column 1),
         in units of ``unit``: the top branch of each part and minus its
         bottom one, value and slope only, in stacked eigh calls of at most
@@ -128,29 +134,27 @@ class Cells:
             branches(self.c, angles[s], [0, -1], self.unit, curvature=False)[1]
             for s in chunks(len(angles), self.c.shape[0], copies=2)
         ]
-        return tuple(r[:, ::-1] * [1.0, -1.0] for r in np.concatenate(q, axis=1))
+        q = q[0] if len(q) == 1 else np.concatenate(q, axis=1)
+        return q[:, :, ::-1] * _SIGNS
 
     def evaluate(self, base: np.ndarray) -> None:
         """One round: the parts at the new base angles and a quarter turn
-        on, in one call of :func:`Cells.support`."""
+        on, in one call of :func:`Cells.support`, merged into the lines
+        once."""
         n = len(base)
+        q = self.support(np.concatenate((base, base + _QUARTER)) * _UNIT)
         # top branch at base, base + pi/2; bottom at base + pi, base + 3 pi/2
-        h, dh = (
-            np.concatenate((r[:n, :1], r[n:, :1], r[:n, 1:], r[n:, 1:]), axis=1)
-            for r in self.support(np.concatenate((base, base + _QUARTER)) * _UNIT)
-        )
+        lines = q.reshape(2, 2, n, 2).transpose(0, 3, 1, 2).reshape(2, 4, n)
         merged = np.concatenate((self.base, base))
         order = merged.argsort(kind="stable")
         self.base = merged[order]
-        self.h = np.concatenate((self.h, h))[order]
-        self.dh = np.concatenate((self.dh, dh))[order]
+        self.lines = np.concatenate((self.lines, lines), axis=2)[:, :, order]
 
     def view(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index, h, h') over the whole turn, in angle order, for the
         sorted base angles *base*; the angle is index * _UNIT."""
-        i = np.searchsorted(self.base, base)
-        index = (base + _QUARTER * np.arange(4)[:, None]).ravel()
-        return index, self.h[i].T.ravel(), self.dh[i].T.ravel()
+        h, dh = self.lines[:, :, np.searchsorted(self.base, base)].reshape(2, -1)
+        return (base + _ORBIT).ravel(), h, dh
 
     def extend(self, base: np.ndarray, names: np.ndarray) -> np.ndarray:
         """*base* with the base angles of *names* (any angles, taken modulo
@@ -167,15 +171,15 @@ class Cells:
     def axes(self) -> np.ndarray:
         """h at 0, pi/2, pi and 3 pi/2, in the units of C: lambda_max of
         Re C and Im C, then -lambda_min of each."""
-        return self.h[0] * self.unit  # base angle 0 comes first
+        return self.lines[0, :, 0] * self.unit  # base angle 0 comes first
 
     def outline(self) -> tuple:
         """(theta, h, boundary, outer, gap) of the picture, in the units of
         C: one entry per angle or per cell, in angle order."""
         index, h, dh = self.view(self.picture)
-        _, _, p, p_next, vertex = _geometry(index, h, dh)
+        g = _geometry(index, h, dh)
         s = self.unit
-        return index * _UNIT, h * s, p * s, vertex * s, _gap(p, p_next, vertex) * s
+        return g.theta, h * s, g.p * s, g.vertex * s, _gap(g) * s
 
 
 def _member(x: np.ndarray, sorted_: np.ndarray) -> np.ndarray:
@@ -184,32 +188,30 @@ def _member(x: np.ndarray, sorted_: np.ndarray) -> np.ndarray:
     return sorted_[at] == x
 
 
-def _chord_rule(index: np.ndarray, geometry) -> np.ndarray:
-    """Where to split each cell of a view: at the normal of its chord, the
-    chord rule of the sandwich algorithm (Rote, Computing 48, 1992),
-    rounded to the angle grid.  The support line there closes a flat edge
-    that the cell straddles at once, where equal splits would only halve
-    its gap, and finds a corner hidden between the cell's support points.
-    A normal outside the cell, or within 1/8 of the cell's width of its
-    midpoint (as on a smooth arc), and a chord of length 0 give way to the
-    midpoint, so that the four cells of a quarter-turn orbit share one new
-    base angle.  *geometry* is the view's :func:`_geometry`."""
-    _, _, p, p_next, _ = geometry
-    span, chord = _span(index), p_next - p
+def _chord_rule(g: Geometry) -> np.ndarray:
+    """Where to split each cell of a view of :func:`_geometry` *g*: at the
+    normal of its chord, the chord rule of the sandwich algorithm (Rote,
+    Computing 48, 1992), rounded to the angle grid.  The support line
+    there closes a flat edge that the cell straddles at once, where equal
+    splits would only halve its gap, and finds a corner hidden between the
+    cell's support points.  A normal outside the cell, or within 1/8 of
+    the cell's width of its midpoint (as on a smooth arc), and a chord of
+    length 0 give way to the midpoint, so that the four cells of a
+    quarter-turn orbit share one new base angle."""
+    chord, span = g.chord, g.span
     # the chord's outward normal, in grid units from the cell's first angle
-    normal = (np.angle(chord) - 0.5 * np.pi - index * _UNIT) % (2.0 * np.pi)
-    off = np.rint(normal / _UNIT).astype(np.int64)
+    normal = np.arctan2(chord.imag, chord.real) - 0.5 * np.pi - g.theta
+    off = np.rint(normal % (2.0 * np.pi) / _UNIT).astype(np.int64)
     mid = span // 2
     snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span) | (chord == 0)
-    return index + np.where(snap, mid, off)
+    return g.index + np.where(snap, mid, off)
 
 
 def _coarse(index, h, dh):
     """The picture's rule: split every cell whose gap exceeds RTOL * max h
     by the chord rule (:func:`_chord_rule`)."""
-    geometry = _geometry(index, h, dh)
-    cells = _gap(*geometry[2:]) > RTOL * h.max()
-    return _chord_rule(index, geometry)[cells]
+    g = _geometry(index, h, dh)
+    return _chord_rule(g)[_gap(g) > RTOL * h.max()]
 
 
 def _next(x: np.ndarray) -> np.ndarray:
@@ -232,31 +234,37 @@ def quarter_cells(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return base * _UNIT, span * _UNIT, base + span // 2
 
 
-def _geometry(index: np.ndarray, h: np.ndarray, dh: np.ndarray):
-    """(theta, width, p, p_next, vertex) of every cell of a view, the cell
-    of an angle running to the next one: the support points at both ends
-    and the outer vertex where their support lines meet."""
+Geometry = namedtuple("Geometry", "index theta span width p p_next chord vertex")
+
+
+def _geometry(index: np.ndarray, h: np.ndarray, dh: np.ndarray) -> Geometry:
+    """The geometry of every cell of a view, the cell of an angle running to
+    the next one, each quantity computed once: its index and angle, its
+    span in grid units and its width, the support points at both ends, the
+    chord p_next - p, and the outer vertex where their support lines meet."""
     theta = index * _UNIT
-    width = _span(index) * _UNIT
+    span = _span(index)
+    width = span * _UNIT
     turn = np.exp(1j * theta)
     p = turn * (h + 1j * dh)
     p_next = _next(p)
+    chord = p_next - p
     # along the line at theta from p to where it meets the next one; the
     # points' difference carries no cancellation of h itself
-    t = np.real(_next(turn).conj() * (p_next - p)) / np.sin(width)
-    return theta, width, p, p_next, p + 1j * turn * t
+    t = (_next(turn).conj() * chord).real / np.sin(width)
+    return Geometry(index, theta, span, width, p, p_next, chord, p + 1j * turn * t)
 
 
-def _gap(p: np.ndarray, p_next: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+def _gap(g: Geometry) -> np.ndarray:
     """Distance from each outer vertex to its inner chord [p, p_next]:
     every point between the two polygons in a cell lies this close to the
     inner one."""
-    chord = p_next - p
+    chord, p, vertex = g.chord, g.p, g.vertex
     norm = np.abs(chord) ** 2
     along = np.divide(
-        np.real((vertex - p) * chord.conj()),
+        ((vertex - p) * chord.conj()).real,
         norm,
-        out=np.zeros_like(norm),
+        out=np.zeros(norm.shape),
         where=norm > 0,
     )
     return np.abs(vertex - (p + along.clip(0.0, 1.0) * chord))
@@ -290,20 +298,19 @@ def floor(a: np.ndarray, width: np.ndarray, groups: list[np.ndarray]) -> np.ndar
     return np.minimum.reduceat(values, np.flatnonzero(np.diff(cell, prepend=-1)))
 
 
-def _vertex_bound(geometry, h: np.ndarray) -> np.ndarray:
-    """Upper bound of h over each cell of a view of :func:`_geometry`
-    *geometry*: the outer vertex's support there, its modulus if the cell
-    holds its direction, else the larger end."""
-    theta, width, _, _, vertex = geometry
-    inside = (np.angle(vertex) - theta) % (2.0 * np.pi) <= width
-    return np.where(inside, np.abs(vertex), np.maximum(h, _next(h)))
+def _vertex_bound(g: Geometry, h: np.ndarray) -> np.ndarray:
+    """Upper bound of h over each cell of a view of :func:`_geometry` *g*:
+    the outer vertex's support there, its modulus if the cell holds its
+    direction, else the larger end."""
+    v = g.vertex
+    inside = (np.arctan2(v.imag, v.real) - g.theta) % (2.0 * np.pi) <= g.width
+    return np.where(inside, np.abs(v), np.maximum(h, _next(h)))
 
 
-def _chord_bound(geometry, h: np.ndarray) -> np.ndarray:
-    """Lower bound of h over each cell of a view of :func:`_geometry`
-    *geometry*: the inner chord's support there."""
-    theta, width, p, p_next, _ = geometry
-    return floor(theta, width, [np.stack((p, p_next), axis=1)])
+def _chord_bound(g: Geometry, h: np.ndarray) -> np.ndarray:
+    """Lower bound of h over each cell of a view of :func:`_geometry` *g*:
+    the inner chord's support there."""
+    return floor(g.theta, g.width, [np.stack((g.p, g.p_next), axis=1)])
 
 
 def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
@@ -315,7 +322,7 @@ def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
     point, last point), the first and last the same when one segment runs
     around the whole turn.  The points are few, so this runs on lists."""
     n = len(value)
-    best = int(np.argmax(value))
+    best = int(value.argmax())
     # from the best point, which no valley holds: the valleys lie on one
     # turn, and the last segment runs on into the next
     value = value.tolist()
@@ -323,13 +330,14 @@ def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
     sign = ((slope > slack).astype(int) - (slope < -slack)).tolist()
     sign = sign[best:] + sign[: best + 1]
     moving = [i for i, s in enumerate(sign) if s]
+    # the first least (or largest) point from i to j
     cuts = [
-        min(range(i, j + 1), key=value.__getitem__)
+        value.index(min(value[i : j + 1]), i)
         for i, j in zip(moving, moving[1:])
         if sign[i] < 0 < sign[j]
     ] or [0]
     ends = [*cuts, cuts[0] + n]
-    tops = [max(range(i, j + 1), key=value.__getitem__) for i, j in zip(ends, ends[1:])]
+    tops = [value.index(max(value[i : j + 1]), i) for i, j in zip(ends, ends[1:])]
     segments = sorted(zip(tops, ends, ends[1:]), key=lambda seg: -value[seg[0]])
     return [((best + p) % n, (best + i) % n, (best + j) % n) for p, i, j in segments]
 
@@ -368,30 +376,35 @@ def optimize(
     refined: list[float] = []  # the angles of the refined optima
     while True:
         theta, value, slope, bound, names, coarse = survey(*cells.view(base))
-        top = int(np.argmax(value))
+        top = int(value.argmax())
         best = max(best, (float(value[top]), float(theta[top])))
-        n = len(value)
-        tol = np.full(n, slack)
+        angle, ceiling = theta.tolist(), bound.tolist()
+        held = np.zeros(len(angle), dtype=bool)  # the segments of refined optima
         fresh = True  # no segment refined yet in this round
         # the most promising first
         for top, a, b in _segments(value, slope, slack):
-            inside = (a + np.arange((b - a) % n or n)) % n
-            below = (theta[top] - theta[a]) % period
-            above = period - below if a == b else (theta[b] - theta[top]) % period
+            # the points a, ..., b - 1, modulo n
+            inside = (slice(a, b),) if a < b else (slice(a, None), slice(0, b))
+            t = angle[top]
+            below = (t - angle[a]) % period
+            above = period - below if a == b else (angle[b] - t) % period
             if a == b == top:  # the whole turn from the best point
                 below = above = 0.5 * period
-            t = float(theta[top])
-            held = any((u - t + below) % period <= below + above for u in refined)
-            if not held:
-                if not fresh or np.max(bound[inside]) - best[0] <= slack:
+            if not any((u - t + below) % period <= below + above for u in refined):
+                if not fresh:
+                    continue
+                peak = max(max(ceiling[i], default=-np.inf) for i in inside)
+                if peak - best[0] <= slack:
                     continue
                 fresh = False
                 t, v = refine(evaluate, t, t - below, t + above)
                 refined.append(t)
                 best = max(best, (v, t))
-            tol[inside] = np.where(coarse[inside], slack, 2.0 * RTOL * reach)
+            for i in inside:
+                held[i] = True
         over = bound - best[0]
-        split = np.flatnonzero(over > tol)
+        tol = np.where(held & ~coarse, 2.0 * RTOL * reach, slack)
+        split = (over > tol).nonzero()[0]
         if not split.size:
             break
         grown = cells.extend(base, names[split])
@@ -429,10 +442,9 @@ def _extremum(
 
     def survey(index, h, dh):
         s = sign * cells.unit
-        geometry = _geometry(index, h, dh)
-        coarse = _gap(*geometry[2:]) > RTOL * cells.reach
-        names = _chord_rule(index, geometry)
-        return geometry[0], s * h, s * dh, s * bound(geometry, h), names, coarse
+        g = _geometry(index, h, dh)
+        coarse = _gap(g) > RTOL * cells.reach
+        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g), coarse
 
     def evaluate(t: float):
         lam_t, q = branches(c, t, idx, scale)
@@ -465,11 +477,10 @@ def crawford(cells: Cells) -> float:
     """max(0, -min h): 0 at once when the start lines' inner polygon holds
     the origin; otherwise the min of h, pruned on the chord bound, from the
     start lines."""
-    _, _, p, p_next, _ = _geometry(*cells.view(cells.start))
-    edge = p_next - p
+    g = _geometry(*cells.view(cells.start))
     # the origin lies strictly left of every edge of the counterclockwise
     # polygon (an edge of length 0 says nothing)
-    left = np.imag(edge.conj() * -p)[edge != 0]
+    left = (g.chord.conj() * -g.p).imag[g.chord != 0]
     if left.size and np.all(left > 0.0):
         return 0.0
     return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0])

@@ -56,8 +56,9 @@ def unit(scale: float) -> float:
     return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
 
 
-def _rotated(c: np.ndarray, theta) -> np.ndarray:
-    """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2.
+def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
+    """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2, with
+    C* the given *ct* if the caller has it.
 
     A scalar theta gives one Hermitian matrix, an array of angles the
     stack of them.
@@ -65,7 +66,7 @@ def _rotated(c: np.ndarray, theta) -> np.ndarray:
     do not overflow; halving is exact, so the result is the same.
     """
     half = 0.5 * np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None, None]
-    return half.conj() * c + half * c.conj().T
+    return half.conj() * c + half * (c.conj().T if ct is None else ct)
 
 
 def branches(
@@ -86,8 +87,9 @@ def branches(
     """
     s = unit(scale)
     t = np.asarray(t, dtype=np.float64)
+    ct = c.conj().T
     with lapack("eigensolve of the support lines"):
-        lam, vec = np.linalg.eigh(_rotated(c, t))
+        lam, vec = np.linalg.eigh(_rotated(c, t, ct))
     k = lam.shape[-1]
     lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
     turn = np.exp(-1j * t).reshape(-1, 1)
@@ -96,18 +98,18 @@ def branches(
     cx = c @ x
     value = lam[:, idx]
     # x_b* P' x_b = Im(exp(-i t) x_b* C x_b)
-    slope = (turn * np.sum(x.conj() * cx, axis=1)).imag
+    slope = (turn * (x.conj() * cx).sum(axis=1)).imag
     if not curvature:
         return lam * s, np.array((value, slope))
     # 2i P' x_b = exp(-i t) C x_b - exp(i t) C* x_b, and g[p, j, b] is the
     # conjugate of 2i x_j* P' x_b, whose modulus alone the curvature reads
     turn = turn[:, :, None]
-    dx = turn * cx - turn.conj() * (c.conj().T @ x)
-    g = np.swapaxes(vec, 1, 2) @ dx.conj()
+    dx = turn * cx - turn.conj() * ((ct / s) @ x)
+    g = vec.swapaxes(1, 2) @ dx.conj()
     gap = value[:, None, :] - lam[:, :, None]
     coupling = np.abs(g) ** 2
     # j = b, and any eigenvalue equal to the branch's, has no coupling term
-    coupling = np.divide(coupling, gap, out=np.zeros_like(coupling), where=gap != 0)
+    coupling = np.divide(coupling, gap, out=np.zeros(coupling.shape), where=gap != 0)
     bend = 0.5 * coupling.sum(axis=1) - value
     return lam * s, np.array((value, slope, bend))
 
@@ -163,8 +165,8 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
         rise = (v - v.max(axis=1, keepdims=True))[..., None] + d * (
             g[..., None] + 0.5 * c[..., None] * d
         )
-        model = np.sum(np.max(rise, axis=1), axis=0)
-    best = int(np.argmin(model))
+        model = rise.max(axis=1).sum(axis=0)
+    best = int(model.argmin())
     return float(d[best]), -float(model[best])
 
 
@@ -187,9 +189,8 @@ def refine(evaluate: Callable, t: float, lo: float, hi: float) -> tuple[float, f
             best_t, best, best_q = t, f, q
         elif moves[1] <= TOL:
             break  # a step within TOL gained nothing: f is at its rounding
-        v, g = q[0], q[1]
-        top = np.argmax(v, axis=1)[:, None]
-        slope = float(np.sum(np.take_along_axis(g, top, axis=1)))
+        # the slope of the top branch of each part
+        slope = float(q[1][np.arange(len(q[0])), q[0].argmax(axis=1)].sum())
         if t != best_t:
             # below the best value, t ends the bracket on its own side of
             # the best point, whatever its slope says; a slope that does

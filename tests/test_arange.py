@@ -814,6 +814,24 @@ def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
         assert sr.a_numerical_radius(op) == pytest.approx(np.max(moduli), rel=1e-14)
 
 
+def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):
+    # three eigenvalues of nearly one modulus: in the first round two
+    # segments' bounds beat the best value, and only the more promising one
+    # is refined; the other waits for the next round, whose finer cells may
+    # show it below the first one's optimum
+    log = []
+    refine, extend = cells.refine, cells.Cells.extend
+    monkeypatch.setattr(cells, "refine", lambda *args: log.append("r") or refine(*args))
+    monkeypatch.setattr(
+        cells.Cells, "extend", lambda self, *args: log.append("e") or extend(self, *args)
+    )
+    moduli = np.array([1.0063, 1.0051, 1.001])
+    op = normal_operator(moduli * np.exp(1j * np.array([2.489, 4.911, 2.027])), seed=3)
+    assert sr.a_numerical_radius(op) == pytest.approx(1.0063, rel=1e-14)
+    assert log.count("r") == 2
+    assert max(len(r) for r in "".join(log).split("e")) == 1
+
+
 def test_radius_of_a_near_disk():
     # the range of [[0, 2], [1e-9, 0]] is an ellipse with semi-axes
     # 1 +- 5e-10: every outer vertex beats every sample, so the whole turn
@@ -894,6 +912,84 @@ def test_call_order_changes_no_bit(case):
     later = sr.make_operator(sr.make_context(a), t)
     sr.estimate_range(later)
     assert searches(later) == before
+
+
+# The cells' geometry as each function computed it for itself before one
+# pass computed it for all: the reference that the pass must match to the bit.
+
+
+def _ref_next(x):
+    return np.concatenate((x[1:], x[:1]))
+
+
+def _ref_geometry(index, h, dh):
+    theta = index * cells._UNIT
+    width = np.diff(index, append=index[0] + 4 * cells._QUARTER) * cells._UNIT
+    turn = np.exp(1j * theta)
+    p = turn * (h + 1j * dh)
+    p_next = _ref_next(p)
+    t = np.real(_ref_next(turn).conj() * (p_next - p)) / np.sin(width)
+    return theta, width, p, p_next, p + 1j * turn * t
+
+
+def _ref_gap(p, p_next, vertex):
+    chord = p_next - p
+    norm = np.abs(chord) ** 2
+    along = np.divide(
+        np.real((vertex - p) * chord.conj()), norm, out=np.zeros_like(norm), where=norm > 0
+    )
+    return np.abs(vertex - (p + along.clip(0.0, 1.0) * chord))
+
+
+def _ref_chord_rule(index, geometry):
+    _, _, p, p_next, _ = geometry
+    span, chord = np.diff(index, append=index[0] + 4 * cells._QUARTER), p_next - p
+    normal = (np.angle(chord) - 0.5 * np.pi - index * cells._UNIT) % (2.0 * np.pi)
+    off = np.rint(normal / cells._UNIT).astype(np.int64)
+    mid = span // 2
+    snap = (off <= 0) | (off >= span) | (8 * np.abs(off - mid) <= span) | (chord == 0)
+    return index + np.where(snap, mid, off)
+
+
+def _ref_vertex_bound(geometry, h):
+    theta, width, _, _, vertex = geometry
+    inside = (np.angle(vertex) - theta) % (2.0 * np.pi) <= width
+    return np.where(inside, np.abs(vertex), np.maximum(h, _ref_next(h)))
+
+
+def _views():
+    """Full-turn views: random ones, one with runs of equal support points
+    (chords of length 0), one whose every chord has length 0, and the
+    picture and start lines of operators."""
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 5, 40):
+        base = np.unique(rng.integers(0, cells._QUARTER, m))
+        index = (base + cells._QUARTER * np.arange(4)[:, None]).ravel()
+        h, dh = rng.normal(size=(2, len(index)))
+        yield index, h, dh
+        if m == 40:  # a run of zeros: the support point 0 at several angles
+            h, dh = h.copy(), dh.copy()
+            h[5:9] = dh[5:9] = 0.0
+            yield index, h, dh
+            yield index, np.zeros(len(index)), np.zeros(len(index))
+    ctx = random_strict_context(rng, 5)
+    for op in (random_operator(rng, ctx), normal_operator([1, 1j, -1], seed=2)):
+        own = cells.operator_cells(op)
+        yield own.view(own.picture)
+        yield own.view(own.start)
+
+
+@pytest.mark.parametrize("view", list(_views()))
+def test_geometry_pass_matches_each_function_to_the_bit(view):
+    # every cell, the one that wraps the turn among them, and every chord
+    # of length 0, read off the one pass as each function once computed it
+    index, h, dh = view
+    g, ref = cells._geometry(index, h, dh), _ref_geometry(index, h, dh)
+    for ours, theirs in zip((g.theta, g.width, g.p, g.p_next, g.vertex), ref):
+        assert ours.tobytes() == theirs.tobytes()
+    assert cells._gap(g).tobytes() == _ref_gap(*ref[2:]).tobytes()
+    assert cells._chord_rule(g).tobytes() == _ref_chord_rule(index, ref).tobytes()
+    assert cells._vertex_bound(g, h).tobytes() == _ref_vertex_bound(ref, h).tobytes()
 
 
 def test_radius_only_calls_grow_no_picture(rng, monkeypatch):

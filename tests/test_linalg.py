@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirad as sr
-from semirad.linalg import as_complex_matrix, require_square
+from semirad.linalg import HERM_TOL, as_complex_matrix, require_square
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
@@ -57,6 +57,29 @@ def test_hermitian_eig_rejects_asymmetric():
         with pytest.raises(sr.NotHermitian):
             sr.hermitian_eig(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
         sr.hermitian_eig(scale * np.array([[2.0, 1j], [-1j, 1.0]]))
+
+
+def test_hermitian_eig_gates_only_inexact_input(monkeypatch):
+    # an input equal to its adjoint entry by entry has no defect, so the
+    # gate's two SVDs are skipped; any other input is still gated, relative
+    # to its norm
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    a = np.array([[2.0, 1 - 1j, 0.5], [1 + 1j, 3.0, 0.0], [0.5, 0.0, 1.0]])
+    eig = sr.hermitian_eig(a)
+    assert calls == []
+    assert np.array_equal(eig.eigenvalues, np.linalg.eigh(a)[0])
+    norm = np.linalg.norm(a, 2)
+    for share, passes in ((0.5, True), (2.0, False)):
+        m = a.copy()
+        m[0, 2] += share * HERM_TOL * norm  # ||M - M*|| = share * HERM_TOL * ||A||
+        if passes:
+            sr.hermitian_eig(m)
+        else:
+            with pytest.raises(sr.NotHermitian):
+                sr.hermitian_eig(m)
+    assert len(calls) == 4
 
 
 def test_spectral_norm_basics():
