@@ -10,30 +10,31 @@ are row-major nested arrays of them):
   blockbounds:              weight as above, plus "T11", "T12", "T21", "T22"
   zeros:                    {"coeffs": [a0 .. a_{n-1}]}, optional {"d": [positive reals]}
 
-Unknown keys are rejected.  Exit codes: 0 success, 1 numerical failure,
-2 validation error: every malformed input, with one ``error:`` line
-(an unknown, missing or mistyped flag, malformed JSON with line and
-column, a negative ``--seed``, a JSON
-integer too large for a float, an ``"identity_dim"`` other than the size
-of the operator, checked before the weight is built, an input file that
-is not UTF-8, an ``--output`` path that cannot be written).  The gap of
-the range picture (``cells.RTOL``) and every tolerance
-(``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the
-output carries results only, plus ``seed`` where the Monte-Carlo check of
-a radius job used it.  A range job gives the inner polygon of support
-points (``boundary``) and the outer polygon of support-line vertices
-(``outer``), at least 32 points each.
-Output for a fixed config and seed is byte-identical across runs at a
-fixed BLAS thread count; files are written atomically (temp file +
-rename).
+Every input array ("A", "T", "T11" to "T22", "coeffs", "d") is read by
+one validator, which walks it once, raises its first fault of shape or
+type in row-major order naming the key and the row, and converts it with
+one ``np.array`` call; one check rejects an unknown key, then a missing
+required one.  Exit codes: 0 success, 1 numerical failure, 2 validation
+error: every malformed input, with one ``error:`` line (an unknown,
+missing or mistyped flag, malformed JSON with line and column, JSON
+nested too deeply to read, a negative ``--seed``, a JSON integer too
+large for a float, a number that is not finite, an ``"identity_dim"``
+other than the size of the operator, checked before the weight is built,
+an input file that is not UTF-8, an ``--output`` path that cannot be
+written).  The gap of the range picture (``cells.RTOL``) and every
+tolerance (``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are
+fixed; the output carries results only, plus ``seed`` where the
+Monte-Carlo check of a radius job used it.  A range job gives the inner
+polygon of support points (``boundary``) and the outer polygon of
+support-line vertices (``outer``), at least 32 points each.  Output for a
+fixed config and seed is byte-identical across runs at a fixed BLAS
+thread count; files are written atomically (temp file + rename).
 
 :func:`main` may be called many times in one process, and each call pays
-only for its own job: it parses with one parser, built on the first call
-(:func:`build_parser` still returns a new one), a well-formed matrix is
-checked in one pass and converted by one ``np.array`` call, and the
-polygons and weights of the payloads are converted by ``tolist``, not
-point by point.  Every call's output is byte-identical to the same call
-made first in a fresh interpreter.
+only for its own job: it parses with one parser, built on the first call,
+and the polygons and weights of the payloads are converted by ``tolist``,
+not point by point.  Every call's output is byte-identical to the same
+call made first in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -99,97 +100,66 @@ def _load_json(path: str) -> dict:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the JSON reader's depth limit
+        raise ValidationError("malformed JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValidationError("input must be a JSON object")
     return data
 
 
-def _check_keys(data: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(data) - allowed)
+def _keys(data: dict, required: tuple, optional: tuple = ()) -> None:
+    """Reject a key outside *required* and *optional*, then a missing
+    required key."""
+    unknown = sorted(set(data).difference(required, optional))
     if unknown:
         raise ValidationError(f"unknown input key(s): {', '.join(unknown)}")
+    missing = [f'"{k}"' for k in required if k not in data]
+    if missing:
+        raise ValidationError(f"missing required key(s): {', '.join(missing)}")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _array(data: dict, key: str, rows: bool = False, pairs: bool = True) -> np.ndarray:
+    """``data[key]``, a nonempty array of [re, im] pairs (complex128) or,
+    without *pairs*, of numbers (float64); with *rows*, a matrix: a
+    nonempty array of equal nonempty rows of them.
 
-
-def _float(v, where: str) -> float:
+    The value is walked once and its first fault of shape or type in
+    row-major order is raised, naming *key* and the row; ``type`` rejects
+    bool, an int subclass.  Then one ``np.array`` call converts it, and its
+    float64 pairs viewed as complex128 hold the bits of ``complex(re, im)``;
+    an integer beyond the float range fails there, and a number that is
+    not finite after it.
+    """
+    where = f'"{key}"'
+    value = data[key]
+    if type(value) is not list or not value:
+        raise ValidationError(f"{where}: expected a nonempty array" + " of rows" * rows)
+    for i, row in enumerate(value if rows else [value]):
+        at = f"{where} row {i}" if rows else where
+        if rows and (type(row) is not list or not row):
+            raise ValidationError(f"{at} is not a nonempty array")
+        if rows and len(row) != len(value[0]):
+            raise ValidationError(f"{at} has ragged length")
+        if pairs:
+            for e in row:
+                if (
+                    type(e) is not list
+                    or len(e) != 2
+                    or type(e[0]) not in (int, float)
+                    or type(e[1]) not in (int, float)
+                ):
+                    raise ValidationError(
+                        f"{at}: complex entries must be two-element arrays [re, im]"
+                    )
+        elif not all(type(e) in (int, float) for e in row):
+            raise ValidationError(f"{at}: entries must be numbers")
     try:
-        return float(v)
+        a = np.array(value, dtype=np.float64)
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ValidationError(f"{where}: number too large for a float") from exc
-
-
-def _parse_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or not all(_is_number(part) for part in entry)
-    ):
-        raise ValidationError(
-            f"{where}: complex entries must be two-element arrays [re, im]"
-        )
-    return complex(_float(entry[0], where), _float(entry[1], where))
-
-
-def _is_matrix(value) -> bool:
-    """Whether *value* is a nonempty array of equal nonempty rows of
-    [re, im] pairs of numbers; ``type`` rejects bool, as :func:`_is_number`
-    does."""
-    if type(value) is not list or not value or type(value[0]) is not list:
-        return False
-    width = len(value[0])
-    if not width:
-        return False
-    for row in value:
-        if type(row) is not list or len(row) != width:
-            return False
-        for e in row:
-            if (
-                type(e) is not list
-                or len(e) != 2
-                or type(e[0]) not in (int, float)
-                or type(e[1]) not in (int, float)
-            ):
-                return False
-    return True
-
-
-def _parse_matrix(value, where: str) -> np.ndarray:
-    """The complex matrix of *value*, a nonempty array of equal rows of
-    [re, im] pairs.
-
-    Well-formed input is checked in one pass (:func:`_is_matrix`) and
-    converted by one ``np.array`` call, whose float64 pairs viewed as
-    complex128 hold the bits of ``complex(re, im)``.  Anything else, a JSON
-    integer beyond the float range included, goes to :func:`_parse_rows`,
-    which walks it entry by entry, so the error reported is the first one
-    in row-major order.
-    """
-    if _is_matrix(value):
-        try:
-            return np.array(value, dtype=np.float64).view(np.complex128)[..., 0]
-        except OverflowError:
-            pass
-    return _parse_rows(value, where)
-
-
-def _parse_rows(value, where: str) -> np.ndarray:
-    """:func:`_parse_matrix` entry by entry, raising the first error."""
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{where}: expected a nonempty array of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ValidationError(f"{where}: row {i} is not a nonempty array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(f"{where}: row {i} has ragged length")
-        rows.append([_parse_complex(e, f"{where}[{i}]") for e in row])
-    return np.array(rows, dtype=np.complex128)
+    if not np.isfinite(a).all():  # NaN, Infinity or a float literal like 1e400
+        raise ValidationError(f"{where}: numbers must be finite")
+    return a.view(np.complex128)[..., 0] if pairs else a
 
 
 def _context_from(data: dict, dim: int, where: str) -> PositiveOperator:
@@ -209,16 +179,14 @@ def _context_from(data: dict, dim: int, where: str) -> PositiveOperator:
             )
         a = np.eye(n, dtype=np.complex128)
     else:
-        a = _parse_matrix(data["A"], '"A"')
+        a = _array(data, "A", rows=True)
     return make_context(a)
 
 
 def _operator_from(data: dict) -> SemiOperator:
     """The weight and the operator "T" of a radius, bounds or range job."""
-    _check_keys(data, {"A", "identity_dim", "T"})
-    if "T" not in data:
-        raise ValidationError('missing required key "T"')
-    t = _parse_matrix(data["T"], '"T"')
+    _keys(data, ("T",), ("A", "identity_dim"))
+    t = _array(data, "T", rows=True)
     return make_operator(_context_from(data, t.shape[0], '"T"'), t)
 
 
@@ -256,32 +224,17 @@ def _run_bounds(cfg: JobConfig, data: dict) -> dict:
 
 def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     block_keys = ("T11", "T12", "T21", "T22")
-    _check_keys(data, {"A", "identity_dim", *block_keys})
-    missing = [k for k in block_keys if k not in data]
-    if missing:
-        raise ValidationError(f"missing required key(s): {', '.join(missing)}")
-    blocks = [_parse_matrix(data[k], f'"{k}"') for k in block_keys]
+    _keys(data, block_keys, ("A", "identity_dim"))
+    blocks = [_array(data, k, rows=True) for k in block_keys]
     ctx = _context_from(data, blocks[0].shape[0], '"T11"')
     ops = [make_operator(ctx, b) for b in blocks]
     return {"command": "blockbounds", **_fields(matrix_bound_report(*ops))}
 
 
 def _run_zeros(cfg: JobConfig, data: dict) -> dict:
-    _check_keys(data, {"coeffs", "d"})
-    if "coeffs" not in data:
-        raise ValidationError('missing required key "coeffs"')
-    raw = data["coeffs"]
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError('"coeffs" must be a nonempty array')
-    coeffs = [_parse_complex(e, f'"coeffs"[{i}]') for i, e in enumerate(raw)]
-    p = make_polynomial(coeffs)
-    weights = None
-    if "d" in data:
-        if not isinstance(data["d"], list) or not all(
-            _is_number(v) for v in data["d"]
-        ):
-            raise ValidationError('"d" must be an array of numbers')
-        weights = [_float(v, '"d"') for v in data["d"]]
+    _keys(data, ("coeffs",), ("d",))
+    p = make_polynomial(_array(data, "coeffs"))
+    weights = _array(data, "d", pairs=False) if "d" in data else None
     rep = zero_bound_report(p, d=weights)
     return {
         "command": "zeros",
@@ -442,10 +395,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line.  An unknown flag, a malformed
-    value or a missing required flag raises ValidationError; ``--help``
-    prints the usage and exits 0."""
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process: parsing
+    leaves no state in it, so one call of :func:`main` cannot change the
+    next.  An unknown flag, a malformed value or a missing required flag
+    raises ValidationError; ``--help`` prints the usage and exits 0."""
     parser = _Parser(
         prog="semirad",
         description=(
@@ -462,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="output file (default: stdout)"
     )
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built once per process: parsing
-    leaves no state in it, so one call cannot change the next."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

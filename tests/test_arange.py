@@ -814,6 +814,27 @@ def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
         assert sr.a_numerical_radius(op) == pytest.approx(np.max(moduli), rel=1e-14)
 
 
+def test_radius_reruns_from_a_farthest_point_of_a_non_normal_operator():
+    # seven eigenvalues within 1e-6 of the unit circle, moved by a dense
+    # 1e-4 perturbation: the first search ends at 0.99995867 below a
+    # support point of modulus 1.0000425, and only the search run again
+    # from that point's direction reaches the radius, 1.0000730; the
+    # reference is a dense scan of h, not that point's modulus
+    draw = np.random.default_rng(257)
+    k = int(draw.integers(3, 9))
+    z = np.exp(1j * draw.uniform(0, 2 * np.pi, k)) * (1 + 1e-6 * draw.uniform(-1, 1, k))
+    g = draw.standard_normal((k, k)) + 1j * draw.standard_normal((k, k))
+    t = np.diag(z) + 1e-4 * g
+
+    def minus_h(thetas):
+        r = np.exp(-1j * thetas)[:, None, None] * t
+        return -np.linalg.eigvalsh(0.5 * (r + r.conj().transpose(0, 2, 1)))[:, -1]
+
+    op = sr.make_operator(sr.identity_context(k), t)
+    w = -dense_min(minus_h, 0.0, 2 * np.pi, n=2**15)
+    assert sr.a_numerical_radius(op) == pytest.approx(w, rel=1e-13)
+
+
 def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):
     # three eigenvalues of nearly one modulus: in the first round two
     # segments' bounds beat the best value, and only the more promising one

@@ -432,6 +432,65 @@ class TestValidation:
         assert main(["--command", command, "--input", str(path)]) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["zeros", "radius"])
+    def test_json_nested_too_deeply(self, tmp_path, capsys, command):
+        # the JSON reader gives up long before this depth, with a
+        # RecursionError that must not reach the user as a traceback
+        depth = 100_000
+        key = '"coeffs"' if command == "zeros" else '"identity_dim": 1, "T"'
+        path = tmp_path / "deep.json"
+        path.write_text("{%s: %s%s}" % (key, "[" * depth, "]" * depth))
+        assert main(["--command", command, "--input", str(path)]) == 2
+        assert "nested too deeply" in self.assert_one_error_line(capsys)
+
+    MATRIX_FAULTS = {
+        "bool-entry": [[[1, 0], [True, 0]], [[0, 0], [1, 0]]],
+        "string-entry": [[[1, 0], [0, 0]], [[0, "1"], [1, 0]]],
+        "three-element-pair": [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]],
+        "empty-row": [[[1, 0], [0, 0]], []],
+        "ragged-row": [[[1, 0], [0, 0]], [[0, 0]]],
+        "not-a-list": {"re": 1, "im": 0},
+        "infinite-entry": [[[1, 0], [0, 0]], [[0, float("inf")], [1, 0]]],
+    }
+
+    @pytest.mark.parametrize("fault", MATRIX_FAULTS)
+    @pytest.mark.parametrize("key", ["A", "T", "T11", "T12", "T21", "T22"])
+    def test_malformed_array_names_its_key(self, tmp_path, capsys, key, fault):
+        # every input array is read by one validator: each fault is one
+        # error line that names the array it is in
+        good = cmat(np.eye(2))
+        if key in ("A", "T"):
+            command, doc = "radius", {"A": good, "T": good}
+        else:
+            command = "blockbounds"
+            doc = {"identity_dim": 2, **dict.fromkeys(("T11", "T12", "T21", "T22"), good)}
+        doc[key] = self.MATRIX_FAULTS[fault]
+        path = write_json(tmp_path, doc)
+        assert main(["--command", command, "--input", path]) == 2
+        assert f'"{key}"' in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("coeffs", {"coeffs": []}),
+            ("coeffs", {"coeffs": [[1, 0], [False, 0]]}),
+            ("coeffs", {"coeffs": [1, 0]}),
+            ("d", {"coeffs": [[1, 0], [0, 1]], "d": [[1, 0], [1, 0]]}),
+            ("d", {"coeffs": [[1, 0], [0, 1]], "d": [True, 1]}),
+            ("d", {"coeffs": [[1, 0], [0, 1]], "d": 1}),
+            ("coeffs", {"coeffs": [[1, 0], [float("nan"), 1]]}),
+            ("d", {"coeffs": [[1, 0], [0, 1]], "d": [1, float("inf")]}),
+        ],
+        ids=[
+            "coeffs-empty", "coeffs-bool", "coeffs-numbers",
+            "d-pairs", "d-bool", "d-not-a-list", "coeffs-nan", "d-infinite",
+        ],
+    )
+    def test_malformed_vector_names_its_key(self, tmp_path, capsys, key, doc):
+        path = write_json(tmp_path, doc)
+        assert main(["--command", "zeros", "--input", path]) == 2
+        assert f'"{key}"' in self.assert_one_error_line(capsys)
+
     def test_input_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         text = '{"identity_dim": 1, "T": [[[1, 0]]], "\xe9": 1}'
