@@ -33,7 +33,7 @@ import numpy as np
 from .cells import chunks, crawford, degenerate_warning, extreme, operator_cells, radius
 from .errors import NotStrictlyPositive
 from .linalg import general_eig, lapack
-from .scan import branches, refine
+from .scan import Parts, branches, refine
 from .semihilbert import SemiOperator, im_a, re_a
 
 
@@ -145,12 +145,13 @@ def w_theta_identity_check(op: SemiOperator) -> float:
         )
     best = int(np.argmax(norms))
 
-    c_prime = c_re - 1j * c_im  # part(theta) = Re(exp(-i theta) C')
+    # part(theta) = Re(exp(-i theta) C'), with C' = c_re - i c_im
+    parts = Parts(c_re - 1j * c_im, norms[best])
 
     def norm(theta: float):
         # the norm is the larger of lambda_max and -lambda_min; refine that
         # branch, whose max is smooth
-        lam, q = branches(c_prime, theta, [0, k - 1], norms[best])
+        lam, q = branches(parts, theta, [0, k - 1])
         top = lam[0, -1] >= -lam[0, 0]
         model = -q[:, :, 1:] if top else q[:, :, :1]
         return float(max(lam[0, -1], -lam[0, 0])), model

@@ -51,7 +51,7 @@ from .cells import (
     radius,
 )
 from .errors import TOutOfRange
-from .scan import branches
+from .scan import Parts, branches
 from .semihilbert import (
     SemiOperator,
     a_operator_seminorm,
@@ -99,7 +99,7 @@ def _hphi(cells: Cells) -> tuple[float, float]:
     c = cells.c
     k = c.shape[0]
     idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
-    scale = cells.reach * cells.unit
+    parts = Parts(c, cells.reach * cells.unit)
 
     def survey(index, h, dh):
         # F(u) = hypot(N(u), N(u + pi/2)), N(u) = max(h(u), h(u + pi)), at
@@ -124,7 +124,7 @@ def _hphi(cells: Cells) -> tuple[float, float]:
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])
-        lam_t, (v, g, cv) = branches(c, angles, idx, scale)
+        lam_t, (v, g, cv) = branches(parts, angles, idx)
         # the squares' model over twice the objective is the objective's
         # model to first order, in the same units as the branches
         squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))

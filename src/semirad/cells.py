@@ -41,7 +41,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .scan import branches, refine, unit
+from .scan import Parts, branches, refine, unit
 from .semihilbert import SemiOperator
 
 #: Outer-inner gap of every cell of the range picture, relative to the
@@ -94,6 +94,7 @@ class Cells:
     def __init__(self, c: np.ndarray):
         self.c = c
         self.unit = unit(float(np.max(np.abs(c))))
+        self.parts = Parts(c, self.unit)
         self.base = np.zeros(0, dtype=np.int64)
         self.lines = np.zeros((2, 4, 0))  # (h, h') per quarter turn and base angle
         self.start = np.arange(_START, dtype=np.int64) * (_QUARTER // _START)
@@ -131,7 +132,7 @@ class Cells:
         CHUNK_ENTRIES entries."""
         # the parts and their eigenvectors are two stacks of the chunk's size
         q = [
-            branches(self.c, angles[s], [0, -1], self.unit, curvature=False)[1]
+            branches(self.parts, angles[s], [0, -1], curvature=False)[1]
             for s in chunks(len(angles), self.c.shape[0], copies=2)
         ]
         q = q[0] if len(q) == 1 else np.concatenate(q, axis=1)
@@ -438,7 +439,7 @@ def _extremum(
     k = c.shape[0]
     idx = [k - 1] if maximize else sorted({0, max(k - 2, 0), k - 1})
     sign = 1.0 if maximize else -1.0
-    scale = cells.reach * cells.unit
+    parts = Parts(c, cells.reach * cells.unit)
 
     def survey(index, h, dh):
         s = sign * cells.unit
@@ -447,7 +448,7 @@ def _extremum(
         return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g), coarse
 
     def evaluate(t: float):
-        lam_t, q = branches(c, t, idx, scale)
+        lam_t, q = branches(parts, t, idx)
         return sign * float(lam_t[0, -1]), -sign * q
 
     _, v, base = optimize(cells, base, survey, evaluate, 2.0 * np.pi)

@@ -59,7 +59,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidMatrix(f"matrix dimensions must be >= 1, got {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix entries must be finite (no NaN/Inf)")
     return arr
 

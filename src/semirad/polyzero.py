@@ -8,9 +8,10 @@ alpha = (M d) / d for any weights d > 0 and one nonnegative matrix M
 built from |a_i|.  By Collatz-Wielandt its best value is the Perron root
 rho(M), reached at the Perron vector; both are computed directly.
 
-``zero_bound_report`` forms each quantity once: one magnitude array, one
-certificate matrix (its alphas at the Perron weights come from the search
-itself) and one eigenvalue-only companion solve, gated on its top root.
+M is its first column plus 1/2 on the diagonal and superdiagonal below
+row 1: alpha and the bracket of rho(M) are read off that column in O(n).
+``zero_bound_report`` forms one column and one eigenvalue-only companion
+solve, its only matrix, gated on its top root.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
         # range; the check below reports that instead of a warning
         with np.errstate(over="ignore", invalid="ignore"):
             arr = arr / lead
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise InvalidMatrix(
             "coefficients must be finite, also after dividing by the leading coefficient"
         )
@@ -84,10 +85,8 @@ def validate_weights(d, degree: int) -> np.ndarray:
 def companion(p: PolynomialSpec) -> np.ndarray:
     """Frobenius companion matrix: negated coefficients across the first
     row (highest order first), ones on the subdiagonal."""
-    n = p.degree
-    mat = np.zeros((n, n), dtype=np.complex128)
+    mat = np.eye(p.degree, k=-1, dtype=np.complex128)
     mat[0, :] = -p.coefficients[::-1]
-    np.fill_diagonal(mat[1:], 1.0)
     return mat
 
 
@@ -96,24 +95,17 @@ def bound_cauchy(p: PolynomialSpec) -> float:
     return 1.0 + float(np.max(np.abs(p.coefficients)))
 
 
-def _norm(mags: np.ndarray) -> float:
-    """The 2-norm of the magnitudes, scaled by the largest, so that no
-    square overflows or underflows where the norm itself does not."""
-    top = float(np.max(mags))
-    return top * float(np.sqrt(np.sum((mags / top) ** 2))) if top > 0.0 else 0.0
-
-
 def bound_carmichael_mason(p: PolynomialSpec) -> float:
-    """sqrt(1 + sum |a_i|^2), as hypot(1, ||a||_2)."""
-    return math.hypot(1.0, _norm(np.abs(p.coefficients)))
+    """sqrt(1 + sum |a_i|^2) by ``math.hypot``, which scales internally, so
+    that no square overflows or underflows where the bound does not."""
+    return math.hypot(1.0, *np.abs(p.coefficients).tolist())
 
 
 def bound_fujii_kubo(p: PolynomialSpec) -> float:
     """(sqrt(sum |a_i|^2) + |a_{n-1}|) / 2 + cos(pi / (n+1)), each term
     halved before the sum, so that it stays finite wherever the bound is."""
-    mags = np.abs(p.coefficients)
-    half = 0.5 * _norm(mags) + 0.5 * float(mags[-1])
-    return half + math.cos(math.pi / (p.degree + 1))
+    mags = np.abs(p.coefficients).tolist()
+    return 0.5 * math.hypot(*mags) + 0.5 * mags[-1] + math.cos(math.pi / (p.degree + 1))
 
 
 def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
@@ -121,32 +113,51 @@ def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
     halved: row 1 collects all coefficient magnitudes (|a_{n-1}| twice) on
     weight 1 plus weight 2; row k >= 2 puts |a_{n-k}| on weight 1 plus
     weights k and k+1, so the last row sees a_0.  Degree 1: [[|a_0|]].
-    Each magnitude is halved before the sums, which is exact, so M is
-    finite wherever its entries are; an entry past the float range raises
-    InvalidMatrix."""
-    return _certificate(np.abs(p.coefficients))
-
-
-def _certificate(mags: np.ndarray) -> np.ndarray:
-    """``certificate_matrix`` from the magnitudes |a_0| .. |a_{n-1}|."""
-    n = mags.size
-    half = 0.5 * mags
-    k = np.arange(1, n)
-    m = np.zeros((n, n), dtype=np.float64)
-    m[:, 0] = half[::-1]
-    with np.errstate(over="ignore"):
-        m[0, 0] += float(np.sum(half))
-    if not math.isfinite(m[0, 0]):
-        raise InvalidMatrix("the certificate matrix overflows: coefficients too large")
-    m[k, k] = m[k - 1, k] = 0.5
+    Built from ``_column``, as the certificates read it; an entry past the
+    float range raises InvalidMatrix."""
+    col, m11 = _column(np.abs(p.coefficients))
+    m = 0.5 * (np.eye(len(col)) + np.eye(len(col), k=1))
+    m[:, 0] = col
+    m[0, 0] = m11
     return m
+
+
+def _column(mags: np.ndarray) -> tuple[list[float], float]:
+    """(c, M_11) from |a_0| .. |a_{n-1}|: c_k = |a_{n-k}| / 2, M_11 = c_1 + sum c,
+    halved first, which is exact; an M_11 past the float range raises InvalidMatrix."""
+    half = 0.5 * mags
+    with np.errstate(over="ignore"):
+        m11 = float(half[-1]) + float(np.sum(half))
+    if not math.isfinite(m11):
+        raise InvalidMatrix("the certificate matrix overflows: coefficients too large")
+    return half[::-1].tolist(), m11
+
+
+def _ratios(col: list[float], m11: float, d: list[float]) -> list[float]:
+    """alpha = (M d) / d: (M d)_1 = M_11 d_1 + d_2 / 2, (M d)_k = c_k d_1 +
+    (d_k + d_{k+1}) / 2 and (M d)_n = c_n d_1 + d_n / 2, each half taken
+    before the sum; degree 1 gives [M_11] = [|a_0|]."""
+    if len(d) == 1:
+        return [m11]
+    d1, nxt = d[0], [*d[2:], 0.0]  # d_{n+1} = 0 gives row n
+    return [
+        (m11 * d1 + 0.5 * d[1]) / d1,
+        *((c * d1 + 0.5 * dk + 0.5 * dn) / dk for c, dk, dn in zip(col[1:], d[1:], nxt)),
+    ]
+
+
+def _bracket(col: list[float], m11: float) -> tuple[float, float]:
+    """lo <= rho(M) <= hi: the largest diagonal entry and row sum of M."""
+    if len(col) == 1:
+        return m11, m11
+    return max(m11, 0.5), max(m11 + 0.5, col[-1] + 0.5, *(c + 1.0 for c in col[1:-1]))
 
 
 def alphas(p: PolynomialSpec, d) -> np.ndarray:
     """Per-row certificate values alpha_1..alpha_n = (M d) / d for weights d,
     with M = ``certificate_matrix(p)``; homogeneous of degree 0 in d."""
     w = validate_weights(d, p.degree)
-    return certificate_matrix(p) @ w / w
+    return np.asarray(_ratios(*_column(np.abs(p.coefficients)), w.tolist()))
 
 
 def bound_prk(p: PolynomialSpec, d) -> float:
@@ -156,10 +167,10 @@ def bound_prk(p: PolynomialSpec, d) -> float:
 
 def max_root_modulus(p: PolynomialSpec) -> float:
     """Largest zero modulus: |z*| of the top companion eigenvalue, gated (``_top_modulus``)."""
-    return _top_modulus(p, np.abs(p.coefficients))
+    return _top_modulus(p, np.abs(p.coefficients).tolist())
 
 
-def _top_modulus(p: PolynomialSpec, mags: np.ndarray) -> float:
+def _top_modulus(p: PolynomialSpec, mags: list[float]) -> float:
     """|z*| for the companion eigenvalue z* of largest modulus, once its
     backward error passes |p(z*)| <= ROOT_TOL * sum_{i=0..n} |a_i| |z*|^i
     (a_n = 1), else NumericalFailure.  Every other computed root has
@@ -178,7 +189,7 @@ def _top_modulus(p: PolynomialSpec, mags: np.ndarray) -> float:
     z, r = complex(lam[np.argmax(moduli)]), float(np.max(moduli))
     k = math.frexp(r)[1]
     coeffs = [*p.coefficients.tolist(), 1.0]
-    top = max(math.frexp(m)[1] + k * i for i, m in enumerate([*mags.tolist(), 1.0]) if m)
+    top = max(math.frexp(m)[1] + k * i for i, m in enumerate([*mags, 1.0]) if m)
     x = complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
     num, den, size = 0.0, 0.0, abs(x)
     for i in range(p.degree, -1, -1):
@@ -194,7 +205,7 @@ def _top_modulus(p: PolynomialSpec, mags: np.ndarray) -> float:
     return r
 
 
-def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
+def _chain_weights(tail: list[float], rho: float) -> list[float]:
     """Weights d with d_1 = 1 and rows 2..n of M d equal to rho d, for
     tail = |a_{n-2}| .. |a_0|: row k forces d_k = (|a_{n-k}| + d_{k+1}) /
     (2 rho - 1), summed backwards from d_{n+1} = 0 over nonnegative terms
@@ -209,7 +220,7 @@ def _chain_weights(tail: list[float], rho: float) -> np.ndarray:
     step = max(1e-12, 1e-300 ** (1.0 / max(n - 1, 1)))
     for k in range(1, n):
         d[k] = max(d[k], step * d[k - 1])
-    return np.asarray(d)
+    return d
 
 
 def _row_one(m11: float, tail: list[float], y: float) -> tuple[float, float]:
@@ -277,36 +288,24 @@ def optimize_weights(p: PolynomialSpec) -> tuple[np.ndarray, float]:
 
     By Collatz-Wielandt the minimum over d > 0 is the Perron root rho(M)
     of ``certificate_matrix(p)``, at its Perron vector.  For a trial rho
-    ``_chain_weights`` solves rows 2..n exactly, and row 1 leaves one
-    equation in y = 1 / (2 rho - 1), convex with one positive root
-    (``_row_one``); safeguarded Newton steps find it (``_perron_root``)
-    in a handful of passes over the coefficients.  No eigensolver is
-    involved, so reducible M (a_0 = 0) and a near-zero a_0 (an
-    ill-conditioned Perron root) come out as accurately as the rest.  The
-    all-ones weights stay a candidate; they win where the Perron weights'
-    certificate overflows (2 rho - 1 past the float range floors them).
+    ``_chain_weights`` solves rows 2..n exactly, and row 1 leaves one convex
+    equation in y = 1 / (2 rho - 1) with one positive root (``_row_one``),
+    found by safeguarded Newton steps (``_perron_root``).  No eigensolver
+    is involved, so reducible M (a_0 = 0) and a near-zero a_0 come out as
+    accurately as the rest.  The all-ones weights stay a candidate; they
+    win where the Perron weights' certificate overflows.
     """
-    mags = np.abs(p.coefficients)
-    d, alpha_vals = _perron_weights(mags, _certificate(mags))
-    return d, float(np.max(alpha_vals))
+    d, alpha_vals = _perron_weights(*_column(np.abs(p.coefficients)))
+    return np.asarray(d), max(alpha_vals)
 
 
-def _perron_weights(mags: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of ``optimize_weights`` and their alphas (M d) / d, for
-    the magnitudes |a_0| .. |a_{n-1}| and their certificate matrix m."""
-    tail = mags[-2::-1].tolist()
-    # rho(M) of a nonnegative M lies between its largest diagonal entry
-    # and its largest row sum
-    lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
-    d_star = _chain_weights(tail, _perron_root(float(m[0, 0]), tail, lo, hi))
-    ones = np.ones(len(m), dtype=np.float64)
-    # the alphas of each candidate (``alphas``) from this M; an overflowed
-    # certificate loses to the ones
-    with np.errstate(over="ignore"):
-        a_star, a_ones = (m @ d / d for d in (d_star, ones))
-    if float(np.max(a_star)) < float(np.max(a_ones)):
-        return d_star, a_star
-    return ones, a_ones
+def _perron_weights(col: list[float], m11: float) -> tuple[list[float], list[float]]:
+    """The weights of ``optimize_weights`` and their alphas, from M's column."""
+    tail = [2.0 * c for c in col[1:]]  # |a_{n-2}| .. |a_0|
+    d_star = _chain_weights(tail, _perron_root(m11, tail, *_bracket(col, m11)))
+    ones = [1.0] * len(col)
+    a_star, a_ones = _ratios(col, m11, d_star), _ratios(col, m11, ones)
+    return (d_star, a_star) if max(a_star) < max(a_ones) else (ones, a_ones)
 
 
 @dataclass(frozen=True)
@@ -325,22 +324,23 @@ class ZeroBoundReport:
 
 def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
     """Evaluate every bound, with the Perron weights unless d is supplied.
-    Each quantity is formed once (see the module docstring), by the
-    expressions of the public functions, so each field equals theirs to
-    the bit; a root that fails its gate raises, as in ``max_root_modulus``."""
+    Each quantity is formed once (see the module docstring) by the helpers
+    of the public functions, so each field equals theirs to the bit; a
+    root that fails its gate raises, as in ``max_root_modulus``."""
     mags = np.abs(p.coefficients)
+    col, m11 = _column(mags)
     if d is None:
-        d_star, alpha_vals = _perron_weights(mags, _certificate(mags))
+        d_star, alpha_vals = _perron_weights(col, m11)
     else:
-        d_star = validate_weights(d, p.degree)
-        alpha_vals = _certificate(mags) @ d_star / d_star
-    norm = _norm(mags)
+        d_star = validate_weights(d, p.degree).tolist()
+        alpha_vals = _ratios(col, m11, d_star)
+    mags = mags.tolist()
     return ZeroBoundReport(
-        r_c=1.0 + float(np.max(mags)),
-        r_cm=math.hypot(1.0, norm),
-        r_fk=0.5 * norm + 0.5 * float(mags[-1]) + math.cos(math.pi / (p.degree + 1)),
-        r_prk=float(np.max(alpha_vals)),
-        d_star=d_star,
-        alphas=alpha_vals,
+        r_c=1.0 + max(mags),
+        r_cm=math.hypot(1.0, *mags),
+        r_fk=0.5 * math.hypot(*mags) + 0.5 * mags[-1] + math.cos(math.pi / (p.degree + 1)),
+        r_prk=max(alpha_vals),
+        d_star=np.asarray(d_star),
+        alphas=np.asarray(alpha_vals),
         max_root_modulus=_top_modulus(p, mags),
     )

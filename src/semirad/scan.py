@@ -11,7 +11,8 @@ eigenvector x, its slope x* P' x = Im(exp(-i t) x* C x) and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
 model (:func:`branches`).  The slope needs C x alone and the couplings
-C x and C* x, so no stack of derivatives is formed.  Over a stack of
+C x and C* x, so no stack of derivatives is formed; C* and the scaled
+C and C* are formed once per search (:class:`Parts`).  Over a stack of
 angles, the same call, told to skip the curvature, gives the
 support-line cells of :mod:`semirad.cells` their values and slopes
 alone; only the steps of :func:`refine` read curvature.
@@ -69,33 +70,42 @@ def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
     return half.conj() * c + half * (c.conj().T if ct is None else ct)
 
 
+class Parts:
+    """The rotated parts P(t) of one C, with what every eigensolve of them
+    shares formed once: C*, and C and C* in units of s, the power of two
+    at *scale* (the largest |eigenvalue| in sight), so that a unit means
+    the same at every t and squares neither overflow nor underflow.  A
+    search builds one and hands it to every :func:`branches` call."""
+
+    def __init__(self, c: np.ndarray, scale: float):
+        self.c, self.ct, self.s = c, c.conj().T, unit(scale)
+        # before the products, so that they neither overflow nor underflow
+        self.cs, self.cts = c / self.s, self.ct / self.s
+
+
 def branches(
-    c: np.ndarray, t, idx, scale: float, curvature: bool = True
+    parts: Parts, t, idx, curvature: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the rotated parts P(t) of *c* and the quadratic models of
-    their eigenvalue branches *idx*.
+    """Spectra of the rotated parts P(t) and the quadratic models of their
+    eigenvalue branches *idx*.
 
     *t* is an angle, one part, or an array of them, a stack of parts.
     Returns (lam, q): the ascending spectra, shape (parts, k), and the
     value, slope and curvature of each branch, shape (3, parts, len(idx)),
-    in units of s, a power of two at *scale* (the largest |eigenvalue| in
-    sight), so that a unit means the same at every t and squares neither
-    overflow nor underflow.  Without *curvature*, q holds value and slope
+    in units of ``parts.s``.  Without *curvature*, q holds value and slope
     only, shape (2, parts, len(idx)), the same to the bit: the coupling to
     the other branches, which only the curvature reads, is skipped.  A
     LAPACK failure raises NumericalFailure.
     """
-    s = unit(scale)
+    s = parts.s
     t = np.asarray(t, dtype=np.float64)
-    ct = c.conj().T
     with lapack("eigensolve of the support lines"):
-        lam, vec = np.linalg.eigh(_rotated(c, t, ct))
+        lam, vec = np.linalg.eigh(_rotated(parts.c, t, parts.ct))
     k = lam.shape[-1]
     lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
     turn = np.exp(-1j * t).reshape(-1, 1)
-    c = c / s  # before the products, so that they neither overflow nor underflow
     x = vec[:, :, idx]
-    cx = c @ x
+    cx = parts.cs @ x
     value = lam[:, idx]
     # x_b* P' x_b = Im(exp(-i t) x_b* C x_b)
     slope = (turn * (x.conj() * cx).sum(axis=1)).imag
@@ -104,7 +114,7 @@ def branches(
     # 2i P' x_b = exp(-i t) C x_b - exp(i t) C* x_b, and g[p, j, b] is the
     # conjugate of 2i x_j* P' x_b, whose modulus alone the curvature reads
     turn = turn[:, :, None]
-    dx = turn * cx - turn.conj() * ((ct / s) @ x)
+    dx = turn * cx - turn.conj() * (parts.cts @ x)
     g = vec.swapaxes(1, 2) @ dx.conj()
     gap = value[:, None, :] - lam[:, :, None]
     coupling = np.abs(g) ** 2

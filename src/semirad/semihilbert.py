@@ -123,7 +123,7 @@ def _as_vector(x, dim: int) -> np.ndarray:
         raise InvalidMatrix(f"expected a 1-D vector, got ndim={arr.ndim}")
     if arr.shape[0] != dim:
         raise DimensionMismatch(f"vector length {arr.shape[0]}, context dim {dim}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise InvalidMatrix("vector entries must be finite")
     return arr
 

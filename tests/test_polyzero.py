@@ -494,8 +494,9 @@ class TestReport:
         assert rep.r_prk == pytest.approx(2.0833, abs=5e-4)
 
     @pytest.mark.parametrize("d", [None, EXAMPLE_WEIGHTS], ids=["perron", "given"])
-    def test_one_certificate_one_eigensolve_no_svd(self, monkeypatch, d):
-        calls = {"certificate": 0, "eigvals": 0, "eig": 0, "svd": 0}
+    def test_no_dense_certificate_one_eigensolve_no_svd(self, monkeypatch, d):
+        # the report reads M off its column, once: the dense builder may not run
+        calls = {"column": 0, "eigvals": 0, "eig": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -504,16 +505,49 @@ class TestReport:
 
             return wrapper
 
-        monkeypatch.setattr(polyzero, "_certificate", counted("certificate", polyzero._certificate))
+        def refused(p):
+            raise AssertionError("dense certificate matrix built")
+
+        monkeypatch.setattr(polyzero, "certificate_matrix", refused)
+        monkeypatch.setattr(polyzero, "_column", counted("column", polyzero._column))
         for name in ("eigvals", "eig", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        sr.zero_bound_report(sr.make_polynomial(EXAMPLE), d=d)
-        assert calls == {"certificate": 1, "eigvals": 1, "eig": 0, "svd": 0}
+        rep = sr.zero_bound_report(sr.make_polynomial(EXAMPLE), d=d)
+        assert calls == {"column": 1, "eigvals": 1, "eig": 0, "svd": 0}
+        assert rep.r_prk == pytest.approx(1.78393 if d is None else 2.0833, abs=5e-4)
+
+    def test_column_matches_the_dense_certificate(self):
+        # (M d) / d, the largest diagonal entry and the largest row sum, read
+        # off the column, against the dense M: degrees 1-40 with a_0 = 0,
+        # zero tails and magnitudes from 1e-150 to 1e150
+        draw = np.random.default_rng(41)
+        eps = np.finfo(np.float64).eps
+        for trial in range(600):
+            deg = int(draw.integers(1, 41))
+            mags = 10.0 ** draw.uniform(-150.0, 150.0, deg)
+            coeffs = mags * np.exp(2j * np.pi * draw.uniform(size=deg))
+            if trial % 3 == 0:
+                coeffs[0] = 0.0
+            elif trial % 3 == 1:
+                coeffs[:-1] = 0.0  # no tail: M is triangular
+            p = sr.make_polynomial(coeffs)
+            m = sr.certificate_matrix(p)
+            col, m11 = polyzero._column(np.abs(p.coefficients))
+            for d in (
+                10.0 ** draw.uniform(-3.0, 3.0, deg),
+                sr.optimize_weights(p)[0],
+                np.ones(deg),
+            ):
+                ratios = np.asarray(polyzero._ratios(col, m11, d.tolist()))
+                np.testing.assert_allclose(ratios, m @ d / d, rtol=4 * eps, atol=0)
+            lo, hi = polyzero._bracket(col, m11)
+            assert lo == pytest.approx(float(np.max(np.diag(m))), rel=2 * eps, abs=0)
+            assert hi == pytest.approx(float(np.max(m.sum(axis=1))), rel=2 * eps, abs=0)
 
     def test_weights_read_the_reports_own_magnitudes(self):
         # the Perron weights solve rows 2..n of the report's own M: d_star is
-        # _chain_weights on the tail of the one magnitude array M is built
-        # from, to the bit
+        # _chain_weights, at the root bracketed off the column, on the tail of
+        # the one magnitude array the column is read from, to the bit
         draw = np.random.default_rng(29)
         for _ in range(200):
             deg = int(draw.integers(2, 25))
@@ -522,10 +556,9 @@ class TestReport:
             rep = sr.zero_bound_report(p)
             mags = np.abs(p.coefficients)
             tail = mags[-2::-1].tolist()
-            m = sr.certificate_matrix(p)
-            lo, hi = float(np.max(np.diag(m))), float(np.max(m.sum(axis=1)))
-            rho = polyzero._perron_root(float(m[0, 0]), tail, lo, hi)
-            assert rep.d_star.tobytes() == polyzero._chain_weights(tail, rho).tobytes()
+            col, m11 = polyzero._column(mags)
+            rho = polyzero._perron_root(m11, tail, *polyzero._bracket(col, m11))
+            assert rep.d_star.tolist() == polyzero._chain_weights(tail, rho)
 
     @pytest.mark.parametrize("corpus", ["benchmark-seed-7", "criterion-8"])
     def test_fields_equal_the_public_functions(self, corpus):

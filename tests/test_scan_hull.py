@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semirad import scan
-from semirad.scan import _model_step, branches, refine
+from semirad.scan import Parts, _model_step, branches, refine
 
 # The golden_section ids are kept for the tests of the second-order
 # refinement that replaced golden-section search; its bisection step is the
@@ -275,7 +275,7 @@ def test_branch_slopes_and_curvatures_match_finite_differences(parts):
 
     t = 0.4 if parts == 1 else 0.4 + np.array([0.0, 2.1])
     h = 1e-4
-    lam, q = branches(c, t, list(range(k)), 8.0)
+    lam, q = branches(Parts(c, 8.0), t, list(range(k)))
     assert lam.shape == (parts, k)
     here, ahead, behind = (
         np.linalg.eigvalsh(part(u)).reshape(parts, k) for u in (t, t + h, t - h)
@@ -296,8 +296,8 @@ def test_branches_without_curvature_give_the_same_values_and_slopes():
     k = 6
     c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     angles = np.linspace(0.0, np.pi, 40, endpoint=False)
-    lam, q = branches(c, angles, [0, k - 1], 4.0)
-    lean_lam, lean = branches(c, angles, [0, k - 1], 4.0, curvature=False)
+    lam, q = branches(Parts(c, 4.0), angles, [0, k - 1])
+    lean_lam, lean = branches(Parts(c, 4.0), angles, [0, k - 1], curvature=False)
     assert q.shape == (3, 40, 2) and lean.shape == (2, 40, 2)
     assert np.array_equal(lam, lean_lam)
     assert np.array_equal(q[:2], lean)
