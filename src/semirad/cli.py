@@ -16,8 +16,9 @@ type in row-major order naming the key and the row, and converts it with
 one ``np.array`` call; one check rejects an unknown key, then a missing
 required one.  Exit codes: 0 success, 1 numerical failure, 2 validation
 error: every malformed input, with one ``error:`` line (an unknown,
-missing or mistyped flag, malformed JSON with line and column, JSON
-nested too deeply to read, a negative ``--seed``, a JSON integer too
+missing or mistyped flag, a negative ``--mc-samples`` or ``--seed``,
+``--format svg`` with a command other than ``range``, malformed JSON
+with line and column, JSON nested too deeply to read, a JSON integer too
 large for a float, a number that is not finite, an ``"identity_dim"``
 other than the size of the operator, checked before the weight is built,
 an input file that is not UTF-8, an ``--output`` path that cannot be
@@ -30,8 +31,10 @@ support-line vertices (``outer``), at least 32 points each.  Output for a
 fixed config and seed is byte-identical across runs at a fixed BLAS
 thread count; files are written atomically (temp file + rename).
 
-:func:`main` may be called many times in one process, and each call pays
-only for its own job: it parses with one parser, built on the first call,
+:func:`main` is the one entry point: the console script and ``python -m
+semirad`` call it, and argparse is the one validator of its flags.  It
+may be called many times in one process, and each call pays only for its
+own job: it parses with one parser, built on the first call,
 and the polygons and weights of the payloads are converted by ``tolist``,
 not point by point.  Every call's output is byte-identical to the same
 call made first in a fresh interpreter.
@@ -44,7 +47,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cache
 
 import numpy as np
@@ -61,33 +64,7 @@ from .semihilbert import (
     make_operator,
 )
 
-COMMANDS = ("radius", "bounds", "blockbounds", "zeros", "range")
 FORMATS = ("table", "json", "svg")
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One CLI invocation's worth of settings."""
-
-    command: str
-    input_path: str
-    output_format: str = "table"
-    mc_samples: int = 0
-    seed: int = 0
-    output_path: str | None = None
-
-
-def _validate_config(cfg: JobConfig) -> None:
-    if cfg.command not in COMMANDS:
-        raise ValidationError(f"unknown command {cfg.command!r}")
-    if cfg.output_format not in FORMATS:
-        raise ValidationError(f"unknown format {cfg.output_format!r}")
-    if cfg.mc_samples < 0:
-        raise ValidationError("mc_samples must be nonnegative")
-    if cfg.seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    if cfg.output_format == "svg" and cfg.command != "range":
-        raise ValidationError("svg output is only available for the range command")
 
 
 def _load_json(path: str) -> dict:
@@ -190,7 +167,7 @@ def _operator_from(data: dict) -> SemiOperator:
     return make_operator(_context_from(data, t.shape[0], '"T"'), t)
 
 
-def _run_radius(cfg: JobConfig, data: dict) -> dict:
+def _run_radius(args: argparse.Namespace, data: dict) -> dict:
     op = _operator_from(data)
     payload = {
         "command": "radius",
@@ -198,12 +175,12 @@ def _run_radius(cfg: JobConfig, data: dict) -> dict:
         "crawford": a_crawford(op),
         "seminorm": a_operator_seminorm(op),
     }
-    if cfg.mc_samples > 0:
-        payload["seed"] = cfg.seed
+    if args.mc_samples > 0:
+        payload["seed"] = args.seed
         payload["mc_radius"] = monte_carlo_radius(
-            op, samples=cfg.mc_samples, seed=cfg.seed
+            op, samples=args.mc_samples, seed=args.seed
         )
-        payload["mc_samples"] = cfg.mc_samples
+        payload["mc_samples"] = args.mc_samples
     return payload
 
 
@@ -217,12 +194,12 @@ def _points(z: np.ndarray) -> list:
     return np.column_stack((z.real, z.imag)).tolist()
 
 
-def _run_bounds(cfg: JobConfig, data: dict) -> dict:
+def _run_bounds(args: argparse.Namespace, data: dict) -> dict:
     op = _operator_from(data)
     return {"command": "bounds", **_fields(bound_report(op))}
 
 
-def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
+def _run_blockbounds(args: argparse.Namespace, data: dict) -> dict:
     block_keys = ("T11", "T12", "T21", "T22")
     _keys(data, block_keys, ("A", "identity_dim"))
     blocks = [_array(data, k, rows=True) for k in block_keys]
@@ -231,7 +208,7 @@ def _run_blockbounds(cfg: JobConfig, data: dict) -> dict:
     return {"command": "blockbounds", **_fields(matrix_bound_report(*ops))}
 
 
-def _run_zeros(cfg: JobConfig, data: dict) -> dict:
+def _run_zeros(args: argparse.Namespace, data: dict) -> dict:
     _keys(data, ("coeffs",), ("d",))
     p = make_polynomial(_array(data, "coeffs"))
     weights = _array(data, "d", pairs=False) if "d" in data else None
@@ -245,7 +222,7 @@ def _run_zeros(cfg: JobConfig, data: dict) -> dict:
     }
 
 
-def _run_range(cfg: JobConfig, data: dict) -> dict:
+def _run_range(args: argparse.Namespace, data: dict) -> dict:
     op = _operator_from(data)
     est = estimate_range(op)
     return {
@@ -285,8 +262,6 @@ def _render_svg(payload: dict) -> str:
         + [abs(v) for point in boundary + outer for v in point]
         + [1e-12]
     )
-    if extent <= 0:
-        extent = 1.0
     scale = (size / 2 - margin) / extent
     cx = cy = size / 2
 
@@ -332,10 +307,10 @@ def _render_svg(payload: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _render(cfg: JobConfig, payload: dict) -> str:
-    if cfg.output_format == "json":
+def _render(output_format: str, payload: dict) -> str:
+    if output_format == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.output_format == "svg":
+    if output_format == "svg":
         return _render_svg(payload)
     return _render_table(payload)
 
@@ -370,22 +345,6 @@ _RUNNERS = {
 }
 
 
-def run(cfg: JobConfig) -> int:
-    """Execute one job; returns the process exit code."""
-    try:
-        _validate_config(cfg)
-        data = _load_json(cfg.input_path)
-        payload = _RUNNERS[cfg.command](cfg, data)
-        _emit(_render(cfg, payload), cfg.output_path)
-        return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as a ValidationError, which
     :func:`main` reports in one ``error:`` line with exit code 2, instead
@@ -408,7 +367,7 @@ def _parser() -> argparse.ArgumentParser:
             "block-matrix bounds, polynomial zero bounds, range plots."
         ),
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=_RUNNERS)
     parser.add_argument("--input", required=True, help="path to the JSON problem file")
     parser.add_argument("--format", default="table", choices=FORMATS)
     parser.add_argument("--mc-samples", type=int, default=0)
@@ -420,21 +379,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one job from its command line, *argv* without the program name
+    (default ``sys.argv[1:]``); returns the process exit code."""
     try:
         args = _parser().parse_args(argv)
+        if args.mc_samples < 0:
+            raise ValidationError("mc_samples must be nonnegative")
+        if args.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        if args.format == "svg" and args.command != "range":
+            raise ValidationError("svg output is only available for the range command")
+        payload = _RUNNERS[args.command](args, _load_json(args.input))
+        _emit(_render(args.format, payload), args.output)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(
-        JobConfig(
-            command=args.command,
-            input_path=args.input,
-            output_format=args.format,
-            mc_samples=args.mc_samples,
-            seed=args.seed,
-            output_path=args.output,
-        )
-    )
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

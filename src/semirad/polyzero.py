@@ -16,6 +16,7 @@ solve, its only matrix, gated on its top root.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,8 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
     if arr.size == 0:
         raise DegreeZero("polynomial must have degree >= 1")
     lead = complex(leading_coefficient)
+    if not cmath.isfinite(lead):
+        raise InvalidMatrix("leading coefficient must be finite")
     if lead == 0:
         raise DegreeZero("leading coefficient must be nonzero")
     if lead != 1.0 + 0.0j:
@@ -71,8 +74,14 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
 
 
 def validate_weights(d, degree: int) -> np.ndarray:
-    """Check a weight vector: real, strictly positive, one entry per row."""
-    arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    """Check a weight vector: real, strictly positive, one entry per row.
+    A complex entry passes only with a zero imaginary part."""
+    arr = np.atleast_1d(np.asarray(d))
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0):
+            raise NonPositiveWeight("weights must be real")
+        arr = arr.real
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidMatrix(f"weights must form a 1-D sequence, got ndim={arr.ndim}")
     if arr.size != degree:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semirad as sr
-from semirad.cli import JobConfig, main, run
+from semirad.cli import main
 
 
 def cmat(m):
@@ -332,6 +332,7 @@ class TestValidation:
     def test_svg_limited_to_range(self, tmp_path, capsys):
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
         assert main(["--command", "radius", "--input", path, "--format", "svg"]) == 2
+        assert "range" in self.assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("flag", ["--theta-grid", "--phi-grid"])
     def test_grid_flags_rejected(self, tmp_path, capsys, flag):
@@ -409,6 +410,12 @@ class TestValidation:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         return captured.err
+
+    def test_negative_mc_samples(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
+        argv = ["--command", "radius", "--input", path, "--mc-samples", "-1"]
+        assert main(argv) == 2
+        assert "mc_samples" in self.assert_one_error_line(capsys)
 
     def test_negative_seed(self, tmp_path, capsys):
         path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(np.eye(2))})
@@ -577,15 +584,6 @@ class TestOutputs:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_run_accepts_config_directly(self, tmp_path, capsys):
-        path = write_json(
-            tmp_path, {"identity_dim": 2, "T": cmat([[0, 1], [0, 0]])}
-        )
-        cfg = JobConfig(command="radius", input_path=path, output_format="json")
-        assert run(cfg) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["radius"] == pytest.approx(0.5, abs=1e-8)
 
     def test_json_round_trip_matches_library(self, tmp_path, capsys):
         a = [[2.0, 0.5], [0.5, 1.0]]

@@ -99,6 +99,22 @@ def test_rescaling_the_weight_by_a_power_of_four_changes_no_bit(seed, n, kernel,
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=sizes, kernel=kernels, k=st.integers(min_value=-20, max_value=20))
+def test_rescaling_t_by_a_power_of_two_changes_no_bit(seed, n, kernel, k):
+    # T -> 2^k T scales C by 2^k exactly, so every length scales by 2^k
+    # to the bit and every angle stays where it was
+    rng = np.random.default_rng(seed)
+    a, t = weight_and_operator(rng, n, kernel)
+    _, base = weighted_quantities(a, t)
+    _, scaled = weighted_quantities(a, 2.0**k * t)
+    for name, value in base.items():
+        if name in ("phi_star", "theta"):
+            np.testing.assert_array_equal(scaled[name], value, err_msg=name)
+        else:
+            np.testing.assert_array_equal(scaled[name], 2.0**k * value, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=sizes, kernel=kernels, c=st.floats(1e-6, 1e6))
 def test_rescaling_the_weight_keeps_every_weighted_quantity(seed, n, kernel, c):
     rng = np.random.default_rng(seed)

@@ -48,6 +48,19 @@ def test_make_polynomial_rejects_overflow_after_normalizing():
             sr.make_polynomial([1.0, np.inf])
 
 
+@pytest.mark.parametrize(
+    "lead",
+    [np.inf, -np.inf, complex(0, np.inf), complex(np.inf, np.nan), np.nan],
+    ids=["inf", "-inf", "inf-imag", "inf-nan", "nan"],
+)
+def test_make_polynomial_rejects_a_leading_coefficient_that_is_not_finite(lead):
+    # dividing by an infinite one would leave z^n with no error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sr.InvalidMatrix, match="leading coefficient must be finite"):
+            sr.make_polynomial([1.0, 2.0], leading_coefficient=lead)
+
+
 def test_companion_layout_degree_one():
     p = sr.make_polynomial([3.0])
     c = sr.companion(p)
@@ -159,6 +172,25 @@ class TestAlphas:
             sr.alphas(p, [1.0, 1.0, 0.0, 1.0, 1.0])
         with pytest.raises(sr.NonPositiveWeight):
             sr.bound_prk(p, [1.0, 1.0, -2.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "d",
+        [np.array([1 + 1j, 1.0, 1.0, 1.0, 1.0]), [1.0, 1.0, 2j, 1.0, 1.0]],
+        ids=["complex-array", "list-with-complex"],
+    )
+    def test_complex_weights_rejected(self, d):
+        # the imaginary part is neither dropped nor a raw TypeError
+        p = sr.make_polynomial(EXAMPLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (sr.alphas, sr.bound_prk, lambda p, d: sr.zero_bound_report(p, d=d)):
+                with pytest.raises(sr.NonPositiveWeight, match="real"):
+                    f(p, d)
+
+    def test_complex_weights_with_zero_imaginary_part_accepted(self):
+        p = sr.make_polynomial(EXAMPLE)
+        d = np.asarray(EXAMPLE_WEIGHTS, dtype=np.complex128)
+        assert np.array_equal(sr.alphas(p, d), sr.alphas(p, EXAMPLE_WEIGHTS))
 
 
 class TestSoundness:
