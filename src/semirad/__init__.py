@@ -4,157 +4,25 @@ Radii, Crawford numbers, and range boundaries for operators under a
 Hermitian PSD weight; certified lower/upper bound brackets including 2x2
 block-matrix bounds; companion-matrix bounds on polynomial zero moduli
 with Perron-optimal weights; a JSON/table/SVG command line.
+
+Each module's ``__all__`` lists the names the package re-exports, so a
+new public name is added in one place, next to its definition.
 """
 
-from .arange import (
-    InclusionReport,
-    RangeEstimate,
-    a_crawford,
-    a_numerical_radius,
-    estimate_range,
-    monte_carlo_radius,
-    monte_carlo_seminorm,
-    spectral_inclusion_check,
-    w_theta_identity_check,
-)
-from .bounds import (
-    BoundReport,
-    MatrixBoundReport,
-    assemble_blocks,
-    block_bound_lemma24,
-    block_bound_th25,
-    block_bound_th27,
-    block_bound_th28,
-    bound_report,
-    lower_bound_21,
-    lower_bound_22,
-    matrix_bound_report,
-    optimize_t,
-    upper_bound_hphi,
-)
-from .errors import (
-    ContextMismatch,
-    DegreeZero,
-    DimensionMismatch,
-    InvalidMatrix,
-    NonPositiveWeight,
-    NotAAdjointable,
-    NotHermitian,
-    NotPSD,
-    NotSquare,
-    NotStrictlyPositive,
-    NumericalFailure,
-    TOutOfRange,
-    ValidationError,
-    WeightDimensionMismatch,
-)
-from .linalg import EigenDecomposition, general_eig, hermitian_eig, spectral_norm
-from .polyzero import (
-    PolynomialSpec,
-    ZeroBoundReport,
-    alphas,
-    bound_carmichael_mason,
-    bound_cauchy,
-    bound_fujii_kubo,
-    bound_prk,
-    certificate_matrix,
-    companion,
-    make_polynomial,
-    max_root_modulus,
-    optimize_weights,
-    validate_weights,
-    zero_bound_report,
-)
-from .semihilbert import (
-    PositiveOperator,
-    SemiOperator,
-    a_inner,
-    a_norm_vec,
-    a_operator_seminorm,
-    add_operators,
-    adjoint_operator,
-    identity_context,
-    im_a,
-    is_a_positive,
-    is_a_selfadjoint,
-    is_a_unitary,
-    make_context,
-    make_operator,
-    re_a,
-    scale_operator,
-)
+from . import arange, bounds, errors, linalg, polyzero, semihilbert
+from .arange import *
+from .bounds import *
+from .errors import *
+from .linalg import *
+from .polyzero import *
+from .semihilbert import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ContextMismatch",
-    "DegreeZero",
-    "DimensionMismatch",
-    "EigenDecomposition",
-    "InclusionReport",
-    "InvalidMatrix",
-    "MatrixBoundReport",
-    "NonPositiveWeight",
-    "NotAAdjointable",
-    "NotHermitian",
-    "NotPSD",
-    "NotSquare",
-    "NotStrictlyPositive",
-    "NumericalFailure",
-    "PolynomialSpec",
-    "PositiveOperator",
-    "RangeEstimate",
-    "SemiOperator",
-    "TOutOfRange",
-    "ValidationError",
-    "WeightDimensionMismatch",
-    "ZeroBoundReport",
-    "a_crawford",
-    "a_inner",
-    "a_norm_vec",
-    "a_numerical_radius",
-    "a_operator_seminorm",
-    "add_operators",
-    "adjoint_operator",
-    "alphas",
-    "assemble_blocks",
-    "block_bound_lemma24",
-    "block_bound_th25",
-    "block_bound_th27",
-    "block_bound_th28",
-    "bound_carmichael_mason",
-    "bound_cauchy",
-    "bound_fujii_kubo",
-    "bound_prk",
-    "bound_report",
-    "certificate_matrix",
-    "companion",
-    "estimate_range",
-    "general_eig",
-    "hermitian_eig",
-    "identity_context",
-    "im_a",
-    "is_a_positive",
-    "is_a_selfadjoint",
-    "is_a_unitary",
-    "lower_bound_21",
-    "lower_bound_22",
-    "make_context",
-    "make_operator",
-    "make_polynomial",
-    "matrix_bound_report",
-    "max_root_modulus",
-    "monte_carlo_radius",
-    "monte_carlo_seminorm",
-    "optimize_t",
-    "optimize_weights",
-    "re_a",
-    "scale_operator",
-    "spectral_inclusion_check",
-    "spectral_norm",
-    "upper_bound_hphi",
-    "validate_weights",
-    "w_theta_identity_check",
-    "zero_bound_report",
-]
+__all__ = []
+__all__ += arange.__all__
+__all__ += bounds.__all__
+__all__ += errors.__all__
+__all__ += linalg.__all__
+__all__ += polyzero.__all__
+__all__ += semihilbert.__all__

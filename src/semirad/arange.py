@@ -36,6 +36,18 @@ from .linalg import general_eig, lapack
 from .scan import Parts, branches, refine
 from .semihilbert import SemiOperator, im_a, re_a
 
+__all__ = [
+    "InclusionReport",
+    "RangeEstimate",
+    "a_crawford",
+    "a_numerical_radius",
+    "estimate_range",
+    "monte_carlo_radius",
+    "monte_carlo_seminorm",
+    "spectral_inclusion_check",
+    "w_theta_identity_check",
+]
+
 
 def a_numerical_radius(op: SemiOperator) -> float:
     """Weighted numerical radius, the max of the support function.

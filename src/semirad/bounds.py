@@ -60,6 +60,23 @@ from .semihilbert import (
     require_same_context,
 )
 
+__all__ = [
+    "BoundReport",
+    "MatrixBoundReport",
+    "assemble_blocks",
+    "block_bound_lemma24",
+    "block_bound_th25",
+    "block_bound_th27",
+    "block_bound_th28",
+    "bound_report",
+    "lower_bound_21",
+    "lower_bound_22",
+    "matrix_bound_report",
+    "optimize_t",
+    "upper_bound_hphi",
+]
+
+
 def _norm_crawford(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Norms and Crawford numbers of Hermitian H from its extreme
     eigenvalues *lo* and *hi*.

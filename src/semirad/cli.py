@@ -32,12 +32,13 @@ fixed config and seed is byte-identical across runs at a fixed BLAS
 thread count; files are written atomically (temp file + rename).
 
 :func:`main` is the one entry point: the console script and ``python -m
-semirad`` call it, and argparse is the one validator of its flags.  It
-may be called many times in one process, and each call pays only for its
-own job: it parses with one parser, built on the first call,
-and the polygons and weights of the payloads are converted by ``tolist``,
-not point by point.  Every call's output is byte-identical to the same
-call made first in a fresh interpreter.
+semirad`` call it, and argparse is the one validator of its flags.  Each
+runner returns the fields of its job; :func:`_fields` turns a report's
+arrays into lists (floats, or [re, im] pairs if complex) by ``tolist``,
+and ``main`` writes ``"command"`` first.  ``main`` may be called many
+times in one process, and each call pays only for its own job: it parses
+with one parser, built on the first call.  Every call's output is
+byte-identical to the same call made first in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ def _operator_from(data: dict) -> SemiOperator:
 def _run_radius(args: argparse.Namespace, data: dict) -> dict:
     op = _operator_from(data)
     payload = {
-        "command": "radius",
         "radius": a_numerical_radius(op),
         "crawford": a_crawford(op),
         "seminorm": a_operator_seminorm(op),
@@ -185,18 +185,19 @@ def _run_radius(args: argparse.Namespace, data: dict) -> dict:
 
 
 def _fields(report) -> dict:
-    """The fields of a report dataclass, in order, not copied."""
-    return {f.name: getattr(report, f.name) for f in fields(report)}
-
-
-def _points(z: np.ndarray) -> list:
-    """Complex points as [re, im] pairs of Python floats."""
-    return np.column_stack((z.real, z.imag)).tolist()
+    """The fields of a report dataclass, in order; an array becomes a list,
+    of floats if real and of [re, im] pairs if complex."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    for key, value in out.items():
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind == "c":
+                value = np.stack((value.real, value.imag), -1)
+            out[key] = value.tolist()
+    return out
 
 
 def _run_bounds(args: argparse.Namespace, data: dict) -> dict:
-    op = _operator_from(data)
-    return {"command": "bounds", **_fields(bound_report(op))}
+    return _fields(bound_report(_operator_from(data)))
 
 
 def _run_blockbounds(args: argparse.Namespace, data: dict) -> dict:
@@ -205,32 +206,20 @@ def _run_blockbounds(args: argparse.Namespace, data: dict) -> dict:
     blocks = [_array(data, k, rows=True) for k in block_keys]
     ctx = _context_from(data, blocks[0].shape[0], '"T11"')
     ops = [make_operator(ctx, b) for b in blocks]
-    return {"command": "blockbounds", **_fields(matrix_bound_report(*ops))}
+    return _fields(matrix_bound_report(*ops))
 
 
 def _run_zeros(args: argparse.Namespace, data: dict) -> dict:
     _keys(data, ("coeffs",), ("d",))
     p = make_polynomial(_array(data, "coeffs"))
     weights = _array(data, "d", pairs=False) if "d" in data else None
-    rep = zero_bound_report(p, d=weights)
-    return {
-        "command": "zeros",
-        "degree": p.degree,
-        **_fields(rep),
-        "d_star": rep.d_star.tolist(),
-        "alphas": rep.alphas.tolist(),
-    }
+    return {"degree": p.degree, **_fields(zero_bound_report(p, d=weights))}
 
 
 def _run_range(args: argparse.Namespace, data: dict) -> dict:
     op = _operator_from(data)
     est = estimate_range(op)
-    return {
-        "command": "range",
-        **_fields(est),
-        "boundary": _points(est.boundary),
-        "outer": _points(est.outer),
-    }
+    return _fields(est)
 
 
 def _render_table(payload: dict) -> str:
@@ -389,8 +378,8 @@ def main(argv=None) -> int:
             raise ValidationError("seed must be nonnegative")
         if args.format == "svg" and args.command != "range":
             raise ValidationError("svg output is only available for the range command")
-        payload = _RUNNERS[args.command](args, _load_json(args.input))
-        _emit(_render(args.format, payload), args.output)
+        result = _RUNNERS[args.command](args, _load_json(args.input))
+        _emit(_render(args.format, {"command": args.command, **result}), args.output)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

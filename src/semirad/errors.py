@@ -7,6 +7,23 @@ The CLI maps ``ValidationError`` to exit code 2 and ``NumericalFailure``
 to exit code 1.
 """
 
+__all__ = [
+    "ContextMismatch",
+    "DegreeZero",
+    "DimensionMismatch",
+    "InvalidMatrix",
+    "NonPositiveWeight",
+    "NotAAdjointable",
+    "NotHermitian",
+    "NotPSD",
+    "NotSquare",
+    "NotStrictlyPositive",
+    "NumericalFailure",
+    "TOutOfRange",
+    "ValidationError",
+    "WeightDimensionMismatch",
+]
+
 
 class ValidationError(Exception):
     """Input violates a documented precondition."""

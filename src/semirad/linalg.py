@@ -2,7 +2,7 @@
 
 Plain ``numpy.ndarray`` (complex128, row-major) is the matrix carrier for
 the whole package; :func:`as_complex_matrix` is the validation gate that
-turns arbitrary input into one.  On top of it this module provides the
+turns numeric input into one.  On top of it this module provides the
 Hermitian eigendecomposition behind a relative symmetry gate, the spectral
 norm, the split of a PSD spectrum into kept and dropped eigenpairs at a
 relative rank cutoff, and general eigenvalues behind a residual gate.  All
@@ -17,11 +17,14 @@ LAPACK call via numpy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidMatrix, NotHermitian, NotPSD, NotSquare, NumericalFailure
+
+__all__ = ["EigenDecomposition", "general_eig", "hermitian_eig", "spectral_norm"]
 
 #: Relative tolerance for Hermitian symmetry checks.
 HERM_TOL = 1e-8
@@ -48,13 +51,34 @@ class lapack:
             raise NumericalFailure(f"{self.what} failed: {exc}") from exc
 
 
+def as_numbers(x, what: str, dtype=None) -> np.ndarray:
+    """``np.asarray(x)``, cast to *dtype* if given, if its entries are numbers.
+
+    An ndarray is judged by its dtype; other input also entry by entry where
+    numpy types it as integers, which may hide a bool, or as objects.  A
+    ragged nesting or a string, bool or other non-number raises InvalidMatrix.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy's error for a ragged nesting
+        raise InvalidMatrix(f"{what}: ragged nesting") from exc
+    kind = arr.dtype.kind
+    ok = kind in "iufc"
+    if kind == "O" or kind in "iu" and not isinstance(x, np.ndarray):
+        flat = np.asarray(x, dtype=object).flat
+        ok = all(isinstance(e, numbers.Number) and type(e) is not bool for e in flat)
+    if not ok:
+        raise InvalidMatrix(f"{what}: entries must be numbers, not strings or bools")
+    return arr if dtype is None else arr.astype(dtype, copy=False)
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Validate *m* as a dense complex matrix and return it as complex128.
 
-    Accepts anything ``np.asarray`` understands.  Rejects non-2-D input,
-    empty dimensions, and non-finite entries.
+    Accepts what :func:`as_numbers` accepts.  Rejects non-2-D input, empty
+    dimensions, and non-finite entries.
     """
-    arr = np.asarray(m, dtype=np.complex128)
+    arr = as_numbers(m, "matrix", np.complex128)
     if arr.ndim != 2:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -29,7 +29,24 @@ from .errors import (
     NumericalFailure,
     WeightDimensionMismatch,
 )
-from .linalg import lapack
+from .linalg import as_numbers, lapack
+
+__all__ = [
+    "PolynomialSpec",
+    "ZeroBoundReport",
+    "alphas",
+    "bound_carmichael_mason",
+    "bound_cauchy",
+    "bound_fujii_kubo",
+    "bound_prk",
+    "certificate_matrix",
+    "companion",
+    "make_polynomial",
+    "max_root_modulus",
+    "optimize_weights",
+    "validate_weights",
+    "zero_bound_report",
+]
 
 #: Backward-error tolerance of the reported root (see ``_top_modulus``).
 ROOT_TOL = 1e-8
@@ -51,12 +68,15 @@ class PolynomialSpec:
 def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> PolynomialSpec:
     """Build a PolynomialSpec from a_0..a_{n-1} (and an optional leading
     coefficient to divide out)."""
-    arr = np.atleast_1d(np.asarray(low_coefficients, dtype=np.complex128))
+    arr = np.atleast_1d(as_numbers(low_coefficients, "coefficients", complex))
     if arr.ndim != 1:
         raise InvalidMatrix(f"coefficients must form a 1-D sequence, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DegreeZero("polynomial must have degree >= 1")
-    lead = complex(leading_coefficient)
+    lead = as_numbers(leading_coefficient, "leading coefficient", complex)
+    if lead.ndim != 0:
+        raise InvalidMatrix(f"leading coefficient must be a scalar, got ndim={lead.ndim}")
+    lead = complex(lead)
     if not cmath.isfinite(lead):
         raise InvalidMatrix("leading coefficient must be finite")
     if lead == 0:
@@ -76,7 +96,7 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
 def validate_weights(d, degree: int) -> np.ndarray:
     """Check a weight vector: real, strictly positive, one entry per row.
     A complex entry passes only with a zero imaginary part."""
-    arr = np.atleast_1d(np.asarray(d))
+    arr = np.atleast_1d(as_numbers(d, "weights"))
     if np.iscomplexobj(arr):
         if np.any(arr.imag != 0):
             raise NonPositiveWeight("weights must be real")

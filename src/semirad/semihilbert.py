@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import (
     HERM_TOL,
     RANK_TOL,
+    as_numbers,
     hermitian_defect,
     hermitian_eig,
     hermitian_part,
@@ -48,6 +49,25 @@ from .linalg import (
     require_square,
     spectral_norm,
 )
+
+__all__ = [
+    "PositiveOperator",
+    "SemiOperator",
+    "a_inner",
+    "a_norm_vec",
+    "a_operator_seminorm",
+    "add_operators",
+    "adjoint_operator",
+    "identity_context",
+    "im_a",
+    "is_a_positive",
+    "is_a_selfadjoint",
+    "is_a_unitary",
+    "make_context",
+    "make_operator",
+    "re_a",
+    "scale_operator",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +138,7 @@ def identity_context(n: int) -> PositiveOperator:
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
+    arr = as_numbers(x, "vector", np.complex128)
     if arr.ndim != 1:
         raise InvalidMatrix(f"expected a 1-D vector, got ndim={arr.ndim}")
     if arr.shape[0] != dim:

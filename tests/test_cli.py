@@ -284,6 +284,62 @@ def test_table_format(tmp_path, capsys):
     assert "0.5" in out
 
 
+# whole tables, byte for byte: point counts and a bool (a rank-0 range
+# job), None (a block job with a nonzero bottom row), and lists (a zeros job)
+TABLES = {
+    "range": (
+        {"A": cmat(np.zeros((2, 2))), "T": cmat([[1, 2], [0, 1 + 1j]])},
+        "command            range\n"
+        "radius             0\n"
+        "crawford           0\n"
+        "boundary           0 points\n"
+        "outer              0 points\n"
+        "degenerate         true\n",
+    ),
+    "blockbounds": (
+        {
+            "identity_dim": 2,
+            "T11": [[[1, 0], [2, 1]], [[0, 0], [-1, 0]]],
+            "T12": [[[0, 1], [0, 0]], [[1, 0], [0, -2]]],
+            "T21": [[[0.5, 0], [0, 0]], [[0, 0], [0, 0.5]]],
+            "T22": [[[0, 0], [1, 0]], [[3, 0], [0, 1]]],
+        },
+        "command            blockbounds\n"
+        "w_b_exact          2.73957\n"
+        "lemma24            n/a\n"
+        "th25               4.23647\n"
+        "th27               4.42199\n"
+        "th28               4.28644\n"
+        "t_star_27          0.820676\n"
+        "t_star_28          0.179324\n",
+    ),
+    "zeros": (
+        QUINTIC,
+        "command            zeros\n"
+        "degree             5\n"
+        "r_c                4\n"
+        "r_cm               3.16387\n"
+        "r_fk               2.36687\n"
+        "r_prk              1.78393\n"
+        "d_star             1 0.457857 1.17571 0.0190599 0.038943\n"
+        "alphas             1.78393 1.78393 1.78393 1.78393 1.78393\n"
+        "max_root_modulus   1.44875\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TABLES)
+def test_table_text(tmp_path, capsys, command):
+    doc, table = TABLES[command]
+    path = write_json(tmp_path, doc)
+    if command == "range":
+        with pytest.warns(RuntimeWarning, match="rank 0"):
+            assert main(["--command", command, "--input", path]) == 0
+    else:
+        assert main(["--command", command, "--input", path]) == 0
+    assert capsys.readouterr().out == table
+
+
 class TestValidation:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -569,6 +625,23 @@ class TestOutputs:
         assert payload["radius"] == pytest.approx(0.5, abs=1e-8)
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".semirad-")]
         assert leftovers == []
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the temp file is written, then the rename fails: exit 2 with one
+        # error line, the temp file removed and the target never created
+        path = write_json(tmp_path, QUINTIC)
+        out = tmp_path / "report.txt"
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["--command", "zeros", "--input", path, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
     def test_determinism_byte_identical(self, tmp_path):
         path = write_json(tmp_path, QUINTIC)

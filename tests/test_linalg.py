@@ -22,6 +22,64 @@ def test_as_complex_matrix_accepts_noncontiguous_views():
     assert out.shape == (3, 3)
 
 
+CTX2 = sr.make_context(np.eye(2))
+
+# entry point -> (the name its errors give the input, shape index, call)
+GATES = {
+    "make_context": ("matrix", 2, sr.make_context),
+    "make_operator": ("matrix", 2, lambda v: sr.make_operator(CTX2, v)),
+    "a_inner": ("vector", 1, lambda v: sr.a_inner(CTX2, [1, 0], v)),
+    "a_norm_vec": ("vector", 1, lambda v: sr.a_norm_vec(CTX2, v)),
+    "make_polynomial": ("coefficients", 1, sr.make_polynomial),
+    "leading_coefficient": (
+        "leading coefficient", 0, lambda v: sr.make_polynomial([1, 2], v)
+    ),
+    "validate_weights": ("weights", 1, lambda v: sr.validate_weights(v, 2)),
+}
+
+# fault -> (scalar, vector, matrix)
+FAULTS = {
+    "str": ("2", ["1", "0"], [["1", "0"], ["0", "1"]]),
+    "numpy str": (np.str_("2"), np.array(["1", "2"]), np.eye(2).astype(str)),
+    "bool": (True, [True, False], [[True, False], [False, True]]),
+    "numpy bool": (np.True_, np.array([True, True]), np.eye(2, dtype=bool)),
+    # a bool that numpy types as an integer or an object
+    "hidden bool": (
+        np.array(True, dtype=object),
+        [True, 1],
+        np.array([[True, 0], [0, 1]], dtype=object),
+    ),
+    "non-number": (None, [None, 1], [[None, 0], [0, 1]]),
+    "ragged": ([1, [2, 3]], [1, [2, 3]], [[1, 2], [3]]),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("gate", GATES)
+def test_input_gates_reject_non_numbers_and_ragged_nestings(gate, fault):
+    what, shape, call = GATES[gate]
+    reason = "ragged nesting" if fault == "ragged" else "entries must be numbers"
+    with pytest.raises(sr.InvalidMatrix, match=f"^{what}: {reason}"):
+        call(FAULTS[fault][shape])
+
+
+def test_input_gates_keep_the_bits_of_numeric_input():
+    # a list converts as the array of the same numbers does, integers past
+    # the int64 range (an object array) included
+    values = [3, -2.5, 1 + 0.1j, 2**70]
+    arr = np.array(values, dtype=np.complex128)
+    assert sr.make_polynomial(values).coefficients.tobytes() == arr.tobytes()
+    assert sr.make_polynomial(values[:2], 2**70).leading_coefficient == complex(2**70)
+    assert sr.validate_weights([1, 2.5], 2).tobytes() == np.array([1.0, 2.5]).tobytes()
+    m = [[2, 1j], [-1j, 1.5]]
+    assert (
+        sr.make_context(m).matrix.tobytes()
+        == sr.make_context(np.array(m)).matrix.tobytes()
+        == np.array(m, dtype=np.complex128).tobytes()
+    )
+    assert sr.a_norm_vec(CTX2, [3, 4]) == sr.a_norm_vec(CTX2, np.array([3.0, 4])) == 5
+
+
 def test_require_square():
     with pytest.raises(sr.NotSquare):
         require_square(np.zeros((2, 3)))

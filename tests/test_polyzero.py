@@ -61,6 +61,14 @@ def test_make_polynomial_rejects_a_leading_coefficient_that_is_not_finite(lead):
             sr.make_polynomial([1.0, 2.0], leading_coefficient=lead)
 
 
+@pytest.mark.parametrize(
+    "lead", [[2.0], np.array([2.0]), (1, 2)], ids=["list", "array", "tuple"]
+)
+def test_make_polynomial_rejects_a_leading_coefficient_that_is_not_a_scalar(lead):
+    with pytest.raises(sr.InvalidMatrix, match="leading coefficient must be a scalar"):
+        sr.make_polynomial([1.0, 2.0], leading_coefficient=lead)
+
+
 def test_companion_layout_degree_one():
     p = sr.make_polynomial([3.0])
     c = sr.companion(p)
