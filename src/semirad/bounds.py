@@ -8,14 +8,13 @@ so the radius and every bound of one operator are read off its
 support-line cells (:class:`cells.Cells`), made once per operator and
 kept on it: both lower bounds off the start lines at 0 and pi/2, and the
 H_phi objective at every angle of the picture, whose angles are closed
-under rotation by pi/2.  :func:`upper_bound_hphi` runs the radius's
-pruned search (:func:`cells.optimize`) on minus the objective over the
-quarter-turn cells of the picture, refined on the eigenvalue branches of
-both parts; the value is kept on the operator, and :func:`bound_report`
-reads it there.  The block bounds read w(T11) and w(T22) from the same
-per-operator cells, whose radius searches grow only the cells they need
-from the start lines, never the picture.  A rank-0 weight makes every
-bound 0, with one warning at the caller's line.
+under rotation by pi/2.  The cells module owns all three searches (the
+radius, the Crawford number and :func:`cells.hphi`) and the quarter-turn
+layout they read; the H_phi value is kept on the operator, and
+:func:`bound_report` reads it there.  The block bounds read w(T11) and
+w(T22) from the same per-operator cells, whose radius searches grow only
+the cells they need from the start lines, never the picture.  A rank-0
+weight makes every bound 0, with one warning at the caller's line.
 For 2x2 operator matrices under the doubled weight diag(A, A), four
 closed-form upper bounds are provided, two of them carrying a free
 parameter t in [0, 1] whose optimum is closed-form as well.  Lemma 2.4
@@ -40,18 +39,8 @@ from math import hypot
 import numpy as np
 
 from .arange import a_numerical_radius
-from .cells import (
-    Cells,
-    degenerate_warning,
-    extreme,
-    floor,
-    operator_cells,
-    optimize,
-    quarter_cells,
-    radius,
-)
+from .cells import Cells, degenerate_warning, extreme, hphi, operator_cells, radius
 from .errors import TOutOfRange
-from .scan import Parts, branches
 from .semihilbert import (
     SemiOperator,
     a_operator_seminorm,
@@ -77,17 +66,6 @@ __all__ = [
 ]
 
 
-def _norm_crawford(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and Crawford numbers of Hermitian H from its extreme
-    eigenvalues *lo* and *hi*.
-
-    ||H|| = max(lambda_max, -lambda_min); the range of H is the segment
-    [lambda_min, lambda_max], so its distance to 0 is
-    max(0, lambda_min, -lambda_max).
-    """
-    return np.maximum(hi, -lo), np.maximum(0.0, np.maximum(lo, -hi))
-
-
 def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
     """(lower_bound_21, lower_bound_22) off the start of the support-line
     cells, whose angle 0 part is Re C and angle pi/2 part Im C; 0 under a
@@ -96,7 +74,11 @@ def _lower_bounds(op: SemiOperator) -> tuple[float, float]:
         degenerate_warning(stacklevel=4)
         return 0.0, 0.0
     h = operator_cells(op).axes()
-    norm, craw = _norm_crawford(-h[2:], h[:2])
+    # Re C and Im C have extreme eigenvalues lo = -h[2:] and hi = h[:2], so
+    # norms max(hi, -lo) and Crawford numbers (distances of [lo, hi] to 0)
+    # max(0, lo, -hi)
+    norm = np.maximum(h[:2], h[2:])
+    craw = np.maximum(0.0, np.maximum(-h[2:], -h[:2]))
     return hypot(norm[0], craw[1]), hypot(norm[1], craw[0])
 
 
@@ -111,48 +93,6 @@ def lower_bound_22(op: SemiOperator) -> float:
     return _lower_bounds(op)[1]
 
 
-def _hphi(cells: Cells) -> tuple[float, float]:
-    """The H_phi bound of C; see :func:`upper_bound_hphi`."""
-    c = cells.c
-    k = c.shape[0]
-    idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
-    parts = Parts(c, cells.reach * cells.unit)
-
-    def survey(index, h, dh):
-        # F(u) = hypot(N(u), N(u + pi/2)), N(u) = max(h(u), h(u + pi)), at
-        # the base angles u, with its slope from the branch of each max
-        n = len(index) // 4
-        h4, dh4 = h.reshape(4, n), dh.reshape(4, n)
-        top = h4[:2] >= h4[2:]  # N's branch
-        norm = np.where(top, h4[:2], h4[2:])
-        f = np.hypot(norm[0], norm[1])
-        slope = np.where(top, dh4[:2], dh4[2:])
-        df = np.sum(norm * slope, axis=0) / np.where(f > 0, f, 1.0)
-        # F is at least its value for the support points at the cell's
-        # ends, each turned back by its quarter turns
-        theta, width, names = quarter_cells(index[:n])
-        q = np.exp(1j * theta) * (h4 + 1j * dh4)
-        ends = np.stack((q, np.roll(q, -1, axis=1)), axis=2)
-        groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
-        s = -cells.unit
-        bound = s * floor(theta, width, groups)
-        # the picture's cells, and every split of them, are at its resolution
-        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
-
-    def evaluate(theta: float):
-        angles = theta + np.array([0.0, 0.5 * np.pi])
-        lam_t, (v, g, cv) = branches(parts, angles, idx)
-        # the squares' model over twice the objective is the objective's
-        # model to first order, in the same units as the branches
-        squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
-        value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
-        norms = _norm_crawford(lam_t[:, 0], lam_t[:, -1])[0]
-        return -hypot(*norms), squares / (2.0 * value or 1.0)
-
-    theta, best, _ = optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
-    return -best, -theta % (0.5 * np.pi)
-
-
 def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     """Upper bound min over phi of hypot(||H_phi||, ||H_{phi+pi/2}||).
 
@@ -160,17 +100,12 @@ def upper_bound_hphi(op: SemiOperator) -> tuple[float, float]:
     the spectral radius of Re(exp(i*phi) C), the part at theta = -phi.
     A part's norm has period pi in theta, so the objective at phi = -theta
     pairs the support values at theta and theta + pi with those a quarter
-    turn on, all known at every angle of the support-line cells.  The
-    quarter-turn cells whose bound of the objective lies below the best
-    value are pruned and refined like the radius's (:func:`cells.optimize`);
-    each refinement step takes one eigh of the two parts and models the
-    squares of the top two and bottom two eigenvalues of each, whose
-    largest is the squared norm: the minimum often sits at a kink of a
-    norm, where a part has lambda_max = -lambda_min.  Returns (value, phi)
-    with phi in [0, pi/2), kept on the operator; 0 under a rank-0 weight,
-    with a warning.
+    turn on, all known at every angle of the support-line cells, whose
+    pruned search :func:`cells.hphi` runs.  Returns (value, phi) with phi
+    in [0, pi/2), kept on the operator; 0 under a rank-0 weight, with a
+    warning.
     """
-    return extreme(op, "_hphi", _hphi, (0.0, 0.0))
+    return extreme(op, "_hphi", hphi, (0.0, 0.0))
 
 
 def _block_scalars(

@@ -14,6 +14,8 @@ lines, and each quantity grows only the cells it needs from them:
   * the Crawford number, max(0, -min h), 0 at once when the start lines'
     inner polygon holds the origin, else pruned on the chords
     (:func:`crawford`),
+  * the H_phi bound, pruned on the quarter-turn cells of the picture
+    (:func:`hphi`),
   * the picture, which the boundary, the inclusion check and the H_phi
     bound read, refined in rounds of one stacked eigensolve each that
     reads values and slopes only, until every outer vertex lies within
@@ -23,14 +25,16 @@ lines, and each quantity grows only the cells it needs from them:
     (like its ``adjoint``); the radius and the Crawford number never grow
     it.
 
-Every eigensolve is one call of :func:`scan.branches`: the cells' stacks
-through :func:`Cells.support` alone, and each refinement step of the
-pruned search (:func:`optimize`).  Every batched eigensolve runs in
-chunks of at most CHUNK_ENTRIES matrix entries, so its memory does not
-grow with the number of angles.  A round merges the new values into the
-cells once and reads its view in one pass (:func:`_geometry`): the
-support points, the chords, the spans and the outer vertices, each
-computed once, which the gaps, the split angles and the bounds all read.
+This module alone knows the quarter-turn layout and runs the three
+pruned searches.  Every eigensolve is one call of :func:`scan.branches`:
+the cells' stacks through :func:`Cells.support` alone, and each
+refinement step of the pruned search (:func:`_optimize`).  Every batched
+eigensolve runs in chunks of at most CHUNK_ENTRIES matrix entries, so
+its memory does not grow with the number of angles.  A round merges the
+new values into the cells once and reads its view in one pass
+(:func:`_geometry`): the support points, the chords, the spans and the
+outer vertices, each computed once, which the gaps, the split angles and
+the bounds all read.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from functools import cached_property, reduce
+from math import hypot
 
 import numpy as np
 
@@ -65,6 +70,7 @@ _START = 8
 _EPS = np.finfo(np.float64).eps
 _ORBIT = _QUARTER * np.arange(4)[:, None]
 _SIGNS = np.array([1.0, -1.0])  # the top branch, and minus the bottom one
+_BACK = np.array([1, -1j, -1, 1j])[:, None, None]  # exact turns back to [0, pi/2)
 
 
 def chunks(m: int, k: int, copies: int = 1) -> list[slice]:
@@ -220,19 +226,11 @@ def _next(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[1:], x[:1]))
 
 
-def _span(index: np.ndarray, turn: int = 4 * _QUARTER) -> np.ndarray:
-    """Width of each cell of a cyclic view of *index* over *turn*."""
+def _span(index: np.ndarray) -> np.ndarray:
+    """Width of each cell of a cyclic view of *index* over the whole turn."""
     nxt = _next(index)
-    nxt[-1] += turn
+    nxt[-1] += 4 * _QUARTER
     return nxt - index
-
-
-def quarter_cells(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, width, midpoint) of each quarter-turn cell of the sorted base
-    angles *base* of a view, the cell of an angle running to the next one:
-    its angle, its width and the base angle that splits it."""
-    span = _span(base, _QUARTER)
-    return base * _UNIT, span * _UNIT, base + span // 2
 
 
 Geometry = namedtuple("Geometry", "index theta span width p p_next chord vertex")
@@ -271,7 +269,7 @@ def _gap(g: Geometry) -> np.ndarray:
     return np.abs(vertex - (p + along.clip(0.0, 1.0) * chord))
 
 
-def floor(a: np.ndarray, width: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+def _floor(a: np.ndarray, width: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
     """Least value over each cell [a, a + width] of the max over each group
     (cells x points) of Re(exp(-i theta) g), joined by hypot over groups.
 
@@ -311,7 +309,7 @@ def _vertex_bound(g: Geometry, h: np.ndarray) -> np.ndarray:
 def _chord_bound(g: Geometry, h: np.ndarray) -> np.ndarray:
     """Lower bound of h over each cell of a view of :func:`_geometry` *g*:
     the inner chord's support there."""
-    return floor(g.theta, g.width, [np.stack((g.p, g.p_next), axis=1)])
+    return _floor(g.theta, g.width, [np.stack((g.p, g.p_next), axis=1)])
 
 
 def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
@@ -343,7 +341,7 @@ def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
     return [((best + p) % n, (best + i) % n, (best + j) % n) for p, i, j in segments]
 
 
-def optimize(
+def _optimize(
     cells: Cells, base: np.ndarray, survey, evaluate, period: float
 ) -> tuple[float, float, np.ndarray]:
     """(t, f(t), angles) at the max of a function f of the support lines,
@@ -451,7 +449,7 @@ def _extremum(
         lam_t, q = branches(parts, t, idx)
         return sign * float(lam_t[0, -1]), -sign * q
 
-    _, v, base = optimize(cells, base, survey, evaluate, 2.0 * np.pi)
+    _, v, base = _optimize(cells, base, survey, evaluate, 2.0 * np.pi)
     return sign * v, base
 
 
@@ -485,6 +483,52 @@ def crawford(cells: Cells) -> float:
     if left.size and np.all(left > 0.0):
         return 0.0
     return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0])
+
+
+def hphi(cells: Cells) -> tuple[float, float]:
+    """(min F, phi = -theta modulo pi/2 at the min), the H_phi bound of C:
+    F(theta) = hypot(N(theta), N(theta + pi/2)), with N(theta) = max(h(theta),
+    h(theta + pi)) the norm of the part at theta, has period pi/2, so it is
+    pruned (:func:`_optimize`) on the first quarter of each view of the
+    picture, a cell's bound read off the support points at the ends of its
+    orbit, turned back by exact quarter turns (:func:`_floor`).  A refinement
+    step models the squares of the top two and bottom two eigenvalues of both
+    parts, whose largest is the squared norm: the minimum often sits at a
+    kink of a norm, where a part has lambda_max = -lambda_min."""
+    k = cells.c.shape[0]
+    idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
+    parts = Parts(cells.c, cells.reach * cells.unit)
+
+    def survey(index, h, dh):
+        # F and its slope at the base angles, from the branch of each max
+        n = len(index) // 4
+        h4, dh4 = h.reshape(4, n), dh.reshape(4, n)
+        top = h4[:2] >= h4[2:]  # N's branch
+        norm = np.where(top, h4[:2], h4[2:])
+        f = np.hypot(norm[0], norm[1])
+        slope = np.where(top, dh4[:2], dh4[2:])
+        df = np.sum(norm * slope, axis=0) / np.where(f > 0, f, 1.0)
+        g = _geometry(index, h, dh)
+        ends = np.stack((g.p, g.p_next), axis=1).reshape(4, n, 2) * _BACK
+        groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
+        theta, s = g.theta[:n], -cells.unit
+        bound = s * _floor(theta, g.width[:n], groups)
+        names = index[:n] + g.span[:n] // 2
+        # the picture's cells, and every split of them, are at its resolution
+        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
+
+    def evaluate(theta: float):
+        angles = theta + np.array([0.0, 0.5 * np.pi])
+        lam_t, (v, g, cv) = branches(parts, angles, idx)
+        # the squares' model over twice the objective is the objective's
+        # model to first order, in the same units as the branches
+        squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
+        value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
+        norms = np.maximum(lam_t[:, -1], -lam_t[:, 0])
+        return -hypot(*norms), squares / (2.0 * value or 1.0)
+
+    theta, best, _ = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
+    return -best, -theta % (0.5 * np.pi)
 
 
 def degenerate_warning(stacklevel: int = 3) -> None:

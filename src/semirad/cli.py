@@ -22,10 +22,11 @@ with line and column, JSON nested too deeply to read, a JSON integer too
 large for a float, a number that is not finite, an ``"identity_dim"``
 other than the size of the operator, checked before the weight is built,
 an input file that is not UTF-8, an ``--output`` path that cannot be
-written).  The gap of the range picture (``cells.RTOL``) and every
-tolerance (``linalg.HERM_TOL``, ``linalg.RANK_TOL``, ``scan.TOL``) are
-fixed; the output carries results only, plus ``seed`` where the
-Monte-Carlo check of a radius job used it.  A range job gives the inner
+written).  Each warning of a job that succeeds, such as a rank-0
+weight's, is one ``warning:`` line after the output.  The gap of the
+range picture (``cells.RTOL``) and every tolerance (``linalg.HERM_TOL``,
+``linalg.RANK_TOL``, ``scan.TOL``) are fixed; the output carries results
+only, plus ``seed`` where the Monte-Carlo check of a radius job used it.  A range job gives the inner
 polygon of support points (``boundary``) and the outer polygon of
 support-line vertices (``outer``), at least 32 points each.  Output for a
 fixed config and seed is byte-identical across runs at a fixed BLAS
@@ -48,6 +49,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from functools import cache
 
@@ -369,7 +371,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one job from its command line, *argv* without the program name
-    (default ``sys.argv[1:]``); returns the process exit code."""
+    (default ``sys.argv[1:]``); returns the process exit code.  Each
+    distinct warning message of a job that succeeds is printed once."""
     try:
         args = _parser().parse_args(argv)
         if args.mc_samples < 0:
@@ -378,15 +381,19 @@ def main(argv=None) -> int:
             raise ValidationError("seed must be nonnegative")
         if args.format == "svg" and args.command != "range":
             raise ValidationError("svg output is only available for the range command")
-        result = _RUNNERS[args.command](args, _load_json(args.input))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _RUNNERS[args.command](args, _load_json(args.input))
         _emit(_render(args.format, {"command": args.command, **result}), args.output)
-        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

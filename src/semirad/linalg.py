@@ -51,25 +51,26 @@ class lapack:
             raise NumericalFailure(f"{self.what} failed: {exc}") from exc
 
 
-def as_numbers(x, what: str, dtype=None) -> np.ndarray:
-    """``np.asarray(x)``, cast to *dtype* if given, if its entries are numbers.
+def as_numbers(x, what: str, dtype) -> np.ndarray:
+    """``np.asarray(x)`` cast to *dtype*, if its entries are numbers.
 
-    An ndarray is judged by its dtype; other input also entry by entry where
-    numpy types it as integers, which may hide a bool, or as objects.  A
-    ragged nesting or a string, bool or other non-number raises InvalidMatrix.
+    A numeric ndarray is judged by its dtype; any other input entry by
+    entry, since numpy may type a bool among numbers as a number.  A ragged
+    nesting, a string, bool or other non-number, or a number past the range
+    of *dtype* raises InvalidMatrix.
     """
     try:
         arr = np.asarray(x)
     except ValueError as exc:  # numpy's error for a ragged nesting
         raise InvalidMatrix(f"{what}: ragged nesting") from exc
-    kind = arr.dtype.kind
-    ok = kind in "iufc"
-    if kind == "O" or kind in "iu" and not isinstance(x, np.ndarray):
+    if not (isinstance(x, np.ndarray) and arr.dtype.kind in "iufc"):
         flat = np.asarray(x, dtype=object).flat
-        ok = all(isinstance(e, numbers.Number) and type(e) is not bool for e in flat)
-    if not ok:
-        raise InvalidMatrix(f"{what}: entries must be numbers, not strings or bools")
-    return arr if dtype is None else arr.astype(dtype, copy=False)
+        if not all(isinstance(e, numbers.Number) and type(e) is not bool for e in flat):
+            raise InvalidMatrix(f"{what}: entries must be numbers, not strings or bools")
+    try:
+        return arr.astype(dtype, copy=False)
+    except OverflowError as exc:  # an integer past the float range
+        raise InvalidMatrix(f"{what}: number too large for a float") from exc
 
 
 def as_complex_matrix(m) -> np.ndarray:

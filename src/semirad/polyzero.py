@@ -96,12 +96,10 @@ def make_polynomial(low_coefficients, leading_coefficient: complex = 1.0) -> Pol
 def validate_weights(d, degree: int) -> np.ndarray:
     """Check a weight vector: real, strictly positive, one entry per row.
     A complex entry passes only with a zero imaginary part."""
-    arr = np.atleast_1d(as_numbers(d, "weights"))
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag != 0):
-            raise NonPositiveWeight("weights must be real")
-        arr = arr.real
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.atleast_1d(as_numbers(d, "weights", complex))
+    if np.any(arr.imag != 0):
+        raise NonPositiveWeight("weights must be real")
+    arr = arr.real
     if arr.ndim != 1:
         raise InvalidMatrix(f"weights must form a 1-D sequence, got ndim={arr.ndim}")
     if arr.size != degree:

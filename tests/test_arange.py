@@ -724,6 +724,11 @@ def test_monte_carlo_radius_deterministic(rng):
     assert v1 == v2
 
 
+def test_monte_carlo_radius_of_no_samples_is_zero(rng):
+    op = random_operator(rng, random_strict_context(rng, 3))
+    assert sr.monte_carlo_radius(op, samples=0) == 0.0
+
+
 def test_monte_carlo_on_singular_weight(rng):
     ctx, t = singular_pair(rng, 5, 3)
     op = sr.make_operator(ctx, t)

@@ -475,6 +475,36 @@ def test_hphi_bound_is_the_global_minimum(make):
     assert upper >= sr.a_numerical_radius(op) * (1 - 1e-14)
 
 
+def test_hphi_cell_bound_is_the_objective_at_the_wrap_point(monkeypatch):
+    # the last quarter cell runs to pi/2, so its end points are the support
+    # points a quarter turn on, turned back: at its end angle the floor's
+    # function is the objective itself, never below it
+    floors = []
+    floor = cells._floor
+
+    def recorded(a, width, groups):
+        floors.append((a, width, groups))
+        return floor(a, width, groups)
+
+    monkeypatch.setattr(cells, "_floor", recorded)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        t = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        op = sr.make_operator(sr.identity_context(k), t)
+        floors.clear()
+        sr.upper_bound_hphi(op)
+        unit = cells.operator_cells(op).unit
+        objective = hphi_objective(op.compressed)
+        assert floors
+        for a, width, groups in floors:
+            u = a[-1] + width[-1]
+            turn = np.exp(-1j * u)
+            ends = np.hypot(*[np.max((turn * g[-1]).real) for g in groups])
+            # F(u) is the objective at phi = -u
+            assert ends * unit == pytest.approx(objective(np.array([-u]))[0], rel=1e-14)
+
+
 def test_search_whose_splits_add_no_angle_warns(monkeypatch):
     # when no split adds an angle, the search ends on the cells it has; a
     # cell bound that still beats the result is reported, and the result

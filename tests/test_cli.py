@@ -332,12 +332,14 @@ TABLES = {
 def test_table_text(tmp_path, capsys, command):
     doc, table = TABLES[command]
     path = write_json(tmp_path, doc)
+    assert main(["--command", command, "--input", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == table
     if command == "range":
-        with pytest.warns(RuntimeWarning, match="rank 0"):
-            assert main(["--command", command, "--input", path]) == 0
-    else:
-        assert main(["--command", command, "--input", path]) == 0
-    assert capsys.readouterr().out == table
+        assert captured.err == (
+            "warning: weight matrix has rank 0; the effective space is empty and "
+            "all range quantities are reported as 0\n"
+        )
 
 
 class TestValidation:
@@ -567,6 +569,19 @@ class TestValidation:
         assert main(["--command", "radius", "--input", path, "--output", out]) == 2
         self.assert_one_error_line(capsys)
 
+    def test_input_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["--command", "zeros", "--input", str(path)]) == 2
+        assert "input must be a JSON object" in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "true"])
+    def test_identity_dim_must_be_a_positive_integer(self, tmp_path, capsys, dim):
+        path = write_json(tmp_path, {"identity_dim": dim, "T": cmat(np.eye(2))})
+        assert main(["--command", "radius", "--input", path]) == 2
+        err = self.assert_one_error_line(capsys)
+        assert err == 'error: "identity_dim" must be a positive integer\n'
+
     @pytest.mark.parametrize(
         "dim", [1, 3, 10**9, 10**400], ids=["1", "3", "1e9", "1e400"]
     )
@@ -642,6 +657,37 @@ class TestOutputs:
         assert captured.err.startswith("error: cannot write output file")
         assert captured.err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+    def test_failed_rename_and_cleanup_leave_no_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the rename fails and so does removing the temp file: still exit 2
+        # with one error line, and the target never created
+        path = write_json(tmp_path, QUINTIC)
+        out = tmp_path / "report.txt"
+
+        def refuse(*args):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert main(["--command", "zeros", "--input", path, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_warnings_are_one_line_each_after_the_output(self, tmp_path, capsys):
+        # the radius, the Crawford number and the seminorm of a rank-0 job
+        # each warn; the message is printed once, after the table
+        doc = {"A": cmat(np.zeros((2, 2))), "T": cmat(np.eye(2))}
+        path = write_json(tmp_path, doc)
+        assert main(["--command", "radius", "--input", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("command            radius\n")
+        assert captured.err.startswith("warning: weight matrix has rank 0;")
+        assert captured.err.count("\n") == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         path = write_json(tmp_path, QUINTIC)

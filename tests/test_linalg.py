@@ -49,18 +49,52 @@ FAULTS = {
         [True, 1],
         np.array([[True, 0], [0, 1]], dtype=object),
     ),
+    # a bool that numpy types as a float or a complex number, so that only
+    # a walk over the entries finds it
+    "bool among floats": ([1.5, True], [1.5, True], [[1.0, True], [True, 2.0]]),
+    "bool among complexes": ([1j, True], [1j, True], [[1j, True], [True, 2.0]]),
     "non-number": (None, [None, 1], [[None, 0], [0, 1]]),
     "ragged": ([1, [2, 3]], [1, [2, 3]], [[1, 2], [3]]),
+    "too large": (2**1100, [2**1100, 1], [[2**1100, 0], [0, 1]]),
 }
+REASONS = {"ragged": "ragged nesting", "too large": "number too large for a float"}
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("gate", GATES)
 def test_input_gates_reject_non_numbers_and_ragged_nestings(gate, fault):
     what, shape, call = GATES[gate]
-    reason = "ragged nesting" if fault == "ragged" else "entries must be numbers"
+    reason = REASONS.get(fault, "entries must be numbers")
     with pytest.raises(sr.InvalidMatrix, match=f"^{what}: {reason}"):
         call(FAULTS[fault][shape])
+
+
+# call -> the start of its error: inputs of the wrong shape, and vectors
+# with an entry that is not finite
+SHAPE_FAULTS = {
+    "spectral_norm-1d": (lambda: sr.spectral_norm(np.ones(3)), "expected a 2-D"),
+    "a_inner-2d": (lambda: sr.a_inner(CTX2, [1, 0], [[1, 0]]), "expected a 1-D"),
+    "a_norm_vec-2d": (lambda: sr.a_norm_vec(CTX2, [[1], [0]]), "expected a 1-D"),
+    "a_inner-nan": (
+        lambda: sr.a_inner(CTX2, [np.nan, 0], [1, 0]), "vector entries must be finite"
+    ),
+    "a_norm_vec-inf": (
+        lambda: sr.a_norm_vec(CTX2, [1, np.inf]), "vector entries must be finite"
+    ),
+    "make_polynomial-2d": (
+        lambda: sr.make_polynomial([[1, 2]]), "coefficients must form a 1-D"
+    ),
+    "validate_weights-2d": (
+        lambda: sr.validate_weights([[1, 2]], 2), "weights must form a 1-D"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SHAPE_FAULTS)
+def test_input_gates_reject_wrong_shapes_and_non_finite_vectors(fault):
+    call, message = SHAPE_FAULTS[fault]
+    with pytest.raises(sr.InvalidMatrix, match=f"^{message}"):
+        call()
 
 
 def test_input_gates_keep_the_bits_of_numeric_input():
