@@ -42,7 +42,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from functools import cached_property, reduce
-from math import hypot
+from math import copysign, hypot, isfinite, sqrt
 
 import numpy as np
 
@@ -341,6 +341,36 @@ def _segments(value, slope, slack) -> list[tuple[int, int, int]]:
     return [((best + p) % n, (best + i) % n, (best + j) % n) for p, i, j in segments]
 
 
+def _seed(theta, value, slope, top: int, period: float) -> float:
+    """Where the refinement from the point *top* of a cyclic view of
+    *theta*, wrapped by *period*, starts: the maximizer of the cubic Hermite
+    interpolant of the values and slopes at the ends of the cell from *top*
+    to the neighbour its slope points to; *top* itself where its slope is 0
+    or the samples say nothing finite."""
+    t0, m0 = float(theta[top]), float(slope[top])
+    step = 1 if m0 > 0.0 else -1
+    near = (top + step) % len(theta)
+    width = (step * (float(theta[near]) - t0)) % period
+    # along the cell from top, s in [0, 1]: p(s) = p(0) + s (d0 + s (b + c s)),
+    # in units of its largest coefficient, so that nothing overflows
+    d0, d1 = width * abs(m0), step * width * float(slope[near])
+    rise = float(value[near]) - float(value[top])
+    scale = max(abs(d0), abs(d1), abs(rise))
+    if not (d0 > 0.0 and isfinite(scale)):
+        return t0
+    d0, d1, rise = d0 / scale, d1 / scale, rise / scale
+    b, c = 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise
+    # the stationary points, the roots of d0 + 2 b s + 3 c s^2
+    disc = b * b - 3.0 * c * d0
+    q = -(b + copysign(sqrt(max(disc, 0.0)), b))
+    roots = []
+    if disc >= 0.0 and q != 0.0:
+        roots = [d0 / q, q / (3.0 * c)] if c else [d0 / q]
+    cands = [1.0, *(s for s in roots if 0.0 < s < 1.0)]
+    s = max(cands, key=lambda s: s * (d0 + s * (b + c * s)))
+    return t0 + step * width * s
+
+
 def _optimize(
     cells: Cells, base: np.ndarray, survey, evaluate, period: float
 ) -> tuple[float, float, np.ndarray]:
@@ -356,7 +386,10 @@ def _optimize(
     result starts at the best point.  Each round cuts the view into
     segments (:func:`_segments`) and refines one new segment, the most
     promising one whose bound beats the best value and that holds no
-    refined optimum yet, from its best point within its bracket.  Then
+    refined optimum yet, within its bracket, from the optimum that the
+    values and slopes at its best point and the neighbour uphill of it
+    imply (:func:`_seed`), so that no sampled angle is evaluated again,
+    until a step promises less than the rounding of f.  Then
     every cell whose bound beats the best value is split: by more than the
     rounding of f outside the segments that hold a refined optimum, and
     inside them while the cell is coarser than the picture or its bound
@@ -371,6 +404,8 @@ def _optimize(
     """
     reach = cells.reach * cells.unit
     slack = cells.rounding * cells.unit
+    # the rounding of h in the units of the models, unit(reach) of ``unit``
+    floor = cells.rounding / unit(cells.reach)
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
     while True:
@@ -396,7 +431,9 @@ def _optimize(
                 if peak - best[0] <= slack:
                     continue
                 fresh = False
-                t, v = refine(evaluate, t, t - below, t + above)
+                lo, hi = t - below, t + above
+                start = min(max(_seed(angle, value, slope, top, period), lo), hi)
+                t, v = refine(evaluate, start, lo, hi, floor)
                 refined.append(t)
                 best = max(best, (v, t))
             for i in inside:

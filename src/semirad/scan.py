@@ -17,12 +17,14 @@ angles, the same call, told to skip the curvature, gives the
 support-line cells of :mod:`semirad.cells` their values and slopes
 alone; only the steps of :func:`refine` read curvature.
 The callers cut those cells at their valleys into segments, each
-holding one peak as far as its points tell, and hand the best angle of
-the most promising segment whose bound beats the best value, and its
-bracket from valley to valley, to :func:`refine`, the one refinement,
-which maximizes a function f of the branches, so unimodality only has
-to hold inside a segment; the callers then check the refined value
-against every cell's bound.  Each step
+holding one peak as far as its points tell.  For the most promising
+segment whose bound beats the best value they hand :func:`refine`, the
+one refinement, its bracket from valley to valley and a start next to
+its best angle: the peak of the cubic Hermite interpolant of the values
+and slopes on the cell uphill of that angle.  :func:`refine` maximizes a
+function f of the branches, so unimodality only has to hold inside a
+segment; the callers then check the refined value against every cell's
+bound.  Each step
 minimizes the model of -f, the sum over parts of the max over branches
 of their quadratics, inside a bracket that the sign of the slope
 shrinks; where that minimizer is not strictly inside the bracket, or the
@@ -34,8 +36,9 @@ another peak, and the next step starts from the best point instead.  A
 kink, where two branches cross, is where their quadratics cross; the
 crossings of every pair of branches of every part are solved in one
 array pass (:func:`_model_step`), so kinks converge as fast as smooth
-optima.  The search stops once the model promises less than the rounding
-of the spectrum, or once the bracket is at most ``TOL`` wide.
+optima.  The search stops once the model promises no more than the
+rounding of h, 4 k eps times the reach, that the callers pass, or once
+the bracket is at most ``TOL`` wide.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from .linalg import lapack
 
 #: Width of the bracket at which the refinement stops.
 TOL = 1e-10
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def unit(scale: float) -> float:
@@ -180,13 +185,18 @@ def _model_step(q: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     return float(d[best]), -float(model[best])
 
 
-def refine(evaluate: Callable, t: float, lo: float, hi: float) -> tuple[float, float]:
+def refine(
+    evaluate: Callable, t: float, lo: float, hi: float, floor: float = _EPS
+) -> tuple[float, float]:
     """(x, f(x)) at the largest f evaluated while maximizing f on [lo, hi],
     starting at t.
 
     ``evaluate(t)`` returns f(t) and the quadratic models of the branches
     of -f (as :func:`branches` gives them), so that the sum over parts of
-    the max over branches is -f.  A model step must be at most half the
+    the max over branches is -f.  The search stops once a model step
+    promises a gain of at most *floor*, in the models' units: the pruned
+    searches pass the rounding of h, and the default is one unit in the
+    last place of the unit scale.  A model step must be at most half the
     step before the last (Press et al., Numerical Recipes, ``rtsafe``), so
     model steps shrink geometrically and bisections halve the bracket; 200
     steps at most, as a backstop.
@@ -221,9 +231,11 @@ def refine(evaluate: Callable, t: float, lo: float, hi: float) -> tuple[float, f
         if hi - lo <= TOL:
             break
         d, gain = _model_step(q, lo - t, hi - t)
-        if not gain > np.finfo(np.float64).eps or t + d == t:
+        if not gain > floor or t + d == t:
             break
-        if not lo < t + d < hi or abs(d) > 0.5 * moves[0]:
+        # a minimizer at an end of the bracket bisects, also where t + d
+        # rounds to a point inside it, and so does one that rounds onto an end
+        if not (lo - t < d < hi - t and lo < t + d < hi) or abs(d) > 0.5 * moves[0]:
             d = 0.5 * (lo + hi) - t
             if t + d == t:
                 break  # the bracket is at the float spacing of t

@@ -217,7 +217,11 @@ def _attach_operator(
     q = ctx.range_basis
     if qt is None:
         qt = q.conj().T @ mat
-    root = np.sqrt(ctx.range_eigenvalues)
+    lam = ctx.range_eigenvalues
+    # L over the power of two at its largest entry, so that A -> 2^j A
+    # changes no bit of the roots; their ratios are the same in exact
+    # arithmetic
+    root = np.sqrt(np.ldexp(lam, -np.frexp(lam[-1])[1]) if lam.size else lam)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # by the ratio: scaling rows first can overflow a finite C
         compressed = (qt @ q) * (root[:, None] / root)

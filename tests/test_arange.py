@@ -181,7 +181,7 @@ def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
 
 def test_range_quantities_refine_in_few_steps(monkeypatch):
     # on an n = 32 operator the radius, the Crawford number and the bound
-    # report take no eigvalsh, one picture of stacked parts and at most 12
+    # report take no eigvalsh, one picture of stacked parts and at most 6
     # refinement steps
     ctx = random_strict_context(np.random.default_rng(32), 32)
     op = random_operator(np.random.default_rng(33), ctx)
@@ -194,7 +194,7 @@ def test_range_quantities_refine_in_few_steps(monkeypatch):
     assert stacks[0] == (16, 32, 32)  # the 32 start lines
     assert sum(shape[0] for shape in stacks) <= 128
     steps = [shape for _, shape in calls if shape not in stacks]
-    assert 0 < len(steps) <= 12
+    assert 0 < len(steps) <= 6
     assert set(steps) <= {(32, 32), (2, 32, 32)}
 
 
@@ -856,6 +856,45 @@ def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):
     assert sr.a_numerical_radius(op) == pytest.approx(1.0063, rel=1e-14)
     assert log.count("r") == 2
     assert max(len(r) for r in "".join(log).split("e")) == 1
+
+
+def _cubic_view(center, period, n=8):
+    """A cyclic view of n angles over *period* sampling f(u) = -u^2 (1 +
+    u / 2), u the offset from *center* in [-period/2, period/2), whose max
+    is at *center*: (theta, f, f')."""
+    theta = np.arange(n) * (period / n)
+    u = (theta - center + 0.5 * period) % period - 0.5 * period
+    return theta, -u * u * (1.0 + 0.5 * u), -u * (2.0 + 1.5 * u)
+
+
+@pytest.mark.parametrize("center", [0.3, 0.45])
+def test_seed_of_samples_of_a_cubic_is_its_maximizer(center):
+    # the best of the samples lies below the max (0.3) or above it (0.45),
+    # so its slope points up or down; the Hermite cubic of the cell it
+    # points to is f itself
+    theta, value, slope = _cubic_view(center, 2.0)
+    top = int(value.argmax())
+    assert slope[top] != 0.0 and theta[top] != center
+    assert cells._seed(theta, value, slope, top, 2.0) == pytest.approx(center, abs=1e-14)
+
+
+def test_seed_of_a_flat_best_point_is_that_point():
+    theta, value, slope = _cubic_view(0.5, 2.0)
+    assert value.argmax() == 2 and slope[2] == 0.0
+    assert cells._seed(theta, value, slope, 2, 2.0) == 0.5
+
+
+@pytest.mark.parametrize("center", [1.44, -0.06])
+def test_seed_wraps_across_the_period(center):
+    # the best point is the last angle of the view with its slope pointing
+    # up (1.44), or the first with its slope pointing down (-0.06): the
+    # neighbour it points to lies across the period
+    period = 0.5 * np.pi
+    theta, value, slope = _cubic_view(center, period)
+    top = int(value.argmax())
+    assert top == (7 if center > 0 else 0)
+    seed = cells._seed(theta, value, slope, top, period)
+    assert seed == pytest.approx(center, abs=1e-14)
 
 
 def test_radius_of_a_near_disk():

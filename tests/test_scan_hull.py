@@ -140,6 +140,31 @@ def test_refine_keeps_the_best_point_inside_the_bracket():
     assert val > 1.0
 
 
+def test_refine_takes_no_step_its_model_promises_less_than_the_floor():
+    # from 0 the quadratic model of -(t - 0.3)^2, exact, promises 0.09
+    evals = []
+    f = analytic(lambda t: -((t - 0.3) ** 2), lambda t: -2 * (t - 0.3), lambda t: -2.0, evals)
+    assert refine(f, 0.0, -1.0, 1.0, 0.1) == (0.0, -0.09)
+    assert evals == [0.0]
+    x, _ = refine(f, 0.0, -1.0, 1.0, 0.08)
+    assert len(evals) > 2 and x == pytest.approx(0.3, abs=1e-12)
+
+
+def test_refine_bisects_a_model_step_that_rounds_off_the_bracket_end():
+    # f has its max at m and is flat at the float spacing; a concave model
+    # points every step at an end of the bracket.  From the point left of
+    # m, the step to hi, the start, rounds to the float below it: taken,
+    # that point, no better than the start, would end the bracket there
+    m, start, lo = 0.10281181702978237, 0.10928745997963153, -0.41939609144667417
+
+    def evaluate(t):
+        f = -round(abs(t - m), 9)
+        return f, np.array([[[-f]], [[np.sign(t - m)]], [[-1.0]]])
+
+    x, _ = refine(evaluate, start, lo, start)
+    assert abs(x - m) <= 1e-8
+
+
 def test_model_step_finds_the_crossing_of_two_branches():
     # max(1 + d, 1 - 2 d) is least where the lines cross, at d = 0, a kink
     # that no stationary point sees; shifted, the crossing moves with it
