@@ -40,7 +40,7 @@ import numpy as np
 
 from .arange import a_numerical_radius
 from .cells import Cells, degenerate_warning, extreme, hphi, operator_cells, radius
-from .errors import TOutOfRange
+from .errors import TOutOfRange, ValidationError
 from .semihilbert import (
     SemiOperator,
     a_operator_seminorm,
@@ -212,7 +212,7 @@ def optimize_t(
     (t_star, value).
     """
     if which not in (27, 28):
-        raise ValueError(f"which must be 27 or 28, got {which}")
+        raise ValidationError(f"which must be 27 or 28, got {which}")
     blocks = (t11, t12, t21, t22) if which == 27 else (t22, t21, t12, t11)
     return _optimize_split(_block_scalars(*blocks))
 

@@ -10,7 +10,8 @@ their support lines meet at a vertex of the outer polygon; the range
 lies between the two.  Every operator's cells start from 32 support
 lines, and each quantity grows only the cells it needs from them:
 
-  * the radius, max h, pruned on the outer vertices (:func:`radius`),
+  * the radius, max h, pruned on the outer vertices and checked against
+    the eigenvalues of C (:func:`radius`),
   * the Crawford number, max(0, -min h), 0 at once when the start lines'
     inner polygon holds the origin, else pruned on the chords
     (:func:`crawford`),
@@ -26,7 +27,7 @@ lines, and each quantity grows only the cells it needs from them:
     it.
 
 This module alone knows the quarter-turn layout and runs the three
-pruned searches.  Every eigensolve is one call of :func:`scan.branches`:
+pruned searches.  Every eigh is one call of :func:`scan.branches`:
 the cells' stacks through :func:`Cells.support` alone, and each
 refinement step of the pruned search (:func:`_optimize`).  Every batched
 eigensolve runs in chunks of at most CHUNK_ENTRIES matrix entries, so
@@ -46,6 +47,7 @@ from math import copysign, hypot, isfinite, sqrt
 
 import numpy as np
 
+from .linalg import lapack
 from .scan import Parts, branches, refine, unit
 from .semihilbert import SemiOperator
 
@@ -378,29 +380,25 @@ def _optimize(
     of period *period*, pruned on the cells from the base angles *base*,
     then refined and checked; *angles* are the base angles the search grew.
 
-    ``survey(view)`` gives (theta, f, f', bound, names, coarse) over a
-    cyclic view: f and its slope at each point, a bound of f over each
-    cell (the cell from a point to the next), where to split each cell, and
-    which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
-    and the models of the branches of -f, for :func:`scan.refine`.  The
-    result starts at the best point.  Each round cuts the view into
-    segments (:func:`_segments`) and refines one new segment, the most
-    promising one whose bound beats the best value and that holds no
-    refined optimum yet, within its bracket, from the optimum that the
-    values and slopes at its best point and the neighbour uphill of it
-    imply (:func:`_seed`), so that no sampled angle is evaluated again,
-    until a step promises less than the rounding of f.  Then
-    every cell whose bound beats the best value is split: by more than the
-    rounding of f outside the segments that hold a refined optimum, and
-    inside them while the cell is coarser than the picture or its bound
-    beats the value by more than twice RTOL times the reach, the most a
-    bound at the picture's resolution overshoots one smooth optimum (the
-    outer vertex lies within the picture's gap of the range, and the H_phi
-    floor within sqrt(2) gaps of its objective).  Around a refined optimum
-    the cells thus reach the picture's resolution, so a second peak hidden
-    in its segment shows as a valley or as a farther support point.  The
-    search ends once no cell's bound beats the best value by more than its
-    tolerance, or, with a RuntimeWarning, once no split adds an angle.
+    ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic
+    view: f and its slope at each point, a bound of f over each cell (the
+    cell from a point to the next) and where to split each cell;
+    ``evaluate(t)`` gives f(t) and the models of the branches of -f, for
+    :func:`scan.refine`.  The result starts at the best point.  Each round
+    cuts the view into segments (:func:`_segments`) and refines one new
+    segment, the most promising one whose bound beats the best value and
+    that holds no refined optimum yet, within its bracket, from the
+    optimum that the values and slopes at its best point and the
+    neighbour uphill of it imply (:func:`_seed`), so that no sampled angle
+    is evaluated again, until a step promises less than the rounding of f.
+    Then every cell whose bound beats the best value is split: by more
+    than the rounding of f outside the segments that hold a refined
+    optimum, and by more than twice RTOL times the reach inside them, the
+    most a bound at the picture's resolution overshoots one smooth optimum
+    (the outer vertex lies within the picture's gap of the range, and the
+    H_phi floor within sqrt(2) gaps of its objective).  The search ends
+    once no cell's bound beats the best value by more than its tolerance,
+    or, with a RuntimeWarning, once no split adds an angle.
     """
     reach = cells.reach * cells.unit
     slack = cells.rounding * cells.unit
@@ -409,7 +407,7 @@ def _optimize(
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
     while True:
-        theta, value, slope, bound, names, coarse = survey(*cells.view(base))
+        theta, value, slope, bound, names = survey(*cells.view(base))
         top = int(value.argmax())
         best = max(best, (float(value[top]), float(theta[top])))
         angle, ceiling = theta.tolist(), bound.tolist()
@@ -439,7 +437,7 @@ def _optimize(
             for i in inside:
                 held[i] = True
         over = bound - best[0]
-        tol = np.where(held & ~coarse, 2.0 * RTOL * reach, slack)
+        tol = np.where(held, 2.0 * RTOL * reach, slack)
         split = (over > tol).nonzero()[0]
         if not split.size:
             break
@@ -479,8 +477,7 @@ def _extremum(
     def survey(index, h, dh):
         s = sign * cells.unit
         g = _geometry(index, h, dh)
-        coarse = _gap(g) > RTOL * cells.reach
-        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g), coarse
+        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g)
 
     def evaluate(t: float):
         lam_t, q = branches(parts, t, idx)
@@ -493,19 +490,20 @@ def _extremum(
 def radius(cells: Cells) -> float:
     """max of h, pruned on the vertex bound, from the start lines.
 
-    Every support point lies in the range, so its modulus is at most w.  A
-    result below the modulus of the farthest support point the search
-    evaluated, by more than the rounding of h, missed a peak (one hidden in
-    a segment with lower ones), and the search runs again with that
-    point's direction among its angles, where h is at least its modulus.
+    Every eigenvalue of C lies in the range, and every corner of the range
+    is an eigenvalue (Donoghue, Michigan Math. J. 4, 1957), so w is at
+    least the largest eigenvalue modulus.  A result below it by more than
+    the rounding of h missed a peak at a corner (one hidden in a segment
+    with lower ones), and the search runs again with that eigenvalue's
+    direction among its angles, where h is at least its modulus.
     """
     w, base = _extremum(cells, cells.start, True, _vertex_bound)
-    index, h, dh = cells.view(base)
-    far = np.hypot(h, dh)  # |p_theta|
-    i = int(np.argmax(far))
-    if far[i] * cells.unit - w <= cells.rounding * cells.unit:
+    with lapack("eigenvalues of C"):
+        z = np.linalg.eigvals(cells.c)
+    top = z[np.argmax(np.abs(z))]
+    if abs(top) - w <= cells.rounding * cells.unit:
         return w
-    start = np.array([index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)])
+    start = np.array([round(float(np.angle(top)) / _UNIT)])
     return _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
 
 
@@ -551,8 +549,7 @@ def hphi(cells: Cells) -> tuple[float, float]:
         theta, s = g.theta[:n], -cells.unit
         bound = s * _floor(theta, g.width[:n], groups)
         names = index[:n] + g.span[:n] // 2
-        # the picture's cells, and every split of them, are at its resolution
-        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
+        return theta, s * f, s * df, bound, names
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])

@@ -796,11 +796,10 @@ def test_pruning_refines_every_peak_that_may_hold_the_max():
 def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
     # three peaks within 3e-7 of each other and 0.06 rad share one
     # segment, where refining its best angle can climb a lower one; eight
-    # lower peaks lie elsewhere.  The search's own angles hold a support
-    # point at the highest (a corner of the range): a result below its
-    # modulus runs the search again from its direction.  A result that
-    # reaches the farthest support point, as on a random operator, runs one
-    # search.
+    # lower peaks lie elsewhere.  The highest is an eigenvalue (a corner of
+    # the range): a result below its modulus runs the search again from its
+    # direction.  A result that reaches the top eigenvalue's modulus, as on
+    # a random operator, runs one search.
     searches = []
     extremum = cells._extremum
     monkeypatch.setattr(
@@ -819,12 +818,12 @@ def test_radius_finds_a_higher_peak_hidden_in_one_segment(rng, monkeypatch):
         assert sr.a_numerical_radius(op) == pytest.approx(np.max(moduli), rel=1e-14)
 
 
-def test_radius_reruns_from_a_farthest_point_of_a_non_normal_operator():
+def test_radius_reruns_from_the_top_eigenvalue_of_a_non_normal_operator():
     # seven eigenvalues within 1e-6 of the unit circle, moved by a dense
-    # 1e-4 perturbation: the first search ends at 0.99995867 below a
-    # support point of modulus 1.0000425, and only the search run again
-    # from that point's direction reaches the radius, 1.0000730; the
-    # reference is a dense scan of h, not that point's modulus
+    # 1e-4 perturbation: the first search ends at 0.99995867, below the
+    # top eigenvalue's modulus 1.0000687, and only the search run again
+    # from that eigenvalue's direction reaches the radius, 1.0000730; the
+    # reference is a dense scan of h, not that modulus
     draw = np.random.default_rng(257)
     k = int(draw.integers(3, 9))
     z = np.exp(1j * draw.uniform(0, 2 * np.pi, k)) * (1 + 1e-6 * draw.uniform(-1, 1, k))
@@ -838,6 +837,71 @@ def test_radius_reruns_from_a_farthest_point_of_a_non_normal_operator():
     op = sr.make_operator(sr.identity_context(k), t)
     w = -dense_min(minus_h, 0.0, 2 * np.pi, n=2**15)
     assert sr.a_numerical_radius(op) == pytest.approx(w, rel=1e-13)
+
+
+def near_unitary(draws):
+    """(z, T) of the near-unitary draws *draws* (indices below 300) of the
+    family drawn from default_rng(3), each draw in this order: k from (2, 3,
+    5, 8, 16, 32); beta = U(0, 2 pi); eps = 10^U(-12, -6); s = 10^U(-3,
+    -0.5); the k - 2 moduli 1 - 1e-6 U(0, 1), then their angles U(0, 2 pi);
+    on even draws only, a unitary U from the QR of G + iH, with G and then H
+    standard normal k x k.  z holds e^{i beta}, (1 + eps) e^{i (beta + s)}
+    and the k - 2 others; T is diag(z) on odd draws and U diag(z) U* on
+    even ones."""
+    rng = np.random.default_rng(3)
+    for i in range(max(draws) + 1):
+        k = int(rng.choice([2, 3, 5, 8, 16, 32]))
+        beta = rng.uniform(0, 2 * np.pi)
+        eps = 10 ** rng.uniform(-12, -6)
+        s = 10 ** rng.uniform(-3, -0.5)
+        rest = (1 - 1e-6 * rng.uniform(0, 1, k - 2)) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, k - 2)
+        )
+        z = np.concatenate(([np.exp(1j * beta), (1 + eps) * np.exp(1j * (beta + s))], rest))
+        t = np.diag(z)
+        if i % 2 == 0:
+            u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            t = (u * z) @ u.conj().T
+        if i in draws:
+            yield z, t
+
+
+NEAR_UNITARY_DRAWS = (47, 94, 174, 186, 190, 278)
+
+# three eigenvalues within 0.03 of each other near -0.95 - 0.3i; a search
+# alone ends 1.77e-9 below the top modulus
+CLOSE_CORNERS = np.array(
+    [-0.9506669 - 0.3102135j, -0.9503234 - 0.3112642j, -0.9581656 - 0.2862122j]
+)
+
+
+@pytest.mark.parametrize(
+    "z, t",
+    [
+        (CLOSE_CORNERS, np.diag(CLOSE_CORNERS)),
+        # two eigenvalues within 1e-6 in modulus and 10^-0.5 in angle,
+        # which a search alone misses by up to 1.9e-7
+        *near_unitary(NEAR_UNITARY_DRAWS),
+    ],
+    ids=["diagonal-3", *(f"near-unitary-{i}" for i in NEAR_UNITARY_DRAWS)],
+)
+def test_radius_of_a_normal_operator_is_its_top_eigenvalue_modulus(z, t):
+    # every corner of the range is an eigenvalue, so a result below the top
+    # one's modulus runs the search again from its direction
+    op = sr.make_operator(sr.identity_context(len(z)), t)
+    assert sr.a_numerical_radius(op) == pytest.approx(np.max(np.abs(z)), rel=1e-13)
+
+
+def test_radius_eigenvalue_failure_is_a_numerical_failure(rng, monkeypatch):
+    # a LAPACK failure in the eigenvalues of C that check the radius
+    op = random_operator(rng, random_strict_context(rng, 4))
+
+    def failing(*args, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(sr.NumericalFailure, match="eigenvalues of C"):
+        sr.a_numerical_radius(op)
 
 
 def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):

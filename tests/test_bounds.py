@@ -409,7 +409,7 @@ class TestOptimizeT:
     def test_invalid_selector(self, rng):
         ctx = random_strict_context(rng, 2)
         ops = tuple(random_operator(rng, ctx) for _ in range(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(sr.ValidationError):
             sr.optimize_t(26, *ops)
 
 
