@@ -54,9 +54,9 @@ def a_numerical_radius(op: SemiOperator) -> float:
 
     A pruned search from the 32 start lines grows only the cells it needs
     (never the picture), refines the top eigenvalue branch by second-order
-    steps and checks the result against the largest eigenvalue modulus of
-    C, since every corner of the range is an eigenvalue
-    (:func:`cells.radius`).
+    steps and checks the result against the farthest support point it
+    evaluated and the largest eigenvalue modulus of C, since every corner
+    of the range is an eigenvalue (:func:`cells.radius`).
     """
     return extreme(op, "_radius", radius, 0.0)
 

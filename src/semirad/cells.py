@@ -11,7 +11,7 @@ lies between the two.  Every operator's cells start from 32 support
 lines, and each quantity grows only the cells it needs from them:
 
   * the radius, max h, pruned on the outer vertices and checked against
-    the eigenvalues of C (:func:`radius`),
+    its farthest support point and the eigenvalues of C (:func:`radius`),
   * the Crawford number, max(0, -min h), 0 at once when the start lines'
     inner polygon holds the origin, else pruned on the chords
     (:func:`crawford`),
@@ -380,25 +380,29 @@ def _optimize(
     of period *period*, pruned on the cells from the base angles *base*,
     then refined and checked; *angles* are the base angles the search grew.
 
-    ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic
-    view: f and its slope at each point, a bound of f over each cell (the
-    cell from a point to the next) and where to split each cell;
-    ``evaluate(t)`` gives f(t) and the models of the branches of -f, for
-    :func:`scan.refine`.  The result starts at the best point.  Each round
-    cuts the view into segments (:func:`_segments`) and refines one new
-    segment, the most promising one whose bound beats the best value and
-    that holds no refined optimum yet, within its bracket, from the
-    optimum that the values and slopes at its best point and the
-    neighbour uphill of it imply (:func:`_seed`), so that no sampled angle
-    is evaluated again, until a step promises less than the rounding of f.
-    Then every cell whose bound beats the best value is split: by more
-    than the rounding of f outside the segments that hold a refined
-    optimum, and by more than twice RTOL times the reach inside them, the
-    most a bound at the picture's resolution overshoots one smooth optimum
-    (the outer vertex lies within the picture's gap of the range, and the
-    H_phi floor within sqrt(2) gaps of its objective).  The search ends
-    once no cell's bound beats the best value by more than its tolerance,
-    or, with a RuntimeWarning, once no split adds an angle.
+    ``survey(view)`` gives (theta, f, f', bound, names, coarse) over a
+    cyclic view: f and its slope at each point, a bound of f over each
+    cell (the cell from a point to the next), where to split each cell, and
+    which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
+    and the models of the branches of -f, for :func:`scan.refine`.  The
+    result starts at the best point.  Each round cuts the view into
+    segments (:func:`_segments`) and refines one new segment, the most
+    promising one whose bound beats the best value and that holds no
+    refined optimum yet, within its bracket, from the optimum that the
+    values and slopes at its best point and the neighbour uphill of it
+    imply (:func:`_seed`), so that no sampled angle is evaluated again,
+    until a step promises less than the rounding of f.  Then
+    every cell whose bound beats the best value is split: by more than the
+    rounding of f outside the segments that hold a refined optimum, and
+    inside them while the cell is coarser than the picture or its bound
+    beats the value by more than twice RTOL times the reach, the most a
+    bound at the picture's resolution overshoots one smooth optimum (the
+    outer vertex lies within the picture's gap of the range, and the H_phi
+    floor within sqrt(2) gaps of its objective).  Around a refined optimum
+    the cells thus reach the picture's resolution, so a second peak hidden
+    in its segment shows as a valley or as a farther support point.  The
+    search ends once no cell's bound beats the best value by more than its
+    tolerance, or, with a RuntimeWarning, once no split adds an angle.
     """
     reach = cells.reach * cells.unit
     slack = cells.rounding * cells.unit
@@ -407,7 +411,7 @@ def _optimize(
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
     while True:
-        theta, value, slope, bound, names = survey(*cells.view(base))
+        theta, value, slope, bound, names, coarse = survey(*cells.view(base))
         top = int(value.argmax())
         best = max(best, (float(value[top]), float(theta[top])))
         angle, ceiling = theta.tolist(), bound.tolist()
@@ -437,7 +441,7 @@ def _optimize(
             for i in inside:
                 held[i] = True
         over = bound - best[0]
-        tol = np.where(held, 2.0 * RTOL * reach, slack)
+        tol = np.where(held & ~coarse, 2.0 * RTOL * reach, slack)
         split = (over > tol).nonzero()[0]
         if not split.size:
             break
@@ -477,7 +481,8 @@ def _extremum(
     def survey(index, h, dh):
         s = sign * cells.unit
         g = _geometry(index, h, dh)
-        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g)
+        coarse = _gap(g) > RTOL * cells.reach
+        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g), coarse
 
     def evaluate(t: float):
         lam_t, q = branches(parts, t, idx)
@@ -490,20 +495,31 @@ def _extremum(
 def radius(cells: Cells) -> float:
     """max of h, pruned on the vertex bound, from the start lines.
 
-    Every eigenvalue of C lies in the range, and every corner of the range
-    is an eigenvalue (Donoghue, Michigan Math. J. 4, 1957), so w is at
-    least the largest eigenvalue modulus.  A result below it by more than
-    the rounding of h missed a peak at a corner (one hidden in a segment
-    with lower ones), and the search runs again with that eigenvalue's
-    direction among its angles, where h is at least its modulus.
+    Every support point lies in the range, and so does every eigenvalue of
+    C, so w is at least the modulus of each.  A result below the larger of
+    the farthest support point the search evaluated and the top eigenvalue,
+    by more than the rounding of h, missed a peak (one hidden in a segment
+    with lower ones), and the search runs again with that point's direction
+    among its angles, where h is at least its modulus.  Every corner of the
+    range is an eigenvalue (Donoghue, Michigan Math. J. 4, 1957), so a
+    missed corner always shows; a missed smooth peak shows once the cells
+    near it reach the picture's resolution (:func:`_optimize`).
     """
     w, base = _extremum(cells, cells.start, True, _vertex_bound)
+    index, h, dh = cells.view(base)
+    far = np.hypot(h, dh)  # |p_theta|
+    i = int(np.argmax(far))
     with lapack("eigenvalues of C"):
         z = np.linalg.eigvals(cells.c)
-    top = z[np.argmax(np.abs(z))]
-    if abs(top) - w <= cells.rounding * cells.unit:
+    j = int(np.argmax(np.abs(z)))
+    # the farther of the two points, and its direction in steps of _UNIT
+    top, start = max(
+        (far[i] * cells.unit, index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)),
+        (abs(z[j]), round(float(np.angle(z[j])) / _UNIT)),
+    )
+    if top - w <= cells.rounding * cells.unit:
         return w
-    start = np.array([round(float(np.angle(top)) / _UNIT)])
+    start = np.array([start])
     return _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
 
 
@@ -549,7 +565,8 @@ def hphi(cells: Cells) -> tuple[float, float]:
         theta, s = g.theta[:n], -cells.unit
         bound = s * _floor(theta, g.width[:n], groups)
         names = index[:n] + g.span[:n] // 2
-        return theta, s * f, s * df, bound, names
+        # the picture's cells, and every split of them, are at its resolution
+        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])
