@@ -164,13 +164,13 @@ def w_theta_identity_check(op: SemiOperator) -> float:
     def norm(theta: float):
         # the norm is the larger of lambda_max and -lambda_min; refine that
         # branch, whose max is smooth
-        lam, q = branches(parts, theta, [0, k - 1])
-        top = lam[0, -1] >= -lam[0, 0]
-        model = -q[:, :, 1:] if top else q[:, :, :1]
-        return float(max(lam[0, -1], -lam[0, 0])), model
+        q = branches(parts, theta, [0, k - 1])
+        bottom, top = q[0, 0]
+        model = -q[:, :, 1:] if top >= -bottom else q[:, :, :1]
+        return float(max(top, -bottom)), model
 
     t, step = float(half[best]), 2.0 * np.pi / THETA_GRID
-    return max(refine(norm, t, t - step, t + step)[1], float(norms[best]))
+    return max(refine(norm, t, t - step, t + step)[1] * parts.s, float(norms[best]))
 
 
 @dataclass(frozen=True)

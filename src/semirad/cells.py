@@ -140,7 +140,7 @@ class Cells:
         CHUNK_ENTRIES entries."""
         # the parts and their eigenvectors are two stacks of the chunk's size
         q = [
-            branches(self.parts, angles[s], [0, -1], curvature=False)[1]
+            branches(self.parts, angles[s], [0, -1], curvature=False)
             for s in chunks(len(angles), self.c.shape[0], copies=2)
         ]
         q = q[0] if len(q) == 1 else np.concatenate(q, axis=1)
@@ -403,11 +403,9 @@ def _optimize(
     in its segment shows as a valley or as a farther support point.  The
     search ends once no cell's bound beats the best value by more than its
     tolerance, or, with a RuntimeWarning, once no split adds an angle.
+    Every value, bound and model is in units of ``cells.unit``; the rounding
+    of h is the slack of every decision and the floor of each refinement.
     """
-    reach = cells.reach * cells.unit
-    slack = cells.rounding * cells.unit
-    # the rounding of h in the units of the models, unit(reach) of ``unit``
-    floor = cells.rounding / unit(cells.reach)
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
     while True:
@@ -418,7 +416,7 @@ def _optimize(
         held = np.zeros(len(angle), dtype=bool)  # the segments of refined optima
         fresh = True  # no segment refined yet in this round
         # the most promising first
-        for top, a, b in _segments(value, slope, slack):
+        for top, a, b in _segments(value, slope, cells.rounding):
             # the points a, ..., b - 1, modulo n
             inside = (slice(a, b),) if a < b else (slice(a, None), slice(0, b))
             t = angle[top]
@@ -430,18 +428,18 @@ def _optimize(
                 if not fresh:
                     continue
                 peak = max(max(ceiling[i], default=-np.inf) for i in inside)
-                if peak - best[0] <= slack:
+                if peak - best[0] <= cells.rounding:
                     continue
                 fresh = False
                 lo, hi = t - below, t + above
                 start = min(max(_seed(angle, value, slope, top, period), lo), hi)
-                t, v = refine(evaluate, start, lo, hi, floor)
+                t, v = refine(evaluate, start, lo, hi, cells.rounding)
                 refined.append(t)
                 best = max(best, (v, t))
             for i in inside:
                 held[i] = True
         over = bound - best[0]
-        tol = np.where(held & ~coarse, 2.0 * RTOL * reach, slack)
+        tol = np.where(held & ~coarse, 2.0 * RTOL * cells.reach, cells.rounding)
         split = (over > tol).nonzero()[0]
         if not split.size:
             break
@@ -461,8 +459,8 @@ def _optimize(
 def _extremum(
     cells: Cells, base: np.ndarray, maximize: bool, bound
 ) -> tuple[float, np.ndarray]:
-    """(max (or min) of h, the base angles evaluated), as the max of
-    sign * h over full-turn views from *base*, with
+    """(max (or min) of h, in units of ``cells.unit``, the base angles
+    evaluated), as the max of sign * h over full-turn views from *base*, with
     ``bound(geometry, h)`` bounding h over each cell of a view of
     :func:`_geometry` *geometry*; each open cell is split by the chord
     rule (:func:`_chord_rule`).
@@ -472,21 +470,18 @@ def _extremum(
     spectrum meets (a segment's normal), the bottom one, so those three
     are modelled.
     """
-    c = cells.c
-    k = c.shape[0]
+    k = cells.c.shape[0]
     idx = [k - 1] if maximize else sorted({0, max(k - 2, 0), k - 1})
     sign = 1.0 if maximize else -1.0
-    parts = Parts(c, cells.reach * cells.unit)
 
     def survey(index, h, dh):
-        s = sign * cells.unit
         g = _geometry(index, h, dh)
         coarse = _gap(g) > RTOL * cells.reach
-        return g.theta, s * h, s * dh, s * bound(g, h), _chord_rule(g), coarse
+        return g.theta, sign * h, sign * dh, sign * bound(g, h), _chord_rule(g), coarse
 
     def evaluate(t: float):
-        lam_t, q = branches(parts, t, idx)
-        return sign * float(lam_t[0, -1]), -sign * q
+        q = branches(cells.parts, t, idx)
+        return sign * float(q[0, 0, -1]), -sign * q
 
     _, v, base = _optimize(cells, base, survey, evaluate, 2.0 * np.pi)
     return sign * v, base
@@ -514,13 +509,14 @@ def radius(cells: Cells) -> float:
     j = int(np.argmax(np.abs(z)))
     # the farther of the two points, and its direction in steps of _UNIT
     top, start = max(
-        (far[i] * cells.unit, index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)),
-        (abs(z[j]), round(float(np.angle(z[j])) / _UNIT)),
+        (far[i], index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)),
+        (abs(z[j]) / cells.unit, round(float(np.angle(z[j])) / _UNIT)),
     )
-    if top - w <= cells.rounding * cells.unit:
-        return w
+    if top - w <= cells.rounding:
+        return w * cells.unit
     start = np.array([start])
-    return _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
+    w = _extremum(cells, cells.extend(base, start), True, _vertex_bound)[0]
+    return w * cells.unit
 
 
 def crawford(cells: Cells) -> float:
@@ -533,7 +529,7 @@ def crawford(cells: Cells) -> float:
     left = (g.chord.conj() * -g.p).imag[g.chord != 0]
     if left.size and np.all(left > 0.0):
         return 0.0
-    return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0])
+    return max(0.0, -_extremum(cells, cells.start, False, _chord_bound)[0]) * cells.unit
 
 
 def hphi(cells: Cells) -> tuple[float, float]:
@@ -548,7 +544,6 @@ def hphi(cells: Cells) -> tuple[float, float]:
     kink of a norm, where a part has lambda_max = -lambda_min."""
     k = cells.c.shape[0]
     idx = sorted({0, min(1, k - 1), max(k - 2, 0), k - 1})
-    parts = Parts(cells.c, cells.reach * cells.unit)
 
     def survey(index, h, dh):
         # F and its slope at the base angles, from the branch of each max
@@ -562,24 +557,24 @@ def hphi(cells: Cells) -> tuple[float, float]:
         g = _geometry(index, h, dh)
         ends = np.stack((g.p, g.p_next), axis=1).reshape(4, n, 2) * _BACK
         groups = [np.concatenate((ends[r], ends[r + 2]), axis=1) for r in (0, 1)]
-        theta, s = g.theta[:n], -cells.unit
-        bound = s * _floor(theta, g.width[:n], groups)
+        theta = g.theta[:n]
+        bound = -_floor(theta, g.width[:n], groups)
         names = index[:n] + g.span[:n] // 2
         # the picture's cells, and every split of them, are at its resolution
-        return theta, s * f, s * df, bound, names, np.zeros(n, dtype=bool)
+        return theta, -f, -df, bound, names, np.zeros(n, dtype=bool)
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])
-        lam_t, (v, g, cv) = branches(parts, angles, idx)
+        v, g, cv = branches(cells.parts, angles, idx)
         # the squares' model over twice the objective is the objective's
         # model to first order, in the same units as the branches
         squares = np.stack((v * v, 2.0 * v * g, 2.0 * (g * g + v * cv)))
         value = np.sqrt(np.sum(np.max(squares[0], axis=1)))
-        norms = np.maximum(lam_t[:, -1], -lam_t[:, 0])
+        norms = np.maximum(v[:, -1], -v[:, 0])
         return -hypot(*norms), squares / (2.0 * value or 1.0)
 
     theta, best, _ = _optimize(cells, cells.picture, survey, evaluate, 0.5 * np.pi)
-    return -best, -theta % (0.5 * np.pi)
+    return -best * cells.unit, -theta % (0.5 * np.pi)
 
 
 def degenerate_warning(stacklevel: int = 3) -> None:

@@ -119,20 +119,26 @@ def companion(p: PolynomialSpec) -> np.ndarray:
 
 def bound_cauchy(p: PolynomialSpec) -> float:
     """1 + max |a_i|."""
-    return 1.0 + float(np.max(np.abs(p.coefficients)))
+    return _closed_forms(np.abs(p.coefficients).tolist())[0]
 
 
 def bound_carmichael_mason(p: PolynomialSpec) -> float:
     """sqrt(1 + sum |a_i|^2) by ``math.hypot``, which scales internally, so
     that no square overflows or underflows where the bound does not."""
-    return math.hypot(1.0, *np.abs(p.coefficients).tolist())
+    return _closed_forms(np.abs(p.coefficients).tolist())[1]
 
 
 def bound_fujii_kubo(p: PolynomialSpec) -> float:
     """(sqrt(sum |a_i|^2) + |a_{n-1}|) / 2 + cos(pi / (n+1)), each term
     halved before the sum, so that it stays finite wherever the bound is."""
-    mags = np.abs(p.coefficients).tolist()
-    return 0.5 * math.hypot(*mags) + 0.5 * mags[-1] + math.cos(math.pi / (p.degree + 1))
+    return _closed_forms(np.abs(p.coefficients).tolist())[2]
+
+
+def _closed_forms(mags: list[float]) -> tuple[float, float, float]:
+    """The Cauchy, Carmichael-Mason and Fujii-Kubo bounds from |a_0| ..
+    |a_{n-1}|, each written once, for the public functions and the report."""
+    fk = 0.5 * math.hypot(*mags) + 0.5 * mags[-1] + math.cos(math.pi / (len(mags) + 1))
+    return 1.0 + max(mags), math.hypot(1.0, *mags), fk
 
 
 def certificate_matrix(p: PolynomialSpec) -> np.ndarray:
@@ -363,9 +369,7 @@ def zero_bound_report(p: PolynomialSpec, d=None) -> ZeroBoundReport:
         alpha_vals = _ratios(col, m11, d_star)
     mags = mags.tolist()
     return ZeroBoundReport(
-        r_c=1.0 + max(mags),
-        r_cm=math.hypot(1.0, *mags),
-        r_fk=0.5 * math.hypot(*mags) + 0.5 * mags[-1] + math.cos(math.pi / (p.degree + 1)),
+        *_closed_forms(mags),
         r_prk=max(alpha_vals),
         d_star=np.asarray(d_star),
         alphas=np.asarray(alpha_vals),

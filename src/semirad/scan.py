@@ -12,7 +12,8 @@ eigenvector x, its slope x* P' x = Im(exp(-i t) x* C x) and its curvature
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
 model (:func:`branches`).  The slope needs C x alone and the couplings
 C x and C* x, so no stack of derivatives is formed; C* and the scaled
-C and C* are formed once per search (:class:`Parts`).  Over a stack of
+C and C* are formed once per operator's cells (:class:`Parts`), whose
+power of two is the unit of every branch value.  Over a stack of
 angles, the same call, told to skip the curvature, gives the
 support-line cells of :mod:`semirad.cells` their values and slopes
 alone; only the steps of :func:`refine` read curvature.
@@ -78,36 +79,35 @@ def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
 class Parts:
     """The rotated parts P(t) of one C, with what every eigensolve of them
     shares formed once: C*, and C and C* in units of s, the power of two
-    at *scale* (the largest |eigenvalue| in sight), so that a unit means
-    the same at every t and squares neither overflow nor underflow.  A
-    search builds one and hands it to every :func:`branches` call."""
+    at *scale*, so that a unit means the same at every t and squares
+    neither overflow nor underflow.  An operator's cells build one, whose
+    s is the unit of every value that :func:`branches` gives them."""
 
     def __init__(self, c: np.ndarray, scale: float):
         self.c, self.ct, self.s = c, c.conj().T, unit(scale)
-        # before the products, so that they neither overflow nor underflow
-        self.cs, self.cts = c / self.s, self.ct / self.s
+        # part by part, exactly: a complex quotient forms 1/s, which
+        # overflows for s below 2**-1024
+        self.cs = np.empty(c.shape, dtype=np.complex128)
+        self.cs.real, self.cs.imag = c.real / self.s, c.imag / self.s
+        self.cts = self.cs.conj().T
 
 
-def branches(
-    parts: Parts, t, idx, curvature: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the rotated parts P(t) and the quadratic models of their
-    eigenvalue branches *idx*.
+def branches(parts: Parts, t, idx, curvature: bool = True) -> np.ndarray:
+    """The quadratic models of the eigenvalue branches *idx* (indices into
+    each ascending spectrum) of the rotated parts P(t).
 
     *t* is an angle, one part, or an array of them, a stack of parts.
-    Returns (lam, q): the ascending spectra, shape (parts, k), and the
-    value, slope and curvature of each branch, shape (3, parts, len(idx)),
-    in units of ``parts.s``.  Without *curvature*, q holds value and slope
-    only, shape (2, parts, len(idx)), the same to the bit: the coupling to
-    the other branches, which only the curvature reads, is skipped.  A
-    LAPACK failure raises NumericalFailure.
+    Returns q: the value, slope and curvature of each branch, shape (3,
+    parts, len(idx)), in units of ``parts.s``.  Without *curvature*, q
+    holds value and slope only, shape (2, parts, len(idx)), the same to
+    the bit: the coupling to the other branches, which only the curvature
+    reads, is skipped.  A LAPACK failure raises NumericalFailure.
     """
-    s = parts.s
     t = np.asarray(t, dtype=np.float64)
     with lapack("eigensolve of the support lines"):
         lam, vec = np.linalg.eigh(_rotated(parts.c, t, parts.ct))
     k = lam.shape[-1]
-    lam, vec = lam.reshape(-1, k) / s, vec.reshape(-1, k, k)
+    lam, vec = lam.reshape(-1, k) / parts.s, vec.reshape(-1, k, k)
     turn = np.exp(-1j * t).reshape(-1, 1)
     x = vec[:, :, idx]
     cx = parts.cs @ x
@@ -115,7 +115,7 @@ def branches(
     # x_b* P' x_b = Im(exp(-i t) x_b* C x_b)
     slope = (turn * (x.conj() * cx).sum(axis=1)).imag
     if not curvature:
-        return lam * s, np.array((value, slope))
+        return np.array((value, slope))
     # 2i P' x_b = exp(-i t) C x_b - exp(i t) C* x_b, and g[p, j, b] is the
     # conjugate of 2i x_j* P' x_b, whose modulus alone the curvature reads
     turn = turn[:, :, None]
@@ -126,7 +126,7 @@ def branches(
     # j = b, and any eigenvalue equal to the branch's, has no coupling term
     coupling = np.divide(coupling, gap, out=np.zeros(coupling.shape), where=gap != 0)
     bend = 0.5 * coupling.sum(axis=1) - value
-    return lam * s, np.array((value, slope, bend))
+    return np.array((value, slope, bend))
 
 
 @cache

@@ -394,6 +394,10 @@ BOUNDARY_CASES = {
     "jordan_5": (np.eye(5), np.eye(5, k=1)),
     "kernel": _with_kernel(),
     "tiny": (np.eye(4), 1e-170 * (np.eye(4, k=1) + np.diag([1.0, 1j, -1.0, 0.5]))),
+    # subnormal entries, whose power of two is below 2**-1024
+    "subnormal": (
+        np.eye(4), 2.0**-1030 * (np.eye(4, k=1) + np.diag([1.0, 1j, -1.0, 0.5]))
+    ),
     "float_limit": (np.diag([1.0, 4.0]), np.diag([1e308, -1e308])),
     "dense": _dense(3),
     "normal_5": _normal(5, 5),
@@ -1206,6 +1210,27 @@ def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
     parts.clear()
     cells.operator_cells(operator()).outline()
     assert 0 < radius < sum(parts)
+
+
+def test_an_operator_builds_one_parts(monkeypatch):
+    # every search refines on the cells' Parts, in the cells' unit: the
+    # radius, the Crawford number (the origin lies outside the range, so
+    # its search runs), the H_phi bound and the picture
+    built = []
+    parts = cells.Parts
+
+    def counted(*args):
+        built.append(args)
+        return parts(*args)
+
+    monkeypatch.setattr(cells, "Parts", counted)
+    t = np.diag([1 + 1j, 2 - 0.5j, 1.5]) + 0.1 * np.eye(3, k=1)
+    op = sr.make_operator(sr.identity_context(3), t)
+    sr.a_numerical_radius(op)
+    assert sr.a_crawford(op) > 0.0
+    sr.upper_bound_hphi(op)
+    sr.estimate_range(op)
+    assert len(built) == 1
 
 
 STACKED_CALLS = {

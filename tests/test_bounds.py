@@ -186,7 +186,7 @@ def test_bound_report_invariant_under_weight_scaling(c, kernel):
         assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-10)
 
 
-SCALES = (1e-170, 1e-160, 1.0, 1e150, 1e160)
+SCALES = (2.0**-1026, 1e-170, 1e-160, 1.0, 1e150, 1e160)
 
 
 def _assert_scaled(rep, ref, c, skip=()):
