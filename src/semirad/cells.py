@@ -2,13 +2,14 @@
 
 The cells (Johnson, SIAM J. Numer. Anal. 15, 1978; :class:`Cells`)
 sample the support function h(theta) = lambda_max(Re(exp(-i*theta) C)).
-One eigh of the part at theta gives h at theta and, the part at theta +
-pi being minus it, at theta + pi, and the eigenvector gives the slope h'
-and so the support point p_theta = exp(i theta) (h + i h').  Between two
-neighbouring angles the points span a chord of the inner polygon and
-their support lines meet at a vertex of the outer polygon; the range
-lies between the two.  Every operator's cells start from 32 support
-lines, and each quantity grows only the cells it needs from them:
+The extreme eigenvalues of the part at theta give h at theta and, the
+part at theta + pi being minus it, at theta + pi, and their eigenvectors
+give the slope h' and so the support point p_theta = exp(i theta) (h +
+i h').  Between two neighbouring angles the points span a chord of the
+inner polygon and their support lines meet at a vertex of the outer
+polygon; the range lies between the two.  Every operator's cells start
+from 32 support lines, and each quantity grows only the cells it needs
+from them:
 
   * the radius, max h, pruned on the outer vertices and checked against
     its farthest support point and the eigenvalues of C (:func:`radius`),
@@ -27,15 +28,17 @@ lines, and each quantity grows only the cells it needs from them:
     it.
 
 This module alone knows the quarter-turn layout and runs the three
-pruned searches.  Every eigh is one call of :func:`scan.branches`:
-the cells' stacks through :func:`Cells.support` alone, and each
-refinement step of the pruned search (:func:`_optimize`).  Every batched
-eigensolve runs in chunks of at most CHUNK_ENTRIES matrix entries, so
-its memory does not grow with the number of angles.  A round merges the
-new values into the cells once and reads its view in one pass
-(:func:`_geometry`): the support points, the chords, the spans and the
-outer vertices, each computed once, which the gaps, the split angles and
-the bounds all read.
+pruned searches.  The cells' stacks are evaluated through
+:func:`Cells.support` alone, by :func:`scan.extremes` (eigh below
+``scan.SOLVE_K``, eigvalsh and shifted solves from it on), and each
+refinement step of the pruned search (:func:`_optimize`) is one eigh
+through :func:`scan.branches`.  Every batched eigensolve, and every stack
+of shifted solves, runs in chunks of at most CHUNK_ENTRIES matrix
+entries, so its memory does not grow with the number of angles.  A round
+merges the new values into the cells once and reads its view in one
+pass (:func:`_geometry`): the support points, the chords, the spans and
+the outer vertices, each computed once, which the gaps, the split angles
+and the bounds all read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from math import copysign, hypot, isfinite, sqrt
 import numpy as np
 
 from .linalg import lapack
-from .scan import Parts, branches, refine, unit
+from .scan import Parts, branches, extremes, refine, unit
 from .semihilbert import SemiOperator
 
 #: Outer-inner gap of every cell of the range picture, relative to the
@@ -56,7 +59,8 @@ from .semihilbert import SemiOperator
 RTOL = 1e-3
 
 #: Complex entries in one stack of matrices handed to LAPACK (1 MiB): the
-#: batched eigensolves run over chunks of angles this size.
+#: batched eigensolves and shifted solves run over chunks of angles this
+#: size.
 CHUNK_ENTRIES = 2**16
 
 # Angles are integer multiples of _UNIT, 2**30 to the quarter turn, so that
@@ -130,17 +134,18 @@ class Cells:
     @cached_property
     def rounding(self) -> float:
         """The rounding of h, in units of ``unit``: the backward error of
-        eigh, carried over by Weyl's inequality."""
+        eigh or eigvalsh, carried over by Weyl's inequality."""
         return 4.0 * self.c.shape[0] * _EPS * self.reach
 
     def support(self, angles: np.ndarray) -> np.ndarray:
         """(h, h') at *angles* (column 0) and at *angles* + pi (column 1),
         in units of ``unit``: the top branch of each part and minus its
-        bottom one, value and slope only, in stacked eigh calls of at most
-        CHUNK_ENTRIES entries."""
-        # the parts and their eigenvectors are two stacks of the chunk's size
+        bottom one, value and slope only (:func:`scan.extremes`), in stacks
+        of at most CHUNK_ENTRIES entries."""
+        # the parts and their eigenvectors (or their shifted copy) are two
+        # stacks of the chunk's size
         q = [
-            branches(self.parts, angles[s], [0, -1], curvature=False)
+            extremes(self.parts, angles[s])
             for s in chunks(len(angles), self.c.shape[0], copies=2)
         ]
         q = q[0] if len(q) == 1 else np.concatenate(q, axis=1)
@@ -498,20 +503,28 @@ def radius(cells: Cells) -> float:
     among its angles, where h is at least its modulus.  Every corner of the
     range is an eigenvalue (Donoghue, Michigan Math. J. 4, 1957), so a
     missed corner always shows; a missed smooth peak shows once the cells
-    near it reach the picture's resolution (:func:`_optimize`).
+    near it reach the picture's resolution (:func:`_optimize`).  Every
+    eigenvalue's modulus is at most sqrt(||C^2||_F); the eigenvalues are
+    computed only where that bound beats w by more than the rounding of h,
+    as elsewhere none can start a second search or be the farther point
+    that does.
     """
     w, base = _extremum(cells, cells.start, True, _vertex_bound)
     index, h, dh = cells.view(base)
     far = np.hypot(h, dh)  # |p_theta|
     i = int(np.argmax(far))
-    with lapack("eigenvalues of C"):
-        z = np.linalg.eigvals(cells.c)
-    j = int(np.argmax(np.abs(z)))
-    # the farther of the two points, and its direction in steps of _UNIT
-    top, start = max(
-        (far[i], index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT)),
-        (abs(z[j]) / cells.unit, round(float(np.angle(z[j])) / _UNIT)),
-    )
+    # each point and its direction in steps of _UNIT
+    points = [(far[i], index[i] + round(float(np.arctan2(dh[i], h[i])) / _UNIT))]
+    # the bound in the cells' unit, rounded up: 8 k eps ||C||_F^2 under the
+    # root covers the rounding of the product and the backward error of eigvals
+    cs = cells.parts.cs
+    slack = 8.0 * cs.shape[0] * _EPS * float(np.linalg.norm(cs)) ** 2
+    if sqrt(float(np.linalg.norm(cs @ cs)) + slack) > w + cells.rounding:
+        with lapack("eigenvalues of C"):
+            z = np.linalg.eigvals(cells.c)
+        j = int(np.argmax(np.abs(z)))
+        points.append((abs(z[j]) / cells.unit, round(float(np.angle(z[j])) / _UNIT)))
+    top, start = max(points)  # the farther
     if top - w <= cells.rounding:
         return w * cells.unit
     start = np.array([start])

@@ -192,11 +192,16 @@ def general_eig(m) -> np.ndarray:
     scale = spectral_norm(mat)
     with lapack("eigenvalue iteration"):
         lam, vec = np.linalg.eig(mat)
-    # in units of ||M||, so that squares of tiny residuals cannot underflow
-    residual = (mat @ vec - vec * lam[None, :]) / (scale or 1.0)
-    worst = float(np.max(np.linalg.norm(residual, axis=0))) if lam.size else 0.0
+    # in units of ||M||, so that squares of tiny residuals cannot underflow;
+    # the real and imaginary parts apart, as a complex quotient forms
+    # 1/||M||, which overflows for ||M|| below 2**-1024
+    residual = mat @ vec - vec * lam[None, :]
+    unit = scale or 1.0
+    norms = [np.linalg.norm(part / unit, axis=0) for part in (residual.real, residual.imag)]
+    worst = float(np.max(np.hypot(*norms))) if lam.size else 0.0
     tol = 1e-8 if scale else 0.0
-    if worst > tol:
+    # a NaN residual fails
+    if not worst <= tol:
         raise NumericalFailure(
             f"eigenpair residual {worst:.3e} ||M|| exceeds tolerance {tol:.0e} ||M||"
         )

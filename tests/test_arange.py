@@ -170,30 +170,32 @@ def record_eigensolves(monkeypatch):
 
 def test_crawford_alone_runs_no_refinement_with_the_origin_inside(monkeypatch):
     # the start lines' inner polygon holds the origin, so the Crawford
-    # number is 0 without a refinement step: the one stacked eigh of the
-    # start lines is the only eigensolve
+    # number is 0 without a refinement step: the one stacked eigvalsh of
+    # the start lines (k = 32 takes the shifted solves) is the only
+    # eigensolve
     ctx = random_strict_context(np.random.default_rng(32), 32)
     op = random_operator(np.random.default_rng(33), ctx)
     calls = record_eigensolves(monkeypatch)
     assert sr.a_crawford(op) == 0.0
-    assert calls == [("eigh", (16, 32, 32))]
+    assert calls == [("eigvalsh", (16, 32, 32))]
 
 
 def test_range_quantities_refine_in_few_steps(monkeypatch):
     # on an n = 32 operator the radius, the Crawford number and the bound
-    # report take no eigvalsh, one picture of stacked parts and at most 6
-    # refinement steps
+    # report take one picture of stacked parts, in eigvalsh stacks (k = 32
+    # takes the shifted solves), and at most 6 refinement steps, each one
+    # eigh
     ctx = random_strict_context(np.random.default_rng(32), 32)
     op = random_operator(np.random.default_rng(33), ctx)
     calls = record_eigensolves(monkeypatch)
     sr.a_numerical_radius(op)
     sr.a_crawford(op)
     sr.bound_report(op)
-    assert all(name == "eigh" for name, _ in calls)
-    stacks = [shape for _, shape in calls if len(shape) == 3 and shape[0] > 2]
+    stacks = [shape for name, shape in calls if name == "eigvalsh"]
     assert stacks[0] == (16, 32, 32)  # the 32 start lines
+    assert all(len(shape) == 3 and shape[0] > 2 for shape in stacks)
     assert sum(shape[0] for shape in stacks) <= 128
-    steps = [shape for _, shape in calls if shape not in stacks]
+    steps = [shape for name, shape in calls if name == "eigh"]
     assert 0 < len(steps) <= 6
     assert set(steps) <= {(32, 32), (2, 32, 32)}
 
@@ -477,6 +479,21 @@ def test_boundary_solve_failure_is_a_numerical_failure(rng, monkeypatch):
         sr.estimate_range(op)
 
 
+def test_eigenvalues_of_the_support_lines_failure_is_a_numerical_failure(
+    rng, monkeypatch
+):
+    # from scan.SOLVE_K on the stacks take eigvalsh, whose LAPACK failure
+    # is a NumericalFailure too
+    op = random_operator(rng, random_strict_context(rng, scan.SOLVE_K))
+
+    def failing(*args, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(sr.NumericalFailure, match="eigensolve of the support lines"):
+        sr.estimate_range(op)
+
+
 @pytest.mark.parametrize(
     "quantity", [sr.a_numerical_radius, sr.upper_bound_hphi, sr.w_theta_identity_check]
 )
@@ -552,7 +569,12 @@ def test_scans_run_in_bounded_chunks(rng, monkeypatch):
     chunked = outputs()
     shapes = {kind: [s for name, s in calls if name == kind] for kind in dict(calls)}
     assert shapes["svd"] == [(163, k, k), (163, k, k), (34, k, k)]
-    assert {shape[1:] for shape in shapes["eigh"]} == {(k, k), (2 * k, 2 * k)}
+    # k = 20 and 2k take the shifted solves: eigvalsh and two solves of each
+    # stack, and eigh only in the two-part refinement steps of H_phi
+    for kind in ("eigvalsh", "solve"):
+        assert {shape[1:] for shape in shapes[kind]} == {(k, k), (2 * k, 2 * k)}
+    assert sorted(shapes["solve"]) == sorted(2 * shapes["eigvalsh"])
+    assert set(shapes["eigh"]) == {(2, k, k)}
     assert all(np.prod(shape) <= cells.CHUNK_ENTRIES for _, shape in calls)
     for budget in (2**40, 1):
         monkeypatch.setattr(cells, "CHUNK_ENTRIES", budget)
@@ -652,8 +674,8 @@ def test_general_eig_residual_contract(rng):
 
 def test_general_eig_rejects_bad_pair_at_any_scale(monkeypatch):
     # an absolute floor in the residual gate let every pair of a tiny
-    # matrix through; the gate is relative to ||M||
-    m = 1e-170 * np.array([[1.0, 2.0], [0.0, 3.0]])
+    # matrix through; the gate is relative to ||M||, and below 2**-1024,
+    # where a complex quotient by ||M|| overflows, a NaN residual fails
     eig = np.linalg.eig
 
     def corrupted(mat):
@@ -661,11 +683,13 @@ def test_general_eig_rejects_bad_pair_at_any_scale(monkeypatch):
         return lam * np.array([1.01, 1.0]), vec
 
     monkeypatch.setattr(np.linalg, "eig", corrupted)
-    with pytest.raises(sr.NumericalFailure, match="residual"):
-        sr.general_eig(m)
+    for scale in (1e-170, 2.0**-1030):
+        m = scale * np.array([[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(sr.NumericalFailure, match="residual"):
+            sr.general_eig(m)
 
 
-@pytest.mark.parametrize("c", [0.0, 1e-170, 1.0, 1e160])
+@pytest.mark.parametrize("c", [0.0, 2.0**-1030, 1e-170, 1.0, 1e160])
 def test_general_eig_scales_with_m(c):
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     lam = np.sort_complex(sr.general_eig(c * m))
@@ -940,9 +964,11 @@ def test_radius_of_a_normal_operator_is_its_top_eigenvalue_modulus(z, t):
     assert sr.a_numerical_radius(op) == pytest.approx(np.max(np.abs(z)), rel=1e-13, abs=0)
 
 
-def test_radius_eigenvalue_failure_is_a_numerical_failure(rng, monkeypatch):
-    # a LAPACK failure in the eigenvalues of C that check the radius
-    op = random_operator(rng, random_strict_context(rng, 4))
+def test_radius_eigenvalue_failure_is_a_numerical_failure(monkeypatch):
+    # a LAPACK failure in the eigenvalues of C that check the radius; a
+    # normal T with two distinct moduli has sqrt(||C^2||_F) = (2^4 +
+    # 1.5^4)^(1/4) = 2.16 > w = 2, so the check cannot be skipped
+    op = sr.make_operator(sr.identity_context(3), np.diag([2.0, 1.5j, 0.0]))
 
     def failing(*args, **kw):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -950,6 +976,24 @@ def test_radius_eigenvalue_failure_is_a_numerical_failure(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     with pytest.raises(sr.NumericalFailure, match="eigenvalues of C"):
         sr.a_numerical_radius(op)
+
+
+def test_radius_skips_the_eigenvalues_that_cannot_beat_it(monkeypatch):
+    # on a dense n = 32 operator sqrt(||C^2||_F), which bounds every
+    # eigenvalue's modulus, lies below w, so no eigenvalue could start a
+    # second search: the radius takes no eigvals and keeps every bit
+    ctx = random_strict_context(np.random.default_rng(32), 32)
+    t = random_operator(np.random.default_rng(33), ctx).matrix
+    op = sr.make_operator(ctx, t)
+    w = sr.a_numerical_radius(op)
+    # so a check against the top eigenvalue returned w too
+    assert np.max(np.abs(np.linalg.eigvals(op.compressed))) < w
+
+    def failing(*args, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert sr.a_numerical_radius(sr.make_operator(ctx, t)) == w
 
 
 def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):
@@ -1194,13 +1238,13 @@ def test_radius_evaluates_fewer_matrices_than_the_picture(monkeypatch):
     # its refinement take fewer parts than the picture alone
     problem = _benchmark_problems().operator_problems(7)[1]
     parts = []
-    branches = cells.branches
+    for name in ("branches", "extremes"):
 
-    def counted(c, t, *args, **kw):
-        parts.append(np.size(t))
-        return branches(c, t, *args, **kw)
+        def counted(c, t, *args, _fn=getattr(cells, name), **kw):
+            parts.append(np.size(t))
+            return _fn(c, t, *args, **kw)
 
-    monkeypatch.setattr(cells, "branches", counted)
+        monkeypatch.setattr(cells, name, counted)
 
     def operator():
         return sr.make_operator(sr.make_context(problem["A"]), problem["T"])

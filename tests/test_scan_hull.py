@@ -324,3 +324,120 @@ def test_branches_without_curvature_give_the_same_values_and_slopes():
     lean = branches(Parts(c, 4.0), angles, [0, k - 1], curvature=False)
     assert q.shape == (3, 40, 2) and lean.shape == (2, 40, 2)
     assert np.array_equal(q[:2], lean)
+
+
+def _unitary(rng, k):
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _solve_case(name, k):
+    """A compressed matrix C of size k for the shifted-solve tests."""
+    rng = np.random.default_rng(k)
+    dense = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    u = _unitary(rng, k)
+    if name == "dense":
+        return dense
+    if name == "zero":
+        return np.zeros((k, k), dtype=complex)
+    if name == "scalar":
+        return (0.3 - 1.7j) * np.eye(k)
+    if name == "hermitian":
+        return dense + dense.conj().T
+    if name == "repeated-top":
+        # 2 twice, the rest inside the unit disk: the top eigenvalue of
+        # the parts near t = 0 is double
+        z = 0.9 * rng.uniform(size=k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        z[:2] = 2.0
+        return np.diag(z)
+    if name == "near-unitary":
+        # moduli within 1e-9 of 1, phases in pairs 1e-6 apart: corners whose
+        # support lines cross at nearly equal values
+        phase = np.repeat(2 * np.pi * np.arange(k // 2) / (k // 2), 2)
+        phase[1::2] += 1e-6
+        z = (1 + 1e-9 * rng.uniform(size=k)) * np.exp(1j * phase)
+        return (u * z) @ u.conj().T
+    if name == "tiny":
+        return dense * 2.0**-1030
+    if name == "huge":
+        return dense * (2.0**1020 / np.max(np.abs(dense)))
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("k", [16, 32])
+@pytest.mark.parametrize(
+    "name",
+    ["dense", "zero", "scalar", "hermitian", "repeated-top", "near-unitary", "tiny", "huge"],
+)
+def test_shifted_solves_match_eigh_within_the_rounding_of_h(monkeypatch, name, k):
+    # from SOLVE_K on, eigvalsh and one shifted solve per extreme give the
+    # value and slope of the bottom and top branch that eigh gives, within
+    # the rounding of h, 4 k eps times the largest |h|, in every case where
+    # the solve holds or falls back to eigh
+    assert k >= scan.SOLVE_K
+    c = _solve_case(name, k)
+    parts = Parts(c, float(np.max(np.abs(c))))
+    angles = np.linspace(0.0, np.pi, 40, endpoint=False)
+    # eigh of the parts in units of s, as the solves take them: the parts of
+    # C * 2**-1030 itself are subnormal and lose bits
+    want = branches(Parts(parts.cs, 1.0), angles, [0, -1], curvature=False)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(np.shape(m)) or eigh(m))
+    got = scan.extremes(parts, angles)
+    assert got.shape == want.shape == (2, 40, 2)
+    rounding = 4 * k * np.finfo(float).eps * np.max(np.abs(want[0]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=rounding)
+    if name == "dense":
+        assert eighs == []  # no fallback
+    if name in ("zero", "repeated-top", "near-unitary"):
+        # a singular LU, a zero gap, a near-crossing: some parts fall back
+        assert eighs
+    if name == "zero":
+        assert not np.any(got)
+
+
+def test_a_right_hand_side_with_no_share_of_the_eigenvector_falls_back_to_eigh(
+    monkeypatch,
+):
+    # a top eigenvector orthogonal to both fixed right-hand sides: the
+    # solve grows another branch's vector, so the part is solved by eigh
+    k = 16
+    rng = np.random.default_rng(3)
+    b = scan._rhs(k)
+    basis = np.linalg.qr(b)[0]
+    v = rng.normal(size=k) + 1j * rng.normal(size=k)
+    for _ in range(2):
+        v -= basis @ (basis.T @ v)
+    q, _ = np.linalg.qr(np.column_stack((v, _unitary(rng, k)[:, 1:])))
+    assert abs(q[:, 0].conj() @ b).max() < 1e-15
+    c = (q * np.concatenate(([3.0], rng.uniform(-1.0, 1.0, k - 1)))) @ q.conj().T
+    parts = Parts(c, float(np.max(np.abs(c))))
+    angle = np.array([0.0])  # the part is C itself
+    want = branches(parts, angle, [0, -1], curvature=False)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(np.shape(m)) or eigh(m))
+    assert np.array_equal(scan.extremes(parts, angle), want)
+    assert eighs == [(1, k, k)]
+
+
+@pytest.mark.parametrize("k", [2, 8, 11])
+def test_extremes_below_solve_k_are_eigh_to_the_bit(k):
+    rng = np.random.default_rng(k)
+    c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    parts = Parts(c, float(np.max(np.abs(c))))
+    angles = np.linspace(0.0, np.pi, 16, endpoint=False)
+    want = branches(parts, angles, [0, -1], curvature=False)
+    assert np.array_equal(scan.extremes(parts, angles), want)
+
+
+def test_a_singular_lu_leaves_nan_for_that_matrix_alone():
+    # numpy raises for a whole stack when one LU is singular; the stack is
+    # solved again one matrix at a time, and only the singular one is NaN
+    k = 3
+    a = np.stack((np.eye(k), np.zeros((k, k)), 2 * np.eye(k))).astype(complex)
+    b = np.broadcast_to(scan._rhs(k), (3, k, 2))
+    y = scan._solve(a, b)
+    assert np.array_equal(y[0], b[0]) and np.array_equal(y[2], b[2] / 2)
+    assert np.all(np.isnan(y[1]))
