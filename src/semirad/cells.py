@@ -51,7 +51,7 @@ from math import copysign, hypot, isfinite, sqrt
 import numpy as np
 
 from .linalg import lapack
-from .scan import Parts, branches, extremes, refine, unit
+from .scan import Parts, branches, extremes, refine
 from .semihilbert import SemiOperator
 
 #: Outer-inner gap of every cell of the range picture, relative to the
@@ -93,8 +93,8 @@ class Cells:
 
     Angles are evaluated for a whole quarter-turn orbit at once, so the
     set is closed under rotation by pi/2 and the norm of every part at
-    theta + pi/2 is known too.  Values are kept, in units of a power of
-    two at the scale of C, per base angle in [0, pi/2).  The 32 start
+    theta + pi/2 is known too.  Values are kept, in the unit of its
+    :class:`scan.Parts`, per base angle in [0, pi/2).  The 32 start
     lines are evaluated at once; their outer polygon sets the reach, the
     scale of every later decision.  The picture is grown on first read
     (:func:`_coarse`).  Each pruned search grows its own set of base
@@ -105,8 +105,8 @@ class Cells:
 
     def __init__(self, c: np.ndarray):
         self.c = c
-        self.unit = unit(float(np.max(np.abs(c))))
-        self.parts = Parts(c, self.unit)
+        self.parts = Parts(c, float(np.max(np.abs(c))))
+        self.unit = self.parts.s
         self.base = np.zeros(0, dtype=np.int64)
         self.lines = np.zeros((2, 4, 0))  # (h, h') per quarter turn and base angle
         self.start = np.arange(_START, dtype=np.int64) * (_QUARTER // _START)
@@ -503,11 +503,11 @@ def radius(cells: Cells) -> float:
     among its angles, where h is at least its modulus.  Every corner of the
     range is an eigenvalue (Donoghue, Michigan Math. J. 4, 1957), so a
     missed corner always shows; a missed smooth peak shows once the cells
-    near it reach the picture's resolution (:func:`_optimize`).  Every
-    eigenvalue's modulus is at most sqrt(||C^2||_F); the eigenvalues are
-    computed only where that bound beats w by more than the rounding of h,
-    as elsewhere none can start a second search or be the farther point
-    that does.
+    near it reach the picture's resolution (:func:`_optimize`).  The
+    eigenvalues, those of C / s in the cells' unit (``cells.parts.cs``),
+    have moduli at most sqrt(||C^2||_F); they are computed only where that
+    bound beats w by more than the rounding of h, as elsewhere none can
+    start a second search or be the farther point that does.
     """
     w, base = _extremum(cells, cells.start, True, _vertex_bound)
     index, h, dh = cells.view(base)
@@ -521,9 +521,8 @@ def radius(cells: Cells) -> float:
     slack = 8.0 * cs.shape[0] * _EPS * float(np.linalg.norm(cs)) ** 2
     if sqrt(float(np.linalg.norm(cs @ cs)) + slack) > w + cells.rounding:
         with lapack("eigenvalues of C"):
-            z = np.linalg.eigvals(cells.c)
-        j = int(np.argmax(np.abs(z)))
-        points.append((abs(z[j]) / cells.unit, round(float(np.angle(z[j])) / _UNIT)))
+            z = max(np.linalg.eigvals(cs), key=abs)
+        points.append((abs(z), round(float(np.angle(z)) / _UNIT)))
     top, start = max(points)  # the farther
     if top - w <= cells.rounding:
         return w * cells.unit

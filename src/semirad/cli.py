@@ -14,8 +14,9 @@ Every input array ("A", "T", "T11" to "T22", "coeffs", "d") is read by
 one validator, which walks it once, raises its first fault of shape or
 type in row-major order naming the key and the row, and converts it with
 one ``np.array`` call; one check rejects an unknown key, then a missing
-required one.  Exit codes: 0 success, 1 numerical failure, 2 validation
-error: every malformed input, with one ``error:`` line (an unknown,
+required one.  Exit codes: 0 success, 1 numerical failure (also a
+result that is not finite, which JSON cannot hold), 2 validation error:
+every malformed input, with one ``error:`` line (an unknown,
 missing or mistyped flag, a negative ``--mc-samples`` or ``--seed``,
 ``--format svg`` with a command other than ``range``, malformed JSON
 with line and column, JSON nested too deeply to read, a JSON integer too
@@ -34,8 +35,9 @@ thread count; files are written atomically (temp file + rename).
 
 :func:`main` is the one entry point: the console script and ``python -m
 semirad`` call it, and argparse is the one validator of its flags.  Each
-runner returns the fields of its job; :func:`_fields` turns a report's
-arrays into lists (floats, or [re, im] pairs if complex) by ``tolist``,
+runner returns the fields of its job (a report's ``vars``, in field
+order); :func:`_plain` checks that each number is finite and turns an
+array into a list (floats, or [re, im] pairs if complex) by ``tolist``,
 and ``main`` writes ``"command"`` first.  ``main`` may be called many
 times in one process, and each call pays only for its own job: it parses
 with one parser, built on the first call.  Every call's output is
@@ -46,11 +48,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
 from functools import cache
 
 import numpy as np
@@ -186,20 +188,24 @@ def _run_radius(args: argparse.Namespace, data: dict) -> dict:
     return payload
 
 
-def _fields(report) -> dict:
-    """The fields of a report dataclass, in order; an array becomes a list,
-    of floats if real and of [re, im] pairs if complex."""
-    out = {f.name: getattr(report, f.name) for f in fields(report)}
-    for key, value in out.items():
-        if isinstance(value, np.ndarray):
-            if value.dtype.kind == "c":
-                value = np.stack((value.real, value.imag), -1)
-            out[key] = value.tolist()
-    return out
+def _plain(key: str, value):
+    """The output field *key*: an array as a list, of floats if real and of
+    [re, im] pairs if complex.  A number that is not finite, which JSON
+    cannot hold, raises NumericalFailure."""
+    if isinstance(value, np.ndarray):
+        finite = np.isfinite(value).all()
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), -1)
+        value = value.tolist()
+    else:
+        finite = not isinstance(value, float) or math.isfinite(value)
+    if not finite:
+        raise NumericalFailure(f"{key} is not finite: past the float range")
+    return value
 
 
 def _run_bounds(args: argparse.Namespace, data: dict) -> dict:
-    return _fields(bound_report(_operator_from(data)))
+    return vars(bound_report(_operator_from(data)))
 
 
 def _run_blockbounds(args: argparse.Namespace, data: dict) -> dict:
@@ -208,20 +214,18 @@ def _run_blockbounds(args: argparse.Namespace, data: dict) -> dict:
     blocks = [_array(data, k, rows=True) for k in block_keys]
     ctx = _context_from(data, blocks[0].shape[0], '"T11"')
     ops = [make_operator(ctx, b) for b in blocks]
-    return _fields(matrix_bound_report(*ops))
+    return vars(matrix_bound_report(*ops))
 
 
 def _run_zeros(args: argparse.Namespace, data: dict) -> dict:
     _keys(data, ("coeffs",), ("d",))
     p = make_polynomial(_array(data, "coeffs"))
     weights = _array(data, "d", pairs=False) if "d" in data else None
-    return {"degree": p.degree, **_fields(zero_bound_report(p, d=weights))}
+    return {"degree": p.degree, **vars(zero_bound_report(p, d=weights))}
 
 
 def _run_range(args: argparse.Namespace, data: dict) -> dict:
-    op = _operator_from(data)
-    est = estimate_range(op)
-    return _fields(est)
+    return vars(estimate_range(_operator_from(data)))
 
 
 def _render_table(payload: dict) -> str:
@@ -384,7 +388,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = _RUNNERS[args.command](args, _load_json(args.input))
-        _emit(_render(args.format, {"command": args.command, **result}), args.output)
+        payload = {key: _plain(key, value) for key, value in result.items()}
+        _emit(_render(args.format, {"command": args.command, **payload}), args.output)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,37 +11,36 @@ eigenvector x, its slope x* P' x = Im(exp(-i t) x* C x) and its curvature
 -lambda + 2 sum_j |x_j* P' x|^2 / (lambda - lambda_j) (Hellmann-Feynman;
 Lancaster, Numer. Math. 6, 1964), so each branch comes with a quadratic
 model (:func:`branches`).  The slope needs C x alone and the couplings
-C x and C* x, so no stack of derivatives is formed; C* and the scaled
-C and C* are formed once per operator's cells (:class:`Parts`), whose
-power of two is the unit of every branch value.  Only the steps of
-:func:`refine` read curvature.  The support-line cells of
+C x and C* x, so no stack of derivatives is formed.  Every eigensolve
+factors the parts of C / s and its adjoint, s the power of two at the
+scale of C, formed once per operator's cells (:class:`Parts`): s is the
+unit of every branch value, so C -> 2^j C moves none of their bits.  Only
+the steps of :func:`refine` read curvature.  The support-line cells of
 :mod:`semirad.cells` read the value and slope of the bottom and top
 branch alone, over a stack of angles (:func:`extremes`): below SOLVE_K
 from the same eigh, skipping the curvature; from SOLVE_K on from one
 stacked eigvalsh and one stacked shifted LU solve per extreme, which give
 the two eigenvectors without the other k - 2, and from eigh again for a
-part whose solve cannot be trusted.
-The callers cut those cells at their valleys into segments, each
-holding one peak as far as its points tell.  For the most promising
-segment whose bound beats the best value they hand :func:`refine`, the
-one refinement, its bracket from valley to valley and a start next to
-its best angle: the peak of the cubic Hermite interpolant of the values
-and slopes on the cell uphill of that angle.  :func:`refine` maximizes a
-function f of the branches, so unimodality only has to hold inside a
-segment; the callers then check the refined value against every cell's
-bound.  Each step
-minimizes the model of -f, the sum over parts of the max over branches
-of their quadratics, inside a bracket that the sign of the slope
-shrinks; where that minimizer is not strictly inside the bracket, or the
-steps stop halving, the step bisects the bracket instead.  A point below
-the best value ends the bracket on its own side of the best point,
-whatever its slope says, so the best point never leaves the bracket; if
-its slope does not point back to the best point, it lies on the flank of
-another peak, and the next step starts from the best point instead.  A
-kink, where two branches cross, is where their quadratics cross; the
-crossings of every pair of branches of every part are solved in one
-array pass (:func:`_model_step`), so kinks converge as fast as smooth
-optima.  The search stops once the model promises no more than the
+part whose solve cannot be trusted.  The callers cut those cells at their
+valleys into segments, each holding one peak as far as its points tell.
+For the most promising segment whose bound beats the best value they hand
+:func:`refine`, the one refinement, its bracket from valley to valley and
+a start next to its best angle: the peak of the cubic Hermite interpolant
+of the values and slopes on the cell uphill of that angle.  :func:`refine`
+maximizes a function f of the branches, so unimodality only has to hold
+inside a segment; the callers then check the refined value against every
+cell's bound.  Each step minimizes the model of -f, the sum over parts of
+the max over branches of their quadratics, inside a bracket that the sign
+of the slope shrinks; where that minimizer is not strictly inside the
+bracket, or the steps stop halving, the step bisects the bracket instead.
+A point below the best value ends the bracket on its own side of the best
+point, whatever its slope says, so the best point never leaves the
+bracket; if its slope does not point back to the best point, it lies on
+the flank of another peak, and the next step starts from the best point
+instead.  A kink, where two branches cross, is where their quadratics
+cross; the crossings of every pair of branches of every part are solved
+in one array pass (:func:`_model_step`), so kinks converge as fast as
+smooth optima.  The search stops once the model promises no more than the
 rounding of h, 4 k eps times the reach, that the callers pass, or once
 the bracket is at most ``TOL`` wide.
 """
@@ -69,11 +68,6 @@ SOLVE_K = 12
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def unit(scale: float) -> float:
-    """The power of two s with s <= *scale* < 2 s (1 for a zero scale)."""
-    return ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
-
-
 def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
     """Re(exp(-i*theta) C) = (exp(-i*theta) C + exp(i*theta) C*) / 2, with
     C* the given *ct* if the caller has it.
@@ -88,14 +82,14 @@ def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
 
 
 class Parts:
-    """The rotated parts P(t) of one C, with what every eigensolve of them
-    shares formed once: C*, and C and C* in units of s, the power of two
-    at *scale*, so that a unit means the same at every t and squares
-    neither overflow nor underflow.  An operator's cells build one, whose
-    s is the unit of every value that :func:`branches` gives them."""
+    """C / s and its adjoint, formed once, whose rotated parts P(t) every
+    eigensolve factors, s the power of two with s <= *scale* < 2 s (1 for
+    a zero scale): a unit means the same at every t, squares neither
+    overflow nor underflow, and C -> 2^j C moves no bit of a value in
+    units of s.  An operator's cells build one, whose s is their unit."""
 
     def __init__(self, c: np.ndarray, scale: float):
-        self.c, self.ct, self.s = c, c.conj().T, unit(scale)
+        self.s = ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
         # part by part, exactly: a complex quotient forms 1/s, which
         # overflows for s below 2**-1024
         self.cs = np.empty(c.shape, dtype=np.complex128)
@@ -109,16 +103,17 @@ def branches(parts: Parts, t, idx, curvature: bool = True) -> np.ndarray:
 
     *t* is an angle, one part, or an array of them, a stack of parts.
     Returns q: the value, slope and curvature of each branch, shape (3,
-    parts, len(idx)), in units of ``parts.s``.  Without *curvature*, q
-    holds value and slope only, shape (2, parts, len(idx)), the same to
-    the bit: the coupling to the other branches, which only the curvature
-    reads, is skipped.  A LAPACK failure raises NumericalFailure.
+    parts, len(idx)), in units of ``parts.s``, read off the parts of
+    ``parts.cs``.  Without *curvature*, q holds value and slope only,
+    shape (2, parts, len(idx)), the same to the bit: the coupling to the
+    other branches, which only the curvature reads, is skipped.  A LAPACK
+    failure raises NumericalFailure.
     """
     t = np.asarray(t, dtype=np.float64)
     with lapack("eigensolve of the support lines"):
-        lam, vec = np.linalg.eigh(_rotated(parts.c, t, parts.ct))
+        lam, vec = np.linalg.eigh(_rotated(parts.cs, t, parts.cts))
     k = lam.shape[-1]
-    lam, vec = lam.reshape(-1, k) / parts.s, vec.reshape(-1, k, k)
+    lam, vec = lam.reshape(-1, k), vec.reshape(-1, k, k)
     turn = np.exp(-1j * t).reshape(-1, 1)
     x = vec[:, :, idx]
     cx = parts.cs @ x
@@ -196,7 +191,7 @@ def extremes(parts: Parts, t: np.ndarray) -> np.ndarray:
 
     A LAPACK failure of eigvalsh raises NumericalFailure.
     """
-    k = parts.c.shape[0]
+    k = parts.cs.shape[0]
     if k < SOLVE_K:
         return branches(parts, t, [0, -1], curvature=False)
     t = np.asarray(t, dtype=np.float64)

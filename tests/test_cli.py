@@ -421,17 +421,28 @@ class TestValidation:
         assert capsys.readouterr().out.startswith("usage: semirad")
 
     def test_overflowing_compressed_matrix(self, tmp_path, capsys):
-        # A and T are finite, but C = L^(1/2) Q* T Q L^(-1/2) is not
-        path = write_json(
-            tmp_path,
+        # no number that JSON cannot hold reaches any format: exit 1, nothing
+        # on stdout and one line on stderr
+        jobs = [
+            # A and T are finite, but C = L^(1/2) Q* T Q L^(-1/2) is not
             {"A": cmat(np.diag([1.0, 1e-9])), "T": cmat([[0.0, 1e307], [0.0, 0.0]])},
-        )
-        for command in ("radius", "bounds", "range"):
-            argv = ["--command", command, "--input", path, "--format", "json"]
-            assert main(argv) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "numerical failure:" in captured.err
+            # C = T is finite, but the radius, 2e308, is past the float range
+            {"identity_dim": 2, "T": cmat(np.full((2, 2), 1e308))},
+        ]
+        for job in jobs:
+            path = write_json(tmp_path, job)
+            for command, formats in (
+                ("radius", ("json", "table")),
+                ("bounds", ("json", "table")),
+                ("range", ("json", "table", "svg")),
+            ):
+                for output_format in formats:
+                    argv = ["--command", command, "--input", path]
+                    assert main(argv + ["--format", output_format]) == 1
+                    captured = capsys.readouterr()
+                    assert captured.out == ""
+                    assert captured.err.startswith("numerical failure:")
+                    assert captured.err.count("\n") == 1
 
     def test_unadjointable_operator(self, tmp_path, capsys):
         path = write_json(

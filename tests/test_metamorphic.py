@@ -115,6 +115,38 @@ def test_rescaling_t_by_a_power_of_two_changes_no_bit(seed, n, kernel, k):
             np.testing.assert_array_equal(scaled[name], 2.0**k * value, err_msg=name)
 
 
+@pytest.mark.parametrize("j", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("weight", ["identity", "diagonal"])
+@pytest.mark.parametrize("kind", ["dense", "near-unitary"])
+@pytest.mark.parametrize("k", [3, 8, 16])
+def test_rescaling_t_by_a_power_of_two_changes_no_bit_across_the_float_range(
+    k, kind, weight, j
+):
+    # every eigensolve of the cells factors C in units of its power of two,
+    # so T -> 2^j T moves no bit of what they give near either end of the
+    # float range, where LAPACK rescales unscaled parts on its own, and from
+    # scan.SOLVE_K on as below it
+    rng = np.random.default_rng(k)
+    if kind == "dense":
+        t = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    else:
+        # moduli within 1e-9 of 1: at the corners the top two branches of
+        # the parts nearly cross, so the k = 16 stacks fall back to eigh
+        phase = 2 * np.pi * (np.arange(k) + 0.1 * rng.uniform(size=k)) / k
+        t = np.diag((1 + 1e-9 * rng.uniform(size=k)) * np.exp(1j * phase))
+    a = np.eye(k) if weight == "identity" else np.diag(rng.uniform(0.5, 2.0, size=k))
+    _, base = weighted_quantities(a, t)
+    _, scaled = weighted_quantities(a, 2.0**j * t)
+    # the sandwich bounds are left out: they come from an SVD of the
+    # unscaled C outside the cells, which LAPACK rescales on its own
+    for name in base.keys() - {"sandwich_lower", "sandwich_upper"}:
+        if name in ("phi_star", "theta"):
+            np.testing.assert_array_equal(scaled[name], base[name], err_msg=name)
+        else:
+            want = 2.0**j * base[name]
+            np.testing.assert_array_equal(scaled[name], want, err_msg=name)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=sizes, kernel=kernels, c=st.floats(1e-6, 1e6))
 def test_rescaling_the_weight_keeps_every_weighted_quantity(seed, n, kernel, c):

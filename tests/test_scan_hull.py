@@ -378,9 +378,7 @@ def test_shifted_solves_match_eigh_within_the_rounding_of_h(monkeypatch, name, k
     c = _solve_case(name, k)
     parts = Parts(c, float(np.max(np.abs(c))))
     angles = np.linspace(0.0, np.pi, 40, endpoint=False)
-    # eigh of the parts in units of s, as the solves take them: the parts of
-    # C * 2**-1030 itself are subnormal and lose bits
-    want = branches(Parts(parts.cs, 1.0), angles, [0, -1], curvature=False)
+    want = branches(parts, angles, [0, -1], curvature=False)
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(np.shape(m)) or eigh(m))
