@@ -32,13 +32,14 @@ pruned searches.  The cells' stacks are evaluated through
 :func:`Cells.support` alone, by :func:`scan.extremes` (eigh below
 ``scan.SOLVE_K``, eigvalsh and shifted solves from it on), and each
 refinement step of the pruned search (:func:`_optimize`) is one eigh
-through :func:`scan.branches`.  Every batched eigensolve, and every stack
-of shifted solves, runs in chunks of at most CHUNK_ENTRIES matrix
-entries, so its memory does not grow with the number of angles.  A round
-merges the new values into the cells once and reads its view in one
-pass (:func:`_geometry`): the support points, the chords, the spans and
-the outer vertices, each computed once, which the gaps, the split angles
-and the bounds all read.
+through :func:`scan.branches`; a search refines nothing while a cell
+that may beat its best value is coarser than the picture.  Every batched
+eigensolve, and every stack of shifted solves, runs in chunks of at most
+CHUNK_ENTRIES matrix entries, so its memory does not grow with the
+number of angles.  A round merges the new values into the cells once and
+reads its view in one pass (:func:`_geometry`): the support points, the
+chords, the spans and the outer vertices, each computed once, which the
+gaps, the split angles and the bounds all read.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class Cells:
 
     def __init__(self, c: np.ndarray):
         self.c = c
-        self.parts = Parts(c, float(np.max(np.abs(c))))
+        self.parts = Parts(c)
         self.unit = self.parts.s
         self.base = np.zeros(0, dtype=np.int64)
         self.lines = np.zeros((2, 4, 0))  # (h, h') per quarter turn and base angle
@@ -385,27 +386,26 @@ def _optimize(
     of period *period*, pruned on the cells from the base angles *base*,
     then refined and checked; *angles* are the base angles the search grew.
 
-    ``survey(view)`` gives (theta, f, f', bound, names, coarse) over a
-    cyclic view: f and its slope at each point, a bound of f over each
-    cell (the cell from a point to the next), where to split each cell, and
-    which cells are coarser than the picture; ``evaluate(t)`` gives f(t)
-    and the models of the branches of -f, for :func:`scan.refine`.  The
-    result starts at the best point.  Each round cuts the view into
-    segments (:func:`_segments`) and refines one new segment, the most
-    promising one whose bound beats the best value and that holds no
-    refined optimum yet, within its bracket, from the optimum that the
-    values and slopes at its best point and the neighbour uphill of it
-    imply (:func:`_seed`), so that no sampled angle is evaluated again,
-    until a step promises less than the rounding of f.  Then
-    every cell whose bound beats the best value is split: by more than the
-    rounding of f outside the segments that hold a refined optimum, and
-    inside them while the cell is coarser than the picture or its bound
-    beats the value by more than twice RTOL times the reach, the most a
-    bound at the picture's resolution overshoots one smooth optimum (the
-    outer vertex lies within the picture's gap of the range, and the H_phi
-    floor within sqrt(2) gaps of its objective).  Around a refined optimum
-    the cells thus reach the picture's resolution, so a second peak hidden
-    in its segment shows as a valley or as a farther support point.  The
+    ``survey(view)`` gives (theta, f, f', bound, names) over a cyclic view:
+    f and its slope at each point, a bound of f over each cell (the cell
+    from a point to the next), and where to split each cell; ``evaluate(t)``
+    gives f(t) and the models of the branches of -f (:func:`scan.refine`).
+    A round refines nothing while a cell whose bound beats the best value is
+    coarser than the picture, its bound beyond both ends by more than RTOL
+    times the reach.  Else it cuts the view into segments
+    (:func:`_segments`) and refines one new segment, the most promising one
+    whose bound beats the best value and that holds no refined optimum yet,
+    within its bracket, from the optimum that the values and slopes at its
+    best point and the neighbour uphill of it imply (:func:`_seed`), so that
+    no sampled angle is evaluated again, until a step promises less than the
+    rounding of f.  Then every cell whose bound beats the best value is
+    split: by more than the rounding of f outside the segments that hold a
+    refined optimum, and inside them by more than twice RTOL times the
+    reach, the most a bound at the picture's resolution overshoots one
+    smooth optimum (the outer vertex lies within the picture's gap of the
+    range, and the H_phi floor within sqrt(2) gaps of its objective).  So a
+    second peak hidden in the segment of a refined optimum shows, at the
+    picture's resolution, as a valley or as a farther support point.  The
     search ends once no cell's bound beats the best value by more than its
     tolerance, or, with a RuntimeWarning, once no split adds an angle.
     Every value, bound and model is in units of ``cells.unit``; the rounding
@@ -414,12 +414,14 @@ def _optimize(
     best = (-np.inf, 0.0)
     refined: list[float] = []  # the angles of the refined optima
     while True:
-        theta, value, slope, bound, names, coarse = survey(*cells.view(base))
+        theta, value, slope, bound, names = survey(*cells.view(base))
         top = int(value.argmax())
         best = max(best, (float(value[top]), float(theta[top])))
         angle, ceiling = theta.tolist(), bound.tolist()
         held = np.zeros(len(angle), dtype=bool)  # the segments of refined optima
-        fresh = True  # no segment refined yet in this round
+        coarse = bound - np.maximum(value, _next(value)) > RTOL * cells.reach
+        # no segment refined yet in this round, and none while a cell is coarse
+        fresh = not (coarse & (bound - best[0] > cells.rounding)).any()
         # the most promising first
         for top, a, b in _segments(value, slope, cells.rounding):
             # the points a, ..., b - 1, modulo n
@@ -444,7 +446,7 @@ def _optimize(
             for i in inside:
                 held[i] = True
         over = bound - best[0]
-        tol = np.where(held & ~coarse, 2.0 * RTOL * cells.reach, cells.rounding)
+        tol = np.where(held, 2.0 * RTOL * cells.reach, cells.rounding)
         split = (over > tol).nonzero()[0]
         if not split.size:
             break
@@ -481,8 +483,7 @@ def _extremum(
 
     def survey(index, h, dh):
         g = _geometry(index, h, dh)
-        coarse = _gap(g) > RTOL * cells.reach
-        return g.theta, sign * h, sign * dh, sign * bound(g, h), _chord_rule(g), coarse
+        return g.theta, sign * h, sign * dh, sign * bound(g, h), _chord_rule(g)
 
     def evaluate(t: float):
         q = branches(cells.parts, t, idx)
@@ -572,8 +573,7 @@ def hphi(cells: Cells) -> tuple[float, float]:
         theta = g.theta[:n]
         bound = -_floor(theta, g.width[:n], groups)
         names = index[:n] + g.span[:n] // 2
-        # the picture's cells, and every split of them, are at its resolution
-        return theta, -f, -df, bound, names, np.zeros(n, dtype=bool)
+        return theta, -f, -df, bound, names
 
     def evaluate(theta: float):
         angles = theta + np.array([0.0, 0.5 * np.pi])

@@ -4,9 +4,10 @@ Plain ``numpy.ndarray`` (complex128, row-major) is the matrix carrier for
 the whole package; :func:`as_complex_matrix` is the validation gate that
 turns numeric input into one.  On top of it this module provides the
 Hermitian eigendecomposition behind a relative symmetry gate, the spectral
-norm, the split of a PSD spectrum into kept and dropped eigenpairs at a
-relative rank cutoff, and general eigenvalues behind a residual gate.  All
-tolerances are fixed.  Every LAPACK call of the package runs inside
+norm in the power-of-two unit of its input (:func:`in_unit`), the split
+of a PSD spectrum into kept and dropped eigenpairs at a relative rank
+cutoff, and general eigenvalues behind a residual gate.  All tolerances
+are fixed.  Every LAPACK call of the package runs inside
 :func:`lapack`, so that a failure surfaces as NumericalFailure, never as a
 raw ``LinAlgError``.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -145,16 +147,34 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def in_unit(m: np.ndarray, scale: float | None = None) -> tuple[float, np.ndarray]:
+    """(s, M / s), s the power of two with s <= *scale* < 2 s (1 for a zero
+    scale); the scale defaults to the largest modulus of a real or an
+    imaginary part of M, which is finite whenever M is.  In units of s,
+    squares neither overflow nor underflow, and M -> 2^j M moves no bit.
+    M / s is taken part by part, exactly: a complex quotient forms 1/s,
+    which overflows for s below 2**-1024."""
+    if scale is None:
+        scale = float(max(np.max(np.abs(m.real)), np.max(np.abs(m.imag))))
+    s = ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
+    out = np.empty(m.shape, dtype=np.complex128)
+    out.real, out.imag = m.real / s, m.imag / s
+    return s, out
+
+
 def spectral_norm(m) -> float:
-    """Largest singular value of *m* (the operator 2-norm)."""
+    """Largest singular value of *m* (the operator 2-norm), from the SVD of
+    *m* in its unit (:func:`in_unit`), so that it scales exactly under
+    m -> 2^j m and overflows to inf, not NaN."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0.0
+    s, arr = in_unit(arr)
     with lapack("SVD"):
         sigma = np.linalg.svd(arr, compute_uv=False)
-    return float(sigma[0])
+    return float(sigma[0]) * s
 
 
 def kept_eigenpairs(

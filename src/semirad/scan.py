@@ -48,12 +48,12 @@ the bracket is at most ``TOL`` wide.
 from __future__ import annotations
 
 from functools import cache, reduce
-from math import frexp, isfinite, ldexp
+from math import isfinite
 from typing import Callable
 
 import numpy as np
 
-from .linalg import lapack
+from .linalg import in_unit, lapack
 
 #: Width of the bracket at which the refinement stops.
 TOL = 1e-10
@@ -83,17 +83,14 @@ def _rotated(c: np.ndarray, theta, ct: np.ndarray | None = None) -> np.ndarray:
 
 class Parts:
     """C / s and its adjoint, formed once, whose rotated parts P(t) every
-    eigensolve factors, s the power of two with s <= *scale* < 2 s (1 for
-    a zero scale): a unit means the same at every t, squares neither
-    overflow nor underflow, and C -> 2^j C moves no bit of a value in
-    units of s.  An operator's cells build one, whose s is their unit."""
+    eigensolve factors, s the power of two at *scale*, by default at the
+    largest part of an entry of C (:func:`linalg.in_unit`): a unit means
+    the same at every t, squares neither overflow nor underflow, and C ->
+    2^j C moves no bit of a value in units of s.  An operator's cells
+    build one, whose s is their unit."""
 
-    def __init__(self, c: np.ndarray, scale: float):
-        self.s = ldexp(1.0, frexp(scale)[1] - 1) if scale else 1.0
-        # part by part, exactly: a complex quotient forms 1/s, which
-        # overflows for s below 2**-1024
-        self.cs = np.empty(c.shape, dtype=np.complex128)
-        self.cs.real, self.cs.imag = c.real / self.s, c.imag / self.s
+    def __init__(self, c: np.ndarray, scale: float | None = None):
+        self.s, self.cs = in_unit(c, scale)
         self.cts = self.cs.conj().T
 
 

@@ -869,36 +869,45 @@ def test_radius_reruns_from_the_top_eigenvalue_of_a_non_normal_operator():
     assert sr.a_numerical_radius(op) == pytest.approx(w, rel=1e-13)
 
 
-def non_normal(draws):
+def non_normal(draws, s=1e-5, real=False):
     """T of the draws *draws* of a non-normal family drawn from
     default_rng(11), each draw in this order: k = integers(3, 9); k angles
     U(0, 2 pi), then k moduli 1 + 1e-6 U(-1, 1) of the eigenvalues z; G,
     then H, each a complex k x k matrix (standard normal real parts, then
-    imaginary parts).  T = diag(z) + 1e-5 (G + iH)."""
+    imaginary parts), or a real one if *real*.  T = diag(z) + s (G + iH)."""
     rng = np.random.default_rng(11)
+
+    def matrix(k):
+        m = rng.standard_normal((k, k))
+        return m if real else m + 1j * rng.standard_normal((k, k))
+
     for i in range(max(draws) + 1):
         k = int(rng.integers(3, 9))
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, k)) * (1 + 1e-6 * rng.uniform(-1, 1, k))
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        g = matrix(k)
+        h = matrix(k)
         if i in draws:
-            yield np.diag(z) + 1e-5 * (g + 1j * h)
+            yield np.diag(z) + s * (g + 1j * h)
 
 
-NON_NORMAL_DRAWS = (52, 140, 153)
+NON_NORMAL_DRAWS = (52, 137, 140, 153)
 
 
 @pytest.mark.parametrize(
-    "t", non_normal(NON_NORMAL_DRAWS), ids=[f"non-normal-{i}" for i in NON_NORMAL_DRAWS]
+    "t",
+    [*non_normal(NON_NORMAL_DRAWS), *non_normal((14,), s=1e-4, real=True)],
+    ids=[*(f"non-normal-{i}" for i in NON_NORMAL_DRAWS), "real-non-normal-14"],
 )
 def test_radius_of_a_non_normal_operator_finds_a_smooth_hidden_peak(t):
-    # the highest peak of h hides in a segment with lower ones, and on draw
-    # 140 no eigenvalue marks it (the top one's modulus is 1.0000041, below
-    # the radius): the cells near a refined optimum reach the picture's
-    # resolution, and the search runs again from the farthest support
-    # point.  An eigenvalue check alone misses these by 4.1e-12, 1.57e-7
-    # and 1.0e-13 relative, where the rounding of h is below 1e-14.  The
-    # reference zooms into the 8 best angles of a 2^14-angle scan of h.
+    # the highest peak of h hides in a segment with lower ones, and on draws
+    # 14, 137 and 140 no eigenvalue marks it (on 140 the top one's modulus
+    # is 1.0000041, below the radius): no segment is refined while a cell
+    # is coarser than the picture, and the search runs again from the
+    # farthest support point.  An eigenvalue check alone misses 52, 140 and
+    # 153 by 4.1e-12, 1.57e-7 and 1.0e-13 relative, where the rounding of h
+    # is below 1e-14; a refinement before the cells reach the picture's
+    # resolution misses 137 by 1.23e-6 and 14 by 1.1e-5.  The reference
+    # zooms into the 8 best angles of a 2^14-angle scan of h.
     def minus_h(thetas):
         r = np.exp(-1j * thetas)[:, None, None] * t
         return -np.linalg.eigvalsh(0.5 * (r + r.conj().transpose(0, 2, 1)))[:, -1]
@@ -1007,9 +1016,9 @@ def test_search_refines_at_most_one_new_segment_per_round(monkeypatch):
     monkeypatch.setattr(
         cells.Cells, "extend", lambda self, *args: log.append("e") or extend(self, *args)
     )
-    moduli = np.array([1.0063, 1.0051, 1.001])
-    op = normal_operator(moduli * np.exp(1j * np.array([2.489, 4.911, 2.027])), seed=3)
-    assert sr.a_numerical_radius(op) == pytest.approx(1.0063, rel=1e-14)
+    moduli = np.array([1.0086, 1.0092, 1.0094])
+    op = normal_operator(moduli * np.exp(1j * np.array([3.706, 3.156, 0.236])), seed=3)
+    assert sr.a_numerical_radius(op) == pytest.approx(1.0094, rel=1e-14)
     assert log.count("r") == 2
     assert max(len(r) for r in "".join(log).split("e")) == 1
 
@@ -1051,6 +1060,16 @@ def test_seed_wraps_across_the_period(center):
     assert top == (7 if center > 0 else 0)
     seed = cells._seed(theta, value, slope, top, period)
     assert seed == pytest.approx(center, abs=1e-14)
+
+
+def test_radius_of_an_entry_of_modulus_past_the_float_range():
+    # C = [[0, a], [0, 0]], a = 1.5e308 (1 + i): |a| overflows, but its parts
+    # do not, and the cells' unit is taken from them, so the radius |a| / 2
+    # is found; the seminorm |a| is past the float range, inf and not NaN
+    w = 1.0606601717798212e308  # 1.5e308 / sqrt(2), rounded
+    op = sr.make_operator(sr.identity_context(2), [[0, 1.5e308 * (1 + 1j)], [0, 0]])
+    assert abs(sr.a_numerical_radius(op) - w) <= 4 * np.spacing(w)
+    assert sr.a_operator_seminorm(op) == np.inf
 
 
 def test_radius_of_a_near_disk():

@@ -444,6 +444,23 @@ class TestValidation:
                     assert captured.err.startswith("numerical failure:")
                     assert captured.err.count("\n") == 1
 
+    def test_entry_of_modulus_past_the_float_range(self, tmp_path, capsys):
+        # C = T = [[0, 1.5e308 (1 + i)], [0, 0]] is finite, and so are its
+        # range and radius, 1.06e308, in C's power of two; the seminorm,
+        # 2.1e308, is not, and radius and bounds print it
+        t = np.zeros((2, 2), dtype=complex)
+        t[0, 1] = 1.5e308 * (1 + 1j)
+        path = write_json(tmp_path, {"identity_dim": 2, "T": cmat(t)})
+        assert main(["--command", "range", "--input", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err
+        for command in ("radius", "bounds"):
+            assert main(["--command", command, "--input", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numerical failure:")
+            assert captured.err.count("\n") == 1
+
     def test_unadjointable_operator(self, tmp_path, capsys):
         path = write_json(
             tmp_path,

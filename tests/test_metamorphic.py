@@ -122,9 +122,10 @@ def test_rescaling_t_by_a_power_of_two_changes_no_bit(seed, n, kernel, k):
 def test_rescaling_t_by_a_power_of_two_changes_no_bit_across_the_float_range(
     k, kind, weight, j
 ):
-    # every eigensolve of the cells factors C in units of its power of two,
-    # so T -> 2^j T moves no bit of what they give near either end of the
-    # float range, where LAPACK rescales unscaled parts on its own, and from
+    # every eigensolve of the cells, and the SVD of the seminorm and the
+    # sandwich bounds, factors C in units of its power of two, so T -> 2^j T
+    # moves no bit of what they give near either end of the float range,
+    # where LAPACK rescales unscaled matrices on its own, and from
     # scan.SOLVE_K on as below it
     rng = np.random.default_rng(k)
     if kind == "dense":
@@ -137,9 +138,7 @@ def test_rescaling_t_by_a_power_of_two_changes_no_bit_across_the_float_range(
     a = np.eye(k) if weight == "identity" else np.diag(rng.uniform(0.5, 2.0, size=k))
     _, base = weighted_quantities(a, t)
     _, scaled = weighted_quantities(a, 2.0**j * t)
-    # the sandwich bounds are left out: they come from an SVD of the
-    # unscaled C outside the cells, which LAPACK rescales on its own
-    for name in base.keys() - {"sandwich_lower", "sandwich_upper"}:
+    for name in base:
         if name in ("phi_star", "theta"):
             np.testing.assert_array_equal(scaled[name], base[name], err_msg=name)
         else:
